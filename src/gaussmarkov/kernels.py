@@ -92,11 +92,13 @@ class Kernel:
         return lo <= t <= hi
 
     def require_in_domain(self, times) -> None:
-        for t in np.atleast_1d(np.asarray(times, dtype=float)):
-            if not self.contains(float(t)):
-                raise InvalidInputError(
-                    f"time {t} outside domain {self.domain} of kernel '{self.name}'"
-                )
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        lo, hi = self.domain
+        outside = times[~((lo <= times) & (times <= hi))]
+        if outside.size:
+            raise InvalidInputError(
+                f"time {outside[0]} outside domain {self.domain} of kernel '{self.name}'"
+            )
 
 
 @dataclass(frozen=True)
@@ -179,22 +181,6 @@ def gram(kernel: Kernel, grid) -> np.ndarray:
         for j in range(i + 1, n):
             out[i, j] = out[j, i] = kernel.eval(pts[i], pts[j])
     return out
-
-
-def pair_correlations(kernel: Kernel, left, right) -> np.ndarray:
-    """Correlations ``c_K(left_i, right_i)`` for paired time arrays."""
-    left = np.asarray(left, dtype=float)
-    right = np.asarray(right, dtype=float)
-    if kernel.stationary and kernel.profile is not None:
-        try:
-            vals = np.asarray(kernel.profile(right - left), dtype=float)
-            var0 = float(kernel.profile(0.0))
-            return vals / var0
-        except (TypeError, ValueError):
-            pass
-    return np.array(
-        [correlation(kernel, float(s), float(t)) for s, t in zip(left, right)]
-    )
 
 
 def psd_check(kernel: Kernel, grid, tol: float = TOL_PSD) -> PsdReport:

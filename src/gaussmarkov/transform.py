@@ -246,62 +246,54 @@ def rate_kernel(
 
 def pair_law(kernel: Kernel, s: float, t: float) -> TransportPlan:
     """Two-time joint law of the kernel as a 1+1 transport plan."""
-    if not s < t:
-        raise InvalidInputError("need s < t")
-    kernel.require_in_domain([s, t])
-    vs, vt = kernel.variance(s), kernel.variance(t)
-    if vs <= 0.0 or vt <= 0.0:
-        raise SingularMarginalError(f"kernel singular at {s} or {t}")
-    return TransportPlan.from_blocks(
-        cov_left=[[vs]],
-        cross=[[kernel.eval(s, t)]],
-        cov_right=[[vt]],
-        mean_left=[kernel.mean(s)],
-        mean_right=[kernel.mean(t)],
-        times=np.array([s, t]),
-    )
+    return partition_law(kernel, Partition(points=[s, t]))
+
+
+def _cov(kernel: Kernel, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``K(left_i, right_i)`` elementwise: the stationary profile of the lags, else scalar evals."""
+    if kernel.stationary:
+        return np.asarray(kernel.profile(right - left), dtype=float)
+    return np.array([kernel.eval(float(s), float(t)) for s, t in zip(left, right)], dtype=float)
+
+
+def _chain(kernel: Kernel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-step covariances ``K(p_i, p_{i+1})`` and variances ``K(p_i, p_i)`` over sorted points.
+
+    Makes the checks of every consecutive :func:`pair_law` at once: points
+    in the domain, positive variances, and each two-time covariance PSD to
+    the :class:`GaussianVector` bound.  Callers multiply ``K(p_0, p_1)`` by
+    ``K(p_i, p_{i+1}) / K(p_i, p_i)`` left to right, as :func:`gaussian.compose` does.
+    """
+    kernel.require_in_domain(points)
+    steps = _cov(kernel, points[:-1], points[1:])
+    var = _cov(kernel, points, points)
+    if np.any(var <= 0.0):
+        raise SingularMarginalError(f"kernel singular at t={points[np.argmax(var <= 0.0)]}")
+    a, b = var[:-1], var[1:]
+    bad = 0.5 * (a + b) - np.hypot(0.5 * (a - b), steps) < -1e-10 * np.maximum(a, b)
+    if np.any(bad):
+        raise InvalidInputError(f"two-time covariance not PSD at t={points[np.argmax(bad)]}")
+    return steps, var
 
 
 def partition_law(kernel: Kernel, partition: Partition) -> TransportPlan:
     """Two-time law at the partition endpoints, transitioning through its points.
 
-    Composes the kernel's consecutive two-time plans over the partition;
-    the resulting correlation is the product of the one-step correlations
-    while the endpoint marginals stay those of the kernel.
+    Equals composing the kernel's consecutive :func:`pair_law` plans: the
+    correlation is the product of the one-step correlations while the
+    endpoint marginals stay those of the kernel.  One running product over
+    the partition, O(n) in its points.
     """
-    pts = partition.points
-    plans = [pair_law(kernel, float(a), float(b)) for a, b in zip(pts, pts[1:])]
-    return gaussian.compose(plans)
-
-
-def _chain_value(kernel: Kernel, u: float, v: float, interior: np.ndarray) -> float:
-    """Covariance between u < v after making the law Markov at the interior points.
-
-    Telescoping product ``K(u, r_1) K(r_1, r_2) ... K(r_q, v)`` divided by
-    the variances at the interior points, straight from the concatenation
-    formula with scalar shared marginals.
-    """
-    if interior.size == 0:
-        return kernel.eval(u, v)
-    pts = np.concatenate([[u], interior, [v]])
-    if kernel.stationary and kernel.profile is not None:
-        try:
-            steps = np.asarray(kernel.profile(np.diff(pts)), dtype=float)
-            var0 = float(kernel.profile(0.0))
-            if var0 <= 0.0:
-                raise SingularMarginalError("kernel singular (zero variance)")
-            return var0 * float(np.prod(steps / var0))
-        except (TypeError, ValueError):
-            pass
-    prod = 1.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        prod *= kernel.eval(float(a), float(b))
-    for r in interior:
-        var = kernel.variance(float(r))
-        if var <= 0.0:
-            raise SingularMarginalError(f"kernel singular at split time {r}")
-        prod /= var
-    return prod
+    steps, var = _chain(kernel, partition.points)
+    cross = np.cumprod(np.concatenate([steps[:1], steps[1:] / var[1:-1]]))[-1]
+    return TransportPlan.from_blocks(
+        cov_left=[[var[0]]],
+        cross=[[cross]],
+        cov_right=[[var[-1]]],
+        mean_left=[kernel.mean(partition.start)],
+        mean_right=[kernel.mean(partition.end)],
+        times=[partition.start, partition.end],
+    )
 
 
 def made_markov_law(kernel: Kernel, split_times, query_times) -> GaussianVector:
@@ -313,26 +305,38 @@ def made_markov_law(kernel: Kernel, split_times, query_times) -> GaussianVector:
     covariance telescopes through every split time lying strictly between
     them.  With two query times this is exactly
     ``partition_law`` over ``{s, t} + (splits inside (s, t))``.
+
+    One running product per query over the splits after it: O(q m)
+    multiplications and O(q + m) kernel evaluations for q queries and m
+    splits, besides the kernel's own covariances between unsplit queries.
     """
-    splits = np.sort(np.unique(np.asarray(split_times, dtype=float).ravel()))
+    splits = np.unique(np.asarray(split_times, dtype=float).ravel())
     queries = np.asarray(query_times, dtype=float).ravel()
     if queries.size < 1 or (queries.size > 1 and not np.all(np.diff(queries) > 0.0)):
         raise InvalidInputError("query times must be strictly increasing and nonempty")
-    kernel.require_in_domain(queries)
-    if splits.size:
-        kernel.require_in_domain(splits)
+    kernel.require_in_domain(splits)
+    _, var = _chain(kernel, queries)
+    # Only splits strictly inside the query range separate two queries.
+    splits = splits[(splits > queries[0]) & (splits < queries[-1])]
+    steps, split_var = _chain(kernel, splits)
+    factors = steps / split_var[:-1]
+    after = np.searchsorted(splits, queries, side="right")  # first split after each query
+    before = np.searchsorted(splits, queries, side="left") - 1  # last split before it
     n = queries.size
-    cov = np.empty((n, n))
-    mean = np.array([kernel.mean(float(t)) for t in queries])
+    last = np.zeros(n)  # K(r_before, q) / K(r_before, r_before)
+    has = before >= 0
+    last[has] = _cov(kernel, splits[before[has]], queries[has]) / split_var[before[has]]
+    cov = np.zeros((n, n))
     for i in range(n):
-        var = kernel.variance(float(queries[i]))
-        if var <= 0.0:
-            raise SingularMarginalError(f"kernel singular at query time {queries[i]}")
-        cov[i, i] = var
-        for j in range(i + 1, n):
-            u, v = float(queries[i]), float(queries[j])
-            interior = splits[(splits > u) & (splits < v)]
-            cov[i, j] = cov[j, i] = _chain_value(kernel, u, v, interior)
+        j0 = max(i + 1, int(np.searchsorted(before, after[i])))  # first query past the next split
+        cov[i, i + 1 : j0] = _cov(kernel, queries[i].repeat(j0 - i - 1), queries[i + 1 : j0])
+        if j0 < n:
+            first = _cov(kernel, queries[i : i + 1], splits[after[i] : after[i] + 1])
+            run = np.cumprod(np.concatenate([first, factors[after[i] :]]))
+            cov[i, j0:] = run[before[j0:] - after[i]] * last[j0:]
+    cov = cov + cov.T
+    np.fill_diagonal(cov, var)
+    mean = np.array([kernel.mean(float(t)) for t in queries])
     return GaussianVector(times=queries, mean=mean, cov=cov)
 
 
@@ -354,7 +358,7 @@ def made_markov_law_by_blocks(kernel: Kernel, split_times, query_times) -> Gauss
     # Splits outside the query range do not change the projected law.
     relevant = splits[(splits > queries[0]) & (splits < queries[-1])]
     if relevant.size == 0:
-        return _joint_law(kernel, queries)
+        return joint_law(kernel, queries)
 
     all_pts = np.sort(np.unique(np.concatenate([queries, relevant])))
     cut_idx = [int(np.searchsorted(all_pts, r)) for r in relevant]
@@ -365,16 +369,13 @@ def made_markov_law_by_blocks(kernel: Kernel, split_times, query_times) -> Gauss
         start = ci
     blocks.append(all_pts[start:])
 
-    glued = _joint_law(kernel, blocks[0])
+    glued = joint_law(kernel, blocks[0])
     for block_pts in blocks[1:]:
         right_plan = TransportPlan(
-            joint=_joint_law(kernel, block_pts),
+            joint=joint_law(kernel, block_pts),
             left_dim=1,
             right_dim=block_pts.size - 1,
         )
-        if glued.dim == 1:
-            glued = right_plan.joint
-            continue
         left_plan = TransportPlan(joint=glued, left_dim=glued.dim - 1, right_dim=1)
         glued = gaussian.concatenate([left_plan, right_plan])
 
@@ -382,18 +383,14 @@ def made_markov_law_by_blocks(kernel: Kernel, split_times, query_times) -> Gauss
     return glued.project(keep)
 
 
-def _joint_law(kernel: Kernel, grid) -> GaussianVector:
+def joint_law(kernel: Kernel, grid) -> GaussianVector:
+    """Kernel's own finite-dimensional law on a grid."""
     pts = np.asarray(grid, dtype=float).ravel()
     return GaussianVector(
         times=pts,
         mean=np.array([kernel.mean(float(t)) for t in pts]),
         cov=kernels.gram(kernel, pts),
     )
-
-
-def joint_law(kernel: Kernel, grid) -> GaussianVector:
-    """Kernel's own finite-dimensional law on a grid."""
-    return _joint_law(kernel, grid)
 
 
 def mimic_kernel(kernel: Kernel, alpha: RateFunction) -> Kernel:
@@ -448,11 +445,6 @@ class ConvergenceRow:
     target_correlation: float
 
 
-def target_pair_law(target: Kernel, s: float, t: float) -> GaussianVector:
-    """Two-time law of the target kernel, tolerating zero cross terms."""
-    return _joint_law(target, [s, t])
-
-
 def local_convergence_experiment(
     kernel: Kernel,
     target: Kernel,
@@ -470,7 +462,7 @@ def local_convergence_experiment(
     for p in partitions:
         if abs(p.start - s) > 1e-12 or abs(p.end - t) > 1e-12:
             raise InvalidInputError(f"partition [{p.start}, {p.end}] does not span [{s}, {t}]")
-    target_law = target_pair_law(target, s, t)
+    target_law = joint_law(target, [s, t])
     tgt_corr = target.eval(s, t) / math.sqrt(target.variance(s) * target.variance(t))
     rows = []
     for p in sorted(partitions, key=lambda q: -q.mesh):
@@ -500,7 +492,7 @@ def global_convergence_experiment(
     queries = np.asarray(query_times, dtype=float).ravel()
     if queries.size < 2:
         raise InvalidInputError("need at least two query times")
-    target_law = _joint_law(target, queries)
+    target_law = joint_law(target, queries)
     s, t = float(queries[0]), float(queries[-1])
     tgt_corr = target.eval(s, t) / math.sqrt(target.variance(s) * target.variance(t))
     rows = []
@@ -547,23 +539,19 @@ def tightness_bound_check(
         pts = part.points
         if pts[0] < a - 1e-12 or pts[-1] > b + 1e-12:
             raise InvalidInputError(f"partition leaves [{a}, {b}]")
-        corr_steps = kernels.pair_correlations(kernel, pts[:-1], pts[1:])
+        steps, var = _chain(kernel, pts)
+        corr_steps = steps / np.sqrt(var[:-1] * var[1:])
         if np.any(corr_steps <= 0.0):
             raise SingularMarginalError("nonpositive one-step correlation")
         log_prefix = np.concatenate([[0.0], np.cumsum(np.log(corr_steps))])
-        worst = 0.0
         n = pts.size
-        stride = 1
-        while stride < n:
-            starts = range(0, n - stride, max(1, (n - stride) // pairs_per_stride))
-            for i in starts:
-                j = i + stride
-                corr_n = math.exp(log_prefix[j] - log_prefix[i])
-                ratio = (1.0 - corr_n) / (pts[j] - pts[i])
-                if ratio > worst:
-                    worst = ratio
-            stride *= 2
-        maxima.append(worst)
+        i, j = np.array([
+            (start, start + d)
+            for d in (2**k for k in range((n - 1).bit_length()))
+            for start in range(0, n - d, max(1, (n - d) // pairs_per_stride))
+        ]).T
+        ratios = (1.0 - np.exp(log_prefix[j] - log_prefix[i])) / (pts[j] - pts[i])
+        maxima.append(max(0.0, float(np.max(ratios))))
     growing = False
     if len(maxima) >= 3:
         tail = maxima[-3:]

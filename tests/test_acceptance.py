@@ -12,7 +12,7 @@ Two criteria are known to fail and are asserted literally anyway:
   reach it.  Depths i <= 2 hold, and the cluster-witness targets are all
   realized on the partial measure.
 
-See notes in the repository root for the full analysis.
+See README, "Known limitations", for the full analysis.
 """
 
 import math
@@ -140,6 +140,36 @@ def test_criterion_3_stationary_strong_transform():
     assert watch.elapsed < 10.0
     for hurst, (_, err) in results.items():
         assert err < 5e-3, f"H={hurst}: correlation off by {err:.3e} at mesh 2^-12"
+
+
+def test_criterion_3_rate_h075():
+    """Criterion 3's H = 0.75 case past mesh 2^-12: the sqrt(mesh) rate.
+
+    Halving the mesh divides the error by about sqrt(2); the error enters
+    the 5e-3 band between 2^-16 and 2^-17, which is why the 2^-12 gate of
+    test_criterion_3_stationary_strong_transform fails.
+    """
+    levels = range(12, 21)
+    with Stopwatch(1.0) as watch:
+        kern = kernels.fbm_log(0.75)
+        errs = {}
+        for level in levels:
+            plan = partition_law(kern, Partition.uniform(0.0, 1.0, 2**level))
+            errs[level] = abs(float(plan.cross[0, 0]) - 1.0)
+    ratios = [errs[k] / errs[k + 1] for k in levels[:-1]]
+    rate_ok = all(1.38 <= r <= 1.44 for r in ratios)
+    band_ok = errs[16] >= 5e-3 and all(errs[k] < 5e-3 for k in levels if k >= 17)
+    ok = rate_ok and band_ok and watch.elapsed < 1.0
+    verdict(
+        "3 (H=0.75 rate)", ok,
+        f"errors {errs[12]:.2e} at 2^-12 -> {errs[20]:.2e} at 2^-20, "
+        f"ratios {min(ratios):.3f}..{max(ratios):.3f}, "
+        f"|err| {errs[16]:.2e} at 2^-16, {errs[17]:.2e} at 2^-17, budget 1s",
+        watch,
+    )
+    assert rate_ok, f"consecutive error ratios {ratios} outside [1.38, 1.44]"
+    assert band_ok, f"errors {errs} do not enter the 5e-3 band at mesh 2^-17"
+    assert watch.elapsed < 1.0
 
 
 def test_criterion_4_fbm_transform_table():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -141,6 +142,23 @@ class TestConverge:
         assert code == 0
         dists = [float(r[1]) for r in read_csv(tmp_path / "convergence.csv")[1:]]
         assert all(d < 1e-10 for d in dists)
+
+    # sha256 of convergence.csv from the two converge commands the CLI
+    # examples use (README and benchmark), recorded before the partition and
+    # made-Markov laws moved to the scalar chain routine.  The README promises
+    # byte-identical artifacts, so any change in rounding shows here.
+    @pytest.mark.parametrize("argv,digest", [
+        (["--kernel", '{"type": "fbm_log", "hurst": 0.75}', "--alpha", "0.0",
+          "--grid", "0:1:2", "--mesh-sequence", "0.125,0.03125,0.0078125,0.001953125"],
+         "f1185eef7f408347bf2e7aa70718b0df6f5bbae91be255abfeae93df9d08509f"),
+        (["--kernel", '{"type": "fbm_log", "hurst": 0.5}', "--alpha", "1.0",
+          "--grid", "0:1:3", "--steps", "0.5,0.25,0.125,0.0625,0.03125"],
+         "5afcd05d5d03a847c8da6cacd44d4748973ddc19e3bb7a53eb3138b4713e32e4"),
+    ], ids=["mesh-sequence", "steps"])
+    def test_artifact_bytes_unchanged(self, tmp_path, argv, digest):
+        assert main(["converge", *argv, "--out", str(tmp_path)]) == 0
+        data = (tmp_path / "convergence.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_both_modes_rejected(self, tmp_path):
         code = main([
