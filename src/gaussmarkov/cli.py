@@ -295,13 +295,8 @@ def _cmd_simulate(cfg: _Config) -> int:
     report.rows_to_csv(out_dir / "comparison.csv")
     (out_dir / "summary.json").write_text(report.summary_json() + "\n")
     if cfg.get("dump_paths"):
-        spec = simulate.mimicking_sde(kernel, alpha, t0=float(grid[0]), step=step)
-        simulate.euler_maruyama(spec, grid, n_paths, seed).to_csv(
-            out_dir / "trajectories_sde.csv"
-        )
-        simulate.ou_exact(alpha, grid, n_paths, seed + 1).to_csv(
-            out_dir / "trajectories_gauss.csv"
-        )
+        report.sde_batch.to_csv(out_dir / "trajectories_sde.csv")
+        report.gauss_batch.to_csv(out_dir / "trajectories_gauss.csv")
     print(
         f"simulate: max route discrepancy {report.max_cov_discrepancy:.6g} -> {out_dir}"
     )

@@ -281,13 +281,16 @@ def concatenate(plans: Sequence[TransportPlan]) -> GaussianVector:
     # Row by row, extend the cross block one step at a time:
     # A_{i,j+1} = A_{i,j} S_{j,j}^{-1} S_{j,j+1}.
     p = len(margs)
+    steps = {
+        j: solve_spd(margs[j].cov, plans[j].cross, what="intermediate marginal")
+        for j in range(1, p - 1)
+    }
     for i in range(p - 1):
         block = plans[i].cross
         cov[offsets[i] : offsets[i + 1], offsets[i + 1] : offsets[i + 2]] = block
         cov[offsets[i + 1] : offsets[i + 2], offsets[i] : offsets[i + 1]] = block.T
         for j in range(i + 1, p - 1):
-            step = solve_spd(margs[j].cov, plans[j].cross, what="intermediate marginal")
-            block = block @ step
+            block = block @ steps[j]
             cov[offsets[i] : offsets[i + 1], offsets[j + 1] : offsets[j + 2]] = block
             cov[offsets[j + 1] : offsets[j + 2], offsets[i] : offsets[i + 1]] = block.T
 

@@ -84,10 +84,17 @@ class TrajectoryBatch:
 
 @dataclass(frozen=True)
 class SdeSpec:
-    """Scalar SDE ``dX = drift(t, X) dt + diffusion(t, X) dB``."""
+    """Scalar linear SDE with time-dependent coefficients,
 
-    drift: Callable[[float, np.ndarray], np.ndarray]
-    diffusion: Callable[[float, np.ndarray], np.ndarray]
+        dX = [offset(t) + slope(t) (X - center(t))] dt + diffusion(t) dB.
+
+    Every coefficient is a scalar function of t alone.
+    """
+
+    offset: Callable[[float], float]
+    slope: Callable[[float], float]
+    center: Callable[[float], float]
+    diffusion: Callable[[float], float]
     initial_mean: float
     initial_var: float
     step: float
@@ -121,10 +128,11 @@ def cholesky_sample(law: GaussianVector, n_paths: int, seed: int) -> TrajectoryB
         raise InvalidInputError("need at least one path")
     factor = _factor_with_jitter(law.cov)
     gen = _stream(seed, "cholesky-sampler")
-    z = gen.standard_normal((n_paths, law.dim))
+    paths = gen.standard_normal((n_paths, law.dim)) @ factor.T
+    paths += law.mean
     return TrajectoryBatch(
         times=law.times,
-        paths=law.mean[None, :] + z @ factor.T,
+        paths=paths,
         seed=seed,
         provenance="sampler",
     )
@@ -136,39 +144,56 @@ def euler_maruyama(
     """Fixed-step Euler-Maruyama recursion recorded at the grid times.
 
     ``spec.step`` must divide every grid gap (within 1e-8 relative);
-    internal substeps are taken between recorded times.  A negative
-    diffusion value aborts with the offending (t, x).
+    internal substeps are taken between recorded times.  The coefficients
+    are evaluated once per substep before any path is drawn, and a negative
+    diffusion aborts with the offending t.  The paths then advance in place,
+    one Philox draw per path and substep.
     """
     grid = np.asarray(t_grid, dtype=float).ravel()
     if grid.size < 1 or (grid.size > 1 and not np.all(np.diff(grid) > 0.0)):
         raise InvalidInputError("time grid must be nonempty and strictly increasing")
-    gen = _stream(seed, "euler-maruyama")
-    x = spec.initial_mean + math.sqrt(spec.initial_var) * gen.standard_normal(n_paths)
-    recorded = np.empty((n_paths, grid.size))
-    recorded[:, 0] = x
-    for gi, (a, b) in enumerate(zip(grid[:-1], grid[1:]), start=1):
+    gaps = []
+    for a, b in zip(grid[:-1], grid[1:]):
         gap = b - a
         n_sub = max(1, round(gap / spec.step))
         if abs(n_sub * spec.step - gap) > 1e-8 * max(1.0, gap):
             raise InvalidInputError(
                 f"step {spec.step} does not divide grid gap {gap} at t={a}"
             )
-        h = gap / n_sub
+        gaps.append((a, n_sub, gap / n_sub))
+    # One row per substep: drift offset, slope and center, and the noise
+    # scale diffusion * sqrt(h).
+    coeffs = np.empty((sum(n_sub for _, n_sub, _ in gaps), 4))
+    row = 0
+    for a, n_sub, h in gaps:
         sqrt_h = math.sqrt(h)
         t = a
         for _ in range(n_sub):
-            d = np.broadcast_to(np.asarray(spec.diffusion(t, x), dtype=float), x.shape)
-            if np.any(d < 0.0):
-                bad = int(np.argmax(d < 0.0))
-                raise InvalidSdeError(
-                    f"negative diffusion {d[bad]} at (t={t}, x={x[bad]})"
-                )
-            x = (
-                x
-                + np.asarray(spec.drift(t, x), dtype=float) * h
-                + d * sqrt_h * gen.standard_normal(n_paths)
-            )
+            d = spec.diffusion(t)
+            if d < 0.0:
+                raise InvalidSdeError(f"negative diffusion {d} at t={t}")
+            coeffs[row] = (spec.offset(t), spec.slope(t), spec.center(t), d * sqrt_h)
+            row += 1
             t += h
+
+    gen = _stream(seed, "euler-maruyama")
+    x = spec.initial_mean + math.sqrt(spec.initial_var) * gen.standard_normal(n_paths)
+    recorded = np.empty((n_paths, grid.size))
+    recorded[:, 0] = x
+    drift = np.empty(n_paths)
+    noise = np.empty(n_paths)
+    row = 0
+    for gi, (_, n_sub, h) in enumerate(gaps, start=1):
+        for off, slope, center, scale in coeffs[row : row + n_sub].tolist():
+            np.subtract(x, center, out=drift)
+            drift *= slope
+            drift += off
+            drift *= h
+            gen.standard_normal(out=noise)
+            noise *= scale
+            x += drift
+            x += noise
+        row += n_sub
         recorded[:, gi] = x
     return TrajectoryBatch(times=grid, paths=recorded, seed=seed, provenance="sde")
 
@@ -265,18 +290,20 @@ def mimicking_sde(
     dm = mean_derivative or (lambda t: _derivative(m, t))
     dsigma = std_derivative or (lambda t: _derivative(sigma, t))
 
-    def drift(t: float, x: np.ndarray) -> np.ndarray:
+    def slope(t: float) -> float:
         s = sigma(t)
-        return dm(t) + (dsigma(t) / s - alpha(t)) * (x - m(t))
+        return dsigma(t) / s - alpha(t)
 
-    def diffusion(t: float, x: np.ndarray) -> np.ndarray:
+    def diffusion(t: float) -> float:
         a = alpha(t)
         if a < 0.0:
             raise InvalidSdeError(f"negative rate {a} at t={t}")
-        return np.full_like(np.asarray(x, dtype=float), sigma(t) * math.sqrt(2.0 * a))
+        return sigma(t) * math.sqrt(2.0 * a)
 
     return SdeSpec(
-        drift=drift,
+        offset=dm,
+        slope=slope,
+        center=m,
         diffusion=diffusion,
         initial_mean=m(t0),
         initial_var=kernel.variance(t0),
@@ -296,7 +323,10 @@ class ComparisonRow:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Covariance agreement between the SDE route and the Gaussian route."""
+    """Covariance agreement between the SDE route and the Gaussian route.
+
+    Carries the two batches it compared; the summary holds only their moments.
+    """
 
     max_cov_discrepancy: float
     max_sde_vs_analytic: float
@@ -305,6 +335,8 @@ class ComparisonReport:
     gauss_moments: EmpiricalMoments
     analytic: GaussianVector
     rows: tuple[ComparisonRow, ...]
+    sde_batch: TrajectoryBatch
+    gauss_batch: TrajectoryBatch
 
     def rows_to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -367,15 +399,11 @@ def figure_comparison(
     sde_batch = euler_maruyama(spec, grid, n_paths, seed)
 
     if gaussian_route == "exact":
-        base = ou_exact(alpha, grid, n_paths, seed + 1)
-        stds = np.array([kernel.std(float(t)) for t in grid])
-        means = np.array([kernel.mean(float(t)) for t in grid])
-        gauss_batch = TrajectoryBatch(
-            times=grid,
-            paths=means[None, :] + stds[None, :] * base.paths,
-            seed=seed + 1,
-            provenance="sampler",
-        )
+        # The report keeps both batches, so scale the base paths in place.
+        paths = ou_exact(alpha, grid, n_paths, seed + 1).paths
+        paths *= np.array([kernel.std(float(t)) for t in grid])
+        paths += np.array([kernel.mean(float(t)) for t in grid])
+        gauss_batch = TrajectoryBatch(times=grid, paths=paths, seed=seed + 1, provenance="sampler")
     elif gaussian_route == "cholesky":
         gauss_batch = cholesky_sample(analytic, n_paths, seed + 1)
     else:
@@ -407,4 +435,6 @@ def figure_comparison(
         gauss_moments=gauss_m,
         analytic=analytic,
         rows=tuple(rows),
+        sde_batch=sde_batch,
+        gauss_batch=gauss_batch,
     )

@@ -10,7 +10,8 @@ Markov limits.
 from __future__ import annotations
 
 import math
-from bisect import insort
+import threading
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -136,6 +137,10 @@ class _Antiderivative:
     such as ``A(u) - A(s) = (A(t) - A(s)) + (A(u) - A(t))`` hold exactly
     in floating point and the resulting kernels are Markov to machine
     precision.
+
+    Safe to call from several threads: a cache hit takes no lock, a miss
+    integrates under one lock and stores its value before the knot becomes
+    visible as a base for later misses.
     """
 
     def __init__(self, rate: RateFunction, abs_tol: float = INTEGRAL_ABS_TOL):
@@ -146,6 +151,7 @@ class _Antiderivative:
         self._abs_tol = abs_tol
         self._knots: list[float] = []
         self._values: dict[float, float] = {}
+        self._lock = threading.Lock()
 
     def _f(self, u: float) -> float:
         val = self._rate(u)
@@ -180,23 +186,36 @@ class _Antiderivative:
         whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
         return sign * self._simpson(a, fa, m, fm, b, fb, whole, self._abs_tol, 48)
 
+    def _nearest_knot(self, t: float) -> float:
+        """The knot nearest to ``t``; on equal distances the lowest one."""
+        knots = self._knots
+        pos = bisect_left(knots, t)
+        if pos == len(knots) or (pos > 0 and abs(knots[pos - 1] - t) <= abs(knots[pos] - t)):
+            # Distances to the knots below t only grow leftwards, but far from
+            # t several of them can round to the same distance: take the lowest.
+            pos -= 1
+            dist = abs(knots[pos] - t)
+            while pos > 0 and abs(knots[pos - 1] - t) == dist:
+                pos -= 1
+        return knots[pos]
+
     def __call__(self, t: float) -> float:
         t = float(t)
-        if t in self._values:
-            return self._values[t]
-        if not self._knots:
-            self._knots.append(t)
-            self._values[t] = 0.0
-            return 0.0
-        pos = min(
-            range(len(self._knots)),
-            key=lambda i: abs(self._knots[i] - t),
-        )
-        base = self._knots[pos]
-        val = self._values[base] + self._integrate(base, t)
-        insort(self._knots, t)
-        self._values[t] = val
-        return val
+        val = self._values.get(t)
+        if val is not None:
+            return val
+        with self._lock:
+            val = self._values.get(t)
+            if val is not None:
+                return val
+            if not self._knots:
+                val = 0.0
+            else:
+                base = self._nearest_knot(t)
+                val = self._values[base] + self._integrate(base, t)
+            self._values[t] = val
+            insort(self._knots, t)
+            return val
 
 
 def rate_kernel(

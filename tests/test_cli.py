@@ -6,7 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from gaussmarkov import kernels
 from gaussmarkov.cli import main
+from gaussmarkov.kernels import RateFunction
+from gaussmarkov.simulate import cholesky_sample
+from gaussmarkov.transform import joint_law, mimic_kernel
 
 
 def read_csv(path):
@@ -257,6 +261,67 @@ class TestSimulate:
         assert code == 0
         sde_rows = read_csv(tmp_path / "trajectories_sde.csv")
         assert len(sde_rows) == 51  # header + one row per path
+
+    FBM_DUMP = [
+        "simulate",
+        "--kernel", '{"type": "fbm", "hurst": 0.75}',
+        "--alpha", "0.0",
+        "--grid", "1:3:3",
+        "--paths", "2000",
+        "--seed", "5",
+        "--step", "0.001",
+        "--dump-paths",
+    ]
+
+    @staticmethod
+    def read_paths(path):
+        return np.array(read_csv(path)[1:], dtype=float)
+
+    def test_dumped_paths_are_the_compared_batches(self, tmp_path):
+        # fbm has non-unit variance, so the unit-variance base paths of the
+        # exact route would not reproduce the summary's moments
+        assert main(self.FBM_DUMP + ["--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        for route in ("sde", "gauss"):
+            paths = self.read_paths(tmp_path / f"trajectories_{route}.csv")
+            assert paths.shape == (2000, 3)
+            centered = paths - paths.mean(axis=0)
+            cov = centered.T @ centered / (paths.shape[0] - 1)
+            np.testing.assert_allclose(cov, summary[route]["cov"], rtol=0.0, atol=1e-9)
+        assert summary["gauss"]["cov"][2][2] > 5.0
+
+    def test_cholesky_route_dumps_the_cholesky_batch(self, tmp_path):
+        assert main(self.FBM_DUMP + ["--route", "cholesky", "--out", str(tmp_path)]) == 0
+        mimic = mimic_kernel(kernels.fbm(0.75), RateFunction.constant(0.0))
+        law = joint_law(mimic, [1.0, 2.0, 3.0])
+        expected = cholesky_sample(law, 2000, seed=6)  # the Gaussian route uses seed + 1
+        np.testing.assert_array_equal(
+            self.read_paths(tmp_path / "trajectories_gauss.csv"), expected.paths
+        )
+
+    # sha256 of the README simulate command's artifacts (with 2000 paths),
+    # recorded before the Euler-Maruyama loop moved to precomputed
+    # coefficients and in-place updates.  The README promises byte-identical
+    # artifacts, so any change in rounding or in the Philox stream shows here.
+    def test_artifact_bytes_unchanged(self, tmp_path):
+        assert main([
+            "simulate",
+            "--kernel", '{"type": "exponential", "rate": 1.0}',
+            "--alpha", "1.0",
+            "--grid", "0:5:6",
+            "--paths", "2000",
+            "--seed", "7",
+            "--step", "0.001",
+            "--out", str(tmp_path),
+        ]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("comparison.csv", "summary.json")
+        }
+        assert digests == {
+            "comparison.csv": "3eb2e3453b18cebd3c2c9eea894dc655096da69d2dd81d498623e84dd31e20e7",
+            "summary.json": "1fcd33717b6d41c3df17993487bb041b1f5a9d53d2cfb8438a81645d4fe4df73",
+        }
 
 
 class TestConfigPrecedence:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussmarkov import kernels
+from gaussmarkov import gaussian, kernels
 from gaussmarkov.errors import (
     ChainMismatchError,
     InvalidInputError,
@@ -203,6 +203,46 @@ class TestConcatenate:
         cross_mid = cov[[0, 2], 1][:, None]
         conditional = cov[outer] - cross_mid @ cross_mid.T / cov[1, 1]
         assert abs(conditional[0, 1]) < 1e-10
+
+    @staticmethod
+    def _concatenate_solving_per_row(plans):
+        """The former row loop, which solved every step again for each row."""
+        margs = [p.left_marginal() for p in plans] + [plans[-1].right_marginal()]
+        offsets = np.concatenate([[0], np.cumsum([m.dim for m in margs])])
+        cov = np.zeros((offsets[-1], offsets[-1]))
+        for i, m in enumerate(margs):
+            cov[offsets[i] : offsets[i + 1], offsets[i] : offsets[i + 1]] = m.cov
+        for i in range(len(margs) - 1):
+            block = plans[i].cross
+            cov[offsets[i] : offsets[i + 1], offsets[i + 1] : offsets[i + 2]] = block
+            cov[offsets[i + 1] : offsets[i + 2], offsets[i] : offsets[i + 1]] = block.T
+            for j in range(i + 1, len(margs) - 1):
+                block = block @ gaussian.solve_spd(margs[j].cov, plans[j].cross)
+                cov[offsets[i] : offsets[i + 1], offsets[j + 1] : offsets[j + 2]] = block
+                cov[offsets[j + 1] : offsets[j + 2], offsets[i] : offsets[i + 1]] = block.T
+        return cov
+
+    @pytest.mark.parametrize("case", ["scalar", "blocks"])
+    def test_one_solve_per_intermediate_marginal(self, monkeypatch, case):
+        if case == "scalar":
+            kern = kernels.fbm(0.75)
+            grid = np.linspace(1.0, 2.0, 61)
+            plans = [pair_law(kern, s, t) for s, t in zip(grid[:-1], grid[1:])]
+        else:
+            plans = chained_random_plans(np.random.default_rng(8), [2, 1, 3, 2, 2, 1])
+        expected = self._concatenate_solving_per_row(plans)
+        calls = []
+        solve = gaussian.solve_spd
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(gaussian, "solve_spd", counting_solve)
+        law = concatenate(plans)
+        # one solve per marginal shared by two plans
+        assert len(calls) == len(plans) - 1
+        np.testing.assert_array_equal(law.cov, expected)
 
 
 class TestCompose:

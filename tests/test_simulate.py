@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from gaussmarkov import kernels
+from gaussmarkov import kernels, transform
 from gaussmarkov.errors import InvalidInputError, InvalidSdeError, NotPsdError
 from gaussmarkov.gaussian import GaussianVector
 from gaussmarkov.kernels import RateFunction
 from gaussmarkov.simulate import (
+    FD_STEP,
     SdeSpec,
     TrajectoryBatch,
     _factor_with_jitter,
+    _stream,
     cholesky_sample,
     empirical_covariance,
     euler_maruyama,
@@ -21,10 +23,16 @@ from gaussmarkov.simulate import (
 from gaussmarkov.transform import joint_law
 
 
+def constant(value):
+    return lambda t: value
+
+
 def ou_spec(step):
     return SdeSpec(
-        drift=lambda t, x: -x,
-        diffusion=lambda t, x: math.sqrt(2.0),
+        offset=constant(0.0),
+        slope=constant(-1.0),
+        center=constant(0.0),
+        diffusion=constant(math.sqrt(2.0)),
         initial_mean=0.0,
         initial_var=1.0,
         step=step,
@@ -67,8 +75,10 @@ class TestCholeskySample:
 class TestEulerMaruyama:
     def test_zero_coefficients_constant_paths(self):
         spec = SdeSpec(
-            drift=lambda t, x: 0.0 * x,
-            diffusion=lambda t, x: 0.0 * x,
+            offset=constant(0.0),
+            slope=constant(0.0),
+            center=constant(0.0),
+            diffusion=constant(0.0),
             initial_mean=3.0,
             initial_var=0.0,
             step=0.1,
@@ -112,8 +122,10 @@ class TestEulerMaruyama:
 
     def test_negative_diffusion_reported(self):
         spec = SdeSpec(
-            drift=lambda t, x: 0.0 * x,
-            diffusion=lambda t, x: -1.0 + 0.0 * x,
+            offset=constant(0.0),
+            slope=constant(0.0),
+            center=constant(0.0),
+            diffusion=constant(-1.0),
             initial_mean=0.0,
             initial_var=1.0,
             step=0.1,
@@ -124,6 +136,97 @@ class TestEulerMaruyama:
     def test_step_must_divide_gaps(self):
         with pytest.raises(InvalidInputError):
             euler_maruyama(ou_spec(0.3), [0.0, 1.0], 10, seed=8)
+
+
+def euler_maruyama_by_closures(drift, diffusion, initial_mean, initial_var, step,
+                               t_grid, n_paths, seed):
+    """The former Euler-Maruyama loop: closures of (t, x), fresh arrays per substep."""
+    grid = np.asarray(t_grid, dtype=float)
+    gen = _stream(seed, "euler-maruyama")
+    x = initial_mean + math.sqrt(initial_var) * gen.standard_normal(n_paths)
+    recorded = np.empty((n_paths, grid.size))
+    recorded[:, 0] = x
+    for gi, (a, b) in enumerate(zip(grid[:-1], grid[1:]), start=1):
+        gap = b - a
+        n_sub = max(1, round(gap / step))
+        h = gap / n_sub
+        sqrt_h = math.sqrt(h)
+        t = a
+        for _ in range(n_sub):
+            d = np.broadcast_to(np.asarray(diffusion(t, x), dtype=float), x.shape)
+            x = x + np.asarray(drift(t, x), dtype=float) * h + d * sqrt_h * gen.standard_normal(n_paths)
+            t += h
+        recorded[:, gi] = x
+    return recorded
+
+
+def mimicking_closures(kernel, alpha):
+    """The former mimicking SDE coefficients, as closures of (t, x)."""
+    m, sigma = kernel.mean, kernel.std
+
+    def derivative(f, t):
+        return (f(t + FD_STEP) - f(t - FD_STEP)) / (2.0 * FD_STEP)
+
+    def drift(t, x):
+        s = sigma(t)
+        return derivative(m, t) + (derivative(sigma, t) / s - alpha(t)) * (x - m(t))
+
+    def diffusion(t, x):
+        return np.full_like(np.asarray(x, dtype=float), sigma(t) * math.sqrt(2.0 * alpha(t)))
+
+    return drift, diffusion
+
+
+def _one_plus_t(t):
+    return 1.0 + t
+
+
+#: The families the benchmark's SDE workload simulates: kernel and rate factories.
+EM_FAMILIES = {
+    "exponential": lambda: (kernels.exponential_rate(1.0), RateFunction.constant(1.0)),
+    "fbm_h0.5": lambda: (kernels.fbm(0.5), RateFunction.from_callable(lambda t: 0.5 / t)),
+    "fbm_h0.75": lambda: (kernels.fbm(0.75), RateFunction.constant(0.0)),
+    "rate_1+t": lambda: (
+        transform.rate_kernel(RateFunction.from_callable(_one_plus_t)),
+        RateFunction.from_callable(_one_plus_t),
+    ),
+}
+
+
+class TestEulerMaruyamaOracle:
+    """The precomputed in-place loop against the closure loop it replaced, bit for bit."""
+
+    # first gap: one substep; later gaps: several
+    OFFSETS = np.array([0.0, 0.01, 0.05, 0.25])
+
+    @pytest.mark.parametrize("family", sorted(EM_FAMILIES))
+    @pytest.mark.parametrize("start,step", [(1.2, 0.01), (1.3, 0.002)])
+    def test_mimicking_sde(self, family, start, step):
+        grid = start + self.OFFSETS
+        kernel, alpha = EM_FAMILIES[family]()
+        spec = mimicking_sde(kernel, alpha, t0=float(grid[0]), step=step)
+        fast = euler_maruyama(spec, grid, 300, seed=31)
+        kernel, alpha = EM_FAMILIES[family]()
+        drift, diffusion = mimicking_closures(kernel, alpha)
+        slow = euler_maruyama_by_closures(
+            drift, diffusion, kernel.mean(grid[0]), kernel.variance(grid[0]), step,
+            grid, 300, seed=31,
+        )
+        np.testing.assert_array_equal(fast.paths, slow)
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.01], [0.0, 0.01, 0.5, 0.6]])
+    def test_ou_spec(self, grid):
+        fast = euler_maruyama(ou_spec(0.01), grid, 300, seed=32)
+        slow = euler_maruyama_by_closures(
+            lambda t, x: -x, lambda t, x: math.sqrt(2.0), 0.0, 1.0, 0.01, grid, 300, seed=32,
+        )
+        np.testing.assert_array_equal(fast.paths, slow)
+
+    def test_negative_rate_rejected_before_drawing(self):
+        alpha = RateFunction.from_callable(lambda t: 1.0 if t < 0.5 else -1.0)
+        spec = mimicking_sde(kernels.exponential_rate(1.0), alpha, t0=0.0, step=0.1)
+        with pytest.raises(InvalidSdeError, match="t="):
+            euler_maruyama(spec, [0.0, 1.0], 10, seed=8)
 
 
 class TestOuExact:
