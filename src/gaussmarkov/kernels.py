@@ -1,9 +1,10 @@
 """Covariance kernels and decorrelation-rate diagnostics.
 
 A :class:`Kernel` bundles a symmetric positive semi-definite covariance
-function ``K(s, t)`` with a mean function, an optional stationary profile
-and a validity domain.  Kernels are immutable values; every operation in
-this module is pure and safe to call concurrently.
+function ``K(s, t)``, as a scalar formula and as one broadcasting array
+evaluation, with a mean function and a validity domain.  Kernels are
+immutable values; every operation in this module is pure and safe to call
+concurrently.
 
 The central diagnostic is the instantaneous decorrelation rate
 
@@ -52,14 +53,15 @@ class Kernel:
     Parameters
     ----------
     eval : callable
-        ``(s, t) -> K(s, t)``; must be symmetric in its arguments.
+        ``(s, t) -> K(s, t)`` on scalars; must be symmetric in its arguments.
     mean : callable, optional
         Mean function of the associated Gaussian process (default zero).
     stationary : bool
-        If set, ``profile`` must be given and ``eval(s, t) == profile(t - s)``
-        by construction.
-    profile : callable, optional
-        Stationary profile ``h -> K(t, t + h)``; should accept numpy arrays.
+        Marks ``K(s, t)`` as a function of ``t - s`` alone.
+    cov : callable, optional
+        ``(s, t) -> K(s, t)`` elementwise on broadcast arrays, exactly
+        symmetric; may differ from ``eval`` in the last bit.  Defaults to
+        one loop over ``eval``.
     domain : (float, float)
         Interval of valid times; bounds may be infinite.
     """
@@ -67,16 +69,23 @@ class Kernel:
     eval: Callable[[float, float], float]
     mean: Callable[[float], float] = _zero_mean
     stationary: bool = False
-    profile: Callable[[float], float] | None = None
+    cov: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     domain: tuple[float, float] = (-math.inf, math.inf)
     name: str = "kernel"
 
     def __post_init__(self):
-        if self.stationary and self.profile is None:
-            raise InvalidInputError("stationary kernel requires a profile function")
         lo, hi = self.domain
         if not lo < hi:
             raise InvalidInputError(f"empty kernel domain {self.domain}")
+        if self.cov is None:
+            scalar = self.eval
+
+            def cov(s, t):
+                s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+                vals = [scalar(a, b) for a, b in zip(s.flat, t.flat)]
+                return np.array(vals, dtype=float).reshape(s.shape)
+
+            object.__setattr__(self, "cov", cov)
 
     def variance(self, t: float) -> float:
         return self.eval(t, t)
@@ -156,6 +165,14 @@ class AlphaEstimate:
         return RateFunction.constant(self.value)
 
 
+def _at_points(f: Callable[[float], float], *args) -> list[np.ndarray]:
+    """``f`` at every entry of each argument, called once per distinct point in ascending order."""
+    arrays = [np.asarray(a, dtype=float) for a in args]
+    points = np.unique(np.concatenate([a.ravel() for a in arrays]))
+    values = np.array([f(p) for p in points], dtype=float)
+    return [values[np.searchsorted(points, a)] for a in arrays]
+
+
 def _as_strictly_increasing(grid) -> np.ndarray:
     arr = np.asarray(grid, dtype=float).ravel()
     if arr.size < 1:
@@ -169,18 +186,7 @@ def gram(kernel: Kernel, grid) -> np.ndarray:
     """Gram matrix ``[K(t_i, t_j)]`` over an ordered grid."""
     pts = _as_strictly_increasing(grid)
     kernel.require_in_domain(pts)
-    if kernel.stationary and kernel.profile is not None:
-        try:
-            return np.asarray(kernel.profile(pts[None, :] - pts[:, None]), dtype=float)
-        except (TypeError, ValueError):
-            pass  # profile is scalar-only; fall through
-    n = pts.size
-    out = np.empty((n, n))
-    for i in range(n):
-        out[i, i] = kernel.eval(pts[i], pts[i])
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = kernel.eval(pts[i], pts[j])
-    return out
+    return np.asarray(kernel.cov(pts[:, None], pts[None, :]), dtype=float)
 
 
 def psd_check(kernel: Kernel, grid, tol: float = TOL_PSD) -> PsdReport:
@@ -313,33 +319,35 @@ def transform_kernel(
                 f"time change maps {endpoint} to {image}, outside {kernel.domain}"
             )
 
+    def nonzero_scale(t: float) -> float:
+        u = scale(t)
+        if u == 0.0:
+            raise InvalidInputError(f"scale vanishes at {t}")
+        return u
+
     def new_eval(s: float, t: float) -> float:
-        u, v = scale(s), scale(t)
-        if u == 0.0 or v == 0.0:
-            raise InvalidInputError(f"scale vanishes at {s if u == 0.0 else t}")
+        u, v = nonzero_scale(s), nonzero_scale(t)
         return u * v * kernel.eval(time_change(s), time_change(t))
+
+    def new_cov(s, t):
+        u, v = _at_points(nonzero_scale, s, t)
+        return u * v * kernel.cov(*_at_points(time_change, s, t))
 
     def new_mean(t: float) -> float:
         return scale(t) * kernel.mean(time_change(t))
 
-    stationary = False
-    new_profile = None
-    if kernel.stationary and scale_is_constant and time_change_is_affine:
+    stationary = kernel.stationary and scale_is_constant and time_change_is_affine
+    if stationary:
         p0 = lo if math.isfinite(lo) else 0.0
         p1 = p0 + 1.0 if kernel.contains(time_change(p0 + 1.0)) else p0 - 1.0
-        c = scale(p0)
-        slope = (time_change(p1) - time_change(p0)) / (p1 - p0)
-        if abs(scale(p1) - c) > 1e-12:
+        if abs(scale(p1) - scale(p0)) > 1e-12:
             raise InvalidInputError("scale declared constant but varies")
-        base_profile = kernel.profile
-        new_profile = lambda h: c * c * np.asarray(base_profile(slope * h))
-        stationary = True
 
     return Kernel(
         eval=new_eval,
         mean=new_mean,
         stationary=stationary,
-        profile=new_profile,
+        cov=new_cov,
         domain=new_domain,
         name=f"transformed({kernel.name})",
     )
@@ -363,7 +371,11 @@ def fbm(hurst: float) -> Kernel:
     def k(s: float, t: float) -> float:
         return 0.5 * (abs(t) ** two_h + abs(s) ** two_h - abs(t - s) ** two_h)
 
-    return Kernel(eval=k, domain=(0.0, math.inf), name=f"fbm(H={hurst})")
+    def cov(s, t):
+        s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+        return 0.5 * (np.abs(t) ** two_h + np.abs(s) ** two_h - np.abs(t - s) ** two_h)
+
+    return Kernel(eval=k, cov=cov, domain=(0.0, math.inf), name=f"fbm(H={hurst})")
 
 
 def fbm_log(hurst: float) -> Kernel:
@@ -392,31 +404,27 @@ def fbm_log(hurst: float) -> Kernel:
     return Kernel(
         eval=k,
         stationary=True,
-        profile=profile,
+        cov=lambda s, t: profile(np.subtract(t, s)),
         name=f"fbm_log(H={hurst})",
     )
 
 
 def constant() -> Kernel:
     """Completely correlated process: ``K(s, t) = 1`` everywhere."""
-    def profile(x):
-        return np.ones_like(np.asarray(x, dtype=float))
-
     return Kernel(
-        eval=lambda s, t: 1.0, stationary=True, profile=profile, name="constant"
+        eval=lambda s, t: 1.0,
+        stationary=True,
+        cov=lambda s, t: np.ones_like(np.subtract(t, s, dtype=float)),
+        name="constant",
     )
 
 
 def white_noise() -> Kernel:
     """Independent unit Gaussians: identity Gram matrix on any grid."""
-    def profile(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x == 0.0, 1.0, 0.0)
-
     return Kernel(
         eval=lambda s, t: 1.0 if s == t else 0.0,
         stationary=True,
-        profile=profile,
+        cov=lambda s, t: np.where(np.subtract(t, s, dtype=float) == 0.0, 1.0, 0.0),
         name="white_noise",
     )
 

@@ -89,13 +89,10 @@ class SpectralMeasure:
 
 def kernel_from_spectral(mu: SpectralMeasure) -> Kernel:
     """Stationary kernel ``K(s, t) = mu_hat(t - s)``; unit variance."""
-    def profile(x):
-        return mu.fourier(x)
-
     return Kernel(
         eval=lambda s, t: float(mu.fourier(t - s)),
         stationary=True,
-        profile=profile,
+        cov=lambda s, t: mu.fourier(np.subtract(t, s)),
         name="spectral",
     )
 
@@ -199,11 +196,6 @@ def lacunary_sum(config: WeierstrassConfig, x: float, k_from: int, k_to: int) ->
 def f_witness(config: WeierstrassConfig, n: int, x: float) -> float:
     """Growth functional ``x * sum_{k=n}^{floor(x)} a^k (1 - cos(b^k / x))``."""
     return lacunary_sum(config, x, n, int(math.floor(x)))
-
-
-def g_witness(config: WeierstrassConfig, windows: Sequence[tuple[int, int]], x: float) -> float:
-    """Gap functional: the same sum restricted to half-open index windows [lo, hi)."""
-    return sum(lacunary_sum(config, x, lo, hi - 1) for lo, hi in windows)
 
 
 def _first_gap_hit(

@@ -20,7 +20,7 @@ import numpy as np
 from . import gaussian, kernels
 from .errors import InvalidInputError, InvalidRateError, SingularMarginalError
 from .gaussian import GaussianVector, TransportPlan
-from .kernels import Kernel, RateFunction
+from .kernels import Kernel, RateFunction, _at_points
 
 #: Absolute tolerance of the rate antiderivative quadrature.
 INTEGRAL_ABS_TOL = 1e-10
@@ -225,27 +225,24 @@ def rate_kernel(
     """Markov kernel ``K(s, t) = exp(-integral of alpha from s to t)``.
 
     ``alpha`` must be nonnegative and integrable on compacts; the infinite
-    marker yields the white-noise kernel.  Unit variance on the diagonal.
+    marker yields the white-noise kernel.  Unit variance on the diagonal,
+    returned without integrating.
     """
     if alpha.is_infinite:
         wn = kernels.white_noise()
         return Kernel(
             eval=wn.eval,
             stationary=True,
-            profile=wn.profile,
+            cov=wn.cov,
             domain=domain,
             name="rate_kernel(inf)",
         )
     if alpha.const is not None:
         c = alpha.const
-
-        def profile(x):
-            return np.exp(-c * np.abs(np.asarray(x, dtype=float)))
-
         return Kernel(
             eval=lambda s, t: math.exp(-c * abs(t - s)),
             stationary=True,
-            profile=profile,
+            cov=lambda s, t: np.exp(-c * np.abs(np.subtract(t, s, dtype=float))),
             domain=domain,
             name=f"rate_kernel(const={c})",
         )
@@ -253,9 +250,15 @@ def rate_kernel(
     antider = _Antiderivative(alpha)
 
     def k(s: float, t: float) -> float:
+        if s == t:
+            return 1.0
         return math.exp(-abs(antider(t) - antider(s)))
 
-    return Kernel(eval=k, domain=domain, name="rate_kernel")
+    def cov(s, t):
+        a_s, a_t = _at_points(antider, s, t)
+        return np.exp(-np.abs(a_t - a_s))
+
+    return Kernel(eval=k, cov=cov, domain=domain, name="rate_kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +271,6 @@ def pair_law(kernel: Kernel, s: float, t: float) -> TransportPlan:
     return partition_law(kernel, Partition(points=[s, t]))
 
 
-def _cov(kernel: Kernel, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``K(left_i, right_i)`` elementwise: the stationary profile of the lags, else scalar evals."""
-    if kernel.stationary:
-        return np.asarray(kernel.profile(right - left), dtype=float)
-    return np.array([kernel.eval(float(s), float(t)) for s, t in zip(left, right)], dtype=float)
-
-
 def _chain(kernel: Kernel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-step covariances ``K(p_i, p_{i+1})`` and variances ``K(p_i, p_i)`` over sorted points.
 
@@ -284,8 +280,8 @@ def _chain(kernel: Kernel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``K(p_i, p_{i+1}) / K(p_i, p_i)`` left to right, as :func:`gaussian.compose` does.
     """
     kernel.require_in_domain(points)
-    steps = _cov(kernel, points[:-1], points[1:])
-    var = _cov(kernel, points, points)
+    steps = kernel.cov(points[:-1], points[1:])
+    var = kernel.cov(points, points)
     if np.any(var <= 0.0):
         raise SingularMarginalError(f"kernel singular at t={points[np.argmax(var <= 0.0)]}")
     a, b = var[:-1], var[1:]
@@ -344,13 +340,13 @@ def made_markov_law(kernel: Kernel, split_times, query_times) -> GaussianVector:
     n = queries.size
     last = np.zeros(n)  # K(r_before, q) / K(r_before, r_before)
     has = before >= 0
-    last[has] = _cov(kernel, splits[before[has]], queries[has]) / split_var[before[has]]
+    last[has] = kernel.cov(splits[before[has]], queries[has]) / split_var[before[has]]
     cov = np.zeros((n, n))
     for i in range(n):
         j0 = max(i + 1, int(np.searchsorted(before, after[i])))  # first query past the next split
-        cov[i, i + 1 : j0] = _cov(kernel, queries[i].repeat(j0 - i - 1), queries[i + 1 : j0])
+        cov[i, i + 1 : j0] = kernel.cov(queries[i : i + 1], queries[i + 1 : j0])
         if j0 < n:
-            first = _cov(kernel, queries[i : i + 1], splits[after[i] : after[i] + 1])
+            first = kernel.cov(queries[i : i + 1], splits[after[i] : after[i] + 1])
             run = np.cumprod(np.concatenate([first, factors[after[i] :]]))
             cov[i, j0:] = run[before[j0:] - after[i]] * last[j0:]
     cov = cov + cov.T
@@ -420,21 +416,18 @@ def mimic_kernel(kernel: Kernel, alpha: RateFunction) -> Kernel:
     and the result is Markov on every grid.  The infinite marker yields
     the diagonal kernel (independent coordinates with matching variances).
     """
-    std_cache: dict[float, float] = {}
-
-    def std(t: float) -> float:
-        if t not in std_cache:
-            std_cache[t] = kernel.std(t)
-        return std_cache[t]
-
     if alpha.is_infinite:
         def k_diag(s: float, t: float) -> float:
             if s == t:
                 return kernel.eval(t, t)
             return 0.0
 
+        def cov_diag(s, t):
+            (var_t,) = _at_points(kernel.variance, t)
+            return np.where(np.equal(s, t), var_t, 0.0)
+
         return Kernel(
-            eval=k_diag, mean=kernel.mean, domain=kernel.domain,
+            eval=k_diag, mean=kernel.mean, cov=cov_diag, domain=kernel.domain,
             name=f"mimic({kernel.name}, inf)",
         )
 
@@ -443,10 +436,15 @@ def mimic_kernel(kernel: Kernel, alpha: RateFunction) -> Kernel:
     def k(s: float, t: float) -> float:
         if s == t:
             return kernel.eval(t, t)
-        return std(s) * std(t) * base.eval(s, t)
+        return kernel.std(s) * kernel.std(t) * base.eval(s, t)
+
+    def cov(s, t):
+        std_s, std_t = _at_points(kernel.std, s, t)
+        (var_t,) = _at_points(kernel.variance, t)
+        return np.where(np.equal(s, t), var_t, std_s * std_t * base.cov(s, t))
 
     return Kernel(
-        eval=k, mean=kernel.mean, domain=kernel.domain,
+        eval=k, mean=kernel.mean, cov=cov, domain=kernel.domain,
         name=f"mimic({kernel.name})",
     )
 

@@ -226,7 +226,7 @@ def test_tightness_maxima_unchanged_by_chain_routine():
     report = tightness_bound_check(kern, RateFunction.constant(0.0), 0.0, 1.0, parts)
     for part, got in zip(parts, report.per_partition):
         pts = part.points
-        log_prefix = np.concatenate([[0.0], np.cumsum(np.log(kern.profile(np.diff(pts))))])
+        log_prefix = np.concatenate([[0.0], np.cumsum(np.log(kern.cov(pts[:-1], pts[1:])))])
         worst = 0.0
         stride = 1
         while stride < pts.size:

@@ -62,6 +62,21 @@ class TestPsdCheck:
         assert main(["psd-check", "--out", str(tmp_path)]) == 2
 
 
+    # sha256 of the README psd-check command's report, recorded before the
+    # Gram moved to one broadcasting covariance per kernel.
+    def test_artifact_bytes_unchanged(self, tmp_path):
+        assert main([
+            "psd-check",
+            "--kernel", '{"type": "exponential", "rate": 1.0}',
+            "--grid", "0:2:5", "--random-grids", "20", "--seed", "1",
+            "--out", str(tmp_path),
+        ]) == 0
+        data = (tmp_path / "psd_report.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "bfa1d27414a87b10940dea814ab22063111515076d6c15e59aef0d0a0e420dd4"
+        )
+
+
 class TestTransform:
     def test_fbm_smooth_case_table(self, tmp_path):
         code = main([
@@ -102,6 +117,22 @@ class TestTransform:
         assert code == 0
         for _, _, _, k_mimic in read_csv(tmp_path / "transform_table.csv")[1:]:
             assert float(k_mimic) == pytest.approx(1.0, abs=1e-7)
+
+    # sha256 of the README transform command's table, recorded before the
+    # Gram moved to one broadcasting covariance per kernel: the table comes
+    # from the scalar eval, which keeps its libm formula.
+    def test_artifact_bytes_unchanged(self, tmp_path):
+        assert main([
+            "transform",
+            "--kernel", '{"type": "fbm", "hurst": 0.75}',
+            "--alpha", "0.0",
+            "--grid", "1:2:9",
+            "--out", str(tmp_path),
+        ]) == 0
+        data = (tmp_path / "transform_table.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "cc3848b179dae6cec482002f802f3375ba86cea51c82acec2563057713241cb9"
+        )
 
 
 class TestConverge:
@@ -321,6 +352,30 @@ class TestSimulate:
         assert digests == {
             "comparison.csv": "3eb2e3453b18cebd3c2c9eea894dc655096da69d2dd81d498623e84dd31e20e7",
             "summary.json": "1fcd33717b6d41c3df17993487bb041b1f5a9d53d2cfb8438a81645d4fe4df73",
+        }
+
+    # The same for fbm, whose cov_analytic is the only one among the README
+    # and benchmark runs that comes from a mimicking Gram with non-unit
+    # variances; recorded before the Gram moved to one broadcasting
+    # covariance per kernel.
+    def test_fbm_artifact_bytes_unchanged(self, tmp_path):
+        assert main([
+            "simulate",
+            "--kernel", '{"type": "fbm", "hurst": 0.75}',
+            "--alpha", "0.0",
+            "--grid", "1:3:3",
+            "--paths", "2000",
+            "--seed", "7",
+            "--step", "0.001",
+            "--out", str(tmp_path),
+        ]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("comparison.csv", "summary.json")
+        }
+        assert digests == {
+            "comparison.csv": "bb742a15966d4a826732a5ef8f0fa61b6d29c9ca692dfa34f6a937bdcd4f844e",
+            "summary.json": "57be6f05db0598cded5fdd4d3f33dd87e3e5e941b0b8c551f9c6cdfc4a1024fa",
         }
 
 

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaussmarkov import kernels
+from gaussmarkov import kernels, spectral
 from gaussmarkov.errors import (
     InvalidInputError,
     SingularMarginalError,
@@ -19,6 +21,7 @@ from gaussmarkov.kernels import (
     transform_kernel,
     uniform_convergence_diagnostic,
 )
+from gaussmarkov.transform import mimic_kernel
 
 
 def fbm_cov(h, s, t):
@@ -319,3 +322,54 @@ class TestRateFunction:
         kern = kernels.exponential_rate(2.0)
         assert kern.eval(0.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
         assert kern.stationary
+
+
+def _matrix_table():
+    grid = np.linspace(0.0, 3.0, 13)
+    return grid, kernels.gram(kernels.exponential_rate(0.7), grid)
+
+
+#: (family, lowest time, highest time): the built-in families, plus a kernel
+#: given by its scalar eval alone, which gets the default elementwise cov
+#: (the path noise_integral takes, whose quadrature is too slow to sweep).
+GRAM_FAMILIES = {
+    "fbm": (lambda: kernels.fbm(0.3), 0.0, 4.0),
+    "fbm_log": (lambda: kernels.fbm_log(0.7), -2.0, 2.0),
+    "constant": (kernels.constant, -2.0, 2.0),
+    "white_noise": (kernels.white_noise, -2.0, 2.0),
+    "rate_const": (lambda: kernels.exponential_rate(1.3), -2.0, 2.0),
+    "rate_1+t": (lambda: kernels.exponential_rate(
+        RateFunction.from_callable(lambda t: 1.0 + t)), 0.0, 3.0),
+    "rate_inf": (lambda: kernels.exponential_rate(RateFunction.infinite()), -2.0, 2.0),
+    "spectral": (lambda: spectral.kernel_from_spectral(
+        spectral.SpectralMeasure(atoms=((0.2, 0.0), (0.25, 1.5), (0.15, 4.0)))), -3.0, 3.0),
+    "transformed": (lambda: transform_kernel(
+        kernels.fbm_log(0.75), lambda t: t**0.75, lambda t: 0.5 * math.log(t),
+        domain=(0.0, math.inf)), 0.1, 4.0),
+    "mimic": (lambda: mimic_kernel(
+        kernels.fbm(0.6), RateFunction.from_callable(lambda t: 0.5 / t)), 0.1, 4.0),
+    "mimic_inf": (lambda: mimic_kernel(kernels.fbm(0.6), RateFunction.infinite()), 0.1, 4.0),
+    "matrix": (lambda: kernels.matrix_kernel(*_matrix_table()), 0.0, 3.0),
+    "scalar_only": (lambda: Kernel(eval=lambda s, t: math.exp(-(t - s) ** 2) / (1.0 + s * t),
+                                   domain=(0.0, math.inf)), 0.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GRAM_FAMILIES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_gram_matches_scalar_eval_and_is_symmetric(family, data):
+    make, lo, hi = GRAM_FAMILIES[family]
+    if family == "matrix":
+        grid, _ = _matrix_table()
+        picks = data.draw(st.sets(st.integers(0, grid.size - 1), min_size=1))
+        pts = grid[sorted(picks)]
+    else:
+        pts = np.array(sorted(data.draw(st.sets(
+            st.floats(lo, hi, allow_nan=False), min_size=1, max_size=12))))
+    kern = make()
+    mat = kernels.gram(kern, pts)
+    expected = np.array([[kern.eval(s, t) for t in pts.tolist()] for s in pts.tolist()])
+    assert np.array_equal(mat, mat.T)
+    scale = np.max(np.abs(np.diag(expected)))
+    assert np.max(np.abs(mat - expected)) <= 1e-13 * scale

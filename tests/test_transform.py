@@ -74,6 +74,14 @@ class TestRateKernel:
         with pytest.raises(InvalidRateError):
             kern.eval(0.0, 1.0)
 
+    def test_diagonal_integrates_nothing(self):
+        # std and variance are exp(0) = 1 without querying the antiderivative
+        calls = []
+        kern = rate_kernel(RateFunction.from_callable(lambda t: calls.append(t) or 1.0 + t))
+        assert kern.std(0.3) == 1.0
+        assert kern.variance(2.0) == 1.0
+        assert calls == []
+
     def test_infinite_rate_is_white_noise(self):
         kern = rate_kernel(RateFunction.infinite())
         assert kern.eval(0.0, 0.0) == 1.0
