@@ -34,6 +34,7 @@ from .kernels import (
     gram,
     noise_integral,
     psd_check,
+    rate_kernel,
     transform_kernel,
     uniform_convergence_diagnostic,
     white_noise,
@@ -67,7 +68,6 @@ from .transform import (
     mimic_kernel,
     pair_law,
     partition_law,
-    rate_kernel,
     tightness_bound_check,
 )
 

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import serialize, simulate, spectral, transform
+from . import kernels, serialize, simulate, spectral, transform
 from .errors import BudgetExceededError, GaussMarkovError, InvalidInputError
 from .gaussian import markov_check
 from .kernels import psd_check
@@ -198,7 +198,7 @@ def _cmd_converge(cfg: _Config) -> int:
     kernel = _parse(serialize.kernel_from_spec, cfg.get("kernel", required=True))
     alpha = _parse(serialize.rate_from_spec, cfg.get("alpha", required=True))
     grid = _parse(serialize.parse_grid, cfg.get("grid", required=True))
-    target = transform.rate_kernel(alpha)
+    target = kernels.rate_kernel(alpha, domain=kernel.domain)
     meshes = cfg.get("mesh_sequence")
     steps = cfg.get("steps")
     if (meshes is None) == (steps is None):

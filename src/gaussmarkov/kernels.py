@@ -25,6 +25,7 @@ from scipy import integrate
 
 from .errors import (
     InvalidInputError,
+    InvalidRateError,
     SingularMarginalError,
     UnsupportedDiagnosticError,
 )
@@ -41,6 +42,16 @@ DEFAULT_REL_TOL = 1e-3
 #: Rate value past which an increasing sequence is declared divergent.
 DEFAULT_DIVERGENCE_THRESHOLD = 1e6
 
+#: Absolute tolerance of the rate antiderivative quadrature.
+INTEGRAL_ABS_TOL = 1e-10
+
+#: Rate evaluations one antiderivative integral may take before the rate is rejected.
+MAX_RATE_EVALS = 100_000
+
+#: Absolute tolerance and tail cut-off of the noise-integral quadrature.
+NOISE_ABS_TOL = 1e-10
+NOISE_TAIL_TOL = 1e-14
+
 
 def _zero_mean(t: float) -> float:
     return 0.0
@@ -56,8 +67,6 @@ class Kernel:
         ``(s, t) -> K(s, t)`` on scalars; must be symmetric in its arguments.
     mean : callable, optional
         Mean function of the associated Gaussian process (default zero).
-    stationary : bool
-        Marks ``K(s, t)`` as a function of ``t - s`` alone.
     cov : callable, optional
         ``(s, t) -> K(s, t)`` elementwise on broadcast arrays, exactly
         symmetric; may differ from ``eval`` in the last bit.  Defaults to
@@ -68,7 +77,6 @@ class Kernel:
 
     eval: Callable[[float, float], float]
     mean: Callable[[float], float] = _zero_mean
-    stationary: bool = False
     cov: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     domain: tuple[float, float] = (-math.inf, math.inf)
     name: str = "kernel"
@@ -295,15 +303,11 @@ def transform_kernel(
     scale: Callable[[float], float],
     time_change: Callable[[float], float],
     domain: tuple[float, float] | None = None,
-    scale_is_constant: bool = False,
-    time_change_is_affine: bool = False,
 ) -> Kernel:
     """Rescaled, time-changed kernel ``scale(s) scale(t) K(phi(s), phi(t))``.
 
     ``time_change`` must map the new domain into ``kernel.domain`` and be
-    strictly increasing; ``scale`` must never vanish.  The stationary flag is
-    cleared unless the caller declares the scale constant and the time change
-    affine (both checked at two probe points).
+    strictly increasing; ``scale`` must never vanish.
     """
     new_domain = kernel.domain if domain is None else tuple(domain)
     lo, hi = new_domain
@@ -336,17 +340,9 @@ def transform_kernel(
     def new_mean(t: float) -> float:
         return scale(t) * kernel.mean(time_change(t))
 
-    stationary = kernel.stationary and scale_is_constant and time_change_is_affine
-    if stationary:
-        p0 = lo if math.isfinite(lo) else 0.0
-        p1 = p0 + 1.0 if kernel.contains(time_change(p0 + 1.0)) else p0 - 1.0
-        if abs(scale(p1) - scale(p0)) > 1e-12:
-            raise InvalidInputError("scale declared constant but varies")
-
     return Kernel(
         eval=new_eval,
         mean=new_mean,
-        stationary=stationary,
         cov=new_cov,
         domain=new_domain,
         name=f"transformed({kernel.name})",
@@ -403,7 +399,6 @@ def fbm_log(hurst: float) -> Kernel:
 
     return Kernel(
         eval=k,
-        stationary=True,
         cov=lambda s, t: profile(np.subtract(t, s)),
         name=f"fbm_log(H={hurst})",
     )
@@ -413,7 +408,6 @@ def constant() -> Kernel:
     """Completely correlated process: ``K(s, t) = 1`` everywhere."""
     return Kernel(
         eval=lambda s, t: 1.0,
-        stationary=True,
         cov=lambda s, t: np.ones_like(np.subtract(t, s, dtype=float)),
         name="constant",
     )
@@ -423,57 +417,191 @@ def white_noise() -> Kernel:
     """Independent unit Gaussians: identity Gram matrix on any grid."""
     return Kernel(
         eval=lambda s, t: 1.0 if s == t else 0.0,
-        stationary=True,
         cov=lambda s, t: np.where(np.subtract(t, s, dtype=float) == 0.0, 1.0, 0.0),
         name="white_noise",
     )
 
 
+# ---------------------------------------------------------------------------
+# The Markov kernel exp(-integral of alpha)
+# ---------------------------------------------------------------------------
+
+# 7-point Kronrod extension of the 3-point Gauss-Legendre rule on [-1, 1].
+_GK_NODES = np.array([
+    -0.96049126870802028342, -0.77459666924148337704, -0.43424374934680255800, 0.0,
+    0.43424374934680255800, 0.77459666924148337704, 0.96049126870802028342,
+])[:, None]
+_KRONROD_WEIGHTS = np.array([
+    0.10465622602646726519, 0.26848808986833344073, 0.40139741477596222291,
+    0.45091653865847414235, 0.40139741477596222291, 0.26848808986833344073,
+    0.10465622602646726519,
+])
+_ERROR_WEIGHTS = _KRONROD_WEIGHTS - np.array([0.0, 5 / 9, 0.0, 8 / 9, 0.0, 5 / 9, 0.0])
+
+#: Error estimates within this relative distance of their piece's integral are rounding.
+_ROUNDOFF = 50 * np.finfo(float).eps
+
+#: Panel edges' offsets from the anchor: widths 1, 1, 2, 4, ... up to the float range.
+_PANEL_OFFSETS = np.concatenate([[0.0], 2.0 ** np.arange(1024)])
+
+
+def _integrate(rate: RateFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``integral of rate`` over each ``[lo_i, hi_i]``, by bisecting a Gauss-Kronrod pair.
+
+    A piece is kept once ``|K7 - G3|`` is within its share of
+    ``INTEGRAL_ABS_TOL`` (halved per bisection) or within rounding of its
+    value.  Each round evaluates the rate at every node of every open piece
+    in one pass; an integral's kept pieces are summed in ascending order, so
+    it depends on its own interval alone.
+    """
+    out = np.zeros(lo.size)
+    owner = np.flatnonzero(hi > lo)
+    a, b = lo[owner], hi[owner]
+    tol = INTEGRAL_ABS_TOL
+    evals = np.zeros(lo.size, dtype=np.int64)
+    kept = []
+    while owner.size:
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        nodes = mid + half * _GK_NODES
+        f = np.fromiter(map(rate.func, nodes.ravel().tolist()), float, nodes.size)
+        f = f.reshape(nodes.shape)
+        bad = ~np.isfinite(f) | (f < -1e-12)
+        if bad.any():
+            j, i = np.unravel_index(np.argmax(bad), f.shape)
+            kind = "negative" if f[j, i] < 0.0 else "not finite"
+            raise InvalidRateError(
+                f"rate is {kind} at t={nodes[j, i]}: {f[j, i]}, integrating over "
+                f"[{lo[owner[i]]}, {hi[owner[i]]}]"
+            )
+        kron = half * sum(w * row for w, row in zip(_KRONROD_WEIGHTS, f))
+        err = np.abs(half * sum(w * row for w, row in zip(_ERROR_WEIGHTS, f)))
+        done = (err <= tol) | (err <= _ROUNDOFF * kron)
+        kept.append((owner[done], a[done], kron[done]))
+        evals += nodes.shape[0] * np.bincount(owner, minlength=lo.size)
+        owner, a, b, mid = owner[~done], a[~done], b[~done], mid[~done]
+        stuck = (evals[owner] > MAX_RATE_EVALS) | (mid <= a) | (mid >= b)
+        if stuck.any():
+            i = owner[np.argmax(stuck)]
+            raise InvalidRateError(
+                f"rate is not integrable to {INTEGRAL_ABS_TOL} over [{lo[i]}, {hi[i]}] "
+                f"within {MAX_RATE_EVALS} evaluations"
+            )
+        owner, a, b = np.tile(owner, 2), np.concatenate([a, mid]), np.concatenate([mid, b])
+        tol *= 0.5
+    if kept:
+        owners, starts, values = (np.concatenate(parts) for parts in zip(*kept))
+        order = np.lexsort((starts, owners))
+        np.add.at(out, owners[order], values[order])
+    return out
+
+
+def _antiderivative(rate: RateFunction, domain: tuple[float, float]) -> Callable:
+    """``A(t) = integral of rate from c to t`` at every entry of an array of times.
+
+    The anchor ``c`` depends on the domain alone: 0 inside an open domain
+    containing it, else the midpoint of a finite domain, else the finite end
+    moved one unit inward.  Fixed panels of widths 1, 1, 2, 4, ... run from
+    ``c`` both ways, so ``A(t)`` is the memoized sum of the whole panels
+    between ``c`` and ``t`` plus the rest of the way to ``t``.  Every value
+    is a function of ``t`` alone, whatever was asked before or alongside it,
+    so the memos need no lock.
+    """
+    lo, hi = domain
+    if lo < 0.0 < hi:
+        c = 0.0
+    elif math.isfinite(lo) and math.isfinite(hi):
+        c = 0.5 * (lo + hi)
+    else:
+        c = lo + 1.0 if math.isfinite(lo) else hi - 1.0
+    # per side of c: k -> sum of the first k whole panels, filled in order of k
+    panel_sums: dict[float, dict[int, float]] = {1.0: {0: 0.0}, -1.0: {0: 0.0}}
+    memo: dict[float, float] = {}
+
+    def between(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return _integrate(rate, np.minimum(x, y), np.maximum(x, y))
+
+    def values(times) -> np.ndarray:
+        times = np.asarray(times, dtype=float)
+        new = np.unique([p for p in times.ravel().tolist() if p not in memo])
+        for sign in (1.0, -1.0):
+            t = new[new >= c] if sign > 0.0 else new[new < c]
+            if not t.size:
+                continue
+            edges = c + sign * _PANEL_OFFSETS
+            k = np.searchsorted(sign * edges, sign * t, side="right") - 1
+            sums = panel_sums[sign]
+            done = len(sums)
+            if done <= k.max():
+                ends = edges[done - 1 : k.max() + 1]
+                for j, w in enumerate(between(ends[:-1], ends[1:]).tolist(), start=done):
+                    sums[j] = sums[j - 1] + w
+            whole = np.array([sums[j] for j in k.tolist()])
+            memo.update(zip(t.tolist(), (sign * (whole + between(edges[k], t))).tolist()))
+        return np.array([memo[p] for p in times.ravel().tolist()]).reshape(times.shape)
+
+    return values
+
+
+def rate_kernel(
+    alpha: RateFunction,
+    domain: tuple[float, float] = (-math.inf, math.inf),
+) -> Kernel:
+    """Markov kernel ``K(s, t) = exp(-integral of alpha from s to t)``.
+
+    ``alpha`` must be nonnegative and integrable on compact subsets of
+    ``domain``; the infinite marker yields the white-noise kernel.  Unit
+    variance on the diagonal, returned without integrating.
+    """
+    if alpha.is_infinite:
+        wn = white_noise()
+        return Kernel(eval=wn.eval, cov=wn.cov, domain=domain, name="rate_kernel(inf)")
+    if alpha.const is not None:
+        c = alpha.const
+        return Kernel(
+            eval=lambda s, t: math.exp(-c * abs(t - s)),
+            cov=lambda s, t: np.exp(-c * np.abs(np.subtract(t, s, dtype=float))),
+            domain=domain,
+            name=f"rate_kernel(const={c})",
+        )
+
+    antider = _antiderivative(alpha, domain)
+
+    def k(s: float, t: float) -> float:
+        if s == t:
+            return 1.0
+        a_s, a_t = antider([s, t]).tolist()
+        return math.exp(-abs(a_t - a_s))
+
+    def cov(s, t):
+        return np.exp(-np.abs(antider(t) - antider(s)))
+
+    return Kernel(eval=k, cov=cov, domain=domain, name="rate_kernel")
+
+
 def exponential_rate(alpha, domain: tuple[float, float] = (-math.inf, math.inf)) -> Kernel:
     """Markov kernel ``exp(-integral of alpha)``; accepts a constant or a rate."""
-    from .transform import rate_kernel  # deferred: transform builds on this module
-
     if not isinstance(alpha, RateFunction):
         alpha = RateFunction.constant(float(alpha))
     return rate_kernel(alpha, domain=domain)
 
 
-def noise_integral(
-    k: Callable[[float, float], float],
-    interval: tuple[float, float],
-    abs_tol: float = 1e-10,
-    tail_tol: float = 1e-14,
-) -> Kernel:
+def noise_integral(k: Callable[[float, float], float], interval: tuple[float, float]) -> Kernel:
     """Kernel of a white-noise integral process.
 
     ``K(s, t) = integral over J of k(s, u) k(t, u) du`` computed by adaptive
-    quadrature with absolute tolerance ``abs_tol``.  Infinite endpoints are
-    truncated where the integrand falls below ``tail_tol``.  Evaluations are
-    memoized; the kernel is exactly symmetric by construction.
+    quadrature with absolute tolerance ``NOISE_ABS_TOL``.  Infinite endpoints
+    are truncated where the integrand falls below ``NOISE_TAIL_TOL``.
+    Evaluations are memoized; the kernel is exactly symmetric by construction.
     """
     lo, hi = interval
     if not lo < hi:
         raise InvalidInputError(f"empty integration interval {interval}")
     cache: dict[tuple[float, float], float] = {}
 
-    def truncated_upper(s: float, t: float) -> float:
-        u = max(1.0, lo + 1.0) if not math.isfinite(hi) else hi
-        if math.isfinite(hi):
-            return hi
+    def truncated(s: float, t: float, u: float) -> float:
+        """Doubles ``u`` until the integrand is negligible at ``u`` and ``2u``; returns ``2u``."""
         for _ in range(200):
-            if abs(k(s, u) * k(t, u)) < tail_tol and abs(k(s, 2 * u) * k(t, 2 * u)) < tail_tol:
-                return 2 * u
-            u *= 2.0
-        raise InvalidInputError(
-            f"noise-integral integrand does not decay on {interval} at ({s}, {t})"
-        )
-
-    def truncated_lower(s: float, t: float) -> float:
-        if math.isfinite(lo):
-            return lo
-        u = min(-1.0, hi - 1.0)
-        for _ in range(200):
-            if abs(k(s, u) * k(t, u)) < tail_tol and abs(k(s, 2 * u) * k(t, 2 * u)) < tail_tol:
+            if all(abs(k(s, v) * k(t, v)) < NOISE_TAIL_TOL for v in (u, 2 * u)):
                 return 2 * u
             u *= 2.0
         raise InvalidInputError(
@@ -484,10 +612,10 @@ def noise_integral(
         key = (s, t) if s <= t else (t, s)
         if key not in cache:
             a, b = key
-            upper = truncated_upper(a, b)
-            lower = truncated_lower(a, b)
+            upper = hi if math.isfinite(hi) else truncated(a, b, max(1.0, lo + 1.0))
+            lower = lo if math.isfinite(lo) else truncated(a, b, min(-1.0, hi - 1.0))
             val, _ = integrate.quad(
-                lambda u: k(a, u) * k(b, u), lower, upper, epsabs=abs_tol, limit=200
+                lambda u: k(a, u) * k(b, u), lower, upper, epsabs=NOISE_ABS_TOL, limit=200
             )
             cache[key] = val
         return cache[key]

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -84,42 +85,42 @@ def rate_from_spec(spec) -> RateFunction:
     raise InvalidInputError(f"unknown rate form {form!r}")
 
 
-def _scale_from_spec(spec) -> tuple:
+def _scale_from_spec(spec) -> Callable[[float], float]:
     form = spec.get("form")
     if form == "constant":
         c = float(spec["value"])
-        return (lambda t: c), True
+        return lambda t: c
     if form == "power":
         c = float(spec.get("coeff", 1.0))
         p = float(spec.get("exponent", 1.0))
-        return (lambda t: c * t**p), p == 0.0
+        return lambda t: c * t**p
     if form == "exp":
         c = float(spec.get("coeff", 1.0))
         r = float(spec.get("rate", 1.0))
-        return (lambda t: c * math.exp(r * t)), r == 0.0
+        return lambda t: c * math.exp(r * t)
     raise InvalidInputError(f"unknown scale form {form!r}")
 
 
-def _time_change_from_spec(spec) -> tuple:
+def _time_change_from_spec(spec) -> Callable[[float], float]:
     form = spec.get("form")
     if form == "affine":
         a = float(spec.get("slope", 1.0))
         b = float(spec.get("intercept", 0.0))
         if a <= 0.0:
             raise InvalidInputError("affine time change must have positive slope")
-        return (lambda t: a * t + b), True
+        return lambda t: a * t + b
     if form == "log":
         a = float(spec.get("coeff", 1.0))
         b = float(spec.get("intercept", 0.0))
         if a <= 0.0:
             raise InvalidInputError("log time change must have positive coefficient")
-        return (lambda t: a * math.log(t) + b), False
+        return lambda t: a * math.log(t) + b
     if form == "exp":
         c = float(spec.get("coeff", 1.0))
         r = float(spec.get("rate", 1.0))
         if c * r <= 0.0:
             raise InvalidInputError("exp time change must be increasing")
-        return (lambda t: c * math.exp(r * t)), False
+        return lambda t: c * math.exp(r * t)
     raise InvalidInputError(f"unknown time-change form {form!r}")
 
 
@@ -182,13 +183,11 @@ def kernel_from_spec(spec) -> Kernel:
         return kernels.matrix_kernel(spec["grid"], spec["matrix"])
     if kind == "transformed":
         base = kernel_from_spec(spec["base"])
-        scale, scale_const = _scale_from_spec(spec["scale"])
-        change, change_affine = _time_change_from_spec(spec["time_change"])
         domain = spec.get("domain")
         bounds = None if domain is None else (_bound(domain[0]), _bound(domain[1]))
         return kernels.transform_kernel(
-            base, scale, change, domain=bounds,
-            scale_is_constant=scale_const, time_change_is_affine=change_affine,
+            base, _scale_from_spec(spec["scale"]), _time_change_from_spec(spec["time_change"]),
+            domain=bounds,
         )
     raise InvalidInputError(f"unknown kernel type {kind!r}")
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import transform
 from .errors import InvalidInputError, InvalidSdeError, NotPsdError
 from .gaussian import GaussianVector
-from .kernels import Kernel, RateFunction
+from .kernels import Kernel, RateFunction, _as_strictly_increasing, rate_kernel
 
 #: Jitter ladder (relative to max diagonal) tried before giving up on Cholesky.
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
@@ -149,9 +149,7 @@ def euler_maruyama(
     diffusion aborts with the offending t.  The paths then advance in place,
     one Philox draw per path and substep.
     """
-    grid = np.asarray(t_grid, dtype=float).ravel()
-    if grid.size < 1 or (grid.size > 1 and not np.all(np.diff(grid) > 0.0)):
-        raise InvalidInputError("time grid must be nonempty and strictly increasing")
+    grid = _as_strictly_increasing(t_grid)
     gaps = []
     for a, b in zip(grid[:-1], grid[1:]):
         gap = b - a
@@ -206,9 +204,7 @@ def ou_exact(alpha: RateFunction, t_grid, n_paths: int, seed: int) -> Trajectory
     the cost is linear in the grid size.  The infinite rate falls back to
     independent unit Gaussians.
     """
-    grid = np.asarray(t_grid, dtype=float).ravel()
-    if grid.size < 1 or (grid.size > 1 and not np.all(np.diff(grid) > 0.0)):
-        raise InvalidInputError("time grid must be nonempty and strictly increasing")
+    grid = _as_strictly_increasing(t_grid)
     gen = _stream(seed, "ou-exact")
     if alpha.is_infinite:
         return TrajectoryBatch(
@@ -217,7 +213,8 @@ def ou_exact(alpha: RateFunction, t_grid, n_paths: int, seed: int) -> Trajectory
             seed=seed,
             provenance="sampler",
         )
-    base = transform.rate_kernel(alpha)
+    if grid.size > 1:  # integrate the rate on the grid's hull only
+        base = rate_kernel(alpha, domain=(grid[0], grid[-1]))
     x = gen.standard_normal(n_paths)
     out = np.empty((n_paths, grid.size))
     out[:, 0] = x

@@ -91,7 +91,6 @@ def kernel_from_spectral(mu: SpectralMeasure) -> Kernel:
     """Stationary kernel ``K(s, t) = mu_hat(t - s)``; unit variance."""
     return Kernel(
         eval=lambda s, t: float(mu.fourier(t - s)),
-        stationary=True,
         cov=lambda s, t: mu.fourier(np.subtract(t, s)),
         name="spectral",
     )

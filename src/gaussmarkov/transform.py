@@ -10,20 +10,15 @@ Markov limits.
 from __future__ import annotations
 
 import math
-import threading
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import gaussian, kernels
-from .errors import InvalidInputError, InvalidRateError, SingularMarginalError
+from .errors import InvalidInputError, SingularMarginalError
 from .gaussian import GaussianVector, TransportPlan
-from .kernels import Kernel, RateFunction, _at_points
-
-#: Absolute tolerance of the rate antiderivative quadrature.
-INTEGRAL_ABS_TOL = 1e-10
+from .kernels import Kernel, RateFunction, _as_strictly_increasing, _at_points, rate_kernel
 
 
 @dataclass(frozen=True)
@@ -126,142 +121,6 @@ class AdmissibleSequence:
 
 
 # ---------------------------------------------------------------------------
-# The Markov kernel exp(-integral of alpha)
-# ---------------------------------------------------------------------------
-
-
-class _Antiderivative:
-    """Memoized adaptive-Simpson antiderivative of a nonnegative rate.
-
-    All kernel evaluations share the same cached samples, so identities
-    such as ``A(u) - A(s) = (A(t) - A(s)) + (A(u) - A(t))`` hold exactly
-    in floating point and the resulting kernels are Markov to machine
-    precision.
-
-    Safe to call from several threads: a cache hit takes no lock, a miss
-    integrates under one lock and stores its value before the knot becomes
-    visible as a base for later misses.
-    """
-
-    def __init__(self, rate: RateFunction, abs_tol: float = INTEGRAL_ABS_TOL):
-        # anchored lazily at the first queried point, so integration never
-        # reaches outside the hull of the queries (open domain boundaries
-        # may carry non-integrable rates)
-        self._rate = rate
-        self._abs_tol = abs_tol
-        self._knots: list[float] = []
-        self._values: dict[float, float] = {}
-        self._lock = threading.Lock()
-
-    def _f(self, u: float) -> float:
-        val = self._rate(u)
-        if val < -1e-12:
-            raise InvalidRateError(f"rate is negative at t={u}: {val}")
-        return val
-
-    def _simpson(self, a: float, fa: float, m: float, fm: float, b: float, fb: float,
-                 whole: float, tol: float, depth: int) -> float:
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = self._f(lm), self._f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        half = 0.5 * tol
-        return self._simpson(a, fa, lm, flm, m, fm, left, half, depth - 1) + self._simpson(
-            m, fm, rm, frm, b, fb, right, half, depth - 1
-        )
-
-    def _integrate(self, a: float, b: float) -> float:
-        if a == b:
-            return 0.0
-        sign = 1.0
-        if a > b:
-            a, b = b, a
-            sign = -1.0
-        fa, fb = self._f(a), self._f(b)
-        m = 0.5 * (a + b)
-        fm = self._f(m)
-        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        return sign * self._simpson(a, fa, m, fm, b, fb, whole, self._abs_tol, 48)
-
-    def _nearest_knot(self, t: float) -> float:
-        """The knot nearest to ``t``; on equal distances the lowest one."""
-        knots = self._knots
-        pos = bisect_left(knots, t)
-        if pos == len(knots) or (pos > 0 and abs(knots[pos - 1] - t) <= abs(knots[pos] - t)):
-            # Distances to the knots below t only grow leftwards, but far from
-            # t several of them can round to the same distance: take the lowest.
-            pos -= 1
-            dist = abs(knots[pos] - t)
-            while pos > 0 and abs(knots[pos - 1] - t) == dist:
-                pos -= 1
-        return knots[pos]
-
-    def __call__(self, t: float) -> float:
-        t = float(t)
-        val = self._values.get(t)
-        if val is not None:
-            return val
-        with self._lock:
-            val = self._values.get(t)
-            if val is not None:
-                return val
-            if not self._knots:
-                val = 0.0
-            else:
-                base = self._nearest_knot(t)
-                val = self._values[base] + self._integrate(base, t)
-            self._values[t] = val
-            insort(self._knots, t)
-            return val
-
-
-def rate_kernel(
-    alpha: RateFunction,
-    domain: tuple[float, float] = (-math.inf, math.inf),
-) -> Kernel:
-    """Markov kernel ``K(s, t) = exp(-integral of alpha from s to t)``.
-
-    ``alpha`` must be nonnegative and integrable on compacts; the infinite
-    marker yields the white-noise kernel.  Unit variance on the diagonal,
-    returned without integrating.
-    """
-    if alpha.is_infinite:
-        wn = kernels.white_noise()
-        return Kernel(
-            eval=wn.eval,
-            stationary=True,
-            cov=wn.cov,
-            domain=domain,
-            name="rate_kernel(inf)",
-        )
-    if alpha.const is not None:
-        c = alpha.const
-        return Kernel(
-            eval=lambda s, t: math.exp(-c * abs(t - s)),
-            stationary=True,
-            cov=lambda s, t: np.exp(-c * np.abs(np.subtract(t, s, dtype=float))),
-            domain=domain,
-            name=f"rate_kernel(const={c})",
-        )
-
-    antider = _Antiderivative(alpha)
-
-    def k(s: float, t: float) -> float:
-        if s == t:
-            return 1.0
-        return math.exp(-abs(antider(t) - antider(s)))
-
-    def cov(s, t):
-        a_s, a_t = _at_points(antider, s, t)
-        return np.exp(-np.abs(a_t - a_s))
-
-    return Kernel(eval=k, cov=cov, domain=domain, name="rate_kernel")
-
-
-# ---------------------------------------------------------------------------
 # Partition-composed laws and laws made Markov at a set of times
 # ---------------------------------------------------------------------------
 
@@ -326,9 +185,7 @@ def made_markov_law(kernel: Kernel, split_times, query_times) -> GaussianVector:
     splits, besides the kernel's own covariances between unsplit queries.
     """
     splits = np.unique(np.asarray(split_times, dtype=float).ravel())
-    queries = np.asarray(query_times, dtype=float).ravel()
-    if queries.size < 1 or (queries.size > 1 and not np.all(np.diff(queries) > 0.0)):
-        raise InvalidInputError("query times must be strictly increasing and nonempty")
+    queries = _as_strictly_increasing(query_times)
     kernel.require_in_domain(splits)
     _, var = _chain(kernel, queries)
     # Only splits strictly inside the query range separate two queries.
@@ -367,9 +224,7 @@ def made_markov_law_by_blocks(kernel: Kernel, split_times, query_times) -> Gauss
     :func:`made_markov_law`.
     """
     splits = np.sort(np.unique(np.asarray(split_times, dtype=float).ravel()))
-    queries = np.asarray(query_times, dtype=float).ravel()
-    if queries.size < 1 or (queries.size > 1 and not np.all(np.diff(queries) > 0.0)):
-        raise InvalidInputError("query times must be strictly increasing and nonempty")
+    queries = _as_strictly_increasing(query_times)
     # Splits outside the query range do not change the projected law.
     relevant = splits[(splits > queries[0]) & (splits < queries[-1])]
     if relevant.size == 0:

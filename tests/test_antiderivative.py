@@ -1,86 +1,82 @@
 """The rate antiderivative behind ``rate_kernel``.
 
-Its nearest-knot lookup bisects the sorted knots.  It is checked here, bit
-for bit, against the linear scan it replaced, on query sequences with exact
-ties, queries outside every knot and knots so close that their distances to
-a far query round to the same value.  A threaded run checks that the cache
-stays consistent when several threads miss at once.
+``A(t)`` is a function of ``t`` alone: panels laid out from an anchor fixed
+by the kernel's domain, each integrated by a bisected Gauss-Kronrod pair.
+Checked here against closed forms, for bit-identical values whatever the
+order, batching or threading of the queries, for bounded work on rates
+that are hard or impossible to integrate, and for one integration per time.
 """
 
+import itertools
+import math
 import sys
 import threading
-from bisect import insort
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussmarkov.kernels import RateFunction
-from gaussmarkov.transform import _Antiderivative, rate_kernel
-
-
-class LinearScanAntiderivative(_Antiderivative):
-    """The former lookup: ``min`` over every knot, lowest index on ties."""
-
-    def __call__(self, t):
-        t = float(t)
-        if t in self._values:
-            return self._values[t]
-        if not self._knots:
-            self._knots.append(t)
-            self._values[t] = 0.0
-            return 0.0
-        pos = min(range(len(self._knots)), key=lambda i: abs(self._knots[i] - t))
-        base = self._knots[pos]
-        val = self._values[base] + self._integrate(base, t)
-        insort(self._knots, t)
-        self._values[t] = val
-        return val
+from gaussmarkov.errors import InvalidRateError
+from gaussmarkov.kernels import RateFunction, _antiderivative, gram, psd_check, rate_kernel
 
 
 def _rate(t):
     return 1.0 + t * t
 
 
-RATE = RateFunction.from_callable(_rate)
+def _half_over_t(t):
+    return 0.5 / t
 
-queries = st.one_of(
-    # dyadic points: midpoints of two knots are exact ties
-    st.integers(-32, 32).map(lambda k: k / 8.0),
-    st.floats(-4.0, 4.0, allow_nan=False),
-    # clustered knots whose distances to a query far away round alike
-    st.sampled_from([1e-20, 2e-20, 3e-20, -1e-20, 1.0 + 2.0**-52, 1.0 + 2.0**-51]),
-    # beyond every other query
-    st.sampled_from([-100.0, 100.0]),
+
+ORACLES = {
+    "1+t": (lambda t: 1.0 + t, (-1.0, math.inf), lambda t: t + 0.5 * t * t,
+            [-1.0, -0.9, -0.5, -1e-3, 0.0, 0.3, 1.0, 1.7, 2.0, 3.9, 4.0, 10.5, 123.25, 1e4]),
+    "0.5/t": (_half_over_t, (0.0, math.inf), lambda t: 0.5 * math.log(t),
+              [1e-6, 1e-3, 0.3, 0.999, 1.0, 1.5, 2.0, 7.5, 1e3, 1e6]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_differences_match_closed_form(name):
+    rate, domain, exact, points = ORACLES[name]
+    values = _antiderivative(RateFunction.from_callable(rate), domain)(np.array(points))
+    for i, j in itertools.combinations(range(len(points)), 2):
+        assert values[j] - values[i] == pytest.approx(
+            exact(points[j]) - exact(points[i]), rel=1e-12, abs=0.0
+        )
+
+
+times = st.lists(
+    st.one_of(
+        st.floats(0.01, 40.0, allow_nan=False),
+        # panel edges of the anchor 1 and points next to them
+        st.sampled_from([1.0, 2.0, 3.0, 5.0, 9.0, 1.0 + 2.0**-52, 3.0 - 2.0**-51]),
+    ),
+    min_size=2, max_size=30, unique=True,
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(queries, min_size=1, max_size=40))
-def test_bisected_lookup_matches_linear_scan(sequence):
-    fast, slow = _Antiderivative(RATE), LinearScanAntiderivative(RATE)
-    for t in sequence:
-        assert fast(t) == slow(t)
-    assert fast._knots == slow._knots
+@settings(max_examples=100, deadline=None)
+@given(times, st.randoms(use_true_random=False), st.integers(1, 6))
+def test_values_do_not_depend_on_query_order_or_batches(points, rnd, n_batches):
+    def fresh():
+        return rate_kernel(RateFunction.from_callable(_half_over_t), domain=(0.0, math.inf))
 
-
-def test_far_query_takes_the_lowest_of_equally_distant_knots():
-    # 1 - 1e-20, 1 - 2e-20 and 1 - 3e-20 all round to 1.0: the scan took 1e-20
-    fast, slow = _Antiderivative(RATE), LinearScanAntiderivative(RATE)
-    for t in (2e-20, 1e-20, 3e-20):
-        assert fast(t) == slow(t)
-    assert fast._nearest_knot(1.0) == 1e-20
-    assert fast(1.0) == slow(1.0)
-
-
-def test_ties_take_the_lower_knot():
-    fast = _Antiderivative(RATE)
-    for t in (0.0, 1.0):
-        fast(t)
-    assert fast._nearest_knot(0.5) == 0.0
-    assert fast._nearest_knot(-3.0) == 0.0
-    assert fast._nearest_knot(7.0) == 1.0
+    pts = np.sort(np.array(points))
+    expected = fresh().cov(pts[:, None], pts[None, :])
+    shuffled = list(points)
+    rnd.shuffle(shuffled)
+    kern = fresh()
+    for batch in np.array_split(np.array(shuffled), n_batches):
+        kern.cov(batch[:, None], batch[None, :])
+    np.testing.assert_array_equal(kern.cov(pts[:, None], pts[None, :]), expected)
+    # the scalar path asks for two times at a time
+    in_pairs = fresh()
+    for s, t in zip(shuffled, shuffled[1:]):
+        in_pairs.eval(s, t)
+    np.testing.assert_array_equal(in_pairs.cov(pts[:, None], pts[None, :]), expected)
 
 
 def run_threads(work, n_threads):
@@ -123,28 +119,62 @@ def test_concurrent_evaluation_matches_single_thread():
             got[i] = shared.eval(*pairs[i])
 
     assert run_threads(work, 4) == []
-    # Each value integrates from whichever knot was nearest when it was
-    # first asked for, so thread scheduling can move the last bits only.
-    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+    assert got == expected
 
 
 def test_concurrent_misses_cache_each_time_once():
-    antider = _Antiderivative(RATE)
-    times = [float(t) for t in np.linspace(-2.0, 2.0, 301)]
+    times = np.linspace(-2.0, 2.0, 301)
+    expected = rate_kernel(RateFunction.from_callable(_rate)).cov(times[0], times)
+    shared = rate_kernel(RateFunction.from_callable(_rate))
     seen = [dict() for _ in range(4)]
 
     def work(k):
-        for t in times[k::4] + times[::-1]:
-            seen[k][t] = antider(t)
+        for t in list(times[k::4]) + list(times[::-1]):
+            seen[k][float(t)] = float(shared.cov(times[0], t))
 
     assert run_threads(work, 4) == []
-    assert antider._knots == sorted(times)
     for values in seen:
-        # every thread got the one cached value of each time
-        assert values == antider._values
+        # every thread got the one value of each time, as a single thread does
+        assert [values[float(t)] for t in times] == expected.tolist()
 
     def exact(t):
         return t + t**3 / 3.0
 
-    for t in times:
-        assert antider(t) - antider(times[0]) == pytest.approx(exact(t) - exact(times[0]), abs=1e-8)
+    np.testing.assert_allclose(-np.log(expected), exact(times) - exact(times[0]), atol=1e-8)
+
+
+def test_gram_then_psd_check_integrates_each_point_once():
+    calls = []
+    kern = rate_kernel(RateFunction.from_callable(lambda t: calls.append(t) or 1.0 + t))
+    grid = np.linspace(0.2, 2.2, 50)
+    gram(kern, grid)
+    first = len(calls)
+    assert first > 0
+    assert psd_check(kern, grid).passed
+    assert kern.eval(0.2, 2.2) == pytest.approx(math.exp(-4.4), rel=1e-14)
+    assert len(calls) == first
+
+
+def test_steep_integrable_rate_is_fast():
+    kern = rate_kernel(RateFunction.from_callable(lambda t: t**-2), domain=(0.0, math.inf))
+    start = time.perf_counter()
+    assert kern.eval(1e-4, 1.0) == 0.0
+    assert time.perf_counter() - start < 1.0
+
+
+def test_non_integrable_rate_is_rejected_quickly():
+    def rate(t):
+        return math.inf if t == 0.5 else 1.0 / abs(t - 0.5)
+
+    kern = rate_kernel(RateFunction.from_callable(rate))
+    start = time.perf_counter()
+    with pytest.raises(InvalidRateError, match=r"\[0\.0, 0\.7\]"):
+        kern.eval(0.1, 0.7)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_bad_rate_values_name_the_interval(value):
+    kern = rate_kernel(RateFunction.from_callable(lambda t: value if t > 1.5 else 1.0))
+    with pytest.raises(InvalidRateError, match=r"integrating over \[1\.0, 1\.75\]"):
+        kern.eval(0.0, 1.75)

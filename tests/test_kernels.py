@@ -246,14 +246,11 @@ class TestTransformKernel:
             kernels.exponential_rate(alpha),
             scale=lambda t: (2 * alpha) ** -0.5,
             time_change=lambda t: t,
-            scale_is_constant=True,
-            time_change_is_affine=True,
         )
         for s, t in [(0.0, 0.3), (1.0, 2.5)]:
             assert scaled.eval(s, t) == pytest.approx(
                 math.exp(-alpha * abs(t - s)) / (2 * alpha), rel=1e-14
             )
-        assert scaled.stationary
 
     def test_domain_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -321,7 +318,6 @@ class TestRateFunction:
     def test_exponential_rate_accepts_plain_number(self):
         kern = kernels.exponential_rate(2.0)
         assert kern.eval(0.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
-        assert kern.stationary
 
 
 def _matrix_table():
