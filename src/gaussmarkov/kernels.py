@@ -426,17 +426,14 @@ def white_noise() -> Kernel:
 # The Markov kernel exp(-integral of alpha)
 # ---------------------------------------------------------------------------
 
-# 7-point Kronrod extension of the 3-point Gauss-Legendre rule on [-1, 1].
+# 7-point Kronrod extension of the 4-point Gauss-Lobatto rule on [-1, 1]
+# (Gander & Gautschi 2000).  Both rules sample the ends of a piece, so a
+# jump inside it always moves ``K7 - L4``: no rate value goes unseen.
 _GK_NODES = np.array([
-    -0.96049126870802028342, -0.77459666924148337704, -0.43424374934680255800, 0.0,
-    0.43424374934680255800, 0.77459666924148337704, 0.96049126870802028342,
+    -1.0, -math.sqrt(2 / 3), -1 / math.sqrt(5), 0.0, 1 / math.sqrt(5), math.sqrt(2 / 3), 1.0,
 ])[:, None]
-_KRONROD_WEIGHTS = np.array([
-    0.10465622602646726519, 0.26848808986833344073, 0.40139741477596222291,
-    0.45091653865847414235, 0.40139741477596222291, 0.26848808986833344073,
-    0.10465622602646726519,
-])
-_ERROR_WEIGHTS = _KRONROD_WEIGHTS - np.array([0.0, 5 / 9, 0.0, 8 / 9, 0.0, 5 / 9, 0.0])
+_KRONROD_WEIGHTS = np.array([11 / 210, 72 / 245, 125 / 294, 16 / 35, 125 / 294, 72 / 245, 11 / 210])
+_ERROR_WEIGHTS = _KRONROD_WEIGHTS - np.array([1 / 6, 0.0, 5 / 6, 0.0, 5 / 6, 0.0, 1 / 6])
 
 #: Error estimates within this relative distance of their piece's integral are rounding.
 _ROUNDOFF = 50 * np.finfo(float).eps
@@ -445,25 +442,36 @@ _ROUNDOFF = 50 * np.finfo(float).eps
 _PANEL_OFFSETS = np.concatenate([[0.0], 2.0 ** np.arange(1024)])
 
 
+def _rate_or_nan(func: Callable[[float], float], t: float) -> float:
+    try:
+        return func(t)
+    except (ArithmeticError, ValueError):
+        return math.nan
+
+
 def _integrate(rate: RateFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """``integral of rate`` over each ``[lo_i, hi_i]``, by bisecting a Gauss-Kronrod pair.
 
-    A piece is kept once ``|K7 - G3|`` is within its share of
-    ``INTEGRAL_ABS_TOL`` (halved per bisection) or within rounding of its
-    value.  Each round evaluates the rate at every node of every open piece
-    in one pass; an integral's kept pieces are summed in ascending order, so
-    it depends on its own interval alone.
+    A piece is kept once ``|K7 - L4|`` is within ``INTEGRAL_ABS_TOL`` or
+    within rounding of its value.  The tolerance is the same for every
+    piece, so a jump in the rate is bisected down to a piece short enough
+    to meet it.  Each round evaluates the rate at every node of every open
+    piece in one pass; an integral's kept pieces are summed in ascending
+    order, so it depends on its own interval alone.
     """
     out = np.zeros(lo.size)
     owner = np.flatnonzero(hi > lo)
     a, b = lo[owner], hi[owner]
-    tol = INTEGRAL_ABS_TOL
     evals = np.zeros(lo.size, dtype=np.int64)
     kept = []
     while owner.size:
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
         nodes = mid + half * _GK_NODES
-        f = np.fromiter(map(rate.func, nodes.ravel().tolist()), float, nodes.size)
+        xs = nodes.ravel().tolist()
+        try:
+            f = np.fromiter(map(rate.func, xs), float, len(xs))
+        except (ArithmeticError, ValueError):  # reported below as not finite where it fails
+            f = np.array([_rate_or_nan(rate.func, x) for x in xs])
         f = f.reshape(nodes.shape)
         bad = ~np.isfinite(f) | (f < -1e-12)
         if bad.any():
@@ -475,7 +483,7 @@ def _integrate(rate: RateFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
             )
         kron = half * sum(w * row for w, row in zip(_KRONROD_WEIGHTS, f))
         err = np.abs(half * sum(w * row for w, row in zip(_ERROR_WEIGHTS, f)))
-        done = (err <= tol) | (err <= _ROUNDOFF * kron)
+        done = (err <= INTEGRAL_ABS_TOL) | (err <= _ROUNDOFF * kron)
         kept.append((owner[done], a[done], kron[done]))
         evals += nodes.shape[0] * np.bincount(owner, minlength=lo.size)
         owner, a, b, mid = owner[~done], a[~done], b[~done], mid[~done]
@@ -487,7 +495,6 @@ def _integrate(rate: RateFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
                 f"within {MAX_RATE_EVALS} evaluations"
             )
         owner, a, b = np.tile(owner, 2), np.concatenate([a, mid]), np.concatenate([mid, b])
-        tol *= 0.5
     if kept:
         owners, starts, values = (np.concatenate(parts) for parts in zip(*kept))
         order = np.lexsort((starts, owners))

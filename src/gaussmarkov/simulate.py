@@ -213,8 +213,7 @@ def ou_exact(alpha: RateFunction, t_grid, n_paths: int, seed: int) -> Trajectory
             seed=seed,
             provenance="sampler",
         )
-    if grid.size > 1:  # integrate the rate on the grid's hull only
-        base = rate_kernel(alpha, domain=(grid[0], grid[-1]))
+    base = rate_kernel(alpha, domain=(grid[0], grid[-1]))
     x = gen.standard_normal(n_paths)
     out = np.empty((n_paths, grid.size))
     out[:, 0] = x

@@ -173,8 +173,40 @@ def test_non_integrable_rate_is_rejected_quickly():
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "raises"])
 def test_bad_rate_values_name_the_interval(value):
-    kern = rate_kernel(RateFunction.from_callable(lambda t: value if t > 1.5 else 1.0))
+    def rate(t):
+        if t <= 1.5:
+            return 1.0
+        return 1.0 / (t - t) if value == "raises" else value
+
+    kern = rate_kernel(RateFunction.from_callable(rate))
     with pytest.raises(InvalidRateError, match=r"integrating over \[1\.0, 1\.75\]"):
         kern.eval(0.0, 1.75)
+
+
+def test_rate_that_raises_at_a_node_is_an_invalid_rate():
+    kern = rate_kernel(RateFunction.from_callable(lambda t: 1.0 / abs(t - 0.5)))
+    with pytest.raises(InvalidRateError, match=r"t=0\.5: nan, integrating over \[0\.0, 1\.0\]"):
+        kern.eval(0.0, 1.0)
+
+
+@pytest.mark.parametrize("jump_at", [0.3, 1 / 3, 0.7071, 1e-7, 2.5])
+@pytest.mark.parametrize("jump", [1e-3, 1.0, 1e3])
+def test_rate_with_a_jump_matches_closed_form(jump_at, jump):
+    def rate(t):
+        return 1.0 if t < jump_at else 1.0 + jump
+
+    values = _antiderivative(RateFunction.from_callable(rate), (-math.inf, math.inf))(
+        np.array([-0.2, 3.1])
+    )
+    exact = 3.3 + jump * (3.1 - jump_at)
+    assert values[1] - values[0] == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
+def test_step_rate_kernel_matches_closed_form():
+    calls = []
+    step = rate_kernel(RateFunction.from_callable(lambda t: calls.append(t) or (1.0 if t < 0.3 else 2.0)))
+    assert step.eval(0.0, 1.0) == pytest.approx(math.exp(-1.7), rel=1e-10)
+    # the jump's piece stops once it meets the tolerance, long before the float spacing of 0.3
+    assert len(calls) < 600
