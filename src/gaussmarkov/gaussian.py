@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import (
     ChainMismatchError,
@@ -204,8 +203,8 @@ class MarkovReport:
 def solve_spd(mat: np.ndarray, rhs: np.ndarray, what: str = "marginal") -> np.ndarray:
     """Solve ``mat @ x = rhs`` for symmetric positive-definite ``mat``.
 
-    Uses a Cholesky solve guarded by a condition-number estimate; raises
-    :class:`SingularMarginalError` past ``COND_LIMIT``.
+    Raises :class:`SingularMarginalError` once the condition number reaches
+    ``COND_LIMIT``; below that bound an LU solve is as accurate as Cholesky.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
@@ -214,8 +213,7 @@ def solve_spd(mat: np.ndarray, rhs: np.ndarray, what: str = "marginal") -> np.nd
             f"{what} covariance singular or ill-conditioned "
             f"(eigenvalues in [{eigs[0]:.3e}, {eigs[-1]:.3e}])"
         )
-    c, low = sla.cho_factor(mat, lower=True)
-    return sla.cho_solve((c, low), rhs)
+    return np.linalg.solve(mat, rhs)
 
 
 def condition(plan: TransportPlan, x) -> ConditionalLaw:
@@ -266,23 +264,22 @@ def concatenate(plans: Sequence[TransportPlan]) -> GaussianVector:
     before and after it are independent.
     """
     _check_chained(plans)
-    margs = [p.left_marginal() for p in plans] + [plans[-1].right_marginal()]
-    dims = [m.dim for m in margs]
-    offsets = np.concatenate([[0], np.cumsum(dims)])
+    covs = [p.cov_left for p in plans] + [plans[-1].cov_right]
+    offsets = np.concatenate([[0], np.cumsum([c.shape[0] for c in covs])])
     total = int(offsets[-1])
     cov = np.zeros((total, total))
-    mean = np.concatenate([m.mean for m in margs])
-    times = np.concatenate([m.times for m in margs])
+    mean = np.concatenate([p.mean_left for p in plans] + [plans[-1].mean_right])
+    times = np.concatenate([p.times_left for p in plans] + [plans[-1].times_right])
 
-    for i, m in enumerate(margs):
+    for i, c in enumerate(covs):
         sl = slice(offsets[i], offsets[i + 1])
-        cov[sl, sl] = m.cov
+        cov[sl, sl] = c
 
     # Row by row, extend the cross block one step at a time:
     # A_{i,j+1} = A_{i,j} S_{j,j}^{-1} S_{j,j+1}.
-    p = len(margs)
+    p = len(covs)
     steps = {
-        j: solve_spd(margs[j].cov, plans[j].cross, what="intermediate marginal")
+        j: solve_spd(covs[j], plans[j].cross, what="intermediate marginal")
         for j in range(1, p - 1)
     }
     for i in range(p - 1):
@@ -304,9 +301,8 @@ def compose(plans: Sequence[TransportPlan]) -> TransportPlan:
         return plans[0]
     first, last = plans[0], plans[-1]
     cross = first.cross
-    for prev, nxt in zip(plans, plans[1:]):
-        step = solve_spd(nxt.left_marginal().cov, nxt.cross, what="intermediate marginal")
-        cross = cross @ step
+    for nxt in plans[1:]:
+        cross = cross @ solve_spd(nxt.cov_left, nxt.cross, what="intermediate marginal")
     return TransportPlan.from_blocks(
         cov_left=first.cov_left,
         cross=cross,

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     InvalidInputError,
@@ -42,14 +41,13 @@ DEFAULT_REL_TOL = 1e-3
 #: Rate value past which an increasing sequence is declared divergent.
 DEFAULT_DIVERGENCE_THRESHOLD = 1e6
 
-#: Absolute tolerance of the rate antiderivative quadrature.
+#: Absolute tolerance of the package quadrature, for rates and noise integrals.
 INTEGRAL_ABS_TOL = 1e-10
 
-#: Rate evaluations one antiderivative integral may take before the rate is rejected.
+#: Integrand evaluations one integral may take before the integrand is rejected.
 MAX_RATE_EVALS = 100_000
 
-#: Absolute tolerance and tail cut-off of the noise-integral quadrature.
-NOISE_ABS_TOL = 1e-10
+#: Integrand size past which a noise integral's infinite end is cut off.
 NOISE_TAIL_TOL = 1e-14
 
 
@@ -442,23 +440,26 @@ _ROUNDOFF = 50 * np.finfo(float).eps
 _PANEL_OFFSETS = np.concatenate([[0.0], 2.0 ** np.arange(1024)])
 
 
-def _rate_or_nan(func: Callable[[float], float], t: float) -> float:
+def _value_or_nan(func: Callable[[float], float], t: float) -> float:
     try:
         return func(t)
     except (ArithmeticError, ValueError):
         return math.nan
 
 
-def _integrate(rate: RateFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``integral of rate`` over each ``[lo_i, hi_i]``, by bisecting a Gauss-Kronrod pair.
+def _integrate(func, lo: np.ndarray, hi: np.ndarray, integrand: str | None = None) -> np.ndarray:
+    """``integral of func`` over each ``[lo_i, hi_i]``, by bisecting a Gauss-Kronrod pair.
 
-    A piece is kept once ``|K7 - L4|`` is within ``INTEGRAL_ABS_TOL`` or
-    within rounding of its value.  The tolerance is the same for every
-    piece, so a jump in the rate is bisected down to a piece short enough
-    to meet it.  Each round evaluates the rate at every node of every open
-    piece in one pass; an integral's kept pieces are summed in ascending
-    order, so it depends on its own interval alone.
+    ``func`` is a rate, nonnegative and failing with :class:`InvalidRateError`,
+    unless ``integrand`` names it: then its sign is free and it fails with
+    :class:`InvalidInputError`.  A piece is kept once ``|K7 - L4|`` is within
+    ``INTEGRAL_ABS_TOL`` or within rounding of its value.  The tolerance is the
+    same for every piece, so a jump in ``func`` is bisected down to a piece
+    short enough to meet it.  Each round evaluates ``func`` at every node of
+    every open piece in one pass; an integral's kept pieces are summed in
+    ascending order, so it depends on its own interval alone.
     """
+    name, error = ("rate", InvalidRateError) if integrand is None else (integrand, InvalidInputError)
     out = np.zeros(lo.size)
     owner = np.flatnonzero(hi > lo)
     a, b = lo[owner], hi[owner]
@@ -469,29 +470,29 @@ def _integrate(rate: RateFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
         nodes = mid + half * _GK_NODES
         xs = nodes.ravel().tolist()
         try:
-            f = np.fromiter(map(rate.func, xs), float, len(xs))
+            f = np.fromiter(map(func, xs), float, len(xs))
         except (ArithmeticError, ValueError):  # reported below as not finite where it fails
-            f = np.array([_rate_or_nan(rate.func, x) for x in xs])
+            f = np.array([_value_or_nan(func, x) for x in xs])
         f = f.reshape(nodes.shape)
-        bad = ~np.isfinite(f) | (f < -1e-12)
+        bad = ~np.isfinite(f) | ((f < -1e-12) & (integrand is None))
         if bad.any():
             j, i = np.unravel_index(np.argmax(bad), f.shape)
             kind = "negative" if f[j, i] < 0.0 else "not finite"
-            raise InvalidRateError(
-                f"rate is {kind} at t={nodes[j, i]}: {f[j, i]}, integrating over "
+            raise error(
+                f"{name} is {kind} at t={nodes[j, i]}: {f[j, i]}, integrating over "
                 f"[{lo[owner[i]]}, {hi[owner[i]]}]"
             )
         kron = half * sum(w * row for w, row in zip(_KRONROD_WEIGHTS, f))
         err = np.abs(half * sum(w * row for w, row in zip(_ERROR_WEIGHTS, f)))
-        done = (err <= INTEGRAL_ABS_TOL) | (err <= _ROUNDOFF * kron)
+        done = (err <= INTEGRAL_ABS_TOL) | (err <= _ROUNDOFF * np.abs(kron))
         kept.append((owner[done], a[done], kron[done]))
         evals += nodes.shape[0] * np.bincount(owner, minlength=lo.size)
         owner, a, b, mid = owner[~done], a[~done], b[~done], mid[~done]
         stuck = (evals[owner] > MAX_RATE_EVALS) | (mid <= a) | (mid >= b)
         if stuck.any():
             i = owner[np.argmax(stuck)]
-            raise InvalidRateError(
-                f"rate is not integrable to {INTEGRAL_ABS_TOL} over [{lo[i]}, {hi[i]}] "
+            raise error(
+                f"{name} is not integrable to {INTEGRAL_ABS_TOL} over [{lo[i]}, {hi[i]}] "
                 f"within {MAX_RATE_EVALS} evaluations"
             )
         owner, a, b = np.tile(owner, 2), np.concatenate([a, mid]), np.concatenate([mid, b])
@@ -525,7 +526,7 @@ def _antiderivative(rate: RateFunction, domain: tuple[float, float]) -> Callable
     memo: dict[float, float] = {}
 
     def between(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _integrate(rate, np.minimum(x, y), np.maximum(x, y))
+        return _integrate(rate.func, np.minimum(x, y), np.maximum(x, y))
 
     def values(times) -> np.ndarray:
         times = np.asarray(times, dtype=float)
@@ -595,9 +596,10 @@ def exponential_rate(alpha, domain: tuple[float, float] = (-math.inf, math.inf))
 def noise_integral(k: Callable[[float, float], float], interval: tuple[float, float]) -> Kernel:
     """Kernel of a white-noise integral process.
 
-    ``K(s, t) = integral over J of k(s, u) k(t, u) du`` computed by adaptive
-    quadrature with absolute tolerance ``NOISE_ABS_TOL``.  Infinite endpoints
-    are truncated where the integrand falls below ``NOISE_TAIL_TOL``.
+    ``K(s, t) = integral over J of k(s, u) k(t, u) du`` by the quadrature of
+    :func:`rate_kernel`; an integrand that is not finite there or does not
+    converge raises :class:`InvalidInputError` naming the interval.  Infinite
+    endpoints are cut off where the integrand falls below ``NOISE_TAIL_TOL``.
     Evaluations are memoized; the kernel is exactly symmetric by construction.
     """
     lo, hi = interval
@@ -621,10 +623,10 @@ def noise_integral(k: Callable[[float, float], float], interval: tuple[float, fl
             a, b = key
             upper = hi if math.isfinite(hi) else truncated(a, b, max(1.0, lo + 1.0))
             lower = lo if math.isfinite(lo) else truncated(a, b, min(-1.0, hi - 1.0))
-            val, _ = integrate.quad(
-                lambda u: k(a, u) * k(b, u), lower, upper, epsabs=NOISE_ABS_TOL, limit=200
-            )
-            cache[key] = val
+            (cache[key],) = _integrate(
+                lambda u: k(a, u) * k(b, u), np.array([lower]), np.array([upper]),
+                integrand=f"noise-integral integrand k({a}, u) k({b}, u)",
+            ).tolist()
         return cache[key]
 
     return Kernel(eval=kv, domain=(-math.inf, math.inf), name="noise_integral")

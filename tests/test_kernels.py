@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +292,35 @@ class TestNoiseIntegral:
                 continue
             assert psd_check(kern, pts).passed
 
+    @pytest.mark.parametrize("k", [
+        # 1/|u - 0.3|: not integrable across 0.3
+        lambda t, u: math.inf if u == 0.3 else abs(u - 0.3) ** -0.5,
+        # |u - 0.5|^(-1/2): raises ZeroDivisionError at the midpoint node
+        lambda t, u: abs(u - 0.5) ** -0.25,
+    ], ids=["not_integrable", "raises_at_node"])
+    def test_failure_names_the_interval(self, k):
+        kern = kernels.noise_integral(k, (0.0, 1.0))
+        start = time.perf_counter()
+        with pytest.raises(InvalidInputError, match=r"\[0\.0, 1\.0\]"):
+            kern.eval(1.0, 2.0)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    code = (
+        "import math, sys\n"
+        "import numpy as np\n"
+        "from gaussmarkov import gaussian, kernels\n"
+        "gaussian.solve_spd(np.array([[2.0, 0.5], [0.5, 1.0]]), np.ones(2))\n"
+        "kernels.noise_integral(lambda t, u: math.sqrt(t) * math.exp(-t * u / 2.0),\n"
+        "                       (0.0, math.inf)).eval(1.0, 2.0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(kernels.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
 
 class TestConcurrentEvaluation:
     def test_memoizing_kernels_match_sequential_results(self):
@@ -303,7 +337,7 @@ class TestConcurrentEvaluation:
         fresh = rate_kernel(RateFunction.from_callable(lambda t: 0.5 + t * t),
                             domain=(0.0, 4.0))
         sequential = [fresh.eval(*p) for p in pairs]
-        np.testing.assert_allclose(threaded, sequential, atol=1e-10)
+        assert threaded == sequential
 
 
 class TestRateFunction:
