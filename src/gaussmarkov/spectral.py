@@ -12,10 +12,13 @@ Markov transforms: one per cluster point.
 The construction alternates geometric frequency windows (where the
 lacunary sum grows without bound) with gaps (where it dies off), choosing
 the window edges by integer search.  The index searches are honest but
-grow tower-exponentially: with weights (1/2)^k the first gap already ends
-near 1.1e5 and the next active window is provably beyond any floating
+grow tower-exponentially: with weights (1/2)^k and frequencies 3^k the
+i = 2 gap search ends at n_6 = 253744, and the next active window needs a
+sum bounded by ``x * 2^-253742`` to exceed 3, provably beyond any floating
 budget, so deep searches end with :class:`BudgetExceededError` carrying
-partial results.
+partial results.  Each search is one chunked scan over the integers; the
+gap scans first drop every x that a few heavy terms already keep above the
+threshold, since no term of the sum is negative.
 """
 
 from __future__ import annotations
@@ -35,6 +38,16 @@ DEFAULT_INDEX_BUDGET = 10**6
 #: Indices past this cap contribute less than ~1e-60 to any witness sum.
 _TERM_CAP = 220
 
+#: Integers in the first and the largest chunk of the index scans; chunks
+#: double in between, so a search that ends early does little extra work.
+_FIRST_CHUNK = 32
+_SCAN_CHUNK = 8192
+
+#: Terms in the gap scan's lower bound, and the relative margin of the
+#: scans' bounds: far above the rounding of a sum of at most _TERM_CAP terms.
+_BOUND_TERMS = 4
+_BOUND_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
 class SpectralMeasure:
@@ -47,6 +60,9 @@ class SpectralMeasure:
     """
 
     atoms: tuple[tuple[float, float], ...]
+    _effective: tuple[np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         cleaned = []
@@ -62,16 +78,18 @@ class SpectralMeasure:
             raise InvalidMeasureError(
                 f"effective masses sum to {self.total_mass}, expected 1"
             )
+        masses = np.array([2.0 * w if y > 0.0 else w for w, y in self.atoms])
+        locs = np.array([y for _, y in self.atoms])
+        masses.flags.writeable = locs.flags.writeable = False
+        object.__setattr__(self, "_effective", (masses, locs))
 
     @property
     def total_mass(self) -> float:
         return sum(2.0 * w if y > 0.0 else w for w, y in self.atoms)
 
     def effective(self) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays (effective masses, locations)."""
-        masses = np.array([2.0 * w if y > 0.0 else w for w, y in self.atoms])
-        locs = np.array([y for _, y in self.atoms])
-        return masses, locs
+        """Read-only arrays (effective masses, locations), built once."""
+        return self._effective
 
     def fourier(self, t) -> np.ndarray:
         """Fourier transform ``mu_hat(t) = sum of eff * cos(t * y)``."""
@@ -197,32 +215,102 @@ def f_witness(config: WeierstrassConfig, n: int, x: float) -> float:
     return lacunary_sum(config, x, n, int(math.floor(x)))
 
 
-def _first_gap_hit(
+def _term_tops(config: WeierstrassConfig, start: int, stop: int) -> np.ndarray:
+    """``min(x, _effective_cap(x))`` at every integer x in [start, stop).
+
+    The cap is a non-decreasing step function of x, so each of its steps
+    inside the range is located by bisection with the scalar cap itself.
+    """
+    first = _effective_cap(config, float(start))
+    steps = []
+    lo = start
+    for c in range(first + 1, _effective_cap(config, float(stop - 1)) + 1):
+        hi = stop - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _effective_cap(config, float(mid)) >= c:
+                hi = mid
+            else:
+                lo = mid + 1
+        steps.append(lo)
+    xs = np.arange(start, stop)
+    return np.minimum(xs, first + np.searchsorted(steps, xs, side="right"))
+
+
+def _first_crossing(
     config: WeierstrassConfig,
-    windows: Sequence[tuple[int, int]],
+    windows: Sequence[tuple[int, int | None]],
     x_start: int,
     x_stop: int,
     threshold: float,
-    chunk: int = 8192,
 ) -> int | None:
-    """Smallest integer x in [x_start, x_stop] with g_windows(x) < threshold."""
-    cap = _effective_cap(config, float(x_stop))
-    ks = np.concatenate(
-        [np.arange(lo, min(hi - 1, cap) + 1) for lo, hi in windows]
-    ).astype(float)
-    if ks.size == 0:
-        return x_start
-    weights = config.a**ks
-    freqs = config.b**ks
-    start = x_start
+    """Smallest integer x in [x_start, x_stop] where a windowed lacunary sum crosses threshold.
+
+    The sum is ``x * sum of a^k (1 - cos(b^k / x))`` over the windows'
+    indices, scanned in chunks of ``_FIRST_CHUNK`` integers doubling up to
+    ``_SCAN_CHUNK``.
+
+    One open window ``[(lo, None)]`` is the growth functional f_lo of
+    :func:`f_witness`, crossing upwards (first x with a sum above
+    threshold).  It keeps f_witness's arithmetic and each x's own term cap
+    ``min(x, _effective_cap(x))``, so every value is bit-identical to a
+    scalar call.  The sum is below ``x * 2 a^lo / (1 - a)``, so the scan
+    starts where that bound reaches the threshold.
+
+    Closed windows are the gap functional, capped at ``_effective_cap``
+    of x_stop and crossing downwards (first x with a sum below threshold).
+    No term is negative, so the ``_BOUND_TERMS`` heaviest terms whose phase
+    ``b^k / x`` is at least 1 across a chunk bound the sum from below; only
+    the x whose bound is under ``threshold * (1 + _BOUND_MARGIN)`` get the
+    full sum.
+    """
+    a, b = config.a, config.b
+    if windows[-1][1] is None:
+        k_from = windows[-1][0]
+        x_start = max(
+            x_start,
+            int(threshold * (1.0 - a) / (2.0 * a**k_from * (1.0 + _BOUND_MARGIN))),
+        )
+
+        def crossed(start: int, stop: int) -> np.ndarray:
+            xs = np.arange(start, stop, dtype=float)
+            tops = _term_tops(config, start, stop)
+            total = np.zeros(xs.size)
+            ak, bk = a**k_from, b**k_from
+            for k in range(k_from, int(tops[-1]) + 1):
+                j = int(np.searchsorted(tops, k))  # tops is non-decreasing
+                total[j:] += ak * (1.0 - np.cos(bk / xs[j:]))
+                ak *= a
+                bk *= b
+            return np.flatnonzero(xs * total > threshold)
+
+    else:
+        cap = _effective_cap(config, float(x_stop))
+        ks = np.concatenate(
+            [np.arange(lo, min(hi - 1, cap) + 1) for lo, hi in windows]
+        ).astype(float)
+        if ks.size == 0:
+            return x_start
+        weights = a**ks
+        freqs = b**ks  # ascending
+
+        def crossed(start: int, stop: int) -> np.ndarray:
+            xs = np.arange(start, stop, dtype=float)
+            first = int(np.searchsorted(freqs, xs[-1]))  # phase >= 1 on the whole chunk
+            heavy = slice(first, first + _BOUND_TERMS)
+            bound = xs * ((1.0 - np.cos(np.outer(1.0 / xs, freqs[heavy]))) @ weights[heavy])
+            keep = np.flatnonzero(bound < threshold * (1.0 + _BOUND_MARGIN))
+            xs = xs[keep]
+            vals = xs * ((1.0 - np.cos(np.outer(1.0 / xs, freqs))) @ weights)
+            return keep[vals < threshold]
+
+    start, chunk = x_start, _FIRST_CHUNK
     while start <= x_stop:
         stop = min(start + chunk, x_stop + 1)
-        xs = np.arange(start, stop, dtype=float)
-        vals = xs * ((1.0 - np.cos(np.outer(1.0 / xs, freqs))) @ weights)
-        hits = np.nonzero(vals < threshold)[0]
+        hits = crossed(start, stop)
         if hits.size:
             return start + int(hits[0])
-        start = stop
+        start, chunk = stop, min(2 * chunk, _SCAN_CHUNK)
     return None
 
 
@@ -272,16 +360,17 @@ def weierstrass_indices(
         lo = indices[-1]
         # Odd index: first n with f_lo(n - 1) > i.  The sum is capped by
         # x * 2 * sum_{k>=lo} a^k, so some searches are provably hopeless.
-        best_possible = budget * 2.0 * config.a**lo / (1.0 - config.a)
-        if best_possible <= i and i > 0:
-            raise fail(f"n_{2 * i + 1} (provably unreachable: cap {best_possible:.3e})")
-        n = lo + 1
-        while True:
-            if n > budget:
-                raise fail(f"n_{2 * i + 1}")
-            if f_witness(config, lo, n - 1) > i:
-                break
-            n += 1
+        # The bound is taken in base-2 logs: a^lo underflows to 0 long before
+        # the searches grow hopeless (2^-253722 at lo = 253744).
+        log2_best = (
+            math.log2(budget) + 1.0 + lo * math.log2(config.a) - math.log2(1.0 - config.a)
+        )
+        if i > 0 and log2_best <= math.log2(i):
+            raise fail(f"n_{2 * i + 1} (provably unreachable: sum below 2^{log2_best:.1f})")
+        hit = _first_crossing(config, [(lo, None)], lo, budget - 1, float(i))
+        if hit is None:
+            raise fail(f"n_{2 * i + 1}")
+        n = hit + 1
         indices.append(n)
         closed_windows.append((lo, n))
 
@@ -291,7 +380,7 @@ def weierstrass_indices(
         if threshold is math.inf:
             indices.append(n_odd + 1)
             continue
-        hit = _first_gap_hit(config, closed_windows, n_odd, budget - 1, threshold)
+        hit = _first_crossing(config, closed_windows, n_odd, budget - 1, threshold)
         if hit is None:
             raise fail(f"n_{2 * (i + 1)}")
         indices.append(hit + 1)
@@ -395,18 +484,15 @@ def cluster_witnesses(
             t, r = float(grid[best]), float(rates[best])
             out[target] = WitnessResult(target, True, t, r, abs(r - target))
             continue
-        bracket = None
-        for i in range(grid.size - 1):
-            if (rates[i] - target) * (rates[i + 1] - target) < 0.0:
-                bracket = (grid[i], grid[i + 1], rates[i], rates[i + 1])
-                break
-        if bracket is None:
+        crossings = np.flatnonzero((rates[:-1] - target) * (rates[1:] - target) < 0.0)
+        if not crossings.size:
             out[target] = WitnessResult(
                 target, False, math.nan, math.nan, math.inf,
                 message="no bracketing pair on the search grid",
             )
             continue
-        lo, hi, r_lo, r_hi = bracket
+        i = crossings[0]
+        lo, hi, r_lo, r_hi = grid[i], grid[i + 1], rates[i], rates[i + 1]
         t_mid, r_mid = lo, r_lo
         for _ in range(max_iter):
             t_mid = 0.5 * (lo + hi)

@@ -18,7 +18,14 @@ import numpy as np
 from . import gaussian, kernels
 from .errors import InvalidInputError, SingularMarginalError
 from .gaussian import GaussianVector, TransportPlan
-from .kernels import Kernel, RateFunction, _as_strictly_increasing, _at_points, rate_kernel
+from .kernels import (
+    Kernel,
+    RateFunction,
+    _as_strictly_increasing,
+    _at_points,
+    _sorted_unique,
+    rate_kernel,
+)
 
 
 @dataclass(frozen=True)
@@ -184,7 +191,7 @@ def made_markov_law(kernel: Kernel, split_times, query_times) -> GaussianVector:
     multiplications and O(q + m) kernel evaluations for q queries and m
     splits, besides the kernel's own covariances between unsplit queries.
     """
-    splits = np.unique(np.asarray(split_times, dtype=float).ravel())
+    splits = _sorted_unique(split_times)
     queries = _as_strictly_increasing(query_times)
     kernel.require_in_domain(splits)
     _, var = _chain(kernel, queries)
@@ -223,14 +230,14 @@ def made_markov_law_by_blocks(kernel: Kernel, split_times, query_times) -> Gauss
     Quadratic in the total number of points; used to cross-validate
     :func:`made_markov_law`.
     """
-    splits = np.sort(np.unique(np.asarray(split_times, dtype=float).ravel()))
+    splits = _sorted_unique(split_times)
     queries = _as_strictly_increasing(query_times)
     # Splits outside the query range do not change the projected law.
     relevant = splits[(splits > queries[0]) & (splits < queries[-1])]
     if relevant.size == 0:
         return joint_law(kernel, queries)
 
-    all_pts = np.sort(np.unique(np.concatenate([queries, relevant])))
+    all_pts = _sorted_unique(np.concatenate([queries, relevant]))
     cut_idx = [int(np.searchsorted(all_pts, r)) for r in relevant]
     blocks = []
     start = 0

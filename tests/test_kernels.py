@@ -322,6 +322,33 @@ def test_numpy_is_the_only_runtime_dependency():
     assert proc.stdout.strip() == "[]"
 
 
+def test_distinct_times_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call (12-20 ms), which would
+    # land inside whichever timed call comes first.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from gaussmarkov import kernels, transform\n"
+        "rate = kernels.RateFunction(func=lambda t: 1.0 + t)\n"
+        "kernels.gram(kernels.rate_kernel(rate, (0.0, 10.0)), np.linspace(0.5, 3.0, 6))\n"
+        "transform.made_markov_law(kernels.fbm(0.75), [1.5, 1.5, 1.25], [1.0, 2.0])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(kernels.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 1e300, -math.inf, math.inf]),
+                max_size=12))
+def test_sorted_unique_matches_np_unique(values):
+    got = kernels._sorted_unique(values)
+    want = np.unique(np.asarray(values, dtype=float))
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 class TestConcurrentEvaluation:
     def test_memoizing_kernels_match_sequential_results(self):
         from concurrent.futures import ThreadPoolExecutor

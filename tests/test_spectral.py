@@ -1,8 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from gaussmarkov import spectral
 from gaussmarkov.errors import (
     BudgetExceededError,
     InvalidInputError,
@@ -27,6 +31,80 @@ from gaussmarkov.spectral import (
 
 def two_point():
     return SpectralMeasure(atoms=((0.5, 1.0),))
+
+
+# ---------------------------------------------------------------------------
+# Reference index searches: the scalar odd loop over f_witness and the
+# unpruned gap scan that spectral._first_crossing replaced.
+# ---------------------------------------------------------------------------
+
+
+def reference_first_gap_hit(config, windows, x_start, x_stop, threshold, chunk=8192):
+    """Smallest integer x in [x_start, x_stop] with g_windows(x) < threshold."""
+    cap = spectral._effective_cap(config, float(x_stop))
+    ks = np.concatenate(
+        [np.arange(lo, min(hi - 1, cap) + 1) for lo, hi in windows]
+    ).astype(float)
+    if ks.size == 0:
+        return x_start
+    weights = config.a**ks
+    freqs = config.b**ks
+    start = x_start
+    while start <= x_stop:
+        stop = min(start + chunk, x_stop + 1)
+        xs = np.arange(start, stop, dtype=float)
+        vals = xs * ((1.0 - np.cos(np.outer(1.0 / xs, freqs))) @ weights)
+        hits = np.nonzero(vals < threshold)[0]
+        if hits.size:
+            return start + int(hits[0])
+        start = stop
+    return None
+
+
+def reference_search(config, budget):
+    """(indices, windows, complete, failed stage) of the searches as they were."""
+    indices, windows = [2], []
+
+    def failed(stage):
+        open_window = [(indices[-1], spectral._TERM_CAP + 1)]
+        if len(indices) % 2 == 0 or indices[-1] > spectral._TERM_CAP:
+            open_window = []
+        return indices, windows + open_window, False, stage
+
+    for i in range(config.i_max + 1):
+        lo = indices[-1]
+        if i > 0 and budget * 2.0 * config.a**lo / (1.0 - config.a) <= i:
+            return failed(f"n_{2 * i + 1} unreachable")
+        n = lo + 1
+        while True:
+            if n > budget:
+                return failed(f"n_{2 * i + 1}")
+            if f_witness(config, lo, n - 1) > i:
+                break
+            n += 1
+        indices.append(n)
+        windows.append((lo, n))
+        if i == 0:
+            indices.append(n + 1)
+            continue
+        hit = reference_first_gap_hit(config, windows, n, budget - 1, 1.0 / i)
+        if hit is None:
+            return failed(f"n_{2 * (i + 1)}")
+        indices.append(hit + 1)
+    return indices, windows, True, None
+
+
+def search(config, budget):
+    """:func:`weierstrass_indices` in the form of :func:`reference_search`."""
+    try:
+        found = weierstrass_indices(config, budget=budget)
+    except BudgetExceededError as err:
+        stage = re.search(r"searching (n_\d+)( \(provably unreachable)?", str(err))
+        return (
+            list(err.indices), [tuple(w) for w in err.windows], False,
+            stage[1] + (" unreachable" if stage[2] else ""),
+        )
+    return list(found.indices), list(found.windows), True, None
 
 
 class TestSpectralMeasure:
@@ -142,6 +220,71 @@ class TestWitnessIndices:
     def test_deep_search_exceeds_budget(self, partial_witness):
         assert isinstance(partial_witness, BudgetExceededError)
         assert len(partial_witness.indices) == 7  # n_0 .. n_6
+
+    def test_unreachable_bound_is_reported_in_logs(self, partial_witness):
+        assert "provably unreachable: sum below 2^-253722.1" in str(partial_witness)
+
+    @pytest.mark.parametrize("budget,stage", [
+        (8192, "n_5 unreachable"),  # the bound equals the threshold 2 exactly
+        (8193, "n_5"),
+        (8700, "n_5"),
+        (8701, "n_6"),
+        (253744, "n_7 unreachable"),
+    ])
+    def test_budget_edges_match_reference(self, budget, stage):
+        config = WeierstrassConfig(i_max=4)
+        got = search(config, budget)
+        assert got == reference_search(config, budget)
+        assert got[3] == stage
+
+    def test_pruned_gap_scan_returns_unpruned_hit(self):
+        # the i = 2 gap scan of the default construction: the lower bound
+        # leaves only a few thousand of its ~2.5e5 integers to the full sum
+        config = WeierstrassConfig(i_max=4)
+        windows = [(2, 3), (4, 9), (14, 8701)]
+        budget = spectral.DEFAULT_INDEX_BUDGET
+        want = reference_first_gap_hit(config, windows, 8701, budget - 1, 0.5)
+        assert want == 253743
+        assert spectral._first_crossing(config, windows, 8701, budget - 1, 0.5) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        a=st.floats(0.3, 0.7),
+        excess=st.floats(1.01, 3.0),
+        terms=st.integers(1, spectral._BOUND_TERMS),
+        above=st.floats(1e-12, 5e-4),
+    )
+    def test_gap_scan_keeps_a_sum_just_under_the_threshold(self, a, excess, terms, above):
+        # A few terms, all of phase >= 1 on the whole range: the lower bound
+        # is the whole sum, so only the bound's margin keeps the crossing x.
+        config = WeierstrassConfig(a=a, b=excess / a)
+        k0 = math.ceil(math.log(5000.0) / math.log(config.b))
+        windows = [(k0, k0 + terms)]
+        ks = np.arange(k0, k0 + terms).astype(float)
+        xs = np.arange(1000, 5001, dtype=float)
+        g = xs * ((1.0 - np.cos(np.outer(1.0 / xs, config.b**ks))) @ config.a**ks)
+        records = 1 + np.flatnonzero(g[1:] * (1.0 + above) < np.minimum.accumulate(g)[:-1])
+        assume(records.size)
+        threshold = g[records[-1]] * (1.0 + above)  # crossed first at the last record low
+        want = reference_first_gap_hit(config, windows, 1000, 5000, threshold)
+        assert want == 1000 + records[-1]
+        assert spectral._first_crossing(config, windows, 1000, 5000, threshold) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.floats(0.3, 0.7),
+        excess=st.floats(1.01, 3.0),
+        i_max=st.integers(1, 3),
+        budget=st.integers(10**3, 10**5),
+    )
+    def test_chunked_scans_match_reference(self, a, excess, i_max, budget):
+        config = WeierstrassConfig(a=a, b=excess / a, i_max=i_max)
+        want = reference_search(config, budget)
+        assert search(config, budget) == want
+        # A budget one short of each found index exhausts that index's
+        # search, odd and gap stages alike.
+        for n in want[0][1:]:
+            assert search(config, n - 1) == reference_search(config, n - 1)
 
     def test_location_map(self, partial_witness):
         witness = WitnessIndices(

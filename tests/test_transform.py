@@ -190,6 +190,10 @@ class TestMadeMarkovLaw:
         plan = partition_law(kern, Partition(points=[1.0, 1.2, 1.5, 1.8, 2.0]))
         assert law.cov[0, 1] == pytest.approx(plan.cross[0, 0], abs=1e-12)
 
+    def test_nan_split_is_outside_the_domain(self):
+        with pytest.raises(InvalidInputError, match="time nan outside domain"):
+            made_markov_law(kernels.fbm(0.75), [0.3, math.nan, math.nan], [0.1, 0.5, 0.9])
+
 
 class TestMimicKernel:
     def test_rate_kernel_fixed_point(self):
