@@ -229,7 +229,6 @@ class TestWitnessIndices:
         (8193, "n_5"),
         (8700, "n_5"),
         (8701, "n_6"),
-        (253744, "n_7 unreachable"),
     ])
     def test_budget_edges_match_reference(self, budget, stage):
         config = WeierstrassConfig(i_max=4)
