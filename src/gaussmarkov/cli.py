@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 numerical/validation failure, 2 usage error,
 3 resource budget exceeded (partial artifacts are still written).
 
 Values from ``--config FILE`` (JSON, keys = flag names with underscores)
-fill in any flag not given on the command line; hard defaults apply last.
+fill in any flag not given on the command line; defaults apply last.  Every
+value then passes its option's converter (``_OPTIONS``), so one that does not
+parse is a usage error wherever it came from; unused config keys are ignored.
 All floating-point output uses 17 significant digits, and reruns with the
 same configuration and seed produce byte-identical files.
 """
@@ -25,6 +27,7 @@ import csv
 import json
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -44,8 +47,82 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+class _Option(NamedTuple):
+    """One flag of a subcommand; ``default`` is ``_REQUIRED`` for a flag that must be given."""
+
+    name: str
+    convert: Callable[[Any], Any]
+    default: Any
+    help: str
+
+
+_REQUIRED = object()
+
+
+def _directory(value) -> Path:
+    path = Path(value)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _route(value):
+    if value not in ("exact", "cholesky"):
+        raise ValueError(f"expected exact or cholesky, got {value!r}")
+    return value
+
+
+def _float_list(value) -> list[float]:
+    return serialize.parse_float_list(str(value))
+
+
+# The converters look the spec parsers up on ``serialize`` at each call, so a
+# wrapper later installed on the module (a tracer, a test double) sees them.
+_KERNEL = _Option("kernel", lambda v: serialize.kernel_from_spec(v), _REQUIRED,
+                  "kernel spec (inline JSON or file)")
+_ALPHA = _Option("alpha", lambda v: serialize.rate_from_spec(v), _REQUIRED,
+                 "decorrelation rate (number, 'inf', or JSON)")
+_GRID = _Option("grid", lambda v: serialize.parse_grid(str(v)), _REQUIRED,
+                "start:stop:count evaluation grid")
+_SEED = _Option("seed", int, 0, "RNG seed")
+# Last in every command, so that a usage error creates no directory.
+_OUT = _Option("out", _directory, Path("."), "output directory (default: current)")
+
+#: Per subcommand: its help and the options it reads, in the order they resolve.
+_OPTIONS = {
+    "psd-check": ("validate positive semi-definiteness on grids", (
+        _KERNEL, _GRID, _Option("random_grids", int, 0, "additional random subgrids"),
+        _SEED, _OUT,
+    )),
+    "transform": ("tabulate a kernel and its mimicking kernel", (_KERNEL, _ALPHA, _GRID, _OUT)),
+    "converge": ("partition/made-Markov convergence tables", (
+        _KERNEL, _ALPHA,
+        _GRID._replace(help="start:stop:count; endpoints give the time pair"),
+        _Option("mesh_sequence", _float_list, None, "comma list of meshes (local experiment)"),
+        _Option("steps", _float_list, None, "comma list of step sizes (global experiment)"),
+        _Option("n_max", int, None, "number of sets in the global experiment (default: all)"),
+        _OUT,
+    )),
+    "counterexample": ("lacunary measure and decay-rate witnesses", (
+        _Option("targets", _float_list, (0.25, 1.0, 4.0), "comma list of decay-rate targets"),
+        _Option("i_max", int, 4, "witness depth"),
+        _Option("k_cut", int, 60, "frequency truncation index"),
+        _Option("budget", int, spectral.DEFAULT_INDEX_BUDGET, "integer search budget"),
+        _OUT,
+    )),
+    "simulate": ("SDE route vs Gaussian route comparison", (
+        _KERNEL, _ALPHA, _GRID._replace(help="start:stop:count recorded grid"),
+        _Option("paths", int, 10_000, "number of sample paths"),
+        _SEED,
+        _Option("step", float, 1e-3, "Euler-Maruyama step"),
+        _Option("route", _route, "exact", "Gaussian route: exact or cholesky"),
+        _Option("dump_paths", bool, False, "also write full trajectory CSVs"),
+        _OUT,
+    )),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,89 +131,47 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Markov transforms of Gaussian processes: checks, tables, simulations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (help_text, options) in _OPTIONS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file with default values for flags")
-        p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--seed", type=int, help="RNG seed")
-
-    p = sub.add_parser("psd-check", help="validate positive semi-definiteness on grids")
-    common(p)
-    p.add_argument("--kernel", help="kernel spec (inline JSON or file)")
-    p.add_argument("--grid", help="start:stop:count evaluation grid")
-    p.add_argument("--random-grids", type=int, help="additional random subgrids")
-
-    p = sub.add_parser("transform", help="tabulate a kernel and its mimicking kernel")
-    common(p)
-    p.add_argument("--kernel", help="kernel spec (inline JSON or file)")
-    p.add_argument("--alpha", help="decorrelation rate (number, 'inf', or JSON)")
-    p.add_argument("--grid", help="start:stop:count evaluation grid")
-
-    p = sub.add_parser("converge", help="partition/made-Markov convergence tables")
-    common(p)
-    p.add_argument("--kernel", help="kernel spec (inline JSON or file)")
-    p.add_argument("--alpha", help="target rate (number, 'inf', or JSON)")
-    p.add_argument("--grid", help="start:stop:count; endpoints give the time pair")
-    p.add_argument("--mesh-sequence", help="comma list of meshes (local experiment)")
-    p.add_argument("--steps", help="comma list of step sizes (global experiment)")
-    p.add_argument("--n-max", type=int, help="number of sets in the global experiment")
-
-    p = sub.add_parser("counterexample", help="lacunary measure and decay-rate witnesses")
-    common(p)
-    p.add_argument("--targets", help="comma list of decay-rate targets")
-    p.add_argument("--i-max", type=int, help="witness depth")
-    p.add_argument("--k-cut", type=int, help="frequency truncation index")
-    p.add_argument("--budget", type=int, help="integer search budget")
-
-    p = sub.add_parser("simulate", help="SDE route vs Gaussian route comparison")
-    common(p)
-    p.add_argument("--kernel", help="kernel spec (inline JSON or file)")
-    p.add_argument("--alpha", help="decorrelation rate (number, 'inf', or JSON)")
-    p.add_argument("--grid", help="start:stop:count recorded grid")
-    p.add_argument("--paths", type=int, help="number of sample paths")
-    p.add_argument("--step", type=float, help="Euler-Maruyama step")
-    p.add_argument("--route", choices=["exact", "cholesky"], help="Gaussian route")
-    p.add_argument("--dump-paths", action="store_true", default=None,
-                   help="also write full trajectory CSVs")
+        for opt in options:
+            # A switch is True when given and None (unset) otherwise, like any flag.
+            switch = {"action": "store_const", "const": True} if opt.convert is bool else {}
+            p.add_argument(_flag(opt.name), help=opt.help, **switch)
     return parser
 
 
-class _Config:
-    """Flag resolution: command line > config file > hard default."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = vars(args)
-        self.file = {}
-        if self.args.get("config"):
-            path = Path(self.args["config"])
-            if not path.exists():
-                raise UsageError(f"config file not found: {path}")
-            try:
-                self.file = json.loads(path.read_text())
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"config file is not valid JSON: {exc}") from exc
-
-    def get(self, key: str, default=None, required: bool = False):
-        val = self.args.get(key)
-        if val is None:
-            val = self.file.get(key, default)
-        if required and val is None:
-            raise UsageError(f"missing required option --{key.replace('_', '-')}")
-        return val
-
-
-def _out_dir(cfg: _Config) -> Path:
-    out = Path(cfg.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _parse(parser_fn, value):
-    """Spec/grid parsing failures are usage errors, not numerical ones."""
+def _read_config(name: str) -> dict:
     try:
-        return parser_fn(value)
-    except InvalidInputError as exc:
-        raise UsageError(str(exc)) from exc
+        data = json.loads(Path(name).read_text())
+    except FileNotFoundError:
+        raise UsageError(f"--config: file not found: {name}") from None
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"--config: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"--config: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _resolve(args: argparse.Namespace) -> dict[str, Any]:
+    """The command's options, typed: command line > ``--config`` file > default."""
+    from_file = _read_config(args.config) if args.config else {}
+    values = {}
+    for opt in _OPTIONS[args.command][1]:
+        raw = getattr(args, opt.name)
+        if raw is None:
+            raw = from_file.get(opt.name)
+        if raw is None:
+            if opt.default is _REQUIRED:
+                raise UsageError(f"{_flag(opt.name)}: missing required option")
+            values[opt.name] = opt.default
+            continue
+        try:
+            values[opt.name] = opt.convert(raw)
+        except (InvalidInputError, ValueError, TypeError, KeyError) as exc:
+            reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise UsageError(f"{_flag(opt.name)}: {reason}") from exc
+    return values
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -144,23 +179,19 @@ def _write_csv(path: Path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
 
 
-def _cmd_psd_check(cfg: _Config) -> int:
-    kernel = _parse(serialize.kernel_from_spec, cfg.get("kernel", required=True))
-    grid = _parse(serialize.parse_grid, cfg.get("grid", required=True))
-    reports = [(list(map(float, grid)), psd_check(kernel, grid))]
-    n_random = int(cfg.get("random_grids", 0) or 0)
-    if n_random:
-        rng = np.random.default_rng(int(cfg.get("seed", 0) or 0))
-        lo, hi = float(grid[0]), float(grid[-1])
-        for _ in range(n_random):
+def _cmd_psd_check(kernel, grid, random_grids, seed, out) -> int:
+    reports = [(grid.tolist(), psd_check(kernel, grid))]
+    if random_grids:
+        rng = np.random.default_rng(seed)
+        for _ in range(random_grids):
             size = int(rng.integers(2, 9))
-            pts = np.sort(rng.uniform(lo, hi, size=size))
+            pts = np.sort(rng.uniform(grid[0], grid[-1], size=size))
             while np.any(np.diff(pts) <= 0):
-                pts = np.sort(rng.uniform(lo, hi, size=size))
-            reports.append((list(map(float, pts)), psd_check(kernel, pts)))
+                pts = np.sort(rng.uniform(grid[0], grid[-1], size=size))
+            reports.append((pts.tolist(), psd_check(kernel, pts)))
     payload = {
         "kernel": kernel.name,
         "grids": [
@@ -169,84 +200,64 @@ def _cmd_psd_check(cfg: _Config) -> int:
         ],
         "all_passed": all(r.passed for _, r in reports),
     }
-    out = _out_dir(cfg) / "psd_report.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"psd-check: {'pass' if payload['all_passed'] else 'FAIL'} -> {out}")
+    path = out / "psd_report.json"
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"psd-check: {'pass' if payload['all_passed'] else 'FAIL'} -> {path}")
     return EXIT_OK if payload["all_passed"] else EXIT_NUMERICAL
 
 
-def _cmd_transform(cfg: _Config) -> int:
-    kernel = _parse(serialize.kernel_from_spec, cfg.get("kernel", required=True))
-    alpha = _parse(serialize.rate_from_spec, cfg.get("alpha", required=True))
-    grid = _parse(serialize.parse_grid, cfg.get("grid", required=True))
+def _cmd_transform(kernel, alpha, grid, out) -> int:
     mimic = transform.mimic_kernel(kernel, alpha)
+    times = grid.tolist()
     rows = []
-    for i, s in enumerate(grid):
-        for t in grid[i:]:
-            rows.append(
-                (float(s), float(t), float(kernel.eval(s, t)), float(mimic.eval(s, t)))
-            )
-    out = _out_dir(cfg) / "transform_table.csv"
-    _write_csv(out, ["s", "t", "k", "k_mimic"], rows)
-    law = transform.joint_law(mimic, grid)
-    report = markov_check(law)
-    print(f"transform: mimic residual {report.max_residual:.3e} -> {out}")
+    for i, s in enumerate(times):
+        for t in times[i:]:
+            rows.append((s, t, float(kernel.eval(s, t)), float(mimic.eval(s, t))))
+    path = out / "transform_table.csv"
+    _write_csv(path, ["s", "t", "k", "k_mimic"], rows)
+    report = markov_check(transform.joint_law(mimic, grid))
+    print(f"transform: mimic residual {report.max_residual:.3e} -> {path}")
     return EXIT_OK
 
 
-def _cmd_converge(cfg: _Config) -> int:
-    kernel = _parse(serialize.kernel_from_spec, cfg.get("kernel", required=True))
-    alpha = _parse(serialize.rate_from_spec, cfg.get("alpha", required=True))
-    grid = _parse(serialize.parse_grid, cfg.get("grid", required=True))
-    target = kernels.rate_kernel(alpha, domain=kernel.domain)
-    meshes = cfg.get("mesh_sequence")
-    steps = cfg.get("steps")
-    if (meshes is None) == (steps is None):
+def _cmd_converge(kernel, alpha, grid, mesh_sequence, steps, n_max, out) -> int:
+    if (mesh_sequence is None) == (steps is None):
         raise UsageError("give exactly one of --mesh-sequence (local) or --steps (global)")
-    if meshes is not None:
-        s, t = float(grid[0]), float(grid[-1])
-        partitions = []
-        for mesh in serialize.parse_float_list(str(meshes)):
-            n_intervals = max(1, round((t - s) / mesh))
-            partitions.append(transform.Partition.uniform(s, t, n_intervals))
+    target = kernels.rate_kernel(alpha, domain=kernel.domain)
+    if mesh_sequence is not None:
+        s, t = grid[[0, -1]].tolist()
+        partitions = [
+            transform.Partition.uniform(s, t, max(1, round((t - s) / mesh)))
+            for mesh in mesh_sequence
+        ]
         rows = transform.local_convergence_experiment(kernel, target, s, t, partitions)
     else:
-        step_list = serialize.parse_float_list(str(steps))
-        adm = transform.AdmissibleSequence.from_steps(step_list)
-        n_max = int(cfg.get("n_max", len(step_list)))
-        rows = transform.global_convergence_experiment(kernel, target, adm, grid, n_max)
-    out = _out_dir(cfg) / "convergence.csv"
+        adm = transform.AdmissibleSequence.from_steps(steps)
+        n_sets = len(steps) if n_max is None else n_max
+        rows = transform.global_convergence_experiment(kernel, target, adm, grid, n_sets)
+    path = out / "convergence.csv"
     _write_csv(
-        out,
+        path,
         ["n_or_mesh", "distance", "correlation", "target_correlation"],
         [(r.index, r.distance, r.correlation, r.target_correlation) for r in rows],
     )
-    print(f"converge: final distance {rows[-1].distance:.6g} -> {out}")
+    print(f"converge: final distance {rows[-1].distance:.6g} -> {path}")
     return EXIT_OK
 
 
-def _cmd_counterexample(cfg: _Config) -> int:
-    config = WeierstrassConfig(
-        k_cut=int(cfg.get("k_cut", 60)),
-        i_max=int(cfg.get("i_max", 4)),
-    )
-    budget = int(cfg.get("budget", spectral.DEFAULT_INDEX_BUDGET))
-    targets = serialize.parse_float_list(str(cfg.get("targets", "0.25,1,4")))
-    out_dir = _out_dir(cfg)
+def _cmd_counterexample(targets, i_max, k_cut, budget, out) -> int:
+    config = WeierstrassConfig(k_cut=k_cut, i_max=i_max)
     budget_hit = False
     try:
         witness = spectral.weierstrass_indices(config, budget=budget)
-        measure = spectral.measure_from_windows(config, witness.windows)
-        indices = list(witness.indices)
-        windows = list(witness.windows)
+        indices, windows = list(witness.indices), list(witness.windows)
     except BudgetExceededError as err:
         budget_hit = True
-        indices = err.indices
-        windows = err.windows
-        measure = spectral.measure_from_windows(config, windows)
+        indices, windows = err.indices, err.windows
         print(f"counterexample: {err}", file=sys.stderr)
+    measure = spectral.measure_from_windows(config, windows)
 
-    (out_dir / "indices.json").write_text(
+    (out / "indices.json").write_text(
         json.dumps(
             {
                 "indices": indices,
@@ -260,11 +271,11 @@ def _cmd_counterexample(cfg: _Config) -> int:
         )
         + "\n"
     )
-    (out_dir / "measure.json").write_text(json.dumps(measure.to_list(), indent=2) + "\n")
+    (out / "measure.json").write_text(json.dumps(measure.to_list(), indent=2) + "\n")
 
     results = spectral.cluster_witnesses(measure, targets)
     _write_csv(
-        out_dir / "witnesses.csv",
+        out / "witnesses.csv",
         ["target", "t", "rate", "error", "found"],
         [
             (r.target, r.t, r.rate, r.error, str(r.found))
@@ -274,32 +285,21 @@ def _cmd_counterexample(cfg: _Config) -> int:
     n_found = sum(1 for r in results.values() if r.found)
     print(
         f"counterexample: {n_found}/{len(results)} witnesses found, "
-        f"indices {'partial' if budget_hit else 'complete'} -> {out_dir}"
+        f"indices {'partial' if budget_hit else 'complete'} -> {out}"
     )
     return EXIT_BUDGET if budget_hit else EXIT_OK
 
 
-def _cmd_simulate(cfg: _Config) -> int:
-    kernel = _parse(serialize.kernel_from_spec, cfg.get("kernel", required=True))
-    alpha = _parse(serialize.rate_from_spec, cfg.get("alpha", required=True))
-    grid = _parse(serialize.parse_grid, cfg.get("grid", required=True))
-    n_paths = int(cfg.get("paths", 10_000))
-    seed = int(cfg.get("seed", 0))
-    step = float(cfg.get("step", 1e-3))
-    route = cfg.get("route", "exact")
+def _cmd_simulate(kernel, alpha, grid, paths, seed, step, route, dump_paths, out) -> int:
     report = simulate.figure_comparison(
-        kernel, alpha, grid, n_paths=n_paths, seed=seed, step=step,
-        gaussian_route=route,
+        kernel, alpha, grid, n_paths=paths, seed=seed, step=step, gaussian_route=route,
     )
-    out_dir = _out_dir(cfg)
-    report.rows_to_csv(out_dir / "comparison.csv")
-    (out_dir / "summary.json").write_text(report.summary_json() + "\n")
-    if cfg.get("dump_paths"):
-        report.sde_batch.to_csv(out_dir / "trajectories_sde.csv")
-        report.gauss_batch.to_csv(out_dir / "trajectories_gauss.csv")
-    print(
-        f"simulate: max route discrepancy {report.max_cov_discrepancy:.6g} -> {out_dir}"
-    )
+    report.rows_to_csv(out / "comparison.csv")
+    (out / "summary.json").write_text(report.summary_json() + "\n")
+    if dump_paths:
+        report.sde_batch.to_csv(out / "trajectories_sde.csv")
+        report.gauss_batch.to_csv(out / "trajectories_gauss.csv")
+    print(f"simulate: max route discrepancy {report.max_cov_discrepancy:.6g} -> {out}")
     return EXIT_OK
 
 
@@ -313,11 +313,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _Config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](**_resolve(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

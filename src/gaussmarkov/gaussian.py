@@ -24,6 +24,7 @@ from .errors import (
     InvalidInputError,
     SingularMarginalError,
 )
+from .kernels import TOL_PSD
 
 #: Condition-number guard for marginal covariance inversion.
 COND_LIMIT = 1e12
@@ -40,7 +41,7 @@ class GaussianVector:
     """Finite-dimensional Gaussian law on an ordered time grid.
 
     ``times`` must be strictly increasing; ``cov`` symmetric with minimum
-    eigenvalue at least ``-1e-10 * max(diagonal)``.  The covariance is
+    eigenvalue at least ``-TOL_PSD * max(diagonal)``.  The covariance is
     stored symmetrized.
     """
 
@@ -67,7 +68,7 @@ class GaussianVector:
         cov = 0.5 * (cov + cov.T)
         scale = float(np.max(np.diag(cov))) if n else 0.0
         min_eig = float(np.linalg.eigvalsh(cov)[0])
-        if min_eig < -1e-10 * max(scale, 1e-300):
+        if min_eig < -TOL_PSD * max(scale, 1e-300):
             raise InvalidInputError(
                 f"covariance not PSD: min eigenvalue {min_eig}, scale {scale}"
             )
@@ -325,7 +326,6 @@ def _block_slices(dim: int, block_dims: Sequence[int] | None) -> list[slice]:
 def markov_check(
     joint: GaussianVector,
     block_dims: Sequence[int] | None = None,
-    tol: float = MARKOV_RESIDUAL_TOL,
 ) -> MarkovReport:
     """Test the Markov factorization of a joint Gaussian law.
 
@@ -333,7 +333,7 @@ def markov_check(
     the earlier ones given the block before it (block-tridiagonal
     precision; Rue & Held, 2005), so for blocks ``i < k - 1`` the residual
     is ``max |S_ik - S_{i,k-1} S_{k-1,k-1}^{-1} S_{k-1,k}|``.  The law is
-    Markov when the largest residual stays below ``tol * max(diagonal)``.
+    Markov when the largest residual stays below ``MARKOV_RESIDUAL_TOL * max(diagonal)``.
     """
     slices = _block_slices(joint.dim, block_dims)
     cov = joint.cov
@@ -358,7 +358,9 @@ def markov_check(
         block = int(np.searchsorted([s.start for s in slices], row, side="right")) - 1
         pair = (block, int(col) + 2)
     return MarkovReport(
-        max_residual=worst, is_markov=worst < tol * max(scale, 1e-300), worst_pair=pair
+        max_residual=worst,
+        is_markov=worst < MARKOV_RESIDUAL_TOL * max(scale, 1e-300),
+        worst_pair=pair,
     )
 
 

@@ -36,10 +36,10 @@ TOL_PSD = 1e-10
 DEFAULT_H_MIN = 1e-8
 
 #: Relative agreement needed between trailing rate values to call it converged.
-DEFAULT_REL_TOL = 1e-3
+RATE_REL_TOL = 1e-3
 
 #: Rate value past which an increasing sequence is declared divergent.
-DEFAULT_DIVERGENCE_THRESHOLD = 1e6
+RATE_DIVERGENCE_THRESHOLD = 1e6
 
 #: Absolute tolerance of the package quadrature, for rates and noise integrals.
 INTEGRAL_ABS_TOL = 1e-10
@@ -184,10 +184,17 @@ def _sorted_unique(values) -> np.ndarray:
     return x[keep]
 
 
+def _require_no_nan(points: np.ndarray) -> None:
+    """Rejects a NaN among points sorted by :func:`_sorted_unique`, which puts NaNs last."""
+    if points.size and math.isnan(points[-1]):
+        raise InvalidInputError(f"time {points[-1]} is not a number")
+
+
 def _at_points(f: Callable[[float], float], *args) -> list[np.ndarray]:
     """``f`` at every entry of each argument, called once per distinct point in ascending order."""
     arrays = [np.asarray(a, dtype=float) for a in args]
     points = _sorted_unique(np.concatenate([a.ravel() for a in arrays]))
+    _require_no_nan(points)
     values = np.array([f(p) for p in points], dtype=float)
     return [values[np.searchsorted(points, a)] for a in arrays]
 
@@ -208,17 +215,17 @@ def gram(kernel: Kernel, grid) -> np.ndarray:
     return np.asarray(kernel.cov(pts[:, None], pts[None, :]), dtype=float)
 
 
-def psd_check(kernel: Kernel, grid, tol: float = TOL_PSD) -> PsdReport:
+def psd_check(kernel: Kernel, grid) -> PsdReport:
     """Check positive semi-definiteness of the Gram matrix on a grid.
 
     Passes when the smallest eigenvalue is no smaller than
-    ``-tol * max(diagonal)``.
+    ``-TOL_PSD * max(diagonal)``.
     """
     mat = gram(kernel, grid)
     eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
     min_eig = float(eigs[0])
     scale = float(np.max(np.diag(mat)))
-    return PsdReport(min_eigenvalue=min_eig, passed=min_eig >= -tol * max(scale, 0.0))
+    return PsdReport(min_eigenvalue=min_eig, passed=min_eig >= -TOL_PSD * max(scale, 0.0))
 
 
 def correlation(kernel: Kernel, s: float, t: float) -> float:
@@ -244,16 +251,14 @@ def estimate_alpha(
     kernel: Kernel,
     t: float,
     h_sequence: Sequence[float],
-    rel_tol: float = DEFAULT_REL_TOL,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     h_min: float = DEFAULT_H_MIN,
 ) -> AlphaEstimate:
     """Estimate the instantaneous decorrelation rate at time ``t``.
 
     Evaluates :func:`decay_rate` along a strictly decreasing h-sequence.
     Converged when the last three values agree within
-    ``rel_tol * (1 + |last|)``.  Returns the infinite marker when the
-    values are increasing and the last one exceeds ``divergence_threshold``.
+    ``RATE_REL_TOL * (1 + |last|)``.  Returns the infinite marker when the
+    values are increasing and the last one exceeds ``RATE_DIVERGENCE_THRESHOLD``.
     """
     hs = np.asarray(list(h_sequence), dtype=float)
     if hs.size < 3:
@@ -264,12 +269,12 @@ def estimate_alpha(
         raise InvalidInputError(f"h_sequence goes below the floor h_min={h_min}")
     vals = [decay_rate(kernel, t, float(h)) for h in hs]
     tail = vals[-3:]
-    diverging = tail[0] < tail[1] < tail[2] and tail[2] > divergence_threshold
+    diverging = tail[0] < tail[1] < tail[2] and tail[2] > RATE_DIVERGENCE_THRESHOLD
     if diverging:
         return AlphaEstimate(
             value=math.inf, is_infinite=True, converged=True, samples=tuple(vals)
         )
-    slack = rel_tol * (1.0 + abs(tail[2]))
+    slack = RATE_REL_TOL * (1.0 + abs(tail[2]))
     converged = max(tail) - min(tail) <= slack
     return AlphaEstimate(
         value=vals[-1], is_infinite=False, converged=converged, samples=tuple(vals)
@@ -544,6 +549,7 @@ def _antiderivative(rate: RateFunction, domain: tuple[float, float]) -> Callable
     def values(times) -> np.ndarray:
         times = np.asarray(times, dtype=float)
         new = _sorted_unique([p for p in times.ravel().tolist() if p not in memo])
+        _require_no_nan(new)
         for sign in (1.0, -1.0):
             t = new[new >= c] if sign > 0.0 else new[new < c]
             if not t.size:

@@ -37,7 +37,7 @@ from .kernels import Kernel, RateFunction, _as_strictly_increasing, rate_kernel
 #: Jitter ladder (relative to max diagonal) tried before giving up on Cholesky.
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
-#: Finite-difference step for mean/std derivatives when not supplied.
+#: Finite-difference step of the mean/std derivatives.
 FD_STEP = 1e-6
 
 
@@ -52,8 +52,6 @@ class TrajectoryBatch:
 
     times: np.ndarray
     paths: np.ndarray  # (n_paths, n_times)
-    seed: int
-    provenance: str  # "sampler" | "sde"
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float).ravel()
@@ -64,8 +62,6 @@ class TrajectoryBatch:
             )
         if not np.all(np.isfinite(paths)):
             raise InvalidInputError("paths contain non-finite entries")
-        if self.provenance not in ("sampler", "sde"):
-            raise InvalidInputError(f"unknown provenance {self.provenance!r}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "paths", paths)
 
@@ -130,12 +126,7 @@ def cholesky_sample(law: GaussianVector, n_paths: int, seed: int) -> TrajectoryB
     gen = _stream(seed, "cholesky-sampler")
     paths = gen.standard_normal((n_paths, law.dim)) @ factor.T
     paths += law.mean
-    return TrajectoryBatch(
-        times=law.times,
-        paths=paths,
-        seed=seed,
-        provenance="sampler",
-    )
+    return TrajectoryBatch(times=law.times, paths=paths)
 
 
 def euler_maruyama(
@@ -193,7 +184,7 @@ def euler_maruyama(
             x += noise
         row += n_sub
         recorded[:, gi] = x
-    return TrajectoryBatch(times=grid, paths=recorded, seed=seed, provenance="sde")
+    return TrajectoryBatch(times=grid, paths=recorded)
 
 
 def ou_exact(alpha: RateFunction, t_grid, n_paths: int, seed: int) -> TrajectoryBatch:
@@ -207,12 +198,7 @@ def ou_exact(alpha: RateFunction, t_grid, n_paths: int, seed: int) -> Trajectory
     grid = _as_strictly_increasing(t_grid)
     gen = _stream(seed, "ou-exact")
     if alpha.is_infinite:
-        return TrajectoryBatch(
-            times=grid,
-            paths=gen.standard_normal((n_paths, grid.size)),
-            seed=seed,
-            provenance="sampler",
-        )
+        return TrajectoryBatch(times=grid, paths=gen.standard_normal((n_paths, grid.size)))
     base = rate_kernel(alpha, domain=(grid[0], grid[-1]))
     x = gen.standard_normal(n_paths)
     out = np.empty((n_paths, grid.size))
@@ -222,7 +208,7 @@ def ou_exact(alpha: RateFunction, t_grid, n_paths: int, seed: int) -> Trajectory
         noise_scale = math.sqrt(max(0.0, 1.0 - rho * rho))
         x = rho * x + noise_scale * gen.standard_normal(n_paths)
         out[:, gi] = x
-    return TrajectoryBatch(times=grid, paths=out, seed=seed, provenance="sampler")
+    return TrajectoryBatch(times=grid, paths=out)
 
 
 @dataclass(frozen=True)
@@ -261,8 +247,8 @@ def empirical_covariance(batch: TrajectoryBatch) -> EmpiricalMoments:
     return EmpiricalMoments(law=law, mean_se=mean_se, cov_se=cov_se, n_paths=n)
 
 
-def _derivative(f: Callable[[float], float], t: float, h: float = FD_STEP) -> float:
-    return (f(t + h) - f(t - h)) / (2.0 * h)
+def _derivative(f: Callable[[float], float], t: float) -> float:
+    return (f(t + FD_STEP) - f(t - FD_STEP)) / (2.0 * FD_STEP)
 
 
 def mimicking_sde(
@@ -270,25 +256,19 @@ def mimicking_sde(
     alpha: RateFunction,
     t0: float,
     step: float,
-    mean_derivative: Callable[[float], float] | None = None,
-    std_derivative: Callable[[float], float] | None = None,
 ) -> SdeSpec:
     """SDE whose solution has the mimicking law of the kernel's process.
 
     Built from the mean function m, standard deviation sigma and rate
-    alpha; derivatives fall back to central finite differences.  The
+    alpha; their derivatives are central finite differences.  The
     initial law is ``N(m(t0), sigma(t0)^2)``.
     """
     if alpha.is_infinite:
         raise InvalidInputError("the SDE form requires a finite rate")
     m = kernel.mean
     sigma = kernel.std
-    dm = mean_derivative or (lambda t: _derivative(m, t))
-    dsigma = std_derivative or (lambda t: _derivative(sigma, t))
-
     def slope(t: float) -> float:
-        s = sigma(t)
-        return dsigma(t) / s - alpha(t)
+        return _derivative(sigma, t) / sigma(t) - alpha(t)
 
     def diffusion(t: float) -> float:
         a = alpha(t)
@@ -297,7 +277,7 @@ def mimicking_sde(
         return sigma(t) * math.sqrt(2.0 * a)
 
     return SdeSpec(
-        offset=dm,
+        offset=lambda t: _derivative(m, t),
         slope=slope,
         center=m,
         diffusion=diffusion,
@@ -305,16 +285,6 @@ def mimicking_sde(
         initial_var=kernel.variance(t0),
         step=step,
     )
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    t_i: float
-    t_j: float
-    cov_sde: float
-    cov_gauss: float
-    cov_analytic: float
-    se_combined: float
 
 
 @dataclass(frozen=True)
@@ -330,24 +300,25 @@ class ComparisonReport:
     sde_moments: EmpiricalMoments
     gauss_moments: EmpiricalMoments
     analytic: GaussianVector
-    rows: tuple[ComparisonRow, ...]
     sde_batch: TrajectoryBatch
     gauss_batch: TrajectoryBatch
 
     def rows_to_csv(self, path) -> None:
+        """One row per entry of the upper triangle: both routes, the analytic value and the SE."""
+        sde, gauss = self.sde_moments, self.gauss_moments
+        se_combined = np.sqrt(sde.cov_se**2 + gauss.cov_se**2)
+        times = self.analytic.times.tolist()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["t_i", "t_j", "cov_sde", "cov_gauss", "cov_analytic", "se_combined"]
             )
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        f"{v:.17g}"
-                        for v in (r.t_i, r.t_j, r.cov_sde, r.cov_gauss,
-                                  r.cov_analytic, r.se_combined)
-                    ]
-                )
+            for i, j in zip(*np.triu_indices(len(times))):
+                writer.writerow([
+                    f"{v:.17g}"
+                    for v in (times[i], times[j], sde.law.cov[i, j], gauss.law.cov[i, j],
+                              self.analytic.cov[i, j], se_combined[i, j])
+                ])
 
     def summary_dict(self) -> dict:
         return {
@@ -371,8 +342,6 @@ def figure_comparison(
     seed: int,
     step: float = 1e-3,
     gaussian_route: str = "exact",
-    mean_derivative: Callable[[float], float] | None = None,
-    std_derivative: Callable[[float], float] | None = None,
 ) -> ComparisonReport:
     """Simulate the mimicking process along both routes and compare covariances.
 
@@ -388,10 +357,7 @@ def figure_comparison(
     mimic = transform.mimic_kernel(kernel, alpha)
     analytic = transform.joint_law(mimic, grid)
 
-    spec = mimicking_sde(
-        kernel, alpha, t0=float(grid[0]), step=step,
-        mean_derivative=mean_derivative, std_derivative=std_derivative,
-    )
+    spec = mimicking_sde(kernel, alpha, t0=float(grid[0]), step=step)
     sde_batch = euler_maruyama(spec, grid, n_paths, seed)
 
     if gaussian_route == "exact":
@@ -399,7 +365,7 @@ def figure_comparison(
         paths = ou_exact(alpha, grid, n_paths, seed + 1).paths
         paths *= np.array([kernel.std(float(t)) for t in grid])
         paths += np.array([kernel.mean(float(t)) for t in grid])
-        gauss_batch = TrajectoryBatch(times=grid, paths=paths, seed=seed + 1, provenance="sampler")
+        gauss_batch = TrajectoryBatch(times=grid, paths=paths)
     elif gaussian_route == "cholesky":
         gauss_batch = cholesky_sample(analytic, n_paths, seed + 1)
     else:
@@ -407,22 +373,6 @@ def figure_comparison(
 
     sde_m = empirical_covariance(sde_batch)
     gauss_m = empirical_covariance(gauss_batch)
-    se_combined = np.sqrt(sde_m.cov_se**2 + gauss_m.cov_se**2)
-
-    rows = []
-    n = grid.size
-    for i in range(n):
-        for j in range(i, n):
-            rows.append(
-                ComparisonRow(
-                    t_i=float(grid[i]),
-                    t_j=float(grid[j]),
-                    cov_sde=float(sde_m.law.cov[i, j]),
-                    cov_gauss=float(gauss_m.law.cov[i, j]),
-                    cov_analytic=float(analytic.cov[i, j]),
-                    se_combined=float(se_combined[i, j]),
-                )
-            )
     return ComparisonReport(
         max_cov_discrepancy=float(np.max(np.abs(sde_m.law.cov - gauss_m.law.cov))),
         max_sde_vs_analytic=float(np.max(np.abs(sde_m.law.cov - analytic.cov))),
@@ -430,7 +380,6 @@ def figure_comparison(
         sde_moments=sde_m,
         gauss_moments=gauss_m,
         analytic=analytic,
-        rows=tuple(rows),
         sde_batch=sde_batch,
         gauss_batch=gauss_batch,
     )

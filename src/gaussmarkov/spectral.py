@@ -48,6 +48,9 @@ _SCAN_CHUNK = 8192
 _BOUND_TERMS = 4
 _BOUND_MARGIN = 1e-9
 
+#: Bisection steps :func:`cluster_witnesses` takes per target before it reports a stall.
+WITNESS_BISECTION_STEPS = 60
+
 
 @dataclass(frozen=True)
 class SpectralMeasure:
@@ -340,6 +343,8 @@ def weierstrass_indices(
     partial results when a search passes ``budget`` or is provably
     unreachable within it.
     """
+    if budget < 1:
+        raise InvalidInputError(f"index budget must be at least 1, got {budget}")
     indices: list[int] = [2]
     closed_windows: list[tuple[int, int]] = []
 
@@ -457,7 +462,6 @@ def cluster_witnesses(
     targets: Sequence[float],
     search_grid=None,
     tol_factor: float = 1e-3,
-    max_iter: int = 60,
 ) -> dict[float, WitnessResult]:
     """Find lags realizing prescribed decay-rate values.
 
@@ -494,7 +498,7 @@ def cluster_witnesses(
         i = crossings[0]
         lo, hi, r_lo, r_hi = grid[i], grid[i + 1], rates[i], rates[i + 1]
         t_mid, r_mid = lo, r_lo
-        for _ in range(max_iter):
+        for _ in range(WITNESS_BISECTION_STEPS):
             t_mid = 0.5 * (lo + hi)
             r_mid = fourier_decay_rate(mu, t_mid)
             if abs(r_mid - target) <= tol:
@@ -509,6 +513,6 @@ def cluster_witnesses(
         else:
             out[target] = WitnessResult(
                 target, False, float(t_mid), float(r_mid), abs(r_mid - target),
-                message=f"bisection stalled after {max_iter} iterations",
+                message=f"bisection stalled after {WITNESS_BISECTION_STEPS} iterations",
             )
     return out

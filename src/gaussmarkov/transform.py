@@ -27,6 +27,9 @@ from .kernels import (
     rate_kernel,
 )
 
+#: Point pairs per power-of-two stride that :func:`tightness_bound_check` probes.
+TIGHTNESS_PAIRS_PER_STRIDE = 32
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -151,7 +154,7 @@ def _chain(kernel: Kernel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(var <= 0.0):
         raise SingularMarginalError(f"kernel singular at t={points[np.argmax(var <= 0.0)]}")
     a, b = var[:-1], var[1:]
-    bad = 0.5 * (a + b) - np.hypot(0.5 * (a - b), steps) < -1e-10 * np.maximum(a, b)
+    bad = 0.5 * (a + b) - np.hypot(0.5 * (a - b), steps) < -kernels.TOL_PSD * np.maximum(a, b)
     if np.any(bad):
         raise InvalidInputError(f"two-time covariance not PSD at t={points[np.argmax(bad)]}")
     return steps, var
@@ -232,6 +235,7 @@ def made_markov_law_by_blocks(kernel: Kernel, split_times, query_times) -> Gauss
     """
     splits = _sorted_unique(split_times)
     queries = _as_strictly_increasing(query_times)
+    kernel.require_in_domain(splits)
     # Splits outside the query range do not change the projected law.
     relevant = splits[(splits > queries[0]) & (splits < queries[-1])]
     if relevant.size == 0:
@@ -371,6 +375,8 @@ def global_convergence_experiment(
     queries = np.asarray(query_times, dtype=float).ravel()
     if queries.size < 2:
         raise InvalidInputError("need at least two query times")
+    if n_max < 1:
+        raise InvalidInputError(f"n_max must be at least 1, got {n_max}")
     target_law = joint_law(target, queries)
     s, t = float(queries[0]), float(queries[-1])
     tgt_corr = target.eval(s, t) / math.sqrt(target.variance(s) * target.variance(t))
@@ -402,7 +408,6 @@ def tightness_bound_check(
     a: float,
     b: float,
     partitions: Sequence[Partition],
-    pairs_per_stride: int = 32,
 ) -> TightnessReport:
     """Empirical Lipschitz bound ``(1 - corr_n(s, t)) <= M |s - t|``.
 
@@ -427,7 +432,7 @@ def tightness_bound_check(
         i, j = np.array([
             (start, start + d)
             for d in (2**k for k in range((n - 1).bit_length()))
-            for start in range(0, n - d, max(1, (n - d) // pairs_per_stride))
+            for start in range(0, n - d, max(1, (n - d) // TIGHTNESS_PAIRS_PER_STRIDE))
         ]).T
         ratios = (1.0 - np.exp(log_prefix[j] - log_prefix[i])) / (pts[j] - pts[i])
         maxima.append(max(0.0, float(np.max(ratios))))

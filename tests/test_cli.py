@@ -430,3 +430,41 @@ class TestConfigPrecedence:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["psd-check", "--config", str(tmp_path / "none.json")]) == 2
+
+    # A value its option cannot convert is a usage error, from the command
+    # line or from the config file alike.
+    EXP = '{"type": "exponential", "rate": 1.0}'
+
+    @pytest.mark.parametrize("command,key,value", [
+        (["psd-check", "--kernel", EXP], "grid", "0:1:x"),
+        (["counterexample"], "i_max", "x"),
+        (["counterexample"], "targets", "a,b"),
+        (["converge", "--kernel", EXP, "--alpha", "1.0", "--grid", "0:1:3"], "steps", "a"),
+        (["psd-check", "--grid", "0:1:3"], "kernel", {"type": "fbm"}),
+        (["simulate", "--kernel", EXP, "--alpha", "1.0", "--grid", "0:1:3"], "route", "bogus"),
+    ], ids=["grid", "i_max", "targets", "steps", "kernel", "route"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unparsable_value_is_usage_error(self, tmp_path, capsys, command, key, value, source):
+        flag = "--" + key.replace("_", "-")
+        if source == "flag":
+            extra = [flag, value if isinstance(value, str) else json.dumps(value)]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({key: value}))
+            extra = ["--config", str(config)]
+        assert main([*command, *extra, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: {flag}: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_unused_config_keys_are_ignored(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"i_max": 1, "paths": "not read here", "seed": 3}))
+        assert main(["counterexample", "--config", str(config), "--out", str(tmp_path)]) == 0
+
+    def test_seed_is_not_a_transform_option(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "transform", "--kernel", self.EXP, "--alpha", "1.0", "--grid", "0:1:3",
+                "--seed", "1", "--out", str(tmp_path),
+            ])
+        assert exc.value.code == 2

@@ -264,6 +264,25 @@ class TestTransformKernel:
             )
 
 
+# A NaN time has no place in the sorted distinct points the array covariances
+# evaluate at; each must say so instead of failing on a lookup or returning NaN.
+NAN_COVARIANCES = {
+    "rate_kernel": lambda: kernels.rate_kernel(RateFunction.from_callable(lambda t: 1.0 + t)),
+    "mimic_kernel": lambda: mimic_kernel(kernels.fbm(0.75), RateFunction.constant(0.5)),
+    "transform_kernel": lambda: transform_kernel(
+        kernels.exponential_rate(1.0), lambda t: 2.0, lambda t: t
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_COVARIANCES))
+@pytest.mark.parametrize("times", [[0.5, math.nan, math.nan], [math.nan]])
+def test_nan_time_is_rejected_by_name(name, times):
+    kern = NAN_COVARIANCES[name]()
+    with pytest.raises(InvalidInputError, match="time nan is not a number"):
+        kern.cov(np.array(times), np.full(len(times), 0.75))
+
+
 class TestNoiseIntegral:
     def test_closed_form(self):
         kern = kernels.noise_integral(

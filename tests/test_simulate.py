@@ -266,9 +266,7 @@ class TestOuExact:
 
 class TestEmpiricalCovariance:
     def test_constant_batch_zero_covariance(self):
-        batch = TrajectoryBatch(
-            times=[0.0, 1.0], paths=np.ones((50, 2)), seed=0, provenance="sampler"
-        )
+        batch = TrajectoryBatch(times=[0.0, 1.0], paths=np.ones((50, 2)))
         est = empirical_covariance(batch)
         assert np.all(est.law.cov == 0.0)
 
@@ -277,14 +275,12 @@ class TestEmpiricalCovariance:
         batch = TrajectoryBatch(
             times=[0.0, 1.0, 2.0],
             paths=rng.standard_normal((10**5, 3)),
-            seed=0,
-            provenance="sampler",
         )
         est = empirical_covariance(batch)
         assert np.all(np.abs(est.law.cov - np.eye(3)) < 3 * est.cov_se)
 
     def test_needs_two_paths(self):
-        batch = TrajectoryBatch(times=[0.0], paths=np.ones((1, 1)), seed=0, provenance="sde")
+        batch = TrajectoryBatch(times=[0.0], paths=np.ones((1, 1)))
         with pytest.raises(InvalidInputError):
             empirical_covariance(batch)
 
@@ -330,7 +326,6 @@ class TestFigureComparison:
             n_paths=2 * 10**4,
             seed=20,
             step=2e-3,
-            std_derivative=lambda t: hurst * t ** (hurst - 1.0),
         )
         grid = report.analytic.times
         target = np.array([[(s * t) ** hurst for t in grid] for s in grid])

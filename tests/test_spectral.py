@@ -236,6 +236,11 @@ class TestWitnessIndices:
         assert got == reference_search(config, budget)
         assert got[3] == stage
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_rejected(self, budget):
+        with pytest.raises(InvalidInputError, match="index budget must be at least 1"):
+            weierstrass_indices(WeierstrassConfig(i_max=1), budget=budget)
+
     def test_pruned_gap_scan_returns_unpruned_hit(self):
         # the i = 2 gap scan of the default construction: the lower bound
         # leaves only a few thousand of its ~2.5e5 integers to the full sum

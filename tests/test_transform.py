@@ -194,6 +194,13 @@ class TestMadeMarkovLaw:
         with pytest.raises(InvalidInputError, match="time nan outside domain"):
             made_markov_law(kernels.fbm(0.75), [0.3, math.nan, math.nan], [0.1, 0.5, 0.9])
 
+    @pytest.mark.parametrize("splits", [[0.3, math.nan, math.nan], [math.nan], [0.95, math.nan]])
+    def test_blocks_reject_a_nan_split_as_made_markov_law_does(self, splits):
+        kern = kernels.fbm(0.75)
+        for build in (made_markov_law, made_markov_law_by_blocks):
+            with pytest.raises(InvalidInputError, match="time nan outside domain"):
+                build(kern, splits, [0.1, 0.5, 0.9])
+
 
 class TestMimicKernel:
     def test_rate_kernel_fixed_point(self):
@@ -336,6 +343,14 @@ class TestGlobalConvergence:
         adm = AdmissibleSequence.geometric()
         rows = global_convergence_experiment(kern, kern, adm, [0.0, 0.7, 1.5], 5)
         assert all(r.distance < 1e-10 for r in rows)
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_fewer_than_one_set_is_rejected(self, n_max):
+        kern = kernels.exponential_rate(1.0)
+        with pytest.raises(InvalidInputError, match="n_max must be at least 1"):
+            global_convergence_experiment(
+                kern, kern, AdmissibleSequence.geometric(), [0.0, 1.0], n_max
+            )
 
     def test_stationary_limit_rate(self):
         kern = kernels.fbm_log(0.75)  # decay rate -> 0
