@@ -71,6 +71,20 @@ def _route(value):
     return value
 
 
+def _count(value) -> int:
+    count = int(value)
+    if count < 0:
+        raise ValueError(f"expected a nonnegative count, got {count}")
+    return count
+
+
+def _switch(value) -> bool:
+    """A flag given on the command line, or a JSON boolean in the config file."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _float_list(value) -> list[float]:
     return serialize.parse_float_list(str(value))
 
@@ -90,7 +104,7 @@ _OUT = _Option("out", _directory, Path("."), "output directory (default: current
 #: Per subcommand: its help and the options it reads, in the order they resolve.
 _OPTIONS = {
     "psd-check": ("validate positive semi-definiteness on grids", (
-        _KERNEL, _GRID, _Option("random_grids", int, 0, "additional random subgrids"),
+        _KERNEL, _GRID, _Option("random_grids", _count, 0, "additional random subgrids"),
         _SEED, _OUT,
     )),
     "transform": ("tabulate a kernel and its mimicking kernel", (_KERNEL, _ALPHA, _GRID, _OUT)),
@@ -115,7 +129,7 @@ _OPTIONS = {
         _SEED,
         _Option("step", float, 1e-3, "Euler-Maruyama step"),
         _Option("route", _route, "exact", "Gaussian route: exact or cholesky"),
-        _Option("dump_paths", bool, False, "also write full trajectory CSVs"),
+        _Option("dump_paths", _switch, False, "also write full trajectory CSVs"),
         _OUT,
     )),
 }
@@ -136,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file with default values for flags")
         for opt in options:
             # A switch is True when given and None (unset) otherwise, like any flag.
-            switch = {"action": "store_const", "const": True} if opt.convert is bool else {}
+            switch = {"action": "store_const", "const": True} if opt.convert is _switch else {}
             p.add_argument(_flag(opt.name), help=opt.help, **switch)
     return parser
 

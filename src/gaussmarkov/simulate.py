@@ -70,12 +70,16 @@ class TrajectoryBatch:
         return self.paths.shape[0]
 
     def to_csv(self, path) -> None:
-        """One row per path; header holds the grid times."""
+        """One row per path; header holds the grid times.
+
+        The bytes are those of ``csv.writer`` over ``f"{x:.17g}"`` cells: a
+        finite float needs no quoting and the excel dialect ends rows with
+        CRLF, so each row is one ``%`` format.
+        """
+        line = ",".join(["%.17g"] * self.times.size) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"{t:.17g}" for t in self.times])
-            for row in self.paths:
-                writer.writerow([f"{x:.17g}" for x in row])
+            fh.write(line % tuple(self.times.tolist()))
+            fh.writelines(line % tuple(row.tolist()) for row in self.paths)
 
 
 @dataclass(frozen=True)
@@ -96,8 +100,8 @@ class SdeSpec:
     step: float
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise InvalidInputError(f"step must be positive, got {self.step}")
+        if not (math.isfinite(self.step) and self.step > 0.0):
+            raise InvalidInputError(f"step must be positive and finite, got {self.step}")
         if self.initial_var < 0.0:
             raise InvalidInputError(f"initial variance must be nonnegative")
 
@@ -138,7 +142,11 @@ def euler_maruyama(
     internal substeps are taken between recorded times.  The coefficients
     are evaluated once per substep before any path is drawn, and a negative
     diffusion aborts with the offending t.  The paths then advance in place,
-    one Philox draw per path and substep.
+    one Philox draw per path and substep up to the last substep with a
+    nonzero noise scale.  The generator is local to the call, so the
+    undrawn tail of its stream is never observed: every drawn normal keeps
+    its place, and leaving out a zero term changes no path value (bar an
+    exact -0.0), so an ``alpha == 0`` run costs what an ODE costs.
     """
     grid = _as_strictly_increasing(t_grid)
     gaps = []
@@ -164,6 +172,10 @@ def euler_maruyama(
             coeffs[row] = (spec.offset(t), spec.slope(t), spec.center(t), d * sqrt_h)
             row += 1
             t += h
+    # A zero scale before the last noisy substep still draws, so that every
+    # later normal keeps its place in the stream.
+    noisy = np.flatnonzero(coeffs[:, 3])
+    n_draws = int(noisy[-1]) + 1 if noisy.size else 0
 
     gen = _stream(seed, "euler-maruyama")
     x = spec.initial_mean + math.sqrt(spec.initial_var) * gen.standard_normal(n_paths)
@@ -178,11 +190,12 @@ def euler_maruyama(
             drift *= slope
             drift += off
             drift *= h
-            gen.standard_normal(out=noise)
-            noise *= scale
             x += drift
-            x += noise
-        row += n_sub
+            if row < n_draws:
+                gen.standard_normal(out=noise)
+                noise *= scale
+                x += noise
+            row += 1
         recorded[:, gi] = x
     return TrajectoryBatch(times=grid, paths=recorded)
 
@@ -354,6 +367,10 @@ def figure_comparison(
     grid = np.asarray(t_grid, dtype=float).ravel()
     if grid.size < 2:
         raise InvalidInputError("need at least two grid times")
+    if n_paths < 2:
+        raise InvalidInputError(f"need at least two paths to estimate moments, got {n_paths}")
+    if gaussian_route not in ("exact", "cholesky"):
+        raise InvalidInputError(f"unknown gaussian_route {gaussian_route!r}")
     mimic = transform.mimic_kernel(kernel, alpha)
     analytic = transform.joint_law(mimic, grid)
 
@@ -366,10 +383,8 @@ def figure_comparison(
         paths *= np.array([kernel.std(float(t)) for t in grid])
         paths += np.array([kernel.mean(float(t)) for t in grid])
         gauss_batch = TrajectoryBatch(times=grid, paths=paths)
-    elif gaussian_route == "cholesky":
-        gauss_batch = cholesky_sample(analytic, n_paths, seed + 1)
     else:
-        raise InvalidInputError(f"unknown gaussian_route {gaussian_route!r}")
+        gauss_batch = cholesky_sample(analytic, n_paths, seed + 1)
 
     sde_m = empirical_covariance(sde_batch)
     gauss_m = empirical_covariance(gauss_batch)

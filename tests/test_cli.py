@@ -442,7 +442,8 @@ class TestConfigPrecedence:
         (["converge", "--kernel", EXP, "--alpha", "1.0", "--grid", "0:1:3"], "steps", "a"),
         (["psd-check", "--grid", "0:1:3"], "kernel", {"type": "fbm"}),
         (["simulate", "--kernel", EXP, "--alpha", "1.0", "--grid", "0:1:3"], "route", "bogus"),
-    ], ids=["grid", "i_max", "targets", "steps", "kernel", "route"])
+        (["psd-check", "--kernel", EXP, "--grid", "0:1:3"], "random_grids", -4),
+    ], ids=["grid", "i_max", "targets", "steps", "kernel", "route", "random_grids"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_unparsable_value_is_usage_error(self, tmp_path, capsys, command, key, value, source):
         flag = "--" + key.replace("_", "-")
@@ -455,6 +456,29 @@ class TestConfigPrecedence:
         assert main([*command, *extra, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"usage error: {flag}: ")
         assert not (tmp_path / "out").exists()
+
+    # A switch in a config file must be a JSON boolean: the string "false"
+    # must not read as true.
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1])
+    def test_switch_in_config_must_be_boolean(self, tmp_path, capsys, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"dump_paths": value}))
+        assert main([
+            "simulate", "--kernel", self.EXP, "--alpha", "1.0", "--grid", "0:1:3",
+            "--paths", "10", "--config", str(config), "--out", str(tmp_path / "out"),
+        ]) == 2
+        assert capsys.readouterr().err.startswith("usage error: --dump-paths: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_switch_in_config_reads_a_boolean(self, tmp_path, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"dump_paths": value}))
+        assert main([
+            "simulate", "--kernel", self.EXP, "--alpha", "1.0", "--grid", "0:1:3",
+            "--paths", "10", "--step", "0.1", "--config", str(config), "--out", str(tmp_path),
+        ]) == 0
+        assert (tmp_path / "trajectories_sde.csv").exists() == value
 
     def test_unused_config_keys_are_ignored(self, tmp_path):
         config = tmp_path / "run.json"

@@ -1,9 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from gaussmarkov import kernels, transform
+from gaussmarkov import kernels, simulate, transform
 from gaussmarkov.errors import InvalidInputError, InvalidSdeError, NotPsdError
 from gaussmarkov.gaussian import GaussianVector
 from gaussmarkov.kernels import RateFunction
@@ -137,6 +138,11 @@ class TestEulerMaruyama:
         with pytest.raises(InvalidInputError):
             euler_maruyama(ou_spec(0.3), [0.0, 1.0], 10, seed=8)
 
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(InvalidInputError, match=f"got {step}"):
+            ou_spec(step)
+
 
 def euler_maruyama_by_closures(drift, diffusion, initial_mean, initial_var, step,
                                t_grid, n_paths, seed):
@@ -181,6 +187,23 @@ def _one_plus_t(t):
     return 1.0 + t
 
 
+def count_draws(monkeypatch):
+    """Patch the package's streams to count their ``standard_normal`` calls."""
+    calls = []
+
+    class Counting:
+        def __init__(self, gen):
+            self._gen = gen
+
+        def standard_normal(self, *args, **kwargs):
+            calls.append(1)
+            return self._gen.standard_normal(*args, **kwargs)
+
+    stream = simulate._stream
+    monkeypatch.setattr(simulate, "_stream", lambda seed, name: Counting(stream(seed, name)))
+    return calls
+
+
 #: The families the benchmark's SDE workload simulates: kernel and rate factories.
 EM_FAMILIES = {
     "exponential": lambda: (kernels.exponential_rate(1.0), RateFunction.constant(1.0)),
@@ -221,6 +244,39 @@ class TestEulerMaruyamaOracle:
             lambda t, x: -x, lambda t, x: math.sqrt(2.0), 0.0, 1.0, 0.01, grid, 300, seed=32,
         )
         np.testing.assert_array_equal(fast.paths, slow)
+
+    # Rates with a run of zeros: trailing (no draws after t = 0.5) and
+    # leading (the zero substeps before the first noisy one still draw).
+    STEP_RATES = {
+        "trailing_zeros": lambda t: 1.0 if t < 0.5 else 0.0,
+        "leading_zeros": lambda t: 0.0 if t < 0.5 else 1.0,
+    }
+
+    @pytest.mark.parametrize("rates", sorted(STEP_RATES))
+    def test_zero_noise_runs(self, rates):
+        grid = [0.0, 0.5, 1.0]
+        kernel = kernels.exponential_rate(1.0)
+        alpha = RateFunction.from_callable(self.STEP_RATES[rates])
+        fast = euler_maruyama(mimicking_sde(kernel, alpha, t0=0.0, step=0.1), grid, 300, seed=33)
+        drift, diffusion = mimicking_closures(kernel, alpha)
+        slow = euler_maruyama_by_closures(drift, diffusion, 0.0, 1.0, 0.1, grid, 300, seed=33)
+        np.testing.assert_array_equal(fast.paths, slow)
+
+    @pytest.mark.parametrize("rates,grid,n_calls", [
+        ("zero", [0.5, 1.0, 1.5], 1),  # the initial law's draw only
+        ("trailing_zeros", [0.0, 0.5, 1.0], 1 + 5),  # t = 0, 0.1, ..., 0.4
+        ("leading_zeros", [0.0, 0.5, 1.0], 1 + 10),
+    ])
+    def test_draws_stop_after_the_last_noisy_substep(self, monkeypatch, rates, grid, n_calls):
+        if rates == "zero":
+            kernel, alpha = kernels.fbm(0.75), RateFunction.constant(0.0)
+        else:
+            kernel = kernels.exponential_rate(1.0)
+            alpha = RateFunction.from_callable(self.STEP_RATES[rates])
+        spec = mimicking_sde(kernel, alpha, t0=grid[0], step=0.1)
+        calls = count_draws(monkeypatch)
+        euler_maruyama(spec, grid, 20, seed=34)
+        assert len(calls) == n_calls
 
     def test_negative_rate_rejected_before_drawing(self):
         alpha = RateFunction.from_callable(lambda t: 1.0 if t < 0.5 else -1.0)
@@ -366,8 +422,36 @@ class TestFigureComparison:
         )
         assert report.max_cov_discrepancy < 0.1
 
+    @pytest.mark.parametrize("n_paths,route,message", [
+        (1, "exact", "got 1"),
+        (10, "bogus", "'bogus'"),
+    ])
+    def test_bad_arguments_rejected_before_drawing(self, monkeypatch, n_paths, route, message):
+        calls = count_draws(monkeypatch)
+        with pytest.raises(InvalidInputError, match=message):
+            figure_comparison(
+                kernels.exponential_rate(1.0), RateFunction.constant(1.0), [0.0, 1.0],
+                n_paths=n_paths, seed=24, step=0.1, gaussian_route=route,
+            )
+        assert calls == []
+
 
 class TestExports:
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        paths = np.array([
+            [5e-324, -1.7976931348623157e308, 0.1],
+            [-2.5e-300, 1e22, -0.0],
+            [-1.0, 123456789.123456789, 1 / 3],
+        ])
+        batch = TrajectoryBatch(times=[0.0, 1e-5, 2.5], paths=paths)
+        batch.to_csv(tmp_path / "fast.csv")
+        with open(tmp_path / "writer.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"{t:.17g}" for t in batch.times])
+            for row in batch.paths:
+                writer.writerow([f"{x:.17g}" for x in row])
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
+
     def test_csv_round_trip(self, tmp_path):
         batch = ou_exact(RateFunction.constant(1.0), [0.0, 1.0], 7, seed=22)
         path = tmp_path / "paths.csv"
