@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -89,6 +90,15 @@ def _float_list(value) -> list[float]:
     return serialize.parse_float_list(str(value))
 
 
+def _positive_list(value) -> list[float]:
+    """A comma list of meshes or steps: every entry positive and finite."""
+    values = _float_list(value)
+    for v in values:
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"expected positive finite values, got {v}")
+    return values
+
+
 # The converters look the spec parsers up on ``serialize`` at each call, so a
 # wrapper later installed on the module (a tracer, a test double) sees them.
 _KERNEL = _Option("kernel", lambda v: serialize.kernel_from_spec(v), _REQUIRED,
@@ -111,8 +121,8 @@ _OPTIONS = {
     "converge": ("partition/made-Markov convergence tables", (
         _KERNEL, _ALPHA,
         _GRID._replace(help="start:stop:count; endpoints give the time pair"),
-        _Option("mesh_sequence", _float_list, None, "comma list of meshes (local experiment)"),
-        _Option("steps", _float_list, None, "comma list of step sizes (global experiment)"),
+        _Option("mesh_sequence", _positive_list, None, "comma list of meshes (local experiment)"),
+        _Option("steps", _positive_list, None, "comma list of step sizes (global experiment)"),
         _Option("n_max", int, None, "number of sets in the global experiment (default: all)"),
         _OUT,
     )),

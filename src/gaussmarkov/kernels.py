@@ -132,8 +132,10 @@ class RateFunction:
 
     @classmethod
     def constant(cls, value: float) -> "RateFunction":
-        if value < 0.0:
-            raise InvalidInputError(f"rate must be nonnegative, got {value}")
+        if not (math.isfinite(value) and value >= 0.0):
+            raise InvalidInputError(
+                f"rate must be nonnegative and finite (the infinite rate is 'inf'), got {value}"
+            )
         return cls(func=lambda t: value, const=float(value))
 
     @classmethod

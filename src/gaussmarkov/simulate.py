@@ -102,8 +102,12 @@ class SdeSpec:
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0.0):
             raise InvalidInputError(f"step must be positive and finite, got {self.step}")
-        if self.initial_var < 0.0:
-            raise InvalidInputError(f"initial variance must be nonnegative")
+        if not math.isfinite(self.initial_mean):
+            raise InvalidInputError(f"initial_mean must be finite, got {self.initial_mean}")
+        if not (math.isfinite(self.initial_var) and self.initial_var >= 0.0):
+            raise InvalidInputError(
+                f"initial_var must be nonnegative and finite, got {self.initial_var}"
+            )
 
 
 def _factor_with_jitter(cov: np.ndarray) -> np.ndarray:

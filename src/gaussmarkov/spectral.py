@@ -16,9 +16,10 @@ grow tower-exponentially: with weights (1/2)^k and frequencies 3^k the
 i = 2 gap search ends at n_6 = 253744, and the next active window needs a
 sum bounded by ``x * 2^-253742`` to exceed 3, provably beyond any floating
 budget, so deep searches end with :class:`BudgetExceededError` carrying
-partial results.  Each search is one chunked scan over the integers; the
-gap scans first drop every x that a few heavy terms already keep above the
-threshold, since no term of the sum is negative.
+partial results.  Each search is one chunked scan over the integers that
+evaluates the same windowed sum upwards and downwards; the gap scans first
+drop every x that a few heavy terms already keep above the threshold, since
+no term of the sum is negative.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ DEFAULT_INDEX_BUDGET = 10**6
 
 #: Indices past this cap contribute less than ~1e-60 to any witness sum.
 _TERM_CAP = 220
+
+#: Total that the indices past :func:`_effective_cap` may add to a sum.
+_CAP_EPS = 1e-12
 
 #: Integers in the first and the largest chunk of the index scans; chunks
 #: double in between, so a search that ends early does little extra work.
@@ -180,14 +184,14 @@ class WitnessIndices:
         return {k: self.location(k) for k in range(2, k_max + 1)}
 
 
-def _effective_cap(config: WeierstrassConfig, x: float, eps: float = 1e-12) -> int:
-    """Largest index whose term can still move a sum by more than eps.
+def _effective_cap(config: WeierstrassConfig, x: float) -> int:
+    """Largest index whose term can still move a sum by more than _CAP_EPS.
 
     A term is bounded by ``2 x a^k``; indices past the cap change any
-    witness value by less than eps in total, far below every threshold
+    witness value by less than _CAP_EPS in total, far below every threshold
     margin used here.
     """
-    cap = math.ceil(math.log(2.0 * max(x, 1.0) / eps) / math.log(1.0 / config.a))
+    cap = math.ceil(math.log(2.0 * max(x, 1.0) / _CAP_EPS) / math.log(1.0 / config.a))
     return min(_TERM_CAP, cap)
 
 
@@ -218,28 +222,6 @@ def f_witness(config: WeierstrassConfig, n: int, x: float) -> float:
     return lacunary_sum(config, x, n, int(math.floor(x)))
 
 
-def _term_tops(config: WeierstrassConfig, start: int, stop: int) -> np.ndarray:
-    """``min(x, _effective_cap(x))`` at every integer x in [start, stop).
-
-    The cap is a non-decreasing step function of x, so each of its steps
-    inside the range is located by bisection with the scalar cap itself.
-    """
-    first = _effective_cap(config, float(start))
-    steps = []
-    lo = start
-    for c in range(first + 1, _effective_cap(config, float(stop - 1)) + 1):
-        hi = stop - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _effective_cap(config, float(mid)) >= c:
-                hi = mid
-            else:
-                lo = mid + 1
-        steps.append(lo)
-    xs = np.arange(start, stop)
-    return np.minimum(xs, first + np.searchsorted(steps, xs, side="right"))
-
-
 def _first_crossing(
     config: WeierstrassConfig,
     windows: Sequence[tuple[int, int | None]],
@@ -250,62 +232,54 @@ def _first_crossing(
     """Smallest integer x in [x_start, x_stop] where a windowed lacunary sum crosses threshold.
 
     The sum is ``x * sum of a^k (1 - cos(b^k / x))`` over the windows'
-    indices, scanned in chunks of ``_FIRST_CHUNK`` integers doubling up to
-    ``_SCAN_CHUNK``.
+    indices k <= x, capped at ``_effective_cap`` of x_stop, scanned in
+    chunks of ``_FIRST_CHUNK`` integers doubling up to ``_SCAN_CHUNK``.
 
     One open window ``[(lo, None)]`` is the growth functional f_lo of
     :func:`f_witness`, crossing upwards (first x with a sum above
-    threshold).  It keeps f_witness's arithmetic and each x's own term cap
-    ``min(x, _effective_cap(x))``, so every value is bit-identical to a
-    scalar call.  The sum is below ``x * 2 a^lo / (1 - a)``, so the scan
-    starts where that bound reaches the threshold.
+    threshold).  The terms past ``_effective_cap`` of x that the scan keeps
+    add less than 1e-12, but it rounds each phase ``b^k / x`` otherwise
+    than f_witness (power and reciprocal against running product and
+    division): a term can differ by up to ``min(2, (k + 2) 2^-52 b^k / x)``
+    of its weight ``x a^k``, all of it once the phase nears 2^52.  The sum
+    is below ``x * 2 a^lo / (1 - a)``, so the scan starts where that bound
+    reaches the threshold.
 
-    Closed windows are the gap functional, capped at ``_effective_cap``
-    of x_stop and crossing downwards (first x with a sum below threshold).
-    No term is negative, so the ``_BOUND_TERMS`` heaviest terms whose phase
-    ``b^k / x`` is at least 1 across a chunk bound the sum from below; only
-    the x whose bound is under ``threshold * (1 + _BOUND_MARGIN)`` get the
-    full sum.
+    Closed windows are the gap functional, crossing downwards (first x with
+    a sum below threshold); their indices all lie below x_start, so the
+    ``k <= x`` mask keeps every term.  No term is negative, so the
+    ``_BOUND_TERMS`` heaviest terms whose phase ``b^k / x`` is at least 1
+    across a chunk bound the sum from below; only the x whose bound is
+    under ``threshold * (1 + _BOUND_MARGIN)`` get the full sum.
     """
     a, b = config.a, config.b
-    if windows[-1][1] is None:
+    cap = _effective_cap(config, float(x_stop))
+    upward = windows[-1][1] is None
+    if upward:
         k_from = windows[-1][0]
+        windows = [(k_from, cap + 1)]
         x_start = max(
             x_start,
             int(threshold * (1.0 - a) / (2.0 * a**k_from * (1.0 + _BOUND_MARGIN))),
         )
+    ks = np.concatenate(
+        [np.arange(lo, min(hi - 1, cap) + 1) for lo, hi in windows]
+    ).astype(float)
+    weights = a**ks
+    freqs = b**ks  # ascending
 
-        def crossed(start: int, stop: int) -> np.ndarray:
-            xs = np.arange(start, stop, dtype=float)
-            tops = _term_tops(config, start, stop)
-            total = np.zeros(xs.size)
-            ak, bk = a**k_from, b**k_from
-            for k in range(k_from, int(tops[-1]) + 1):
-                j = int(np.searchsorted(tops, k))  # tops is non-decreasing
-                total[j:] += ak * (1.0 - np.cos(bk / xs[j:]))
-                ak *= a
-                bk *= b
-            return np.flatnonzero(xs * total > threshold)
-
-    else:
-        cap = _effective_cap(config, float(x_stop))
-        ks = np.concatenate(
-            [np.arange(lo, min(hi - 1, cap) + 1) for lo, hi in windows]
-        ).astype(float)
-        if ks.size == 0:
-            return x_start
-        weights = a**ks
-        freqs = b**ks  # ascending
-
-        def crossed(start: int, stop: int) -> np.ndarray:
-            xs = np.arange(start, stop, dtype=float)
+    def crossed(start: int, stop: int) -> np.ndarray:
+        xs = np.arange(start, stop, dtype=float)
+        keep = np.arange(xs.size)
+        if not upward:
             first = int(np.searchsorted(freqs, xs[-1]))  # phase >= 1 on the whole chunk
             heavy = slice(first, first + _BOUND_TERMS)
             bound = xs * ((1.0 - np.cos(np.outer(1.0 / xs, freqs[heavy]))) @ weights[heavy])
             keep = np.flatnonzero(bound < threshold * (1.0 + _BOUND_MARGIN))
             xs = xs[keep]
-            vals = xs * ((1.0 - np.cos(np.outer(1.0 / xs, freqs))) @ weights)
-            return keep[vals < threshold]
+        terms = (1.0 - np.cos(np.outer(1.0 / xs, freqs))) * (ks <= xs[:, None])
+        vals = xs * (terms @ weights)
+        return keep[vals > threshold if upward else vals < threshold]
 
     start, chunk = x_start, _FIRST_CHUNK
     while start <= x_stop:

@@ -84,8 +84,11 @@ class AdmissibleSequence:
     def __post_init__(self):
         steps = [self.step_at(n) for n in range(1, self.check_first + 1)]
         widths = [self.halfwidth_at(n) for n in range(1, self.check_first + 1)]
-        if any(s <= 0.0 for s in steps) or any(w <= 0.0 for w in widths):
-            raise InvalidInputError("steps and half-widths must be positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in steps + widths):
+            raise InvalidInputError(
+                f"steps and half-widths must be positive and finite, "
+                f"got steps {steps} and half-widths {widths}"
+            )
         if len(steps) >= 2:
             if any(b > a + 1e-15 for a, b in zip(steps, steps[1:])) or steps[-1] >= steps[0]:
                 raise InvalidInputError("steps must decrease toward zero")
@@ -346,7 +349,7 @@ def local_convergence_experiment(
         if abs(p.start - s) > 1e-12 or abs(p.end - t) > 1e-12:
             raise InvalidInputError(f"partition [{p.start}, {p.end}] does not span [{s}, {t}]")
     target_law = joint_law(target, [s, t])
-    tgt_corr = target.eval(s, t) / math.sqrt(target.variance(s) * target.variance(t))
+    tgt_corr = kernels.correlation(target, s, t)
     rows = []
     for p in sorted(partitions, key=lambda q: -q.mesh):
         plan = partition_law(kernel, p)
@@ -379,7 +382,7 @@ def global_convergence_experiment(
         raise InvalidInputError(f"n_max must be at least 1, got {n_max}")
     target_law = joint_law(target, queries)
     s, t = float(queries[0]), float(queries[-1])
-    tgt_corr = target.eval(s, t) / math.sqrt(target.variance(s) * target.variance(t))
+    tgt_corr = kernels.correlation(target, s, t)
     rows = []
     for n, time_set in enumerate(adm.sets(n_max), start=1):
         law = made_markov_law(kernel, time_set, queries)

@@ -434,16 +434,27 @@ class TestConfigPrecedence:
     # A value its option cannot convert is a usage error, from the command
     # line or from the config file alike.
     EXP = '{"type": "exponential", "rate": 1.0}'
+    CONVERGE = ["converge", "--kernel", EXP, "--alpha", "1.0", "--grid", "0:1:3"]
 
     @pytest.mark.parametrize("command,key,value", [
         (["psd-check", "--kernel", EXP], "grid", "0:1:x"),
         (["counterexample"], "i_max", "x"),
         (["counterexample"], "targets", "a,b"),
-        (["converge", "--kernel", EXP, "--alpha", "1.0", "--grid", "0:1:3"], "steps", "a"),
+        (CONVERGE, "steps", "a"),
         (["psd-check", "--grid", "0:1:3"], "kernel", {"type": "fbm"}),
         (["simulate", "--kernel", EXP, "--alpha", "1.0", "--grid", "0:1:3"], "route", "bogus"),
         (["psd-check", "--kernel", EXP, "--grid", "0:1:3"], "random_grids", -4),
-    ], ids=["grid", "i_max", "targets", "steps", "kernel", "route", "random_grids"])
+        (CONVERGE, "mesh_sequence", "0"),
+        (CONVERGE, "mesh_sequence", "nan"),
+        (CONVERGE, "mesh_sequence", "-1"),
+        (CONVERGE, "steps", "nan"),
+        (["transform", "--kernel", EXP, "--grid", "1:2:3"], "alpha", "nan"),
+        (["transform", "--kernel", EXP, "--grid", "1:2:3"], "alpha",
+         {"form": "constant", "value": "inf"}),
+        (["psd-check", "--grid", "0:1:3"], "kernel", {"type": "exponential", "rate": "nan"}),
+    ], ids=["grid", "i_max", "targets", "steps", "kernel", "route", "random_grids",
+            "mesh_zero", "mesh_nan", "mesh_negative", "steps_nan", "alpha_nan",
+            "alpha_constant_inf", "kernel_rate_nan"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_unparsable_value_is_usage_error(self, tmp_path, capsys, command, key, value, source):
         flag = "--" + key.replace("_", "-")

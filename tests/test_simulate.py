@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -142,6 +143,15 @@ class TestEulerMaruyama:
     def test_step_must_be_positive_and_finite(self, step):
         with pytest.raises(InvalidInputError, match=f"got {step}"):
             ou_spec(step)
+
+    @pytest.mark.parametrize("name", ["initial_mean", "initial_var"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_initial_moments_must_be_finite(self, monkeypatch, name, value):
+        calls = count_draws(monkeypatch)
+        with pytest.raises(InvalidInputError, match=f"{name} .*got {value}"):
+            spec = dataclasses.replace(ou_spec(0.1), **{name: value})
+            euler_maruyama(spec, [0.0, 1.0], 10, seed=8)
+        assert calls == []
 
 
 def euler_maruyama_by_closures(drift, diffusion, initial_mean, initial_var, step,

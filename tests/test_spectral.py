@@ -274,6 +274,33 @@ class TestWitnessIndices:
         assert want == 1000 + records[-1]
         assert spectral._first_crossing(config, windows, 1000, 5000, threshold) == want
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        a=st.floats(0.3, 0.7),
+        excess=st.floats(1.01, 3.0),
+        lo=st.integers(2, 6),
+        below=st.floats(1e-9, 5e-4),
+    )
+    def test_odd_scan_finds_a_sum_just_above_the_threshold(self, a, excess, lo, below):
+        # On [lo, 400] both floor(x) and the per-x term cap of f_witness
+        # decide which terms count; the scan caps at x_stop and masks k <= x.
+        config = WeierstrassConfig(a=a, b=excess / a)
+        xs = np.arange(lo, 401)
+        f = np.array([f_witness(config, lo, float(x)) for x in xs])
+        # Two float evaluations of the phase b^k / x differ by up to (k + 2)
+        # roundings, which move a term by up to min(2, that phase error) of
+        # its weight x a^k; past phase ~2^52 the term itself is rounding.
+        ks = np.arange(lo, spectral._TERM_CAP + 1)
+        phase_error = (ks + 2) * 2.0**-52 * np.outer(1.0 / xs, config.b**ks)
+        slack = 1e-12 + xs * (
+            (np.minimum(2.0, phase_error) * (ks <= xs[:, None])) @ config.a**ks
+        )
+        low, high = (f - slack) * (1.0 - below), np.maximum.accumulate(f + slack)
+        records = 1 + np.flatnonzero(low[1:] > high[:-1])
+        assume(records.size)
+        for r in records:  # a threshold just under a record high is crossed there first
+            assert spectral._first_crossing(config, [(lo, None)], lo, 400, low[r]) == lo + r
+
     @settings(max_examples=40, deadline=None)
     @given(
         a=st.floats(0.3, 0.7),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaussmarkov import kernels
-from gaussmarkov.errors import InvalidInputError, InvalidRateError
+from gaussmarkov.errors import InvalidInputError, InvalidRateError, SingularMarginalError
 from gaussmarkov.gaussian import gaussian_distance, markov_check
 from gaussmarkov.kernels import RateFunction, estimate_alpha
 from gaussmarkov.transform import (
@@ -53,6 +53,17 @@ class TestAdmissibleSequence:
     def test_from_steps(self):
         adm = AdmissibleSequence.from_steps([0.5, 0.25, 0.125])
         assert np.max(np.diff(adm.time_set(3))) == pytest.approx(0.125)
+
+    @pytest.mark.parametrize("steps,halfwidths", [
+        ([0.5, math.nan], None),
+        ([math.inf, 0.5], None),
+        ([0.5, 0.25], [1.0, math.nan]),
+        ([0.5, 0.25], [1.0, math.inf]),
+        ([0.5, 0.0], None),
+    ])
+    def test_rejects_nonfinite_or_nonpositive(self, steps, halfwidths):
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            AdmissibleSequence.from_steps(steps, halfwidths)
 
 
 class TestRateKernel:
@@ -376,6 +387,20 @@ class TestGlobalConvergence:
         distances = [r.distance for r in rows]
         assert distances[0] > distances[-1]
         assert distances[-1] < 0.05
+
+
+@pytest.mark.parametrize("run", [
+    lambda kern: local_convergence_experiment(
+        kern, kern, 0.0, 1.0, [Partition.uniform(0.0, 1.0, 2)]
+    ),
+    lambda kern: global_convergence_experiment(
+        kern, kern, AdmissibleSequence.geometric(), [0.0, 1.0], 1
+    ),
+], ids=["local", "global"])
+def test_zero_variance_target_is_singular(run):
+    # fBm has variance 0 at t = 0, where no correlation is defined.
+    with pytest.raises(SingularMarginalError, match="nonpositive variance at s=0.0"):
+        run(kernels.fbm(0.5))
 
 
 class TestTightnessBound:
