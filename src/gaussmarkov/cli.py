@@ -33,7 +33,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import kernels, serialize, simulate, spectral, transform
-from .errors import BudgetExceededError, GaussMarkovError, InvalidInputError
+from .errors import GaussMarkovError, InvalidInputError
 from .gaussian import markov_check
 from .kernels import psd_check
 from .spectral import WeierstrassConfig
@@ -271,22 +271,21 @@ def _cmd_converge(kernel, alpha, grid, mesh_sequence, steps, n_max, out) -> int:
 
 def _cmd_counterexample(targets, i_max, k_cut, budget, out) -> int:
     config = WeierstrassConfig(k_cut=k_cut, i_max=i_max)
-    budget_hit = False
-    try:
-        witness = spectral.weierstrass_indices(config, budget=budget)
-        indices, windows = list(witness.indices), list(witness.windows)
-    except BudgetExceededError as err:
-        budget_hit = True
-        indices, windows = err.indices, err.windows
-        print(f"counterexample: {err}", file=sys.stderr)
-    measure = spectral.measure_from_windows(config, windows)
+    witness = spectral.weierstrass_indices(config, budget=budget)
+    if not witness.complete:
+        print(
+            f"counterexample: index budget {budget} exceeded while searching "
+            f"{witness.stopped} (found {list(witness.indices)})",
+            file=sys.stderr,
+        )
+    measure = spectral.measure_from_windows(config, witness.windows)
 
     (out / "indices.json").write_text(
         json.dumps(
             {
-                "indices": indices,
-                "windows": [list(w) for w in windows],
-                "complete": not budget_hit,
+                "indices": list(witness.indices),
+                "windows": [list(w) for w in witness.windows],
+                "complete": witness.complete,
                 "k_cut": config.k_cut,
                 "i_max": config.i_max,
                 "budget": budget,
@@ -309,9 +308,9 @@ def _cmd_counterexample(targets, i_max, k_cut, budget, out) -> int:
     n_found = sum(1 for r in results.values() if r.found)
     print(
         f"counterexample: {n_found}/{len(results)} witnesses found, "
-        f"indices {'partial' if budget_hit else 'complete'} -> {out}"
+        f"indices {'complete' if witness.complete else 'partial'} -> {out}"
     )
-    return EXIT_BUDGET if budget_hit else EXIT_OK
+    return EXIT_OK if witness.complete else EXIT_BUDGET
 
 
 def _cmd_simulate(kernel, alpha, grid, paths, seed, step, route, dump_paths, out) -> int:
@@ -343,9 +342,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except GaussMarkovError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

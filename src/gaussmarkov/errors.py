@@ -38,14 +38,4 @@ class UnsupportedDiagnosticError(GaussMarkovError):
 
 
 class BudgetExceededError(GaussMarkovError):
-    """An integer search ran past its index budget.
-
-    Carries whatever was computed before the budget ran out so callers can
-    continue with partial results (the CLI maps this to exit code 3).
-    """
-
-    def __init__(self, message, indices=None, windows=None, partial_measure=None):
-        super().__init__(message)
-        self.indices = list(indices) if indices is not None else []
-        self.windows = list(windows) if windows is not None else []
-        self.partial_measure = partial_measure
+    """An integer search ran past its index budget where a complete result is required."""

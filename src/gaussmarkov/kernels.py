@@ -211,10 +211,15 @@ def _as_strictly_increasing(grid) -> np.ndarray:
 
 
 def gram(kernel: Kernel, grid) -> np.ndarray:
-    """Gram matrix ``[K(t_i, t_j)]`` over an ordered grid."""
+    """Gram matrix ``[K(t_i, t_j)]`` over an ordered grid; every entry must be finite."""
     pts = _as_strictly_increasing(grid)
     kernel.require_in_domain(pts)
-    return np.asarray(kernel.cov(pts[:, None], pts[None, :]), dtype=float)
+    mat = np.asarray(kernel.cov(pts[:, None], pts[None, :]), dtype=float)
+    if not np.isfinite(mat).all():
+        i, j = np.argwhere(~np.isfinite(mat))[0]
+        at = (float(pts[i]), float(pts[j]))
+        raise InvalidInputError(f"kernel '{kernel.name}' is {mat[i, j]} at (s, t) = {at}")
+    return mat
 
 
 def psd_check(kernel: Kernel, grid) -> PsdReport:

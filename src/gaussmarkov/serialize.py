@@ -193,12 +193,16 @@ def kernel_from_spec(spec) -> Kernel:
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """Parse ``start:stop:count`` into a linspace grid."""
+    """Parse ``start:stop:count`` into a linspace grid over a finite interval."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidInputError(f"grid must be start:stop:count, got {text!r}")
     start, stop = float(parts[0]), float(parts[1])
     count = int(parts[2])
+    # stop - start is not finite when an endpoint is not, or when the span
+    # overflows, which would make the inner points NaN.
+    if not math.isfinite(stop - start):
+        raise InvalidInputError(f"grid endpoints and span must be finite, got {text!r}")
     if count < 1 or not start < stop:
         raise InvalidInputError(f"bad grid {text!r}")
     return np.linspace(start, stop, count)

@@ -15,8 +15,8 @@ the window edges by integer search.  The index searches are honest but
 grow tower-exponentially: with weights (1/2)^k and frequencies 3^k the
 i = 2 gap search ends at n_6 = 253744, and the next active window needs a
 sum bounded by ``x * 2^-253742`` to exceed 3, provably beyond any floating
-budget, so deep searches end with :class:`BudgetExceededError` carrying
-partial results.  Each search is one chunked scan over the integers that
+budget, so deep searches return the indices found so far and name the
+search that stopped.  Each search is one chunked scan over the integers that
 evaluates the same windowed sum upwards and downwards; the gap scans first
 drop every x that a few heavy terms already keep above the threshold, since
 no term of the sum is negative.
@@ -60,8 +60,8 @@ WITNESS_BISECTION_STEPS = 60
 class SpectralMeasure:
     """Finite symmetric atomic probability measure on the line.
 
-    ``atoms`` is a list of ``(weight, location)`` with positive weights and
-    nonnegative locations.  An atom ``(a, y)`` with ``y > 0`` stands for
+    ``atoms`` is a list of ``(weight, location)`` with positive finite weights
+    and nonnegative finite locations.  An atom ``(a, y)`` with ``y > 0`` stands for
     ``a * (delta_y + delta_{-y})`` (effective mass ``2a``); an atom at 0
     carries its own weight.  Effective masses must sum to 1.
     """
@@ -75,10 +75,12 @@ class SpectralMeasure:
         cleaned = []
         for w, y in self.atoms:
             w, y = float(w), float(y)
-            if w <= 0.0:
-                raise InvalidMeasureError(f"atom weight must be positive, got {w}")
-            if y < 0.0:
-                raise InvalidMeasureError(f"atom location must be nonnegative, got {y}")
+            if not (math.isfinite(w) and w > 0.0):
+                raise InvalidMeasureError(f"atom weight must be positive and finite, got {w}")
+            if not (math.isfinite(y) and y >= 0.0):
+                raise InvalidMeasureError(
+                    f"atom location must be nonnegative and finite, got {y}"
+                )
             cleaned.append((w, y))
         object.__setattr__(self, "atoms", tuple(cleaned))
         if abs(self.total_mass - 1.0) > 1e-12:
@@ -164,14 +166,20 @@ class WitnessIndices:
 
     Frequencies ``b^k`` are active (location ``y_k = b^k``) for k in
     ``[n_0, n_1) + [n_2, n_3) + ...`` and silenced (``y_k = 0``) in the
-    gaps.  ``complete`` is False when the searches hit their budget; the
-    recorded windows are still valid as far as they go.
+    gaps.  ``stopped`` names the search that passed its budget or is
+    provably out of reach within it, such as
+    ``n_7 (provably unreachable: sum below 2^-253722.1)``, and is empty when
+    every search completed; the recorded windows are valid as far as they go.
     """
 
     indices: tuple[int, ...]
     windows: tuple[tuple[int, int], ...]
-    complete: bool
+    stopped: str
     config: WeierstrassConfig = field(default_factory=WeierstrassConfig)
+
+    @property
+    def complete(self) -> bool:
+        return not self.stopped
 
     def location(self, k: int) -> float:
         for lo, hi in self.windows:
@@ -313,27 +321,21 @@ def weierstrass_indices(
     ``n_0 = 2``; then alternately
     ``n_{2i+1} = inf{n > n_{2i} : f_{n_{2i}}(n - 1) > i}`` and
     ``n_{2(i+1)} = inf{n > n_{2i+1} : g_windows(n - 1) < 1/i}``
-    (``1/0`` read as +inf).  Raises :class:`BudgetExceededError` with
-    partial results when a search passes ``budget`` or is provably
-    unreachable within it.
+    (``1/0`` read as +inf).  A search that passes ``budget`` or is provably
+    unreachable within it ends the construction: the result then holds the
+    indices and windows found so far and names that search in ``stopped``.
     """
     if budget < 1:
         raise InvalidInputError(f"index budget must be at least 1, got {budget}")
     indices: list[int] = [2]
     closed_windows: list[tuple[int, int]] = []
 
-    def fail(stage: str) -> BudgetExceededError:
+    def stop(stage: str) -> WitnessIndices:
         # An unclosed active window keeps its frequencies up to the cap.
         windows = list(closed_windows)
         if len(indices) % 2 == 1 and indices[-1] <= _TERM_CAP:
             windows.append((indices[-1], _TERM_CAP + 1))
-        return BudgetExceededError(
-            f"index budget {budget} exceeded while searching {stage} "
-            f"(found {indices})",
-            indices=indices,
-            windows=windows,
-            partial_measure=None,
-        )
+        return WitnessIndices(tuple(indices), tuple(windows), stopped=stage, config=config)
 
     for i in range(config.i_max + 1):
         lo = indices[-1]
@@ -345,31 +347,25 @@ def weierstrass_indices(
             math.log2(budget) + 1.0 + lo * math.log2(config.a) - math.log2(1.0 - config.a)
         )
         if i > 0 and log2_best <= math.log2(i):
-            raise fail(f"n_{2 * i + 1} (provably unreachable: sum below 2^{log2_best:.1f})")
+            return stop(f"n_{2 * i + 1} (provably unreachable: sum below 2^{log2_best:.1f})")
         hit = _first_crossing(config, [(lo, None)], lo, budget - 1, float(i))
         if hit is None:
-            raise fail(f"n_{2 * i + 1}")
+            return stop(f"n_{2 * i + 1}")
         n = hit + 1
         indices.append(n)
         closed_windows.append((lo, n))
 
-        # Even index: first n with the gap functional below 1/i.
-        threshold = math.inf if i == 0 else 1.0 / i
-        n_odd = indices[-1]
-        if threshold is math.inf:
-            indices.append(n_odd + 1)
+        # Even index: first n with the gap functional below 1/i, where 1/0
+        # reads as +inf.
+        if i == 0:
+            indices.append(n + 1)
             continue
-        hit = _first_crossing(config, closed_windows, n_odd, budget - 1, threshold)
+        hit = _first_crossing(config, closed_windows, n, budget - 1, 1.0 / i)
         if hit is None:
-            raise fail(f"n_{2 * (i + 1)}")
+            return stop(f"n_{2 * (i + 1)}")
         indices.append(hit + 1)
 
-    return WitnessIndices(
-        indices=tuple(indices),
-        windows=tuple(closed_windows),
-        complete=True,
-        config=config,
-    )
+    return WitnessIndices(tuple(indices), tuple(closed_windows), stopped="", config=config)
 
 
 def measure_from_windows(
@@ -409,15 +405,15 @@ def counterexample_measure(
 ) -> SpectralMeasure:
     """Measure whose Fourier decay rate has every point of [0, inf] as cluster point.
 
-    Propagates :class:`BudgetExceededError` from the index search with the
-    measure built from the partial windows attached as ``partial_measure``.
+    Raises :class:`BudgetExceededError` when an index search stops short;
+    :func:`weierstrass_indices` returns the partial windows in that case.
     """
     config = config or WeierstrassConfig()
-    try:
-        witness = weierstrass_indices(config, budget=budget)
-    except BudgetExceededError as err:
-        err.partial_measure = measure_from_windows(config, err.windows)
-        raise
+    witness = weierstrass_indices(config, budget=budget)
+    if not witness.complete:
+        raise BudgetExceededError(
+            f"index budget {budget} exceeded while searching {witness.stopped}"
+        )
     return measure_from_windows(config, witness.windows)
 
 

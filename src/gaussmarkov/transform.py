@@ -119,8 +119,7 @@ class AdmissibleSequence:
         def halfwidth_at(n: int) -> float:
             return halfwidths[min(n, len(halfwidths)) - 1]
 
-        return cls(step_at=step_at, halfwidth_at=halfwidth_at,
-                   check_first=min(4, len(steps)))
+        return cls(step_at=step_at, halfwidth_at=halfwidth_at, check_first=len(steps))
 
     def time_set(self, n: int) -> np.ndarray:
         step = self.step_at(n)

@@ -1,20 +1,15 @@
 import pytest
 
 from gaussmarkov import spectral
-from gaussmarkov.errors import BudgetExceededError
 
 
 @pytest.fixture(scope="session")
 def partial_witness():
-    """Deep witness search, run once: exhausts its budget past depth i=2.
+    """Deep witness search, run once: it stops at n_7, past depth i = 2."""
+    return spectral.weierstrass_indices(spectral.WeierstrassConfig(i_max=4))
 
-    Returns the budget error, which carries the partial indices, the
-    active windows, and the measure assembled from them.
-    """
-    config = spectral.WeierstrassConfig(i_max=4)
-    try:
-        spectral.counterexample_measure(config)
-    except BudgetExceededError as err:
-        err.config = config
-        return err
-    pytest.fail("expected the depth-4 witness search to exhaust its budget")
+
+@pytest.fixture(scope="session")
+def partial_measure(partial_witness):
+    """The measure assembled from the partial witness's windows."""
+    return spectral.measure_from_windows(partial_witness.config, partial_witness.windows)

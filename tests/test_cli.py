@@ -61,6 +61,34 @@ class TestPsdCheck:
     def test_missing_flag_is_usage_error(self, tmp_path):
         assert main(["psd-check", "--out", str(tmp_path)]) == 2
 
+    # Each used to end in a LinAlgError, a report holding a bare NaN, a FAIL
+    # on a NaN entry, an accepted NaN mass, or a grid error naming no value.
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("kernel,grid,code,message", [
+        ({"type": "fbm", "hurst": 0.5}, "1e308:1.7e308:3", 1,
+         "kernel 'fbm(H=0.5)' is inf at (s, t) = (1e+308, 1e+308)"),
+        ({"type": "transformed", "base": {"type": "exponential"},
+          "scale": {"form": "constant", "value": "nan"}, "time_change": {"form": "affine"}},
+         "0:1:3", 1, "is nan at (s, t) = (0.0, 0.0)"),
+        ({"type": "transformed", "base": {"type": "exponential"},
+          "scale": {"form": "power", "exponent": "nan"}, "time_change": {"form": "affine"}},
+         "1:2:3", 1, "is nan at (s, t) = (1.0, 1.5)"),
+        ({"type": "spectral", "atoms": [{"weight": 1, "location": "nan"}]}, "0:1:3", 1,
+         "atom location must be nonnegative and finite, got nan"),
+        ({"type": "spectral", "atoms": [{"weight": "nan", "location": 1}]}, "0:1:3", 1,
+         "atom weight must be positive and finite, got nan"),
+        ({"type": "matrix", "grid": [0, 1], "matrix": [[1, "nan"], ["nan", 1]]}, "0:1:2", 1,
+         "kernel 'matrix' is nan at (s, t) = (0.0, 1.0)"),
+        ({"type": "exponential"}, "0:inf:3", 2,
+         "--grid: grid endpoints and span must be finite, got '0:inf:3'"),
+    ], ids=["fbm-overflow", "scale-nan", "scale-exponent-nan", "atom-location-nan",
+            "atom-weight-nan", "matrix-nan", "grid-inf"])
+    def test_nonfinite_value_is_named(self, tmp_path, capsys, kernel, grid, code, message):
+        argv = ["psd-check", "--kernel", json.dumps(kernel), "--grid", grid]
+        assert main(argv + ["--out", str(tmp_path)]) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "psd_report.json").exists()
+
 
     # sha256 of the README psd-check command's report, recorded before the
     # Gram moved to one broadcasting covariance per kernel.
@@ -228,7 +256,7 @@ class TestCounterexample:
         rows = read_csv(tmp_path / "witnesses.csv")
         assert all(row[-1] == "True" for row in rows[1:])
 
-    def test_deep_run_exits_three_with_partials(self, tmp_path):
+    def test_deep_run_exits_three_with_partials(self, tmp_path, capsys):
         code = main([
             "counterexample",
             "--i-max", "4",
@@ -236,6 +264,11 @@ class TestCounterexample:
             "--out", str(tmp_path),
         ])
         assert code == 3
+        assert capsys.readouterr().err == (
+            "counterexample: index budget 1000000 exceeded while searching n_7 "
+            "(provably unreachable: sum below 2^-253722.1) "
+            "(found [2, 3, 4, 9, 14, 8701, 253744])\n"
+        )
         indices = json.loads((tmp_path / "indices.json").read_text())
         assert not indices["complete"]
         assert len(indices["indices"]) == 7

@@ -157,7 +157,6 @@ class TestEstimateAlpha:
 
     def test_oscillating_rate_does_not_converge(self):
         from gaussmarkov import spectral
-        from gaussmarkov.errors import BudgetExceededError
 
         cfg = spectral.WeierstrassConfig(i_max=2)
         mu = spectral.counterexample_measure(cfg)

@@ -96,6 +96,9 @@ class TestParsing:
             parse_grid("0:2")
         with pytest.raises(InvalidInputError):
             parse_grid("2:0:5")
+        for text in ("0:inf:3", "nan:1:3", "-1.7e308:1.7e308:3"):  # the last span overflows
+            with pytest.raises(InvalidInputError, match="must be finite"):
+                parse_grid(text)
 
     def test_float_list(self):
         assert parse_float_list("0.5, 0.25") == [0.5, 0.25]

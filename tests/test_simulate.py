@@ -109,6 +109,7 @@ class TestEulerMaruyama:
             var = (1.0 - step) ** 2 * var + 2.0 * step
         return var
 
+    @pytest.mark.slow
     def test_weak_first_order_trend(self):
         # the scheme's exact variance bias at t=1 halves with the step, and
         # the simulation tracks its own chain law within pure sampling noise

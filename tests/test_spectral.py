@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from gaussmarkov.kernels import psd_check
 from gaussmarkov.spectral import (
     SpectralMeasure,
     WeierstrassConfig,
-    WitnessIndices,
     cluster_witnesses,
     counterexample_measure,
     f_witness,
@@ -96,15 +94,12 @@ def reference_search(config, budget):
 
 def search(config, budget):
     """:func:`weierstrass_indices` in the form of :func:`reference_search`."""
-    try:
-        found = weierstrass_indices(config, budget=budget)
-    except BudgetExceededError as err:
-        stage = re.search(r"searching (n_\d+)( \(provably unreachable)?", str(err))
-        return (
-            list(err.indices), [tuple(w) for w in err.windows], False,
-            stage[1] + (" unreachable" if stage[2] else ""),
-        )
-    return list(found.indices), list(found.windows), True, None
+    found = weierstrass_indices(config, budget=budget)
+    stage, _, proof = found.stopped.partition(" (provably unreachable")
+    return (
+        list(found.indices), list(found.windows), found.complete,
+        (stage + " unreachable" if proof else stage) or None,
+    )
 
 
 class TestSpectralMeasure:
@@ -113,6 +108,10 @@ class TestSpectralMeasure:
             SpectralMeasure(atoms=((0.5, 1.0), (0.5, 2.0)))  # effective mass 2
         with pytest.raises(InvalidMeasureError):
             SpectralMeasure(atoms=((-0.5, 1.0), (1.0, 0.0)))
+        with pytest.raises(InvalidMeasureError, match="finite, got nan"):
+            SpectralMeasure(atoms=((math.nan, 1.0),))  # a NaN total mass is not != 1
+        with pytest.raises(InvalidMeasureError, match="finite, got inf"):
+            SpectralMeasure(atoms=((0.5, math.inf),))
 
     def test_serialization_round_trip(self):
         mu = SpectralMeasure(atoms=((0.25, 1.0), (0.5, 0.0)))
@@ -202,27 +201,25 @@ class TestWitnessIndices:
     def test_witness_inequalities_on_completed_depths(self, partial_witness):
         cfg = partial_witness.config
         n = partial_witness.indices
-        witness = WitnessIndices(
-            indices=tuple(n), windows=tuple(partial_witness.windows),
-            complete=False, config=cfg,
-        )
         depth = (len(n) - 1) // 2
         for i in range(depth):
-            assert piecewise_f(cfg, witness, n[2 * i + 1] - 1) > i
+            assert piecewise_f(cfg, partial_witness, n[2 * i + 1] - 1) > i
             if i >= 1 and 2 * (i + 1) < len(n):
-                assert piecewise_f(cfg, witness, n[2 * (i + 1)] - 1) < 1.0 / i
+                assert piecewise_f(cfg, partial_witness, n[2 * (i + 1)] - 1) < 1.0 / i
 
     def test_shallow_search_completes(self):
         result = weierstrass_indices(WeierstrassConfig(i_max=2))
-        assert result.complete
+        assert result.complete and result.stopped == ""
         assert result.indices == (2, 3, 4, 9, 14, 8701, 253744)
 
     def test_deep_search_exceeds_budget(self, partial_witness):
-        assert isinstance(partial_witness, BudgetExceededError)
-        assert len(partial_witness.indices) == 7  # n_0 .. n_6
+        assert not partial_witness.complete
+        assert partial_witness.indices == (2, 3, 4, 9, 14, 8701, 253744)  # n_0 .. n_6
+        # the active window opened at n_6 is past the term cap, so it adds nothing
+        assert partial_witness.windows == ((2, 3), (4, 9), (14, 8701))
 
     def test_unreachable_bound_is_reported_in_logs(self, partial_witness):
-        assert "provably unreachable: sum below 2^-253722.1" in str(partial_witness)
+        assert partial_witness.stopped == "n_7 (provably unreachable: sum below 2^-253722.1)"
 
     @pytest.mark.parametrize("budget,stage", [
         (8192, "n_5 unreachable"),  # the bound equals the threshold 2 exactly
@@ -318,21 +315,20 @@ class TestWitnessIndices:
             assert search(config, n - 1) == reference_search(config, n - 1)
 
     def test_location_map(self, partial_witness):
-        witness = WitnessIndices(
-            indices=tuple(partial_witness.indices),
-            windows=tuple(partial_witness.windows),
-            complete=False,
-            config=partial_witness.config,
-        )
-        y = witness.y_map()
+        y = partial_witness.y_map()
         assert y[2] == 9.0 and y[3] == 0.0
         assert y[4] == 81.0 and y[8] == 3.0**8 and y[9] == 0.0
         assert y[14] == 3.0**14
 
 
 class TestCounterexampleMeasure:
-    def test_total_mass_one(self, partial_witness):
-        assert partial_witness.partial_measure.total_mass == pytest.approx(1.0, abs=1e-15)
+    def test_total_mass_one(self, partial_measure):
+        assert partial_measure.total_mass == pytest.approx(1.0, abs=1e-15)
+
+    def test_incomplete_search_raises(self):
+        # the contract is the full measure: a partial one never comes back
+        with pytest.raises(BudgetExceededError, match=r"searching n_7 \(provably unreachable"):
+            counterexample_measure(WeierstrassConfig(i_max=4))
 
     def test_shallow_measure_construction(self):
         mu = counterexample_measure(WeierstrassConfig(i_max=1))
@@ -340,18 +336,18 @@ class TestCounterexampleMeasure:
         locs = sorted(y for _, y in mu.atoms if y > 0)
         assert locs == [3.0**k for k in (2, 4, 5, 6, 7, 8)]
 
-    def test_rate_explodes_along_odd_witnesses(self, partial_witness):
-        mu = partial_witness.partial_measure
+    def test_rate_explodes_along_odd_witnesses(self, partial_witness, partial_measure):
+        mu = partial_measure
         n = partial_witness.indices
         tail_tol = 1e-6
         for i in (1, 2):
             s_i = 1.0 / (n[2 * i + 1] - 1)
             assert fourier_decay_rate(mu, s_i) > i - tail_tol
 
-    def test_rate_dies_along_even_witnesses(self, partial_witness):
+    def test_rate_dies_along_even_witnesses(self, partial_witness, partial_measure):
         # the decay rate is twice the window functional, so the honest
         # bound along the even witnesses is 2/i plus the truncation slack
-        mu = partial_witness.partial_measure
+        mu = partial_measure
         n = partial_witness.indices
         tail_tol = 1e-6
         for i in (1, 2):
@@ -374,22 +370,22 @@ class TestCounterexampleMeasure:
 
 
 class TestClusterWitnesses:
-    def test_targets_found(self, partial_witness):
-        mu = partial_witness.partial_measure
+    def test_targets_found(self, partial_measure):
+        mu = partial_measure
         results = cluster_witnesses(mu, [0.25, 1.0, 4.0])
         for target, res in results.items():
             assert res.found, res.message
             assert abs(res.rate - target) <= 1e-3 * (1 + target)
 
-    def test_target_zero_reachable_at_tiny_lag(self, partial_witness):
-        mu = partial_witness.partial_measure
+    def test_target_zero_reachable_at_tiny_lag(self, partial_measure):
+        mu = partial_measure
         grid = np.geomspace(1e-45, 10.0, 3000)
         results = cluster_witnesses(mu, [0.0], search_grid=grid)
         assert results[0.0].found
         assert results[0.0].rate <= 1e-3
 
-    def test_unreachable_target_reported_not_fatal(self, partial_witness):
-        mu = partial_witness.partial_measure
+    def test_unreachable_target_reported_not_fatal(self, partial_measure):
+        mu = partial_measure
         results = cluster_witnesses(
             mu, [1e9], search_grid=np.geomspace(0.5, 5.0, 50)
         )

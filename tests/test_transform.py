@@ -65,6 +65,16 @@ class TestAdmissibleSequence:
         with pytest.raises(InvalidInputError, match="positive and finite"):
             AdmissibleSequence.from_steps(steps, halfwidths)
 
+    # every given set is checked, not only the first four
+    @pytest.mark.parametrize("steps,halfwidths,message", [
+        ([0.5, 0.25, 0.125, 0.0625, math.nan], None, "positive and finite"),
+        ([0.5, 0.25, 0.125, 0.0625, 0.5], None, "steps must decrease"),
+        ([0.5, 0.25, 0.125, 0.0625, 0.03125], [1.0, 2.0, 3.0, 4.0, 3.5], "must not shrink"),
+    ], ids=["nan-fifth-step", "rising-fifth-step", "shrinking-fifth-halfwidth"])
+    def test_checks_every_set(self, steps, halfwidths, message):
+        with pytest.raises(InvalidInputError, match=message):
+            AdmissibleSequence.from_steps(steps, halfwidths)
+
 
 class TestRateKernel:
     def test_zero_rate_is_constant(self):
@@ -375,13 +385,13 @@ class TestGlobalConvergence:
     def test_weierstrass_witness_steps_toward_white_noise(self, partial_witness):
         from gaussmarkov.spectral import kernel_from_spectral, measure_from_windows
 
-        err = partial_witness
-        mu = measure_from_windows(err.config, err.windows)
+        witness = partial_witness
+        mu = measure_from_windows(witness.config, witness.windows)
         kern = kernel_from_spectral(mu)
         target = rate_kernel(RateFunction.infinite())
         # lags along the high-rate witness subsequence 1/(n_{2i+1} - 1)
-        steps = [1.0 / (err.indices[1] - 1), 1.0 / (err.indices[3] - 1),
-                 1.0 / (err.indices[5] - 1)]
+        steps = [1.0 / (witness.indices[1] - 1), 1.0 / (witness.indices[3] - 1),
+                 1.0 / (witness.indices[5] - 1)]
         adm = AdmissibleSequence.from_steps(steps, halfwidths=[2.0, 2.0, 2.0])
         rows = global_convergence_experiment(kern, target, adm, [0.0, 1.0], 3)
         distances = [r.distance for r in rows]
