@@ -18,6 +18,13 @@ value then passes its option's converter (``_OPTIONS``), so one that does not
 parse is a usage error wherever it came from; unused config keys are ignored.
 All floating-point output uses 17 significant digits, and reruns with the
 same configuration and seed produce byte-identical files.
+
+Each subcommand loads only the modules it runs: every command loads
+``errors``, ``serialize``, ``kernels`` and ``gaussian``; ``transform`` and
+``converge`` add ``transform``, ``counterexample`` adds ``spectral``, and
+``simulate`` adds ``transform`` and ``simulate``.  A spectral kernel spec
+loads ``spectral`` when it is parsed.  Handlers import their modules where
+they use them and look functions up on the module at each call.
 """
 
 from __future__ import annotations
@@ -32,11 +39,10 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from . import kernels, serialize, simulate, spectral, transform
-from .errors import GaussMarkovError, InvalidInputError
+from . import kernels, serialize
+from .errors import GaussMarkovError, InvalidInputError, InvalidMeasureError
 from .gaussian import markov_check
 from .kernels import psd_check
-from .spectral import WeierstrassConfig
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -130,7 +136,7 @@ _OPTIONS = {
         _Option("targets", _float_list, (0.25, 1.0, 4.0), "comma list of decay-rate targets"),
         _Option("i_max", int, 4, "witness depth"),
         _Option("k_cut", int, 60, "frequency truncation index"),
-        _Option("budget", int, spectral.DEFAULT_INDEX_BUDGET, "integer search budget"),
+        _Option("budget", int, None, "integer search budget"),
         _OUT,
     )),
     "simulate": ("SDE route vs Gaussian route comparison", (
@@ -192,7 +198,8 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
             continue
         try:
             values[opt.name] = opt.convert(raw)
-        except (InvalidInputError, ValueError, TypeError, KeyError) as exc:
+        except (InvalidInputError, InvalidMeasureError, ValueError, TypeError, KeyError,
+                OverflowError) as exc:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
             raise UsageError(f"{_flag(opt.name)}: {reason}") from exc
     return values
@@ -206,12 +213,25 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
 
 
+def _holds_doubles(lo: float, hi: float, count: int) -> bool:
+    """Whether ``[lo, hi]`` contains at least ``count`` distinct doubles."""
+    for _ in range(count - 1):
+        lo = np.nextafter(lo, math.inf)
+    return lo <= hi
+
+
 def _cmd_psd_check(kernel, grid, random_grids, seed, out) -> int:
     reports = [(grid.tolist(), psd_check(kernel, grid))]
     if random_grids:
         rng = np.random.default_rng(seed)
         for _ in range(random_grids):
             size = int(rng.integers(2, 9))
+            # Without ``size`` distinct doubles in the span the redraws never end.
+            if not _holds_doubles(grid[0], grid[-1], size):
+                raise InvalidInputError(
+                    f"--random-grids: grid {grid.tolist()} spans fewer than {size} "
+                    "distinct doubles, too few for a random grid"
+                )
             pts = np.sort(rng.uniform(grid[0], grid[-1], size=size))
             while np.any(np.diff(pts) <= 0):
                 pts = np.sort(rng.uniform(grid[0], grid[-1], size=size))
@@ -231,6 +251,8 @@ def _cmd_psd_check(kernel, grid, random_grids, seed, out) -> int:
 
 
 def _cmd_transform(kernel, alpha, grid, out) -> int:
+    from . import transform
+
     mimic = transform.mimic_kernel(kernel, alpha)
     times = grid.tolist()
     rows = []
@@ -245,6 +267,8 @@ def _cmd_transform(kernel, alpha, grid, out) -> int:
 
 
 def _cmd_converge(kernel, alpha, grid, mesh_sequence, steps, n_max, out) -> int:
+    from . import transform
+
     if (mesh_sequence is None) == (steps is None):
         raise UsageError("give exactly one of --mesh-sequence (local) or --steps (global)")
     target = kernels.rate_kernel(alpha, domain=kernel.domain)
@@ -270,7 +294,11 @@ def _cmd_converge(kernel, alpha, grid, mesh_sequence, steps, n_max, out) -> int:
 
 
 def _cmd_counterexample(targets, i_max, k_cut, budget, out) -> int:
-    config = WeierstrassConfig(k_cut=k_cut, i_max=i_max)
+    from . import spectral
+
+    if budget is None:
+        budget = spectral.DEFAULT_INDEX_BUDGET
+    config = spectral.WeierstrassConfig(k_cut=k_cut, i_max=i_max)
     witness = spectral.weierstrass_indices(config, budget=budget)
     if not witness.complete:
         print(
@@ -314,6 +342,8 @@ def _cmd_counterexample(targets, i_max, k_cut, budget, out) -> int:
 
 
 def _cmd_simulate(kernel, alpha, grid, paths, seed, step, route, dump_paths, out) -> int:
+    from . import simulate
+
     report = simulate.figure_comparison(
         kernel, alpha, grid, n_paths=paths, seed=seed, step=step, gaussian_route=route,
     )

@@ -229,7 +229,13 @@ def psd_check(kernel: Kernel, grid) -> PsdReport:
     ``-TOL_PSD * max(diagonal)``.
     """
     mat = gram(kernel, grid)
-    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    sym = 0.5 * (mat + mat.T)
+    if not np.isfinite(sym).all():
+        raise InvalidInputError(
+            f"kernel '{kernel.name}' has Gram entries too large to check, "
+            f"up to {float(np.abs(mat).max())}"
+        )
+    eigs = np.linalg.eigvalsh(sym)
     min_eig = float(eigs[0])
     scale = float(np.max(np.diag(mat)))
     return PsdReport(min_eigenvalue=min_eig, passed=min_eig >= -TOL_PSD * max(scale, 0.0))
@@ -346,30 +352,37 @@ def transform_kernel(
                 f"time change maps {endpoint} to {image}, outside {kernel.domain}"
             )
 
+    name = f"transformed({kernel.name})"
+
+    def no_overflow(f: Callable[[float], float], what: str) -> Callable[[float], float]:
+        def at(t: float) -> float:
+            try:
+                return f(t)
+            except OverflowError as exc:
+                raise InvalidInputError(f"kernel {name!r}: {what} overflows at t = {t}") from exc
+
+        return at
+
+    scale_at, phi = no_overflow(scale, "scale"), no_overflow(time_change, "time change")
+
     def nonzero_scale(t: float) -> float:
-        u = scale(t)
+        u = scale_at(t)
         if u == 0.0:
             raise InvalidInputError(f"scale vanishes at {t}")
         return u
 
     def new_eval(s: float, t: float) -> float:
         u, v = nonzero_scale(s), nonzero_scale(t)
-        return u * v * kernel.eval(time_change(s), time_change(t))
+        return u * v * kernel.eval(phi(s), phi(t))
 
     def new_cov(s, t):
         u, v = _at_points(nonzero_scale, s, t)
-        return u * v * kernel.cov(*_at_points(time_change, s, t))
+        return u * v * kernel.cov(*_at_points(phi, s, t))
 
     def new_mean(t: float) -> float:
-        return scale(t) * kernel.mean(time_change(t))
+        return scale_at(t) * kernel.mean(phi(t))
 
-    return Kernel(
-        eval=new_eval,
-        mean=new_mean,
-        cov=new_cov,
-        domain=new_domain,
-        name=f"transformed({kernel.name})",
-    )
+    return Kernel(eval=new_eval, mean=new_mean, cov=new_cov, domain=new_domain, name=name)
 
 
 # ---------------------------------------------------------------------------

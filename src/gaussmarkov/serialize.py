@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import kernels, spectral
+from . import kernels
 from .errors import InvalidInputError
 from .kernels import Kernel, RateFunction
 
@@ -51,6 +51,21 @@ def _bound(value) -> float:
             return -math.inf
         raise InvalidInputError(f"bad domain bound {value!r}")
     return float(value)
+
+
+def _domain(value, default):
+    """A ``[lo, hi]`` domain, or ``default`` when the spec gives none."""
+    if value is None:
+        return default
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise InvalidInputError(f"domain must be a pair [lo, hi], got {value!r}")
+    return _bound(value[0]), _bound(value[1])
+
+
+def _form(spec, what: str):
+    if not isinstance(spec, dict):
+        raise InvalidInputError(f"{what} spec must be an object, got {spec!r}")
+    return spec.get("form")
 
 
 def rate_from_spec(spec) -> RateFunction:
@@ -86,7 +101,7 @@ def rate_from_spec(spec) -> RateFunction:
 
 
 def _scale_from_spec(spec) -> Callable[[float], float]:
-    form = spec.get("form")
+    form = _form(spec, "scale")
     if form == "constant":
         c = float(spec["value"])
         return lambda t: c
@@ -102,7 +117,7 @@ def _scale_from_spec(spec) -> Callable[[float], float]:
 
 
 def _time_change_from_spec(spec) -> Callable[[float], float]:
-    form = spec.get("form")
+    form = _form(spec, "time-change")
     if form == "affine":
         a = float(spec.get("slope", 1.0))
         b = float(spec.get("intercept", 0.0))
@@ -164,17 +179,15 @@ def kernel_from_spec(spec) -> Kernel:
     if kind == "fbm_log":
         return kernels.fbm_log(float(spec["hurst"]))
     if kind == "exponential":
-        domain = spec.get("domain")
-        if domain is None:
-            bounds = (-math.inf, math.inf)
-        else:
-            bounds = (_bound(domain[0]), _bound(domain[1]))
+        bounds = _domain(spec.get("domain"), (-math.inf, math.inf))
         return kernels.exponential_rate(rate_from_spec(spec.get("rate", 1.0)), domain=bounds)
     if kind == "constant":
         return kernels.constant()
     if kind == "white_noise":
         return kernels.white_noise()
     if kind == "spectral":
+        from . import spectral
+
         mu = spectral.SpectralMeasure.from_list(spec["atoms"])
         return spectral.kernel_from_spectral(mu)
     if kind == "noise_integral":
@@ -183,11 +196,9 @@ def kernel_from_spec(spec) -> Kernel:
         return kernels.matrix_kernel(spec["grid"], spec["matrix"])
     if kind == "transformed":
         base = kernel_from_spec(spec["base"])
-        domain = spec.get("domain")
-        bounds = None if domain is None else (_bound(domain[0]), _bound(domain[1]))
         return kernels.transform_kernel(
             base, _scale_from_spec(spec["scale"]), _time_change_from_spec(spec["time_change"]),
-            domain=bounds,
+            domain=_domain(spec.get("domain"), None),
         )
     raise InvalidInputError(f"unknown kernel type {kind!r}")
 

@@ -52,11 +52,19 @@ class TestPsdCheck:
         assert report["grids"][0]["min_eigenvalue"] == pytest.approx(-1.0, abs=1e-12)
 
     def test_bad_spec_is_usage_error(self, tmp_path):
-        code = main([
-            "psd-check", "--kernel", '{"type": "nope"}',
-            "--grid", "0:2:3", "--out", str(tmp_path),
-        ])
-        assert code == 2
+        for spec in (
+            {"type": "nope"},
+            {"type": "spectral", "atoms": [{"weight": "nan", "location": 1}]},
+            {"type": "exponential", "domain": []},
+            {"type": "transformed", "base": {"type": "fbm", "hurst": 0.5}, "scale": 3,
+             "time_change": {"form": "affine"}},
+            {"type": "fbm", "hurst": 10**400},
+        ):
+            code = main([
+                "psd-check", "--kernel", json.dumps(spec),
+                "--grid", "0:2:3", "--out", str(tmp_path),
+            ])
+            assert code == 2, spec
 
     def test_missing_flag_is_usage_error(self, tmp_path):
         assert main(["psd-check", "--out", str(tmp_path)]) == 2
@@ -73,21 +81,52 @@ class TestPsdCheck:
         ({"type": "transformed", "base": {"type": "exponential"},
           "scale": {"form": "power", "exponent": "nan"}, "time_change": {"form": "affine"}},
          "1:2:3", 1, "is nan at (s, t) = (1.0, 1.5)"),
-        ({"type": "spectral", "atoms": [{"weight": 1, "location": "nan"}]}, "0:1:3", 1,
+        ({"type": "spectral", "atoms": [{"weight": 1, "location": "nan"}]}, "0:1:3", 2,
          "atom location must be nonnegative and finite, got nan"),
-        ({"type": "spectral", "atoms": [{"weight": "nan", "location": 1}]}, "0:1:3", 1,
+        ({"type": "spectral", "atoms": [{"weight": "nan", "location": 1}]}, "0:1:3", 2,
          "atom weight must be positive and finite, got nan"),
         ({"type": "matrix", "grid": [0, 1], "matrix": [[1, "nan"], ["nan", 1]]}, "0:1:2", 1,
          "kernel 'matrix' is nan at (s, t) = (0.0, 1.0)"),
         ({"type": "exponential"}, "0:inf:3", 2,
          "--grid: grid endpoints and span must be finite, got '0:inf:3'"),
+        ({"type": "transformed", "base": {"type": "fbm", "hurst": 0.5},
+          "scale": {"form": "exp", "coeff": 1, "rate": 1000},
+          "time_change": {"form": "affine", "slope": 1, "intercept": 0}, "domain": [0, 5]},
+         "1:3:3", 1, "kernel 'transformed(fbm(H=0.5))': scale overflows at t = 1.0"),
+        ({"type": "transformed", "base": {"type": "fbm", "hurst": 0.5},
+          "scale": {"form": "constant", "value": 1},
+          "time_change": {"form": "exp", "coeff": 1, "rate": 1000}, "domain": [0, 5]},
+         "1:3:3", 1, "kernel 'transformed(fbm(H=0.5))': time change overflows at t = 1.0"),
+        ({"type": "matrix", "grid": [0, 1], "matrix": [[1e308, 0], [0, 1]]}, "0:1:2", 1,
+         "kernel 'matrix' has Gram entries too large to check, up to 1e+308"),
     ], ids=["fbm-overflow", "scale-nan", "scale-exponent-nan", "atom-location-nan",
-            "atom-weight-nan", "matrix-nan", "grid-inf"])
+            "atom-weight-nan", "matrix-nan", "grid-inf", "scale-exp-overflow",
+            "time-change-exp-overflow", "matrix-huge"])
     def test_nonfinite_value_is_named(self, tmp_path, capsys, kernel, grid, code, message):
         argv = ["psd-check", "--kernel", json.dumps(kernel), "--grid", grid]
         assert main(argv + ["--out", str(tmp_path)]) == code
         assert message in capsys.readouterr().err
         assert not (tmp_path / "psd_report.json").exists()
+
+    # Each used to redraw forever: the span holds fewer doubles than the
+    # random grid's size.
+    @pytest.mark.parametrize("grid,seed,message", [
+        ("0:1:1", 0, "grid [0.0] spans fewer than 7 distinct doubles"),
+        ("0:1e-323:2", 1, "grid [0.0, 1e-323] spans fewer than 5 distinct doubles"),
+    ])
+    def test_random_grid_needs_enough_doubles(self, tmp_path, capsys, grid, seed, message):
+        argv = ["psd-check", "--kernel", '{"type": "constant"}', "--grid", grid,
+                "--random-grids", "1", "--seed", str(seed), "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
+    # Seed 14 draws a 3-point grid, which the three doubles of the span hold.
+    def test_random_grid_in_a_span_of_three_doubles(self, tmp_path):
+        argv = ["psd-check", "--kernel", '{"type": "constant"}', "--grid", "0:1e-323:2",
+                "--random-grids", "1", "--seed", "14", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "psd_report.json").read_text())
+        assert report["grids"][1]["grid"] == [0.0, 5e-324, 1e-323]
 
 
     # sha256 of the README psd-check command's report, recorded before the
