@@ -18,7 +18,7 @@ class ChainMismatchError(GaussMarkovError):
 
 
 class NotPsdError(GaussMarkovError):
-    """A covariance matrix failed factorization even after jitter."""
+    """A covariance matrix has an eigenvalue below ``-TOL_PSD * max(diagonal)``."""
 
 
 class InvalidRateError(GaussMarkovError):

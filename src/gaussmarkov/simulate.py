@@ -32,10 +32,7 @@ import numpy as np
 from . import transform
 from .errors import InvalidInputError, InvalidSdeError, NotPsdError
 from .gaussian import GaussianVector
-from .kernels import Kernel, RateFunction, _as_strictly_increasing, rate_kernel
-
-#: Jitter ladder (relative to max diagonal) tried before giving up on Cholesky.
-JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
+from .kernels import TOL_PSD, Kernel, RateFunction, _as_strictly_increasing, rate_kernel
 
 #: Finite-difference step of the mean/std derivatives.
 FD_STEP = 1e-6
@@ -110,27 +107,35 @@ class SdeSpec:
             )
 
 
-def _factor_with_jitter(cov: np.ndarray) -> np.ndarray:
-    scale = float(np.max(np.diag(cov)))
-    for jitter in JITTER_LADDER:
-        try:
-            return np.linalg.cholesky(cov + jitter * scale * np.eye(cov.shape[0]))
-        except np.linalg.LinAlgError:
-            continue
-    raise NotPsdError(
-        f"covariance not factorizable after jitter up to {JITTER_LADDER[-1]:g} * diag"
-    )
+def _factor(cov: np.ndarray) -> np.ndarray:
+    """A factor ``F`` with ``F F^T = cov``: Cholesky, or ``V diag(sqrt(lambda))`` if singular.
+
+    Eigenvalues at or below ``n 2^-52 lambda_max`` are rounding and become 0,
+    so a rank-deficient law is sampled on its range.
+    """
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        pass
+    lam, vecs = np.linalg.eigh(cov)
+    floor = -TOL_PSD * float(np.max(np.diag(cov)))
+    if lam[0] < floor:
+        raise NotPsdError(f"covariance has eigenvalue {lam[0]:.3g}, below {floor:.3g}")
+    lam[lam <= cov.shape[0] * 2.0**-52 * lam[-1]] = 0.0
+    return vecs * np.sqrt(lam)
 
 
 def cholesky_sample(law: GaussianVector, n_paths: int, seed: int) -> TrajectoryBatch:
     """Exact sampling of a finite-dimensional Gaussian law.
 
-    Rank-deficient covariances (constant kernels and friends) are handled
-    by a small diagonal jitter ladder.
+    A full-rank covariance is factored by Cholesky.  A singular one (the
+    constant kernel's, or a mimicking law with ``alpha = 0``) is factored by
+    its eigen decomposition with the eigenvalues of rounding size set to 0,
+    so the paths lie in the covariance's range to rounding.
     """
     if n_paths < 1:
         raise InvalidInputError("need at least one path")
-    factor = _factor_with_jitter(law.cov)
+    factor = _factor(law.cov)
     gen = _stream(seed, "cholesky-sampler")
     paths = gen.standard_normal((n_paths, law.dim)) @ factor.T
     paths += law.mean

@@ -16,10 +16,11 @@ grow tower-exponentially: with weights (1/2)^k and frequencies 3^k the
 i = 2 gap search ends at n_6 = 253744, and the next active window needs a
 sum bounded by ``x * 2^-253742`` to exceed 3, provably beyond any floating
 budget, so deep searches return the indices found so far and name the
-search that stopped.  Each search is one chunked scan over the integers that
-evaluates the same windowed sum upwards and downwards; the gap scans first
-drop every x that a few heavy terms already keep above the threshold, since
-no term of the sum is negative.
+search that stopped.  One evaluator gives the windowed sum for an array of
+x: each search scans it over the integers, upwards or downwards, in chunks,
+and :func:`piecewise_f` takes it at one x.  The gap scans first drop every x
+that a few heavy terms already keep above the threshold, since no term of
+the sum is negative.
 """
 
 from __future__ import annotations
@@ -203,91 +204,53 @@ def _effective_cap(config: WeierstrassConfig, x: float) -> int:
     return min(_TERM_CAP, cap)
 
 
-def lacunary_sum(config: WeierstrassConfig, x: float, k_from: int, k_to: int) -> float:
-    """``x * sum_{k=k_from}^{k_to} a^k (1 - cos(b^k / x))``.
-
-    Terms beyond :func:`_effective_cap` are dropped; the omission is below
-    1e-12 for any x within the search budget.
-    """
-    if x <= 0.0:
-        raise InvalidInputError(f"x must be positive, got {x}")
-    k_to = min(k_to, _effective_cap(config, x))
-    if k_to < k_from:
-        return 0.0
-    total = 0.0
-    a, b = config.a, config.b
-    ak = a**k_from
-    bk = b**k_from
-    for _ in range(k_from, k_to + 1):
-        total += ak * (1.0 - math.cos(bk / x))
-        ak *= a
-        bk *= b
-    return x * total
+def _windowed_sum(config: WeierstrassConfig, ks: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``x * sum of a^k (1 - cos(b^k / x)) [k <= x]`` over the indices ks, for each x of xs."""
+    terms = 1.0 - np.cos(np.outer(1.0 / xs, config.b**ks))
+    if ks.size and xs.size and ks.max() > xs.min():  # else the mask is all ones
+        terms *= ks <= xs[:, None]
+    return xs * (terms @ config.a**ks)
 
 
-def f_witness(config: WeierstrassConfig, n: int, x: float) -> float:
-    """Growth functional ``x * sum_{k=n}^{floor(x)} a^k (1 - cos(b^k / x))``."""
-    return lacunary_sum(config, x, n, int(math.floor(x)))
+def _window_indices(windows: Sequence[tuple[int, int]], cap: int) -> np.ndarray:
+    """The indices k <= cap of the windows ``[lo, hi)``, ascending, as floats."""
+    active = np.zeros(cap + 1, dtype=bool)
+    for lo, hi in windows:
+        active[lo:hi] = True
+    return np.flatnonzero(active).astype(float)
 
 
 def _first_crossing(
     config: WeierstrassConfig,
-    windows: Sequence[tuple[int, int | None]],
+    windows: Sequence[tuple[int, int]],
     x_start: int,
     x_stop: int,
     threshold: float,
+    upward: bool = False,
 ) -> int | None:
     """Smallest integer x in [x_start, x_stop] where a windowed lacunary sum crosses threshold.
 
-    The sum is ``x * sum of a^k (1 - cos(b^k / x))`` over the windows'
-    indices k <= x, capped at ``_effective_cap`` of x_stop, scanned in
-    chunks of ``_FIRST_CHUNK`` integers doubling up to ``_SCAN_CHUNK``.
-
-    One open window ``[(lo, None)]`` is the growth functional f_lo of
-    :func:`f_witness`, crossing upwards (first x with a sum above
-    threshold).  The terms past ``_effective_cap`` of x that the scan keeps
-    add less than 1e-12, but it rounds each phase ``b^k / x`` otherwise
-    than f_witness (power and reciprocal against running product and
-    division): a term can differ by up to ``min(2, (k + 2) 2^-52 b^k / x)``
-    of its weight ``x a^k``, all of it once the phase nears 2^52.  The sum
-    is below ``x * 2 a^lo / (1 - a)``, so the scan starts where that bound
-    reaches the threshold.
-
-    Closed windows are the gap functional, crossing downwards (first x with
-    a sum below threshold); their indices all lie below x_start, so the
-    ``k <= x`` mask keeps every term.  No term is negative, so the
-    ``_BOUND_TERMS`` heaviest terms whose phase ``b^k / x`` is at least 1
-    across a chunk bound the sum from below; only the x whose bound is
-    under ``threshold * (1 + _BOUND_MARGIN)`` get the full sum.
+    The sum is :func:`_windowed_sum` over the windows' indices up to
+    ``_effective_cap`` of x_stop, scanned in chunks of ``_FIRST_CHUNK``
+    integers doubling up to ``_SCAN_CHUNK``.  Upward, over one open window
+    ``[(lo, _TERM_CAP + 1)]``, it is the growth functional f_lo and the first
+    sum above threshold counts.  Downward, over closed windows whose indices
+    all lie below x_start, it is the gap functional and the first sum below
+    threshold counts.  No term is negative, so the ``_BOUND_TERMS`` heaviest
+    terms whose phase ``b^k / x`` is at least 1 across a chunk bound the sum
+    from below; only the x whose bound is under
+    ``threshold * (1 + _BOUND_MARGIN)`` get the full sum.
     """
-    a, b = config.a, config.b
-    cap = _effective_cap(config, float(x_stop))
-    upward = windows[-1][1] is None
-    if upward:
-        k_from = windows[-1][0]
-        windows = [(k_from, cap + 1)]
-        x_start = max(
-            x_start,
-            int(threshold * (1.0 - a) / (2.0 * a**k_from * (1.0 + _BOUND_MARGIN))),
-        )
-    ks = np.concatenate(
-        [np.arange(lo, min(hi - 1, cap) + 1) for lo, hi in windows]
-    ).astype(float)
-    weights = a**ks
-    freqs = b**ks  # ascending
+    ks = _window_indices(windows, _effective_cap(config, float(x_stop)))
 
     def crossed(start: int, stop: int) -> np.ndarray:
         xs = np.arange(start, stop, dtype=float)
-        keep = np.arange(xs.size)
-        if not upward:
-            first = int(np.searchsorted(freqs, xs[-1]))  # phase >= 1 on the whole chunk
-            heavy = slice(first, first + _BOUND_TERMS)
-            bound = xs * ((1.0 - np.cos(np.outer(1.0 / xs, freqs[heavy]))) @ weights[heavy])
-            keep = np.flatnonzero(bound < threshold * (1.0 + _BOUND_MARGIN))
-            xs = xs[keep]
-        terms = (1.0 - np.cos(np.outer(1.0 / xs, freqs))) * (ks <= xs[:, None])
-        vals = xs * (terms @ weights)
-        return keep[vals > threshold if upward else vals < threshold]
+        if upward:
+            return np.flatnonzero(_windowed_sum(config, ks, xs) > threshold)
+        first = int(np.searchsorted(config.b**ks, xs[-1]))  # phase >= 1 on the whole chunk
+        bound = _windowed_sum(config, ks[first:first + _BOUND_TERMS], xs)
+        keep = np.flatnonzero(bound < threshold * (1.0 + _BOUND_MARGIN))
+        return keep[_windowed_sum(config, ks, xs[keep]) < threshold]
 
     start, chunk = x_start, _FIRST_CHUNK
     while start <= x_stop:
@@ -303,13 +266,8 @@ def piecewise_f(config: WeierstrassConfig, witness: WitnessIndices, x: float) ->
     """``x * sum_{k=2}^{floor(x)} a^k (1 - cos(y_k / x))`` with the constructed y."""
     if x <= 0.0:
         raise InvalidInputError(f"x must be positive, got {x}")
-    top = min(int(math.floor(x)), _TERM_CAP)
-    total = 0.0
-    for lo, hi in witness.windows:
-        if lo > top:
-            break
-        total += lacunary_sum(config, x, lo, min(hi - 1, top))
-    return total
+    ks = _window_indices(witness.windows, _effective_cap(config, x))
+    return float(_windowed_sum(config, ks, np.array([float(x)]))[0])
 
 
 def weierstrass_indices(
@@ -329,6 +287,7 @@ def weierstrass_indices(
         raise InvalidInputError(f"index budget must be at least 1, got {budget}")
     indices: list[int] = [2]
     closed_windows: list[tuple[int, int]] = []
+    a = config.a
 
     def stop(stage: str) -> WitnessIndices:
         # An unclosed active window keeps its frequencies up to the cap.
@@ -339,16 +298,16 @@ def weierstrass_indices(
 
     for i in range(config.i_max + 1):
         lo = indices[-1]
-        # Odd index: first n with f_lo(n - 1) > i.  The sum is capped by
-        # x * 2 * sum_{k>=lo} a^k, so some searches are provably hopeless.
-        # The bound is taken in base-2 logs: a^lo underflows to 0 long before
+        # Odd index: first n with f_lo(n - 1) > i.  The sum is below
+        # x * 2a^lo / (1 - a), so the scan starts where that bound reaches i,
+        # and a search whose budget ends before it is provably hopeless.  The
+        # verdict is taken in base-2 logs: a^lo underflows to 0 long before
         # the searches grow hopeless (2^-253722 at lo = 253744).
-        log2_best = (
-            math.log2(budget) + 1.0 + lo * math.log2(config.a) - math.log2(1.0 - config.a)
-        )
+        log2_best = math.log2(budget) + 1.0 + lo * math.log2(a) - math.log2(1.0 - a)
         if i > 0 and log2_best <= math.log2(i):
             return stop(f"n_{2 * i + 1} (provably unreachable: sum below 2^{log2_best:.1f})")
-        hit = _first_crossing(config, [(lo, None)], lo, budget - 1, float(i))
+        x_start = max(lo, int(i * (1.0 - a) / (2.0 * a**lo * (1.0 + _BOUND_MARGIN))))
+        hit = _first_crossing(config, [(lo, _TERM_CAP + 1)], x_start, budget - 1, i, upward=True)
         if hit is None:
             return stop(f"n_{2 * i + 1}")
         n = hit + 1

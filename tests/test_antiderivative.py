@@ -173,6 +173,20 @@ def test_non_integrable_rate_is_rejected_quickly():
     assert time.perf_counter() - start < 1.0
 
 
+def test_fast_oscillating_rate_hits_the_evaluation_cap():
+    # Finite everywhere, but no piece settles before MAX_RATE_EVALS.
+    kern = rate_kernel(
+        RateFunction.from_callable(lambda t: 1.0 + math.sin(1e6 * t) ** 2), domain=(0.0, 10.0)
+    )
+    start = time.perf_counter()
+    with pytest.raises(
+        InvalidRateError,
+        match=r"not integrable to 1e-10 over \[5\.0, 6\.0\] within 100000 evaluations",
+    ):
+        kern.cov(0.0, 10.0)
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "1/|t - 1.75|"])
 def test_bad_rate_values_name_the_interval(value):
     def rate(t):

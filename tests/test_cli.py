@@ -500,8 +500,19 @@ class TestConfigPrecedence:
         assert len(report_b["grids"]) == 3
         assert report_b["grids"][0]["grid"] == [0.0, 0.5, 1.0]
 
-    def test_missing_config_file(self, tmp_path):
-        assert main(["psd-check", "--config", str(tmp_path / "none.json")]) == 2
+    @pytest.mark.parametrize("text,message", [
+        (None, "--config: file not found: "),
+        ("{", "--config: not valid JSON: "),
+        ("[1]", "--config: expected a JSON object, got list"),
+    ], ids=["missing", "invalid-json", "not-an-object"])
+    def test_missing_config_file(self, tmp_path, capsys, text, message):
+        config = tmp_path / "run.json"
+        if text is not None:
+            config.write_text(text)
+        out = tmp_path / "out"
+        assert main(["psd-check", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: {message}")
+        assert not out.exists()
 
     # A value its option cannot convert is a usage error, from the command
     # line or from the config file alike.

@@ -13,7 +13,7 @@ from gaussmarkov.simulate import (
     FD_STEP,
     SdeSpec,
     TrajectoryBatch,
-    _factor_with_jitter,
+    _factor,
     _stream,
     cholesky_sample,
     empirical_covariance,
@@ -49,10 +49,21 @@ class TestCholeskySample:
         assert np.all(var > 0.99) and np.all(var < 1.01)
 
     def test_constant_kernel_paths_flat(self):
-        law = joint_law(kernels.constant(), np.linspace(0, 1, 5))
-        batch = cholesky_sample(law, 200, seed=2)
-        spread = np.max(np.abs(batch.paths - batch.paths[:, :1]))
-        assert spread < 1e-4  # jitter-level wiggle only
+        # Rank-one laws, whose paths are multiples of the standard deviations:
+        # the constant kernel, and fbm mimicked with alpha = 0, whose
+        # K'(s, t) = sigma(s) sigma(t).  Each path lies on that line to rounding.
+        fbm_mimic = transform.mimic_kernel(kernels.fbm(0.75), RateFunction.constant(0.0))
+        for kern, grid in [
+            (kernels.constant(), np.linspace(0, 1, 5)),
+            (fbm_mimic, np.linspace(1, 3, 3)),
+            (fbm_mimic, np.linspace(1, 2, 50)),
+        ]:
+            law = joint_law(kern, grid)
+            paths = cholesky_sample(law, 2000, seed=2).paths
+            line = np.sqrt(np.diag(law.cov)) / math.sqrt(np.trace(law.cov))
+            off = paths - np.outer(paths @ line, line)
+            rel = np.linalg.norm(off, axis=1) / np.linalg.norm(paths, axis=1)
+            assert np.max(rel) <= 1e-12
 
     def test_exponential_kernel_empirical_cov(self):
         kern = kernels.exponential_rate(1.0)
@@ -71,7 +82,7 @@ class TestCholeskySample:
 
     def test_indefinite_matrix_not_factorizable(self):
         with pytest.raises(NotPsdError):
-            _factor_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            _factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestEulerMaruyama:

@@ -17,7 +17,6 @@ from gaussmarkov.spectral import (
     WeierstrassConfig,
     cluster_witnesses,
     counterexample_measure,
-    f_witness,
     fourier_decay_rate,
     kernel_from_spectral,
     measure_from_windows,
@@ -25,6 +24,7 @@ from gaussmarkov.spectral import (
     weierstrass_gamma,
     weierstrass_indices,
 )
+from oracles import f_witness
 
 
 def two_point():
@@ -296,7 +296,10 @@ class TestWitnessIndices:
         records = 1 + np.flatnonzero(low[1:] > high[:-1])
         assume(records.size)
         for r in records:  # a threshold just under a record high is crossed there first
-            assert spectral._first_crossing(config, [(lo, None)], lo, 400, low[r]) == lo + r
+            hit = spectral._first_crossing(
+                config, [(lo, spectral._TERM_CAP + 1)], lo, 400, low[r], upward=True
+            )
+            assert hit == lo + r
 
     @settings(max_examples=40, deadline=None)
     @given(
