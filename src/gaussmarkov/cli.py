@@ -85,6 +85,16 @@ def _count(value) -> int:
     return count
 
 
+def _budget(value) -> int:
+    """An index budget no larger than the searches can scan (``spectral.MAX_INDEX_BUDGET``)."""
+    from . import spectral
+
+    budget = int(value)
+    if budget > spectral.MAX_INDEX_BUDGET:
+        raise ValueError(f"expected at most 2^53, got {budget}")
+    return budget
+
+
 def _switch(value) -> bool:
     """A flag given on the command line, or a JSON boolean in the config file."""
     if not isinstance(value, bool):
@@ -136,7 +146,7 @@ _OPTIONS = {
         _Option("targets", _float_list, (0.25, 1.0, 4.0), "comma list of decay-rate targets"),
         _Option("i_max", int, 4, "witness depth"),
         _Option("k_cut", int, 60, "frequency truncation index"),
-        _Option("budget", int, None, "integer search budget"),
+        _Option("budget", _budget, None, "integer search budget, at most 2^53"),
         _OUT,
     )),
     "simulate": ("SDE route vs Gaussian route comparison", (

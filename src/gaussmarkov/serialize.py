@@ -39,6 +39,9 @@ from . import kernels
 from .errors import InvalidInputError
 from .kernels import Kernel, RateFunction
 
+#: Most points a ``start:stop:count`` grid may have: a Gram over it takes 128 MiB.
+MAX_GRID_POINTS = 4096
+
 
 def _bound(value) -> float:
     if value is None:
@@ -216,6 +219,10 @@ def parse_grid(text: str) -> np.ndarray:
         raise InvalidInputError(f"grid endpoints and span must be finite, got {text!r}")
     if count < 1 or not start < stop:
         raise InvalidInputError(f"bad grid {text!r}")
+    if count > MAX_GRID_POINTS:
+        raise InvalidInputError(
+            f"grid {text!r} has {count} points, above the cap of {MAX_GRID_POINTS}"
+        )
     return np.linspace(start, stop, count)
 
 

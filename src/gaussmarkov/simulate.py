@@ -37,6 +37,9 @@ from .kernels import TOL_PSD, Kernel, RateFunction, _as_strictly_increasing, rat
 #: Finite-difference step of the mean/std derivatives.
 FD_STEP = 1e-6
 
+#: Most Euler-Maruyama substeps over a grid: a coefficient table of 32 MB.
+MAX_EM_SUBSTEPS = 10**6
+
 
 def _stream(seed: int, name: str) -> np.random.Generator:
     tag = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "little")
@@ -158,6 +161,12 @@ def euler_maruyama(
     exact -0.0), so an ``alpha == 0`` run costs what an ODE costs.
     """
     grid = _as_strictly_increasing(t_grid)
+    substeps = float(grid[-1] - grid[0]) / spec.step
+    if substeps > MAX_EM_SUBSTEPS:
+        raise InvalidInputError(
+            f"step {spec.step} takes {substeps:.4g} substeps over [{grid[0]}, {grid[-1]}], "
+            f"above the cap of {MAX_EM_SUBSTEPS}"
+        )
     gaps = []
     for a, b in zip(grid[:-1], grid[1:]):
         gap = b - a

@@ -37,6 +37,10 @@ from .kernels import Kernel
 #: Default integer budget of the witness-index searches.
 DEFAULT_INDEX_BUDGET = 10**6
 
+#: Largest budget: the scans step through their integers as doubles, and
+#: every integer below 2^53 is one.
+MAX_INDEX_BUDGET = 2**53
+
 #: Indices past this cap contribute less than ~1e-60 to any witness sum.
 _TERM_CAP = 220
 
@@ -285,6 +289,8 @@ def weierstrass_indices(
     """
     if budget < 1:
         raise InvalidInputError(f"index budget must be at least 1, got {budget}")
+    if budget > MAX_INDEX_BUDGET:
+        raise InvalidInputError(f"index budget must be at most 2^53, got {budget}")
     indices: list[int] = [2]
     closed_windows: list[tuple[int, int]] = []
     a = config.a

@@ -195,6 +195,9 @@ def made_markov_law(kernel: Kernel, split_times, query_times) -> GaussianVector:
     One running product per query over the splits after it: O(q m)
     multiplications and O(q + m) kernel evaluations for q queries and m
     splits, besides the kernel's own covariances between unsplit queries.
+    Those pairs and each query's first split are evaluated in one kernel
+    call each, and the loop over queries keeps only the running product,
+    in one buffer of m entries: O(q^2 + m) memory.
     """
     splits = _sorted_unique(split_times)
     queries = _as_strictly_increasing(query_times)
@@ -210,14 +213,24 @@ def made_markov_law(kernel: Kernel, split_times, query_times) -> GaussianVector:
     last = np.zeros(n)  # K(r_before, q) / K(r_before, r_before)
     has = before >= 0
     last[has] = kernel.cov(splits[before[has]], queries[has]) / split_var[before[has]]
+    rows = np.arange(n)
+    j0 = np.maximum(rows + 1, np.searchsorted(before, after))  # first query past the next split
+    # Pairs i < j < j0[i] have no split between them: the kernel's own covariance.
+    counts = j0 - rows - 1
+    pi = np.repeat(rows, counts)
+    pj = pi + 1 + np.arange(pi.size) - np.repeat(np.cumsum(counts) - counts, counts)
     cov = np.zeros((n, n))
-    for i in range(n):
-        j0 = max(i + 1, int(np.searchsorted(before, after[i])))  # first query past the next split
-        cov[i, i + 1 : j0] = kernel.cov(queries[i : i + 1], queries[i + 1 : j0])
-        if j0 < n:
-            first = kernel.cov(queries[i : i + 1], splits[after[i] : after[i] + 1])
-            run = np.cumprod(np.concatenate([first, factors[after[i] :]]))
-            cov[i, j0:] = run[before[j0:] - after[i]] * last[j0:]
+    cov[pi, pj] = kernel.cov(queries[pi], queries[pj])
+    split_rows = np.flatnonzero(j0 < n)
+    firsts = kernel.cov(queries[split_rows], splits[after[split_rows]])  # K(q_i, r_after)
+    run = np.empty(splits.size)
+    for i, first in zip(split_rows.tolist(), firsts.tolist()):
+        a, j = int(after[i]), int(j0[i])
+        row = run[a:]  # run[k] = K(q_i, r_a) * factors[a] * ... * factors[k - 1]
+        row[0] = first
+        row[1:] = factors[a:]
+        np.cumprod(row, out=row)
+        cov[i, j:] = run[before[j:]] * last[j:]
     cov = cov + cov.T
     np.fill_diagonal(cov, var)
     mean = np.array([kernel.mean(float(t)) for t in queries])

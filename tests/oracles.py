@@ -1,15 +1,24 @@
-"""Scalar running-product oracles of ``gaussmarkov.spectral._windowed_sum``.
+"""Slow reference paths that the library's fast ones are checked against.
 
-They round each phase ``b^k / x`` otherwise than the library (running product
-and division against power and reciprocal): a term of weight ``x * a^k`` can
-differ by up to ``min(2, (k + 2) 2^-52 b^k / x)`` of it, all once ``b^k / x``
-nears 2^52.
+``lacunary_sum`` and ``f_witness`` are scalar running-product oracles of
+``gaussmarkov.spectral._windowed_sum``.  They round each phase ``b^k / x``
+otherwise than the library (running product and division against power and
+reciprocal): a term of weight ``x * a^k`` can differ by up to
+``min(2, (k + 2) 2^-52 b^k / x)`` of it, all once ``b^k / x`` nears 2^52.
+
+``made_markov_law_rows`` builds ``gaussmarkov.transform.made_markov_law`` one
+query row at a time, with the same arithmetic, so the two agree bit for bit.
 """
 
 import math
 
+import numpy as np
+
 from gaussmarkov.errors import InvalidInputError
+from gaussmarkov.gaussian import GaussianVector
+from gaussmarkov.kernels import _as_strictly_increasing, _sorted_unique
 from gaussmarkov.spectral import WeierstrassConfig, _effective_cap
+from gaussmarkov.transform import _chain
 
 
 def lacunary_sum(config: WeierstrassConfig, x: float, k_from: int, k_to: int) -> float:
@@ -37,3 +46,33 @@ def lacunary_sum(config: WeierstrassConfig, x: float, k_from: int, k_to: int) ->
 def f_witness(config: WeierstrassConfig, n: int, x: float) -> float:
     """Growth functional ``x * sum_{k=n}^{floor(x)} a^k (1 - cos(b^k / x))``."""
     return lacunary_sum(config, x, n, int(math.floor(x)))
+
+
+def made_markov_law_rows(kernel, split_times, query_times) -> GaussianVector:
+    """``made_markov_law`` with two kernel calls, a concatenate and a cumprod per query row."""
+    splits = _sorted_unique(split_times)
+    queries = _as_strictly_increasing(query_times)
+    kernel.require_in_domain(splits)
+    _, var = _chain(kernel, queries)
+    # Only splits strictly inside the query range separate two queries.
+    splits = splits[(splits > queries[0]) & (splits < queries[-1])]
+    steps, split_var = _chain(kernel, splits)
+    factors = steps / split_var[:-1]
+    after = np.searchsorted(splits, queries, side="right")  # first split after each query
+    before = np.searchsorted(splits, queries, side="left") - 1  # last split before it
+    n = queries.size
+    last = np.zeros(n)  # K(r_before, q) / K(r_before, r_before)
+    has = before >= 0
+    last[has] = kernel.cov(splits[before[has]], queries[has]) / split_var[before[has]]
+    cov = np.zeros((n, n))
+    for i in range(n):
+        j0 = max(i + 1, int(np.searchsorted(before, after[i])))  # first query past the next split
+        cov[i, i + 1 : j0] = kernel.cov(queries[i : i + 1], queries[i + 1 : j0])
+        if j0 < n:
+            first = kernel.cov(queries[i : i + 1], splits[after[i] : after[i] + 1])
+            run = np.cumprod(np.concatenate([first, factors[after[i] :]]))
+            cov[i, j0:] = run[before[j0:] - after[i]] * last[j0:]
+    cov = cov + cov.T
+    np.fill_diagonal(cov, var)
+    mean = np.array([kernel.mean(float(t)) for t in queries])
+    return GaussianVector(times=queries, mean=mean, cov=cov)

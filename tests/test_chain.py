@@ -7,8 +7,11 @@ two-time plans, block gluing with ``concatenate``, and the all-triples
 Markov scan.  Kernels cover unit and non-unit variances, stationary and
 tabulated covariances, negative one-step correlations (cosine spectra and
 random tables) and exact zero correlations (white noise and tables with
-independent groups).
+independent groups).  ``made_markov_law`` is also checked bit for bit against
+the per-query row loop it replaced, over a wider set of kernel families.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -26,18 +29,23 @@ from gaussmarkov.gaussian import (
     markov_check,
     solve_spd,
 )
-from gaussmarkov.kernels import RateFunction
+from gaussmarkov.kernels import RateFunction, rate_kernel, transform_kernel
 from gaussmarkov.spectral import SpectralMeasure, kernel_from_spectral
 from gaussmarkov.transform import (
     Partition,
     joint_law,
     made_markov_law,
     made_markov_law_by_blocks,
+    mimic_kernel,
     partition_law,
     tightness_bound_check,
 )
 
+from oracles import made_markov_law_rows
+
 FAMILIES = ("fbm_log", "fbm", "spectral", "white_noise", "table")
+#: The bitwise check adds a quadrature rate, a mimicking and a transformed kernel.
+BITWISE_FAMILIES = FAMILIES + ("rate", "mimic", "transformed")
 
 #: Agreement demanded of each fast path, relative to the largest entry (at least 1).
 TOL = 1e-12
@@ -95,6 +103,16 @@ def random_kernel(family, rng, n_points):
         table = (a @ a.T + 0.1 * np.eye(n_points)) * (groups[:, None] == groups[None, :])
         return kernels.matrix_kernel(grid, table), grid
     grid = np.sort(rng.uniform(0.2, 3.0, size=n_points))
+    if family in ("rate", "mimic"):
+        c0, c1 = rng.uniform(0.1, 2.0, size=2)
+        alpha = RateFunction.from_callable(lambda t: c0 + c1 * t)
+        if family == "rate":
+            return rate_kernel(alpha, domain=(0.0, math.inf)), grid
+        return mimic_kernel(kernels.fbm(rng.uniform(0.1, 0.9)), alpha), grid
+    if family == "transformed":
+        hurst, c = rng.uniform(0.1, 0.9), rng.uniform(0.5, 2.0)
+        return transform_kernel(kernels.fbm_log(hurst), scale=lambda t: 1.0 + c * t,
+                                time_change=math.log, domain=(0.0, math.inf)), grid
     if family == "fbm_log":
         return kernels.fbm_log(rng.uniform(0.1, 0.9)), grid
     if family == "fbm":
@@ -144,6 +162,30 @@ def test_made_markov_law_matches_block_gluing(family, seed, n_points):
     slow = made_markov_law_by_blocks(kern, splits, queries)
     assert_close(fast.cov, slow.cov)
     assert_close(fast.mean, slow.mean)
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(BITWISE_FAMILIES), seed=seeds,
+       q=st.integers(min_value=1, max_value=40), m=st.integers(min_value=0, max_value=200),
+       inside=st.booleans())
+def test_made_markov_law_is_bitwise_the_row_loop(family, seed, q, m, inside):
+    rng = np.random.default_rng(seed)
+    n_points = min(q + m, 100) if family == "table" else q + m
+    kern, grid = random_kernel(family, rng, max(n_points, q, 2))
+    queries = np.sort(rng.choice(grid, size=q, replace=False))
+    # drawn with replacement: duplicate splits, splits on queries and outside their range
+    pool = grid if inside else grid[(grid <= queries[0]) | (grid >= queries[-1])]
+    splits = rng.choice(pool, size=m) if pool.size else np.array([])
+    fast = made_markov_law(kern, splits, queries)
+    slow = made_markov_law_rows(kern, splits, queries)
+    if family == "spectral":
+        # Its cov is a BLAS matrix-vector product, whose rounding depends on
+        # how many entries one call evaluates: no batching has canonical bits.
+        np.testing.assert_allclose(fast.cov, slow.cov, rtol=0.0, atol=2**-50)
+    else:
+        np.testing.assert_array_equal(fast.cov, slow.cov)
+    np.testing.assert_array_equal(fast.mean, slow.mean)
+    np.testing.assert_array_equal(fast.times, slow.times)
 
 
 def markov_chain_law(rng, n):

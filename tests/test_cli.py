@@ -69,6 +69,17 @@ class TestPsdCheck:
     def test_missing_flag_is_usage_error(self, tmp_path):
         assert main(["psd-check", "--out", str(tmp_path)]) == 2
 
+    def test_grid_above_the_cap_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "psd"
+        assert main([
+            "psd-check", "--kernel", '{"type": "fbm", "hurst": 0.7}',
+            "--grid", "0:1:100000", "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: --grid: grid '0:1:100000' has 100000 points, above the cap of 4096\n"
+        )
+        assert not out.exists()
+
     # Each used to end in a LinAlgError, a report holding a bare NaN, a FAIL
     # on a NaN entry, an accepted NaN mass, or a grid error naming no value.
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -341,6 +352,30 @@ class TestCounterexample:
             for name in digests
         } == digests
 
+    @pytest.mark.parametrize("budget", [2**53 + 1, 10**400], ids=["2^53+1", "10^400"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_budget_beyond_the_search_is_usage_error(self, tmp_path, capsys, budget, source):
+        out = tmp_path / "cx"
+        if source == "flag":
+            argv = ["counterexample", "--budget", str(budget), "--out", str(out)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"budget": budget}))
+            argv = ["counterexample", "--config", str(config), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --budget: expected at most 2^53, got {budget}\n"
+        )
+        assert not out.exists()
+
+    def test_largest_budget_finds_the_same_indices(self, tmp_path):
+        assert main([
+            "counterexample", "--i-max", "1", "--budget", str(2**53), "--out", str(tmp_path),
+        ]) == 0
+        indices = json.loads((tmp_path / "indices.json").read_text())
+        assert indices["indices"] == [2, 3, 4, 9, 14]
+        assert indices["budget"] == 2**53
+
 
 class TestSimulate:
     def test_summary_and_comparison(self, tmp_path):
@@ -452,6 +487,15 @@ class TestSimulate:
             "comparison.csv": "3eb2e3453b18cebd3c2c9eea894dc655096da69d2dd81d498623e84dd31e20e7",
             "summary.json": "1fcd33717b6d41c3df17993487bb041b1f5a9d53d2cfb8438a81645d4fe4df73",
         }
+
+    def test_substeps_above_the_cap_are_a_validation_failure(self, tmp_path, capsys):
+        assert main([
+            "simulate", "--kernel", '{"type": "exponential", "rate": 1.0}', "--alpha", "1.0",
+            "--grid", "0:5:6", "--paths", "10", "--step", "1e-12", "--out", str(tmp_path),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            "error: step 1e-12 takes 5e+12 substeps over [0.0, 5.0], above the cap of 1000000\n"
+        )
 
     # The same for fbm, whose cov_analytic is the only one among the README
     # and benchmark runs that comes from a mimicking Gram with non-unit

@@ -6,6 +6,7 @@ import pytest
 from gaussmarkov.errors import InvalidInputError
 from gaussmarkov.kernels import fbm
 from gaussmarkov.serialize import (
+    MAX_GRID_POINTS,
     kernel_from_spec,
     parse_float_list,
     parse_grid,
@@ -99,6 +100,11 @@ class TestParsing:
         for text in ("0:inf:3", "nan:1:3", "-1.7e308:1.7e308:3"):  # the last span overflows
             with pytest.raises(InvalidInputError, match="must be finite"):
                 parse_grid(text)
+
+    @pytest.mark.parametrize("count", [MAX_GRID_POINTS + 1, 10**400])
+    def test_grid_above_the_cap(self, count):
+        with pytest.raises(InvalidInputError, match=f"has {count} points, above the cap of 4096"):
+            parse_grid(f"0:1:{count}")
 
     def test_float_list(self):
         assert parse_float_list("0.5, 0.25") == [0.5, 0.25]

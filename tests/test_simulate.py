@@ -11,6 +11,7 @@ from gaussmarkov.gaussian import GaussianVector
 from gaussmarkov.kernels import RateFunction
 from gaussmarkov.simulate import (
     FD_STEP,
+    MAX_EM_SUBSTEPS,
     SdeSpec,
     TrajectoryBatch,
     _factor,
@@ -155,6 +156,18 @@ class TestEulerMaruyama:
     def test_step_must_be_positive_and_finite(self, step):
         with pytest.raises(InvalidInputError, match=f"got {step}"):
             ou_spec(step)
+
+    @pytest.mark.parametrize("step,substeps", [
+        (1.0 / (MAX_EM_SUBSTEPS + 1), "1e\\+06"), (1e-12, "1e\\+12"), (5e-324, "inf"),
+    ])
+    def test_substeps_are_capped_before_any_coefficient(self, monkeypatch, step, substeps):
+        calls = count_draws(monkeypatch)
+        evaluated = []
+        spec = dataclasses.replace(ou_spec(step), diffusion=evaluated.append)
+        with pytest.raises(InvalidInputError,
+                           match=f"takes {substeps} substeps .* above the cap of 1000000"):
+            euler_maruyama(spec, [0.0, 1.0], 10, seed=8)
+        assert evaluated == [] and calls == []
 
     @pytest.mark.parametrize("name", ["initial_mean", "initial_var"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

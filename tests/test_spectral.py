@@ -238,6 +238,12 @@ class TestWitnessIndices:
         with pytest.raises(InvalidInputError, match="index budget must be at least 1"):
             weierstrass_indices(WeierstrassConfig(i_max=1), budget=budget)
 
+    @pytest.mark.parametrize("budget", [2**53 + 1, 10**400])
+    def test_budget_past_exact_doubles_is_rejected(self, budget):
+        # Past 2^53 the scans would step over integers that no double holds.
+        with pytest.raises(InvalidInputError, match=f"at most 2\\^53, got {budget}"):
+            weierstrass_indices(WeierstrassConfig(i_max=1), budget=budget)
+
     def test_pruned_gap_scan_returns_unpruned_hit(self):
         # the i = 2 gap scan of the default construction: the lower bound
         # leaves only a few thousand of its ~2.5e5 integers to the full sum

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,20 @@ class TestMadeMarkovLaw:
         law = made_markov_law(kern, splits, [1.0, 2.0])
         plan = partition_law(kern, Partition(points=[1.0, 1.2, 1.5, 1.8, 2.0]))
         assert law.cov[0, 1] == pytest.approx(plan.cross[0, 0], abs=1e-12)
+
+    def test_memory_is_queries_squared_plus_splits(self):
+        # O(q^2 + m): about six arrays of the m splits, while a q x m table
+        # of running products alone would take 76 MiB here.
+        rng = np.random.default_rng(5)
+        queries = np.sort(rng.uniform(1.0, 2.0, 50))
+        splits = np.sort(rng.uniform(1.0, 2.0, 200_000))
+        tracemalloc.start()
+        try:
+            made_markov_law(kernels.fbm(0.7), splits, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.6 * 2**20
 
     def test_nan_split_is_outside_the_domain(self):
         with pytest.raises(InvalidInputError, match="time nan outside domain"):
