@@ -7,7 +7,8 @@ reciprocal): a term of weight ``x * a^k`` can differ by up to
 ``min(2, (k + 2) 2^-52 b^k / x)`` of it, all once ``b^k / x`` nears 2^52.
 
 ``made_markov_law_rows`` builds ``gaussmarkov.transform.made_markov_law`` one
-query row at a time, with the same arithmetic, so the two agree bit for bit.
+query row at a time, with the same arithmetic, so the two agree bit for bit
+wherever the kernel's ``cov`` rounds each entry alone, whatever the batch.
 """
 
 import math
