@@ -16,8 +16,8 @@ Values from ``--config FILE`` (JSON, keys = flag names with underscores)
 fill in any flag not given on the command line; defaults apply last.  Every
 value then passes its option's converter (``_OPTIONS``), so one that does not
 parse is a usage error wherever it came from; unused config keys are ignored.
-All floating-point output uses 17 significant digits, and reruns with the
-same configuration and seed produce byte-identical files.
+``serialize.write_csv`` and ``serialize.write_json`` write every artifact, and
+reruns with the same configuration and seed produce byte-identical files.
 
 Each subcommand loads only the modules it runs: every command loads
 ``errors``, ``serialize``, ``kernels`` and ``gaussian``; ``transform`` and
@@ -30,7 +30,6 @@ they use them and look functions up on the module at each call.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -78,10 +77,17 @@ def _route(value):
     return value
 
 
-def _count(value) -> int:
+#: Most random grids ``psd-check`` draws.  Each has at most 8 points, so all of
+#: them evaluate fewer Gram entries than one grid of ``serialize.MAX_GRID_POINTS``.
+MAX_RANDOM_GRIDS = 10_000
+
+
+def _random_grids(value) -> int:
     count = int(value)
     if count < 0:
         raise ValueError(f"expected a nonnegative count, got {count}")
+    if count > MAX_RANDOM_GRIDS:
+        raise ValueError(f"expected at most {MAX_RANDOM_GRIDS}, got {count}")
     return count
 
 
@@ -130,7 +136,7 @@ _OUT = _Option("out", _directory, Path("."), "output directory (default: current
 #: Per subcommand: its help and the options it reads, in the order they resolve.
 _OPTIONS = {
     "psd-check": ("validate positive semi-definiteness on grids", (
-        _KERNEL, _GRID, _Option("random_grids", _count, 0, "additional random subgrids"),
+        _KERNEL, _GRID, _Option("random_grids", _random_grids, 0, "additional random subgrids"),
         _SEED, _OUT,
     )),
     "transform": ("tabulate a kernel and its mimicking kernel", (_KERNEL, _ALPHA, _GRID, _OUT)),
@@ -215,14 +221,6 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
     return values
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
-
-
 def _holds_doubles(lo: float, hi: float, count: int) -> bool:
     """Whether ``[lo, hi]`` contains at least ``count`` distinct doubles."""
     for _ in range(count - 1):
@@ -255,7 +253,7 @@ def _cmd_psd_check(kernel, grid, random_grids, seed, out) -> int:
         "all_passed": all(r.passed for _, r in reports),
     }
     path = out / "psd_report.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    serialize.write_json(path, payload)
     print(f"psd-check: {'pass' if payload['all_passed'] else 'FAIL'} -> {path}")
     return EXIT_OK if payload["all_passed"] else EXIT_NUMERICAL
 
@@ -270,7 +268,7 @@ def _cmd_transform(kernel, alpha, grid, out) -> int:
         for t in times[i:]:
             rows.append((s, t, float(kernel.eval(s, t)), float(mimic.eval(s, t))))
     path = out / "transform_table.csv"
-    _write_csv(path, ["s", "t", "k", "k_mimic"], rows)
+    serialize.write_csv(path, ["s", "t", "k", "k_mimic"], rows)
     report = markov_check(transform.joint_law(mimic, grid))
     print(f"transform: mimic residual {report.max_residual:.3e} -> {path}")
     return EXIT_OK
@@ -294,7 +292,7 @@ def _cmd_converge(kernel, alpha, grid, mesh_sequence, steps, n_max, out) -> int:
         n_sets = len(steps) if n_max is None else n_max
         rows = transform.global_convergence_experiment(kernel, target, adm, grid, n_sets)
     path = out / "convergence.csv"
-    _write_csv(
+    serialize.write_csv(
         path,
         ["n_or_mesh", "distance", "correlation", "target_correlation"],
         [(r.index, r.distance, r.correlation, r.target_correlation) for r in rows],
@@ -318,24 +316,18 @@ def _cmd_counterexample(targets, i_max, k_cut, budget, out) -> int:
         )
     measure = spectral.measure_from_windows(config, witness.windows)
 
-    (out / "indices.json").write_text(
-        json.dumps(
-            {
-                "indices": list(witness.indices),
-                "windows": [list(w) for w in witness.windows],
-                "complete": witness.complete,
-                "k_cut": config.k_cut,
-                "i_max": config.i_max,
-                "budget": budget,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-    (out / "measure.json").write_text(json.dumps(measure.to_list(), indent=2) + "\n")
+    serialize.write_json(out / "indices.json", {
+        "indices": list(witness.indices),
+        "windows": [list(w) for w in witness.windows],
+        "complete": witness.complete,
+        "k_cut": config.k_cut,
+        "i_max": config.i_max,
+        "budget": budget,
+    })
+    serialize.write_json(out / "measure.json", measure.to_list())
 
     results = spectral.cluster_witnesses(measure, targets)
-    _write_csv(
+    serialize.write_csv(
         out / "witnesses.csv",
         ["target", "t", "rate", "error", "found"],
         [
@@ -358,7 +350,7 @@ def _cmd_simulate(kernel, alpha, grid, paths, seed, step, route, dump_paths, out
         kernel, alpha, grid, n_paths=paths, seed=seed, step=step, gaussian_route=route,
     )
     report.rows_to_csv(out / "comparison.csv")
-    (out / "summary.json").write_text(report.summary_json() + "\n")
+    serialize.write_json(out / "summary.json", report.summary_dict())
     if dump_paths:
         report.sde_batch.to_csv(out / "trajectories_sde.csv")
         report.gauss_batch.to_csv(out / "trajectories_gauss.csv")

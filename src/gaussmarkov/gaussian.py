@@ -256,6 +256,11 @@ def _check_chained(plans: Sequence[TransportPlan]) -> None:
                 )
 
 
+def _transitions(plans: Sequence[TransportPlan]) -> list[np.ndarray]:
+    """``S_{j,j}^{-1} S_{j,j+1}`` for every plan after the first."""
+    return [solve_spd(p.cov_left, p.cross, what="intermediate marginal") for p in plans[1:]]
+
+
 def concatenate(plans: Sequence[TransportPlan]) -> GaussianVector:
     """Glue chained plans into their joint Gaussian law.
 
@@ -279,16 +284,13 @@ def concatenate(plans: Sequence[TransportPlan]) -> GaussianVector:
     # Row by row, extend the cross block one step at a time:
     # A_{i,j+1} = A_{i,j} S_{j,j}^{-1} S_{j,j+1}.
     p = len(covs)
-    steps = {
-        j: solve_spd(covs[j], plans[j].cross, what="intermediate marginal")
-        for j in range(1, p - 1)
-    }
+    steps = _transitions(plans)
     for i in range(p - 1):
         block = plans[i].cross
         cov[offsets[i] : offsets[i + 1], offsets[i + 1] : offsets[i + 2]] = block
         cov[offsets[i + 1] : offsets[i + 2], offsets[i] : offsets[i + 1]] = block.T
         for j in range(i + 1, p - 1):
-            block = block @ steps[j]
+            block = block @ steps[j - 1]
             cov[offsets[i] : offsets[i + 1], offsets[j + 1] : offsets[j + 2]] = block
             cov[offsets[j + 1] : offsets[j + 2], offsets[i] : offsets[i + 1]] = block.T
 
@@ -302,8 +304,8 @@ def compose(plans: Sequence[TransportPlan]) -> TransportPlan:
         return plans[0]
     first, last = plans[0], plans[-1]
     cross = first.cross
-    for nxt in plans[1:]:
-        cross = cross @ solve_spd(nxt.cov_left, nxt.cross, what="intermediate marginal")
+    for step in _transitions(plans):
+        cross = cross @ step
     return TransportPlan.from_blocks(
         cov_left=first.cov_left,
         cross=cross,

@@ -1,4 +1,4 @@
-"""JSON-compatible specifications for kernels and rate functions.
+"""JSON-compatible specifications for kernels and rate functions, and the artifact writers.
 
 Schema (one object per kernel, dispatched on ``"type"``):
 
@@ -231,3 +231,30 @@ def parse_float_list(text: str) -> list[float]:
     if not vals:
         raise InvalidInputError(f"empty list {text!r}")
     return vals
+
+
+def _csv_line(cells) -> str:
+    return ",".join("%.17g" if isinstance(c, float) else "%s" for c in cells) + "\r\n"
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV artifact: floats as ``%.17g``, other cells as ``str``, CRLF rows.
+
+    Every row is formatted like the first.  The bytes are those of
+    ``csv.writer`` over ``f"{x:.17g}"`` float cells and the other cells, as
+    long as no cell needs quoting: none of the artifacts' cells does.
+    """
+    header = tuple(header)
+    rows = iter(rows)
+    first = next(rows, None)
+    with open(path, "w", newline="") as fh:
+        fh.write(_csv_line(header) % header)
+        if first is not None:
+            line = _csv_line(first)
+            fh.write(line % tuple(first))
+            fh.writelines(line % tuple(row) for row in rows)
+
+
+def write_json(path, payload) -> None:
+    """Write a JSON artifact: indent 2 and a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")

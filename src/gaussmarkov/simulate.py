@@ -20,7 +20,6 @@ stream, so results are reproducible bit for bit regardless of scheduling.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -33,12 +32,17 @@ from . import transform
 from .errors import InvalidInputError, InvalidSdeError, NotPsdError
 from .gaussian import GaussianVector
 from .kernels import TOL_PSD, Kernel, RateFunction, _as_strictly_increasing, rate_kernel
+from .serialize import write_csv
 
 #: Finite-difference step of the mean/std derivatives.
 FD_STEP = 1e-6
 
 #: Most Euler-Maruyama substeps over a grid: a coefficient table of 32 MB.
 MAX_EM_SUBSTEPS = 10**6
+
+#: Most path values (paths times grid points) a comparison draws per route:
+#: a batch of 128 MiB.
+MAX_PATH_VALUES = 2**24
 
 
 def _stream(seed: int, name: str) -> np.random.Generator:
@@ -70,16 +74,8 @@ class TrajectoryBatch:
         return self.paths.shape[0]
 
     def to_csv(self, path) -> None:
-        """One row per path; header holds the grid times.
-
-        The bytes are those of ``csv.writer`` over ``f"{x:.17g}"`` cells: a
-        finite float needs no quoting and the excel dialect ends rows with
-        CRLF, so each row is one ``%`` format.
-        """
-        line = ",".join(["%.17g"] * self.times.size) + "\r\n"
-        with open(path, "w", newline="") as fh:
-            fh.write(line % tuple(self.times.tolist()))
-            fh.writelines(line % tuple(row.tolist()) for row in self.paths)
+        """One row per path; header holds the grid times."""
+        write_csv(path, self.times.tolist(), self.paths.tolist())
 
 
 @dataclass(frozen=True)
@@ -253,9 +249,7 @@ class EmpiricalMoments:
 
     def to_dict(self) -> dict:
         return {
-            "times": self.law.times.tolist(),
-            "mean": self.law.mean.tolist(),
-            "cov": self.law.cov.tolist(),
+            **self.law.to_dict(),
             "mean_se": self.mean_se.tolist(),
             "cov_se": self.cov_se.tolist(),
             "n_paths": self.n_paths,
@@ -338,18 +332,12 @@ class ComparisonReport:
         """One row per entry of the upper triangle: both routes, the analytic value and the SE."""
         sde, gauss = self.sde_moments, self.gauss_moments
         se_combined = np.sqrt(sde.cov_se**2 + gauss.cov_se**2)
-        times = self.analytic.times.tolist()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t_i", "t_j", "cov_sde", "cov_gauss", "cov_analytic", "se_combined"]
-            )
-            for i, j in zip(*np.triu_indices(len(times))):
-                writer.writerow([
-                    f"{v:.17g}"
-                    for v in (times[i], times[j], sde.law.cov[i, j], gauss.law.cov[i, j],
-                              self.analytic.cov[i, j], se_combined[i, j])
-                ])
+        times = self.analytic.times
+        i, j = np.triu_indices(times.size)
+        columns = (times[i], times[j], sde.law.cov[i, j], gauss.law.cov[i, j],
+                   self.analytic.cov[i, j], se_combined[i, j])
+        write_csv(path, ["t_i", "t_j", "cov_sde", "cov_gauss", "cov_analytic", "se_combined"],
+                  np.column_stack(columns).tolist())
 
     def summary_dict(self) -> dict:
         return {
@@ -387,6 +375,11 @@ def figure_comparison(
         raise InvalidInputError("need at least two grid times")
     if n_paths < 2:
         raise InvalidInputError(f"need at least two paths to estimate moments, got {n_paths}")
+    if n_paths * grid.size > MAX_PATH_VALUES:
+        raise InvalidInputError(
+            f"{n_paths} paths over {grid.size} grid points take {n_paths * grid.size} "
+            f"values, above the cap of {MAX_PATH_VALUES}"
+        )
     if gaussian_route not in ("exact", "cholesky"):
         raise InvalidInputError(f"unknown gaussian_route {gaussian_route!r}")
     mimic = transform.mimic_kernel(kernel, alpha)

@@ -106,10 +106,14 @@ class SpectralMeasure:
         return self._effective
 
     def fourier(self, t) -> np.ndarray:
-        """Fourier transform ``mu_hat(t) = sum of eff * cos(t * y)``."""
+        """Fourier transform ``mu_hat(t) = sum of eff * cos(t * y)``.
+
+        Each entry is its own row sum, so its bits do not depend on how many
+        entries one call evaluates (a matrix-vector product's would).
+        """
         masses, locs = self.effective()
         t = np.asarray(t, dtype=float)
-        return np.cos(np.multiply.outer(t, locs)) @ masses
+        return (np.cos(np.multiply.outer(t, locs)) * masses).sum(axis=-1)
 
     def to_list(self) -> list[dict]:
         return [{"weight": w, "location": y} for w, y in self.atoms]

@@ -343,6 +343,23 @@ class ConvergenceRow:
     target_correlation: float
 
 
+def _convergence_rows(laws, target: Kernel, times) -> list[ConvergenceRow]:
+    """One row per ``(index, law)``: the law's distance to the target law on
+    ``times`` and its correlation between the first and last time."""
+    target_law = joint_law(target, times)
+    tgt_corr = kernels.correlation(target, float(times[0]), float(times[-1]))
+    rows = []
+    for index, law in laws:
+        corr = float(law.cov[0, -1]) / math.sqrt(float(law.cov[0, 0]) * float(law.cov[-1, -1]))
+        rows.append(ConvergenceRow(
+            index=index,
+            distance=gaussian.gaussian_distance(law, target_law),
+            correlation=corr,
+            target_correlation=tgt_corr,
+        ))
+    return rows
+
+
 def local_convergence_experiment(
     kernel: Kernel,
     target: Kernel,
@@ -360,23 +377,9 @@ def local_convergence_experiment(
     for p in partitions:
         if abs(p.start - s) > 1e-12 or abs(p.end - t) > 1e-12:
             raise InvalidInputError(f"partition [{p.start}, {p.end}] does not span [{s}, {t}]")
-    target_law = joint_law(target, [s, t])
-    tgt_corr = kernels.correlation(target, s, t)
-    rows = []
-    for p in sorted(partitions, key=lambda q: -q.mesh):
-        plan = partition_law(kernel, p)
-        corr = float(plan.cross[0, 0]) / math.sqrt(
-            float(plan.cov_left[0, 0]) * float(plan.cov_right[0, 0])
-        )
-        rows.append(
-            ConvergenceRow(
-                index=p.mesh,
-                distance=gaussian.gaussian_distance(plan.joint, target_law),
-                correlation=corr,
-                target_correlation=tgt_corr,
-            )
-        )
-    return rows
+    laws = ((p.mesh, partition_law(kernel, p).joint)
+            for p in sorted(partitions, key=lambda q: -q.mesh))
+    return _convergence_rows(laws, target, [s, t])
 
 
 def global_convergence_experiment(
@@ -392,22 +395,9 @@ def global_convergence_experiment(
         raise InvalidInputError("need at least two query times")
     if n_max < 1:
         raise InvalidInputError(f"n_max must be at least 1, got {n_max}")
-    target_law = joint_law(target, queries)
-    s, t = float(queries[0]), float(queries[-1])
-    tgt_corr = kernels.correlation(target, s, t)
-    rows = []
-    for n, time_set in enumerate(adm.sets(n_max), start=1):
-        law = made_markov_law(kernel, time_set, queries)
-        corr = float(law.cov[0, -1]) / math.sqrt(float(law.cov[0, 0]) * float(law.cov[-1, -1]))
-        rows.append(
-            ConvergenceRow(
-                index=float(n),
-                distance=gaussian.gaussian_distance(law, target_law),
-                correlation=corr,
-                target_correlation=tgt_corr,
-            )
-        )
-    return rows
+    laws = ((float(n), made_markov_law(kernel, time_set, queries))
+            for n, time_set in enumerate(adm.sets(n_max), start=1))
+    return _convergence_rows(laws, target, queries)
 
 
 @dataclass(frozen=True)

@@ -178,12 +178,7 @@ def test_made_markov_law_is_bitwise_the_row_loop(family, seed, q, m, inside):
     splits = rng.choice(pool, size=m) if pool.size else np.array([])
     fast = made_markov_law(kern, splits, queries)
     slow = made_markov_law_rows(kern, splits, queries)
-    if family == "spectral":
-        # Its cov is a BLAS matrix-vector product, whose rounding depends on
-        # how many entries one call evaluates: no batching has canonical bits.
-        np.testing.assert_allclose(fast.cov, slow.cov, rtol=0.0, atol=2**-50)
-    else:
-        np.testing.assert_array_equal(fast.cov, slow.cov)
+    np.testing.assert_array_equal(fast.cov, slow.cov)
     np.testing.assert_array_equal(fast.mean, slow.mean)
     np.testing.assert_array_equal(fast.times, slow.times)
 

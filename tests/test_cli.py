@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from gaussmarkov import kernels
-from gaussmarkov.cli import main
+from gaussmarkov.cli import MAX_RANDOM_GRIDS, main
 from gaussmarkov.kernels import RateFunction
-from gaussmarkov.simulate import cholesky_sample
+from gaussmarkov.simulate import MAX_PATH_VALUES, cholesky_sample
 from gaussmarkov.transform import joint_law, mimic_kernel
 
 
@@ -139,6 +139,22 @@ class TestPsdCheck:
         report = json.loads((tmp_path / "psd_report.json").read_text())
         assert report["grids"][1]["grid"] == [0.0, 5e-324, 1e-323]
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_random_grids_above_the_cap_are_usage_error(self, tmp_path, capsys, source):
+        out = tmp_path / "psd"
+        argv = ["psd-check", "--kernel", '{"type": "constant"}', "--grid", "0:1:3"]
+        if source == "flag":
+            argv += ["--random-grids", str(MAX_RANDOM_GRIDS + 1)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"random_grids": MAX_RANDOM_GRIDS + 1}))
+            argv += ["--config", str(config)]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --random-grids: expected at most {MAX_RANDOM_GRIDS}, "
+            f"got {MAX_RANDOM_GRIDS + 1}\n"
+        )
+        assert not out.exists()
 
     # sha256 of the README psd-check command's report, recorded before the
     # Gram moved to one broadcasting covariance per kernel.
@@ -496,6 +512,18 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             "error: step 1e-12 takes 5e+12 substeps over [0.0, 5.0], above the cap of 1000000\n"
         )
+
+    def test_paths_above_the_cap_are_a_validation_failure(self, tmp_path, capsys):
+        paths = MAX_PATH_VALUES // 6 + 1
+        assert main([
+            "simulate", "--kernel", '{"type": "exponential", "rate": 1.0}', "--alpha", "1.0",
+            "--grid", "0:5:6", "--paths", str(paths), "--out", str(tmp_path),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {paths} paths over 6 grid points take {6 * paths} values, "
+            f"above the cap of {MAX_PATH_VALUES}\n"
+        )
+        assert not (tmp_path / "comparison.csv").exists()
 
     # The same for fbm, whose cov_analytic is the only one among the README
     # and benchmark runs that comes from a mimicking Gram with non-unit

@@ -418,6 +418,9 @@ GRAM_FAMILIES = {
     "rate_inf": (lambda: kernels.exponential_rate(RateFunction.infinite()), -2.0, 2.0),
     "spectral": (lambda: spectral.kernel_from_spectral(
         spectral.SpectralMeasure(atoms=((0.2, 0.0), (0.25, 1.5), (0.15, 4.0)))), -3.0, 3.0),
+    "spectral_60": (lambda: spectral.kernel_from_spectral(spectral.SpectralMeasure(atoms=tuple(
+        zip(np.random.default_rng(5).dirichlet(np.ones(60)) / 2.0, np.linspace(0.5, 8.0, 60))
+    ))), -3.0, 3.0),
     "transformed": (lambda: transform_kernel(
         kernels.fbm_log(0.75), lambda t: t**0.75, lambda t: 0.5 * math.log(t),
         domain=(0.0, math.inf)), 0.1, 4.0),
@@ -448,3 +451,19 @@ def test_gram_matches_scalar_eval_and_is_symmetric(family, data):
     assert np.array_equal(mat, mat.T)
     scale = np.max(np.abs(np.diag(expected)))
     assert np.max(np.abs(mat - expected)) <= 1e-13 * scale
+
+
+# made_markov_law is bitwise its per-query row loop only because every
+# kernel's cov rounds each entry on its own, whatever the batch.
+@pytest.mark.parametrize("family", sorted(GRAM_FAMILIES))
+def test_cov_in_one_call_is_bitwise_one_call_per_entry(family):
+    make, lo, hi = GRAM_FAMILIES[family]
+    rng = np.random.default_rng(43)
+    if family == "matrix":
+        s, t = rng.choice(_matrix_table()[0], size=(2, 300))
+    else:
+        s, t = rng.uniform(lo, hi, size=(2, 300))
+    kern = make()
+    batch = np.asarray(kern.cov(s, t), dtype=float)
+    single = [float(np.asarray(kern.cov(s[[i]], t[[i]]))[0]) for i in range(s.size)]
+    assert np.array_equal(batch, single)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gaussmarkov
 from gaussmarkov import errors, gaussian, kernels, simulate, spectral, transform
 
@@ -87,6 +89,28 @@ def test_commands_load_only_their_modules(tmp_path):
                                                    "serialize"}
     counterexample = ["counterexample", "--i-max", "1", "--out", str(tmp_path)]
     assert not {"simulate", "transform"} & _loaded_after(run.format(argv=counterexample))
+
+
+# Every artifact is written by serialize.write_csv or write_json.
+@pytest.mark.parametrize("argv", [
+    ["psd-check", "--kernel", '{"type": "fbm", "hurst": 0.5}', "--grid", "1:3:3",
+     "--random-grids", "2"],
+    ["transform", "--kernel", '{"type": "fbm", "hurst": 0.5}', "--alpha", "1", "--grid", "1:2:3"],
+    ["converge", "--kernel", '{"type": "fbm", "hurst": 0.5}', "--alpha", "1", "--grid", "1:2:2",
+     "--mesh-sequence", "0.5"],
+    ["counterexample", "--i-max", "1"],
+    ["simulate", "--kernel", '{"type": "exponential", "rate": 1}', "--alpha", "1",
+     "--grid", "0:1:3", "--paths", "10", "--step", "0.1", "--dump-paths"],
+], ids=lambda argv: argv[0])
+def test_no_command_loads_csv(tmp_path, argv):
+    code = (
+        "import sys\n"
+        "from gaussmarkov import cli\n"
+        f"assert cli.main({[*argv, '--out', str(tmp_path)]!r}) == 0\n"
+        "assert 'csv' not in sys.modules"
+    )
+    _loaded_after(code)
+    assert any(tmp_path.iterdir())
 
 
 def test_spectral_kernel_spec_loads_spectral_on_demand():

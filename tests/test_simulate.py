@@ -9,9 +9,11 @@ from gaussmarkov import kernels, simulate, transform
 from gaussmarkov.errors import InvalidInputError, InvalidSdeError, NotPsdError
 from gaussmarkov.gaussian import GaussianVector
 from gaussmarkov.kernels import RateFunction
+from gaussmarkov.serialize import write_csv
 from gaussmarkov.simulate import (
     FD_STEP,
     MAX_EM_SUBSTEPS,
+    MAX_PATH_VALUES,
     SdeSpec,
     TrajectoryBatch,
     _factor,
@@ -460,6 +462,7 @@ class TestFigureComparison:
     @pytest.mark.parametrize("n_paths,route,message", [
         (1, "exact", "got 1"),
         (10, "bogus", "'bogus'"),
+        (MAX_PATH_VALUES // 2 + 1, "exact", f"above the cap of {MAX_PATH_VALUES}"),
     ])
     def test_bad_arguments_rejected_before_drawing(self, monkeypatch, n_paths, route, message):
         calls = count_draws(monkeypatch)
@@ -472,6 +475,8 @@ class TestFigureComparison:
 
 
 class TestExports:
+    # write_csv against the csv.writer loop it replaced, over every kind of
+    # cell the artifacts hold; TrajectoryBatch.to_csv goes through it too.
     def test_csv_bytes_match_csv_writer(self, tmp_path):
         paths = np.array([
             [5e-324, -1.7976931348623157e308, 0.1],
@@ -479,13 +484,26 @@ class TestExports:
             [-1.0, 123456789.123456789, 1 / 3],
         ])
         batch = TrajectoryBatch(times=[0.0, 1e-5, 2.5], paths=paths)
-        batch.to_csv(tmp_path / "fast.csv")
-        with open(tmp_path / "writer.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"{t:.17g}" for t in batch.times])
-            for row in batch.paths:
-                writer.writerow([f"{x:.17g}" for x in row])
-        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
+        cases = [
+            (batch.times.tolist(), batch.paths.tolist()),
+            (["target", "t", "rate", "error", "found"], [
+                (0.25, 1.5, 0.2500000001, 1e-10, "True"),
+                (4.0, math.nan, math.nan, math.inf, "False"),
+                (-0.0, -math.inf, 5e-324, 2.2250738585072014e-308, "True"),
+            ]),
+            (["s", "t", "k", "k_mimic"], []),
+            ([0.0, 1e-5, 2.5], []),
+        ]
+        for n, (header, rows) in enumerate(cases):
+            write_csv(tmp_path / f"fast{n}.csv", header, rows)
+            with open(tmp_path / f"writer{n}.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                for cells in [header, *rows]:
+                    writer.writerow([f"{c:.17g}" if isinstance(c, float) else c for c in cells])
+            expected = (tmp_path / f"writer{n}.csv").read_bytes()
+            assert (tmp_path / f"fast{n}.csv").read_bytes() == expected
+        batch.to_csv(tmp_path / "batch.csv")
+        assert (tmp_path / "batch.csv").read_bytes() == (tmp_path / "writer0.csv").read_bytes()
 
     def test_csv_round_trip(self, tmp_path):
         batch = ou_exact(RateFunction.constant(1.0), [0.0, 1.0], 7, seed=22)
