@@ -62,11 +62,11 @@ class GaussianVector:
             raise InvalidInputError(
                 f"shape mismatch: {n} times, mean {mean.shape}, cov {cov.shape}"
             )
-        asym = float(np.max(np.abs(cov - cov.T))) if n else 0.0
+        asym = float(np.max(np.abs(cov - cov.T)))
         if asym > 1e-12 * max(1.0, float(np.max(np.abs(cov)))):
             raise InvalidInputError(f"covariance not symmetric (max deviation {asym})")
         cov = 0.5 * (cov + cov.T)
-        scale = float(np.max(np.diag(cov))) if n else 0.0
+        scale = float(np.max(np.diag(cov)))
         min_eig = float(np.linalg.eigvalsh(cov)[0])
         if min_eig < -TOL_PSD * max(scale, 1e-300):
             raise InvalidInputError(

@@ -354,16 +354,18 @@ def transform_kernel(
 
     name = f"transformed({kernel.name})"
 
-    def no_overflow(f: Callable[[float], float], what: str) -> Callable[[float], float]:
+    def defined(f: Callable[[float], float], what: str) -> Callable[[float], float]:
         def at(t: float) -> float:
             try:
                 return f(t)
             except OverflowError as exc:
                 raise InvalidInputError(f"kernel {name!r}: {what} overflows at t = {t}") from exc
+            except (ArithmeticError, ValueError) as exc:
+                raise InvalidInputError(f"kernel {name!r}: {what} is undefined at t = {t}") from exc
 
         return at
 
-    scale_at, phi = no_overflow(scale, "scale"), no_overflow(time_change, "time change")
+    scale_at, phi = defined(scale, "scale"), defined(time_change, "time change")
 
     def nonzero_scale(t: float) -> float:
         u = scale_at(t)

@@ -17,7 +17,7 @@ Rate specs are a number, the string "inf", or an object:
 
     {"form": "constant", "value": v}
     {"form": "linear",   "slope": a, "intercept": b}
-    {"form": "power",    "coeff": c, "exponent": p}      # c * t**p
+    {"form": "power",    "coeff": c, "exponent": p}      # c * t**p where it is real
     {"form": "infinite"}
 
 Scale specs: {"form": "constant", "value": c} | {"form": "power", "coeff": c,
@@ -99,7 +99,7 @@ def rate_from_spec(spec) -> RateFunction:
     if form == "power":
         c = float(spec.get("coeff", 1.0))
         p = float(spec.get("exponent", 1.0))
-        return RateFunction.from_callable(lambda t: c * t**p)
+        return RateFunction.from_callable(lambda t: c * math.pow(t, p))
     raise InvalidInputError(f"unknown rate form {form!r}")
 
 
@@ -111,7 +111,7 @@ def _scale_from_spec(spec) -> Callable[[float], float]:
     if form == "power":
         c = float(spec.get("coeff", 1.0))
         p = float(spec.get("exponent", 1.0))
-        return lambda t: c * t**p
+        return lambda t: c * math.pow(t, p)
     if form == "exp":
         c = float(spec.get("coeff", 1.0))
         r = float(spec.get("rate", 1.0))

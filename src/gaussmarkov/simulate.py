@@ -21,7 +21,6 @@ stream, so results are reproducible bit for bit regardless of scheduling.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -348,9 +347,6 @@ class ComparisonReport:
             "gauss": self.gauss_moments.to_dict(),
             "analytic": self.analytic.to_dict(),
         }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary_dict(), indent=2)
 
 
 def figure_comparison(

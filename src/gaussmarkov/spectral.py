@@ -190,15 +190,11 @@ class WitnessIndices:
     def complete(self) -> bool:
         return not self.stopped
 
-    def location(self, k: int) -> float:
-        for lo, hi in self.windows:
-            if lo <= k < hi:
-                return self.config.b**k
-        return 0.0
-
     def y_map(self, k_max: int | None = None) -> dict[int, float]:
+        """Location ``y_k`` of every index k in ``[2, k_max]``: ``b^k`` when active, else 0."""
         k_max = self.config.k_cut if k_max is None else k_max
-        return {k: self.location(k) for k in range(2, k_max + 1)}
+        active = set(_window_indices(self.windows, max(k_max, 0)).tolist())
+        return {k: self.config.b**k if k in active else 0.0 for k in range(2, k_max + 1)}
 
 
 def _effective_cap(config: WeierstrassConfig, x: float) -> int:
@@ -348,12 +344,12 @@ def measure_from_windows(
     """
     if config.a != 0.5:
         raise InvalidInputError("the probability normalization requires a = 1/2")
+    active = set(_window_indices(windows, config.k_cut).tolist())
     zero_mass = 0.0
     atoms: list[tuple[float, float]] = []
     for k in range(2, config.k_cut + 1):
         w = config.a**k
-        active = any(lo <= k < hi for lo, hi in windows)
-        if active:
+        if k in active:
             atoms.append((w, config.b**k))
         else:
             zero_mass += 2.0 * w
@@ -423,35 +419,31 @@ def cluster_witnesses(
             raise InvalidInputError(f"targets must be finite and nonnegative, got {target}")
         tol = tol_factor * (1.0 + target)
         best = int(np.argmin(np.abs(rates - target)))
-        if abs(rates[best] - target) <= tol:
-            t, r = float(grid[best]), float(rates[best])
-            out[target] = WitnessResult(target, True, t, r, abs(r - target))
-            continue
         crossings = np.flatnonzero((rates[:-1] - target) * (rates[1:] - target) < 0.0)
-        if not crossings.size:
+        message = ""
+        if abs(rates[best] - target) <= tol:
+            t, r = grid[best], rates[best]
+        elif not crossings.size:
             out[target] = WitnessResult(
                 target, False, math.nan, math.nan, math.inf,
                 message="no bracketing pair on the search grid",
             )
             continue
-        i = crossings[0]
-        lo, hi, r_lo, r_hi = grid[i], grid[i + 1], rates[i], rates[i + 1]
-        t_mid, r_mid = lo, r_lo
-        for _ in range(WITNESS_BISECTION_STEPS):
-            t_mid = 0.5 * (lo + hi)
-            r_mid = fourier_decay_rate(mu, t_mid)
-            if abs(r_mid - target) <= tol:
-                break
-            if (r_lo - target) * (r_mid - target) < 0.0:
-                hi, r_hi = t_mid, r_mid
-            else:
-                lo, r_lo = t_mid, r_mid
-        if abs(r_mid - target) <= tol:
-            out[target] = WitnessResult(target, True, float(t_mid), float(r_mid),
-                                        abs(r_mid - target))
         else:
-            out[target] = WitnessResult(
-                target, False, float(t_mid), float(r_mid), abs(r_mid - target),
-                message=f"bisection stalled after {WITNESS_BISECTION_STEPS} iterations",
-            )
+            i = crossings[0]
+            lo, hi, r_lo = grid[i], grid[i + 1], rates[i]
+            t, r = lo, r_lo
+            for _ in range(WITNESS_BISECTION_STEPS):
+                t = 0.5 * (lo + hi)
+                r = fourier_decay_rate(mu, t)
+                if abs(r - target) <= tol:
+                    break
+                if (r_lo - target) * (r - target) < 0.0:
+                    hi = t
+                else:
+                    lo, r_lo = t, r
+            else:
+                message = f"bisection stalled after {WITNESS_BISECTION_STEPS} iterations"
+        t, r = float(t), float(r)
+        out[target] = WitnessResult(target, not message, t, r, abs(r - target), message)
     return out

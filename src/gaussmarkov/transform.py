@@ -155,11 +155,16 @@ def _chain(kernel: Kernel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     var = kernel.cov(points, points)
     if np.any(var <= 0.0):
         raise SingularMarginalError(f"kernel singular at t={points[np.argmax(var <= 0.0)]}")
-    a, b = var[:-1], var[1:]
-    bad = 0.5 * (a + b) - np.hypot(0.5 * (a - b), steps) < -kernels.TOL_PSD * np.maximum(a, b)
-    if np.any(bad):
-        raise InvalidInputError(f"two-time covariance not PSD at t={points[np.argmax(bad)]}")
+    _require_psd_pairs(var[:-1], var[1:], steps, points)
     return steps, var
+
+
+def _require_psd_pairs(a: np.ndarray, b: np.ndarray, cross: np.ndarray, times) -> None:
+    """Rejects the first two-time covariance ``[[a, cross], [cross, b]]`` below the
+    :class:`GaussianVector` PSD bound, naming the earlier time of its pair."""
+    bad = 0.5 * (a + b) - np.hypot(0.5 * (a - b), cross) < -kernels.TOL_PSD * np.maximum(a, b)
+    if np.any(bad):
+        raise InvalidInputError(f"two-time covariance not PSD at t={times[np.argmax(bad)]}")
 
 
 def partition_law(kernel: Kernel, partition: Partition) -> TransportPlan:
@@ -212,7 +217,9 @@ def made_markov_law(kernel: Kernel, split_times, query_times) -> GaussianVector:
     n = queries.size
     last = np.zeros(n)  # K(r_before, q) / K(r_before, r_before)
     has = before >= 0
-    last[has] = kernel.cov(splits[before[has]], queries[has]) / split_var[before[has]]
+    lasts = kernel.cov(splits[before[has]], queries[has])  # K(r_before, q)
+    _require_psd_pairs(split_var[before[has]], var[has], lasts, splits[before[has]])
+    last[has] = lasts / split_var[before[has]]
     rows = np.arange(n)
     j0 = np.maximum(rows + 1, np.searchsorted(before, after))  # first query past the next split
     # Pairs i < j < j0[i] have no split between them: the kernel's own covariance.
@@ -223,6 +230,7 @@ def made_markov_law(kernel: Kernel, split_times, query_times) -> GaussianVector:
     cov[pi, pj] = kernel.cov(queries[pi], queries[pj])
     split_rows = np.flatnonzero(j0 < n)
     firsts = kernel.cov(queries[split_rows], splits[after[split_rows]])  # K(q_i, r_after)
+    _require_psd_pairs(var[split_rows], split_var[after[split_rows]], firsts, queries[split_rows])
     run = np.empty(splits.size)
     for i, first in zip(split_rows.tolist(), firsts.tolist()):
         a, j = int(after[i]), int(j0[i])
@@ -253,9 +261,6 @@ def made_markov_law_by_blocks(kernel: Kernel, split_times, query_times) -> Gauss
     kernel.require_in_domain(splits)
     # Splits outside the query range do not change the projected law.
     relevant = splits[(splits > queries[0]) & (splits < queries[-1])]
-    if relevant.size == 0:
-        return joint_law(kernel, queries)
-
     all_pts = _sorted_unique(np.concatenate([queries, relevant]))
     cut_idx = [int(np.searchsorted(all_pts, r)) for r in relevant]
     blocks = []
@@ -292,35 +297,31 @@ def joint_law(kernel: Kernel, grid) -> GaussianVector:
 def mimic_kernel(kernel: Kernel, alpha: RateFunction) -> Kernel:
     """Covariance of the mimicking process.
 
-    ``K'(s, t) = sqrt(K(s, s)) sqrt(K(t, t)) exp(-integral of alpha)``,
-    with the mean function unchanged.  The diagonal is preserved exactly
-    and the result is Markov on every grid.  The infinite marker yields
-    the diagonal kernel (independent coordinates with matching variances).
+    ``K'(s, t) = sigma(s) sigma(t) R(s, t)`` with ``sigma(t) = sqrt(K(t, t))``
+    and ``R = rate_kernel(alpha)``, with the mean function unchanged.  Every
+    rate takes this formula: ``rate_kernel(inf)`` is the white-noise kernel,
+    so the infinite rate gives independent coordinates with matching
+    variances.  The diagonal is preserved exactly, a point of zero variance
+    gets zero covariance, a negative variance raises
+    :class:`SingularMarginalError`, and the result is Markov on every grid.
     """
-    if alpha.is_infinite:
-        def k_diag(s: float, t: float) -> float:
-            if s == t:
-                return kernel.eval(t, t)
-            return 0.0
-
-        def cov_diag(s, t):
-            (var_t,) = _at_points(kernel.variance, t)
-            return np.where(np.equal(s, t), var_t, 0.0)
-
-        return Kernel(
-            eval=k_diag, mean=kernel.mean, cov=cov_diag, domain=kernel.domain,
-            name=f"mimic({kernel.name}, inf)",
-        )
-
     base = rate_kernel(alpha, domain=kernel.domain)
+
+    def sigma(t: float) -> float:
+        v = kernel.variance(t)
+        if v < 0.0:
+            raise SingularMarginalError(
+                f"kernel '{kernel.name}' has negative variance {v} at t={t}"
+            )
+        return math.sqrt(v)
 
     def k(s: float, t: float) -> float:
         if s == t:
             return kernel.eval(t, t)
-        return kernel.std(s) * kernel.std(t) * base.eval(s, t)
+        return sigma(s) * sigma(t) * base.eval(s, t)
 
     def cov(s, t):
-        std_s, std_t = _at_points(kernel.std, s, t)
+        std_s, std_t = _at_points(sigma, s, t)
         (var_t,) = _at_points(kernel.variance, t)
         return np.where(np.equal(s, t), var_t, std_s * std_t * base.cov(s, t))
 

@@ -1,11 +1,12 @@
-"""Fuzz of the kernel-spec boundary of the CLI.
+"""Fuzz of the kernel-spec and rate-spec boundaries of the CLI.
 
-Each example takes a valid kernel spec, puts near-valid values (non-finite
-and extreme numbers, wrong JSON types) into one or two of its fields, and
-runs ``psd-check`` on a three-point grid.  Whatever the spec, the command
-must end with an exit code of its own, and no exception may reach the
-last-resort handler of ``cli.main``, which prints its type name after
-``error:``.
+Each example takes a valid spec, puts near-valid values (non-finite and
+extreme numbers, wrong JSON types) into one or two of its fields, and runs
+``psd-check`` with it as the kernel, or ``transform`` with it as the rate,
+on a small grid drawn from positive, negative and zero-crossing ones.
+Whatever the spec, the command must end with an exit code of its own, and
+no exception may reach the last-resort handler of ``cli.main``, which
+prints its type name after ``error:``.
 """
 
 import contextlib
@@ -15,7 +16,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussmarkov.cli import main
@@ -30,6 +31,7 @@ VALID_SPECS = [
      "domain": [0, 5]},
     {"type": "exponential", "rate": {"form": "power", "coeff": 1, "exponent": 1},
      "domain": [0, 5]},
+    {"type": "exponential", "rate": {"form": "power", "coeff": 1, "exponent": 1}},
     {"type": "constant"},
     {"type": "white_noise"},
     {"type": "spectral", "atoms": [{"weight": 0.5, "location": 1}, {"weight": 0.5, "location": 0}]},
@@ -44,12 +46,29 @@ VALID_SPECS = [
     {"type": "transformed", "base": {"type": "exponential"},
      "scale": {"form": "constant", "value": 1},
      "time_change": {"form": "exp", "coeff": 1, "rate": 1}, "domain": [0, 5]},
+    {"type": "transformed", "base": {"type": "exponential"},
+     "scale": {"form": "power", "coeff": 1, "exponent": 1},
+     "time_change": {"form": "log", "coeff": 1, "intercept": 1}},
 ]
+
+#: One valid object spec per rate form.
+VALID_RATES = [
+    {"form": "constant", "value": 1},
+    {"form": "linear", "slope": 1, "intercept": 0},
+    {"form": "power", "coeff": 1, "exponent": 1},
+    {"form": "infinite"},
+]
+
+#: Kernels for the rate fuzz: one defined on the whole line, one on [0, inf).
+RATE_KERNELS = [{"type": "exponential"}, {"type": "fbm", "hurst": 0.25}]
+
+#: Grids on both sides of 0, across it, and starting at it.
+GRIDS = ["1:3:3", "0:1:3", "-2:2:5", "-3:-1:3"]
 
 #: Values one step off a valid field.  10**400 is a JSON integer that no double holds.
 NEAR_VALID = [
     "nan", "inf", "-inf", "1e999", "x", "1", float("nan"), float("inf"), float("-inf"),
-    0, -0.0, -1, 1e-320, 700, 1e308, -1e308, 10**400, True, None, [], [1], [1, 2, 3], {},
+    0, -0.0, -1, 0.5, 1e-320, 700, 1e308, -1e308, 10**400, True, None, [], [1], [1, 2, 3], {},
 ]
 
 #: What ``cli.main`` prints for an exception that escaped every named error.
@@ -70,8 +89,8 @@ def _fields(node, path=()):
 
 
 @st.composite
-def near_valid_specs(draw):
-    spec = copy.deepcopy(draw(st.sampled_from(VALID_SPECS)))
+def near_valid(draw, valid_specs):
+    spec = copy.deepcopy(draw(st.sampled_from(valid_specs)))
     for _ in range(draw(st.integers(1, 2))):
         *parents, key = draw(st.sampled_from(list(_fields(spec))))
         node = spec
@@ -86,14 +105,30 @@ def out_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("boundaries")
 
 
+def assert_named_outcome(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    assert not UNNAMED_ERROR.search(err.getvalue()), (argv, err.getvalue())
+
+
 # Extreme values overflow on the way to the named error that reports them.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
-@given(spec=near_valid_specs())
-def test_near_valid_kernel_spec_ends_with_a_named_outcome(out_dir, spec):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["psd-check", "--kernel", json.dumps(spec), "--grid", "1:3:3",
-                     "--out", str(out_dir)])
-    assert code in (0, 1, 2), err.getvalue()
-    assert not UNNAMED_ERROR.search(err.getvalue()), (spec, err.getvalue())
+@given(spec=near_valid(VALID_SPECS), grid=st.sampled_from(GRIDS))
+@example(spec=VALID_SPECS[-1], grid="-3:-1:3")  # log of a negative time
+def test_near_valid_kernel_spec_ends_with_a_named_outcome(out_dir, spec, grid):
+    assert_named_outcome(["psd-check", "--kernel", json.dumps(spec), f"--grid={grid}",
+                          "--out", str(out_dir)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(rate=near_valid(VALID_RATES), kernel=st.sampled_from(RATE_KERNELS),
+       grid=st.sampled_from(GRIDS))
+@example(rate={"form": "power", "coeff": 1, "exponent": 0.5}, kernel=RATE_KERNELS[0],
+         grid="-2:2:5")  # square root of a negative time
+def test_near_valid_rate_spec_ends_with_a_named_outcome(out_dir, rate, kernel, grid):
+    assert_named_outcome(["transform", "--kernel", json.dumps(kernel),
+                          "--alpha", json.dumps(rate), f"--grid={grid}", "--out", str(out_dir)])

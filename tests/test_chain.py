@@ -298,6 +298,22 @@ def test_step_correlation_above_one_is_rejected():
         made_markov_law(kern, [1.0, 2.0], [0.0, 3.0])
 
 
+# K(q_i, r_after) and K(r_before, q_j) enter the law without a step of
+# either chain; each is checked as its own two-time covariance.
+@pytest.mark.parametrize("matrix,at", [
+    ([[1.0, 1.5, 0.1], [1.5, 1.0, 0.5], [0.1, 0.5, 1.0]], 0.0),
+    ([[1.0, 0.5, 0.1], [0.5, 1.0, 1.5], [0.1, 1.5, 1.0]], 1.0),
+], ids=["query-to-split", "split-to-query"])
+def test_query_split_covariance_above_one_is_rejected(matrix, at):
+    kern = table_kernel(matrix)
+    with pytest.raises(InvalidInputError, match=f"not PSD at t={at}"):
+        made_markov_law(kern, [1.0], [0.0, 2.0])
+    with pytest.raises(InvalidInputError):
+        made_markov_law_by_blocks(kern, [1.0], [0.0, 2.0])
+    with pytest.raises(InvalidInputError):
+        partition_law(kern, Partition(points=[0.0, 1.0, 2.0]))
+
+
 def test_zero_interior_variance_is_singular():
     kern = table_kernel([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(SingularMarginalError):

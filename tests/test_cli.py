@@ -212,6 +212,40 @@ class TestTransform:
         for _, _, _, k_mimic in read_csv(tmp_path / "transform_table.csv")[1:]:
             assert float(k_mimic) == pytest.approx(1.0, abs=1e-7)
 
+    # A finite rate raised at t = 0, where fbm has zero variance, before the
+    # infinite rate went through the same formula as the finite ones.
+    @pytest.mark.parametrize("alpha", ["0", "0.7", "inf"])
+    def test_zero_variance_point_has_zero_covariance(self, tmp_path, alpha):
+        assert main([
+            "transform", "--kernel", '{"type": "fbm", "hurst": 0.25}', "--alpha", alpha,
+            "--grid", "0:2:5", "--out", str(tmp_path),
+        ]) == 0
+        rows = read_csv(tmp_path / "transform_table.csv")[1:]
+        assert [k_mimic for s, _, _, k_mimic in rows if s == "0"] == ["0"] * 5
+
+    # Each used to escape as a TypeError (a complex power) or a ValueError.
+    @pytest.mark.parametrize("command,kernel,alpha,grid,message", [
+        ("transform", {"type": "exponential"}, '{"form": "power", "exponent": 0.5}', "-1:1:3",
+         "rate is not finite at t=-1.0"),
+        ("transform", {"type": "transformed", "base": {"type": "exponential"},
+                       "scale": {"form": "constant", "value": 1},
+                       "time_change": {"form": "log", "coeff": 1, "intercept": 0}},
+         "1", "-2:-1:3", "time change is undefined at t = -2.0"),
+        ("psd-check", {"type": "transformed", "base": {"type": "exponential"},
+                       "scale": {"form": "constant", "value": 1},
+                       "time_change": {"form": "log", "coeff": 1, "intercept": 0}},
+         None, "-2:-1:3", "time change is undefined at t = -2.0"),
+        ("psd-check", {"type": "transformed", "base": {"type": "exponential"},
+                       "scale": {"form": "power", "coeff": 1, "exponent": 0.5},
+                       "time_change": {"form": "affine"}},
+         None, "-2:-1:3", "scale is undefined at t = -2.0"),
+    ], ids=["power-rate", "log-transform", "log-psd-check", "power-scale"])
+    def test_undefined_spec_function_is_named(self, tmp_path, capsys, command, kernel, alpha,
+                                              grid, message):
+        argv = [command, "--kernel", json.dumps(kernel), f"--grid={grid}", "--out", str(tmp_path)]
+        assert main(argv + ([] if alpha is None else ["--alpha", alpha])) == 1
+        assert message in capsys.readouterr().err
+
     # sha256 of the README transform command's table, recorded before the
     # Gram moved to one broadcasting covariance per kernel: the table comes
     # from the scalar eval, which keeps its libm formula.

@@ -401,6 +401,20 @@ class TestClusterWitnesses:
         assert not results[1e9].found
         assert results[1e9].message
 
+    def test_stalled_bisection_reports_the_last_midpoint(self, monkeypatch):
+        monkeypatch.setattr(spectral, "WITNESS_BISECTION_STEPS", 1)
+        mu = two_point()
+        grid = np.geomspace(1e-3, 1.0, 8)
+        rates = np.array([fourier_decay_rate(mu, float(t)) for t in grid])
+        i = int(np.flatnonzero((rates[:-1] - 0.05) * (rates[1:] - 0.05) < 0.0)[0])
+        t_mid = 0.5 * (grid[i] + grid[i + 1])
+        r_mid = fourier_decay_rate(mu, t_mid)
+        res = cluster_witnesses(mu, [0.05], search_grid=grid)[0.05]
+        assert abs(r_mid - 0.05) > 1e-3 * 1.05  # one step does not reach the target
+        assert not res.found
+        assert res.message == "bisection stalled after 1 iterations"
+        assert (res.t, res.rate, res.error) == (t_mid, r_mid, abs(r_mid - 0.05))
+
     def test_bisection_tightens_bracket(self):
         mu = two_point()  # rate (1 - cos t)/t, increasing near 0
         results = cluster_witnesses(mu, [0.05], search_grid=np.geomspace(1e-3, 1.0, 8))

@@ -320,6 +320,45 @@ class TestMimicKernel:
         assert mimic.eval(1.0, 1.0) == kern.eval(1.0, 1.0)
         assert mimic.eval(1.0, 2.0) == 0.0
 
+    @pytest.mark.parametrize("make,grid", [
+        (lambda: kernels.fbm(0.25), np.linspace(0.0, 2.0, 5)),
+        (lambda: kernels.fbm(0.75), np.linspace(0.5, 3.0, 7)),
+        (lambda: kernels.fbm_log(0.3), np.linspace(-1.0, 1.0, 6)),
+        (lambda: kernels.exponential_rate(0.5), np.linspace(-2.0, 2.0, 5)),
+        (lambda: kernels.transform_kernel(kernels.fbm(0.5), lambda t: 2.0 + t, lambda t: t),
+         np.linspace(0.0, 3.0, 4)),
+        (lambda: kernels.matrix_kernel([0.0, 1.0, 2.0], [[2, 1, 0], [1, 3, 1], [0, 1, 0.5]]),
+         [0.0, 1.0, 2.0]),
+    ], ids=["fbm-rough", "fbm-smooth", "fbm_log", "exponential", "transformed", "matrix"])
+    def test_infinite_rate_gram_is_the_variance_diagonal(self, make, grid):
+        kern = make()
+        mimic = mimic_kernel(kern, RateFunction.infinite())
+        expected = np.diag([kern.variance(float(t)) for t in grid])
+        np.testing.assert_array_equal(kernels.gram(mimic, grid), expected)
+
+    # fbm has zero variance at t = 0: every rate gives it zero covariance.
+    @pytest.mark.parametrize("alpha", [
+        RateFunction.constant(0.0), RateFunction.constant(0.7), RateFunction.infinite(),
+    ], ids=["0", "0.7", "inf"])
+    def test_zero_variance_point_has_zero_covariance(self, alpha):
+        kern = kernels.fbm(0.25)
+        mimic = mimic_kernel(kern, alpha)
+        grid = np.linspace(0.0, 2.0, 5)
+        mat = kernels.gram(mimic, grid)
+        assert not mat[0].any() and not mat[:, 0].any()
+        np.testing.assert_array_equal(np.diag(mat), [kern.variance(t) for t in grid])
+        assert [mimic.eval(0.0, t) for t in grid] == [0.0] * 5
+
+    @pytest.mark.parametrize("alpha", [RateFunction.constant(0.7), RateFunction.infinite()],
+                             ids=["0.7", "inf"])
+    def test_negative_variance_is_singular(self, alpha):
+        kern = kernels.matrix_kernel([0.0, 1.0, 2.0], [[1, 0, 0], [0, -0.5, 0], [0, 0, 1]])
+        mimic = mimic_kernel(kern, alpha)
+        with pytest.raises(SingularMarginalError, match=r"negative variance -0\.5 at t=1\.0"):
+            kernels.gram(mimic, [0.0, 1.0, 2.0])
+        with pytest.raises(SingularMarginalError, match=r"at t=1\.0"):
+            mimic.eval(0.0, 1.0)
+
 
 class TestLocalConvergence:
     def test_markov_kernel_distance_zero(self):
