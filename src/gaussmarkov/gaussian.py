@@ -40,9 +40,12 @@ MARKOV_RESIDUAL_TOL = 1e-8
 class GaussianVector:
     """Finite-dimensional Gaussian law on an ordered time grid.
 
-    ``times`` must be strictly increasing; ``cov`` symmetric with minimum
-    eigenvalue at least ``-TOL_PSD * max(diagonal)``.  The covariance is
-    stored symmetrized.
+    ``times`` must be strictly increasing; ``times``, ``mean`` and ``cov``
+    finite; ``cov`` symmetric with minimum eigenvalue at least
+    ``-TOL_PSD * max(diagonal)``.  A Cholesky factorization of ``cov`` shifted
+    by that bound certifies PSD; only when it fails does ``eigvalsh``
+    decide, and a rejection names its minimum eigenvalue.  The covariance
+    is stored symmetrized.
     """
 
     times: np.ndarray
@@ -56,22 +59,32 @@ class GaussianVector:
         n = times.size
         if n == 0:
             raise InvalidInputError("empty time grid")
-        if n > 1 and not np.all(np.diff(times) > 0.0):
+        if n > 1 and not (times[1:] > times[:-1]).all():
             raise InvalidInputError("times must be strictly increasing")
         if mean.shape != (n,) or cov.shape != (n, n):
             raise InvalidInputError(
                 f"shape mismatch: {n} times, mean {mean.shape}, cov {cov.shape}"
             )
-        asym = float(np.max(np.abs(cov - cov.T)))
-        if asym > 1e-12 * max(1.0, float(np.max(np.abs(cov)))):
+        for name, value in (("times", times), ("mean", mean), ("cov", cov)):
+            finite = np.isfinite(value)
+            if not finite.all():
+                raise InvalidInputError(f"{name} must be finite, got {value[~finite][0]}")
+        asym = float(abs(cov - cov.T).max())
+        if asym > 1e-12 * max(1.0, float(abs(cov).max())):
             raise InvalidInputError(f"covariance not symmetric (max deviation {asym})")
         cov = 0.5 * (cov + cov.T)
-        scale = float(np.max(np.diag(cov)))
-        min_eig = float(np.linalg.eigvalsh(cov)[0])
-        if min_eig < -TOL_PSD * max(scale, 1e-300):
-            raise InvalidInputError(
-                f"covariance not PSD: min eigenvalue {min_eig}, scale {scale}"
-            )
+        scale = float(cov.diagonal().max())
+        tol = TOL_PSD * max(scale, 1e-300)
+        shifted = cov.copy()
+        shifted.flat[:: n + 1] += tol
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(cov)[0])
+            if min_eig < -tol:
+                raise InvalidInputError(
+                    f"covariance not PSD: min eigenvalue {min_eig}, scale {scale}"
+                ) from None
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -141,10 +154,15 @@ class TransportPlan:
         cov_left = np.atleast_2d(np.asarray(cov_left, dtype=float))
         cov_right = np.atleast_2d(np.asarray(cov_right, dtype=float))
         m, n = cov_left.shape[0], cov_right.shape[0]
+        if cov_left.shape != (m, m) or cov_right.shape != (n, n):
+            raise InvalidInputError(
+                f"marginal covariances must be square, got {cov_left.shape} and {cov_right.shape}"
+            )
         cross = np.asarray(cross, dtype=float).reshape(m, n)
         mean_left = np.zeros(m) if mean_left is None else np.asarray(mean_left, dtype=float).ravel()
         mean_right = np.zeros(n) if mean_right is None else np.asarray(mean_right, dtype=float).ravel()
-        cov = np.block([[cov_left, cross], [cross.T, cov_right]])
+        cov = np.empty((m + n, m + n))
+        cov[:m, :m], cov[:m, m:], cov[m:, :m], cov[m:, m:] = cov_left, cross, cross.T, cov_right
         if times is None:
             times = np.arange(m + n, dtype=float)
         joint = GaussianVector(
@@ -374,9 +392,6 @@ def gaussian_distance(a: GaussianVector, b: GaussianVector) -> float:
     """
     if a.dim != b.dim:
         raise InvalidInputError(f"dimension mismatch {a.dim} vs {b.dim}")
-    if float(np.max(np.abs(a.times - b.times))) > 1e-12:
+    if float(abs(a.times - b.times).max()) > 1e-12:
         raise InvalidInputError("laws live on different time grids")
-    return max(
-        float(np.max(np.abs(a.mean - b.mean))),
-        float(np.max(np.abs(a.cov - b.cov))),
-    )
+    return max(float(abs(a.mean - b.mean).max()), float(abs(a.cov - b.cov).max()))

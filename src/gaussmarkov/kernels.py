@@ -205,7 +205,7 @@ def _as_strictly_increasing(grid) -> np.ndarray:
     arr = np.asarray(grid, dtype=float).ravel()
     if arr.size < 1:
         raise InvalidInputError("grid must contain at least one time")
-    if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
+    if arr.size > 1 and not (arr[1:] > arr[:-1]).all():
         raise InvalidInputError("grid must be strictly increasing")
     return arr
 

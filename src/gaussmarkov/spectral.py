@@ -57,6 +57,9 @@ _SCAN_CHUNK = 8192
 _BOUND_TERMS = 4
 _BOUND_MARGIN = 1e-9
 
+#: Last k with 0.5**k > 0.0: it is the smallest subnormal, and 0.5**1075 rounds to 0.0.
+_LAST_HALF_POWER = 1074
+
 #: Bisection steps :func:`cluster_witnesses` takes per target before it reports a stall.
 WITNESS_BISECTION_STEPS = 60
 
@@ -344,15 +347,29 @@ def measure_from_windows(
     """
     if config.a != 0.5:
         raise InvalidInputError("the probability normalization requires a = 1/2")
-    active = set(_window_indices(windows, config.k_cut).tolist())
+
+    def location(k: int) -> float:
+        try:
+            return config.b**k
+        except OverflowError:
+            raise InvalidInputError(
+                f"location b**k of active index k = {k} overflows (b = {config.b})"
+            ) from None
+
+    # Past _LAST_HALF_POWER every weight a^k is 0.0 and adds 0.0 to the mass at 0.
+    k_last = min(config.k_cut, _LAST_HALF_POWER)
+    active = set(_window_indices(windows, k_last).tolist())
     zero_mass = 0.0
     atoms: list[tuple[float, float]] = []
-    for k in range(2, config.k_cut + 1):
+    for k in range(2, k_last + 1):
         w = config.a**k
         if k in active:
-            atoms.append((w, config.b**k))
+            atoms.append((w, location(k)))
         else:
             zero_mass += 2.0 * w
+    late = [max(lo, k_last + 1) for lo, hi in windows if max(lo, k_last + 1) < min(hi, config.k_cut + 1)]
+    if late:
+        location(min(late))  # raises: a*b > 1 makes b > 2, so b^k > 2^1075
     zero_mass += 2.0 * config.a**config.k_cut  # tail beyond the truncation
     atoms.append((zero_mass, 0.0))
     return SpectralMeasure(atoms=tuple(atoms))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -153,8 +153,9 @@ def _chain(kernel: Kernel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     kernel.require_in_domain(points)
     steps = kernel.cov(points[:-1], points[1:])
     var = kernel.cov(points, points)
-    if np.any(var <= 0.0):
-        raise SingularMarginalError(f"kernel singular at t={points[np.argmax(var <= 0.0)]}")
+    singular = var <= 0.0
+    if singular.any():
+        raise SingularMarginalError(f"kernel singular at t={points[singular.argmax()]}")
     _require_psd_pairs(var[:-1], var[1:], steps, points)
     return steps, var
 
@@ -163,8 +164,8 @@ def _require_psd_pairs(a: np.ndarray, b: np.ndarray, cross: np.ndarray, times) -
     """Rejects the first two-time covariance ``[[a, cross], [cross, b]]`` below the
     :class:`GaussianVector` PSD bound, naming the earlier time of its pair."""
     bad = 0.5 * (a + b) - np.hypot(0.5 * (a - b), cross) < -kernels.TOL_PSD * np.maximum(a, b)
-    if np.any(bad):
-        raise InvalidInputError(f"two-time covariance not PSD at t={times[np.argmax(bad)]}")
+    if bad.any():
+        raise InvalidInputError(f"two-time covariance not PSD at t={times[bad.argmax()]}")
 
 
 def partition_law(kernel: Kernel, partition: Partition) -> TransportPlan:
@@ -200,49 +201,125 @@ def made_markov_law(kernel: Kernel, split_times, query_times) -> GaussianVector:
     One running product per query over the splits after it: O(q m)
     multiplications and O(q + m) kernel evaluations for q queries and m
     splits, besides the kernel's own covariances between unsplit queries.
-    Those pairs and each query's first split are evaluated in one kernel
-    call each, and the loop over queries keeps only the running product,
+    Those pairs and the splits next to each query are evaluated in one
+    kernel call, and the loop over queries keeps only the running product,
     in one buffer of m entries: O(q^2 + m) memory.
     """
-    splits = _sorted_unique(split_times)
+    return next(_made_markov_laws(kernel, [split_times], query_times))
+
+
+def _set_groups(split_sets, n_queries: int):
+    """Consecutive split sets in groups whose splits plus pending per-query
+    values, counted as ``q^2 + m`` a set, stay within twice the largest
+    set's ``q^2 + m``.  When drawing a set raises, the sets before it come
+    out first as a group."""
+    group, total, largest = [], 0, 0
+    try:
+        for splits in split_sets:
+            cost = n_queries**2 + np.size(splits)
+            if group and total + cost > 2 * max(largest, cost):
+                yield group
+                group, total, largest = [], 0, 0
+            group.append(splits)
+            total, largest = total + cost, max(largest, cost)
+    except Exception:
+        if group:
+            yield group
+        raise
+    if group:
+        yield group
+
+
+def _made_markov_laws(kernel: Kernel, split_sets, query_times) -> Iterator[GaussianVector]:
+    """:func:`made_markov_law` at each split set in turn, on the same query times.
+
+    The queries are validated and chained once, and their means taken
+    with the first law.  Each group of consecutive sets (:func:`_set_groups`)
+    evaluates every kernel value between a query and a neighbouring split
+    or an unsplit query in one ``kernel.cov`` call, with one PSD test; a
+    set's own split chain and running products wait until its law is due.
+    A group that fails any check is replayed one set at a time, so the
+    error raised is the first that :func:`made_markov_law` meets set after set.
+    """
     queries = _as_strictly_increasing(query_times)
-    kernel.require_in_domain(splits)
-    _, var = _chain(kernel, queries)
-    # Only splits strictly inside the query range separate two queries.
-    splits = splits[(splits > queries[0]) & (splits < queries[-1])]
-    steps, split_var = _chain(kernel, splits)
-    factors = steps / split_var[:-1]
-    after = np.searchsorted(splits, queries, side="right")  # first split after each query
-    before = np.searchsorted(splits, queries, side="left") - 1  # last split before it
     n = queries.size
-    last = np.zeros(n)  # K(r_before, q) / K(r_before, r_before)
-    has = before >= 0
-    lasts = kernel.cov(splits[before[has]], queries[has])  # K(r_before, q)
-    _require_psd_pairs(split_var[before[has]], var[has], lasts, splits[before[has]])
-    last[has] = lasts / split_var[before[has]]
     rows = np.arange(n)
-    j0 = np.maximum(rows + 1, np.searchsorted(before, after))  # first query past the next split
-    # Pairs i < j < j0[i] have no split between them: the kernel's own covariance.
-    counts = j0 - rows - 1
-    pi = np.repeat(rows, counts)
-    pj = pi + 1 + np.arange(pi.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    cov = np.zeros((n, n))
-    cov[pi, pj] = kernel.cov(queries[pi], queries[pj])
-    split_rows = np.flatnonzero(j0 < n)
-    firsts = kernel.cov(queries[split_rows], splits[after[split_rows]])  # K(q_i, r_after)
-    _require_psd_pairs(var[split_rows], split_var[after[split_rows]], firsts, queries[split_rows])
-    run = np.empty(splits.size)
-    for i, first in zip(split_rows.tolist(), firsts.tolist()):
-        a, j = int(after[i]), int(j0[i])
-        row = run[a:]  # run[k] = K(q_i, r_a) * factors[a] * ... * factors[k - 1]
-        row[0] = first
-        row[1:] = factors[a:]
-        np.cumprod(row, out=row)
-        cov[i, j:] = run[before[j:]] * last[j:]
-    cov = cov + cov.T
-    np.fill_diagonal(cov, var)
-    mean = np.array([kernel.mean(float(t)) for t in queries])
-    return GaussianVector(times=queries, mean=mean, cov=cov)
+    var = mean = None
+
+    def prepare(group):
+        """Per set of the group, what its law needs: sorted splits inside the
+        query range, index arrays and kernel values; the first set's chain."""
+        nonlocal var
+        plans, near, far, pair_s, pair_t = [], [], [], [], []
+        for splits in group:
+            splits = _sorted_unique(splits)
+            kernel.require_in_domain(splits)
+            if var is None:
+                _, var = _chain(kernel, queries)
+            # Only splits strictly inside the query range separate two queries.
+            splits = splits[(splits > queries[0]) & (splits < queries[-1])]
+            after = np.searchsorted(splits, queries, side="right")  # first split after each query
+            before = np.searchsorted(splits, queries, side="left") - 1  # last split before it
+            j0 = np.maximum(rows + 1, np.searchsorted(before, after))  # first query past the next split
+            # Pairs i < j < j0[i] have no split between them: the kernel's own covariance.
+            counts = j0 - rows - 1
+            pi = np.repeat(rows, counts)
+            pj = pi + 1 + np.arange(pi.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            has, split_rows = np.flatnonzero(before >= 0), np.flatnonzero(j0 < n)
+            # (r_before, q) and (q, r_after) pairs, in made_markov_law's order of checks
+            near += [splits[before[has]], queries[split_rows]]
+            far += [queries[has], splits[after[split_rows]]]
+            pair_s.append(queries[pi])
+            pair_t.append(queries[pj])
+            plans.append((splits, before, after, j0, has, split_rows, pi, pj))
+        chain = _chain(kernel, plans[0][0])  # a lone set checks it first, as made_markov_law does
+        near, far = np.concatenate(near), np.concatenate(far)
+        values = kernel.cov(np.concatenate([near, near, far, *pair_s]),
+                            np.concatenate([far, near, far, *pair_t]))
+        cross, near_var, far_var, pairs = np.split(values, [near.size, 2 * near.size, 3 * near.size])
+        _require_psd_pairs(near_var, far_var, cross, near)
+        laws, at, pair_at = [], 0, 0
+        for splits, before, after, j0, has, split_rows, pi, pj in plans:
+            last = np.zeros(n)  # K(r_before, q) / K(r_before, r_before)
+            last[has] = cross[at : at + has.size] / near_var[at : at + has.size]
+            at += has.size
+            cov = np.zeros((n, n))
+            cov[pi, pj] = pairs[pair_at : pair_at + pi.size]
+            pair_at += pi.size
+            firsts = cross[at : at + split_rows.size]  # K(q_i, r_after)
+            at += split_rows.size
+            laws.append((splits, chain, before, after, j0, split_rows, firsts, last, cov))
+            chain = None
+        return laws
+
+    def law(splits, chain, before, after, j0, split_rows, firsts, last, cov):
+        nonlocal mean
+        steps, split_var = chain or _chain(kernel, splits)
+        factors = steps / split_var[:-1]
+        run = np.empty(splits.size)
+        for i, first in zip(split_rows.tolist(), firsts.tolist()):
+            a, j = int(after[i]), int(j0[i])
+            row = run[a:]  # run[k] = K(q_i, r_a) * factors[a] * ... * factors[k - 1]
+            row[0] = first
+            row[1:] = factors[a:]
+            row.cumprod(out=row)
+            cov[i, j:] = run[before[j:]] * last[j:]
+        cov = cov + cov.T
+        np.fill_diagonal(cov, var)
+        if mean is None:
+            mean = np.array([kernel.mean(float(t)) for t in queries])
+        return GaussianVector(times=queries, mean=mean.copy(), cov=cov)
+
+    for group in _set_groups(split_sets, n):
+        try:
+            plans = prepare(group)
+        except Exception:
+            if len(group) == 1:
+                raise
+            plans = None  # the replay one set at a time raises the error again, in order
+        for splits in group:
+            # popped, so that no set's arrays outlive its law
+            yield law(*(prepare([splits]) if plans is None else plans).pop(0))
 
 
 def made_markov_law_by_blocks(kernel: Kernel, split_times, query_times) -> GaussianVector:
@@ -390,15 +467,18 @@ def global_convergence_experiment(
     query_times,
     n_max: int,
 ) -> list[ConvergenceRow]:
-    """Distances of laws made Markov at ``R_n`` to the target law on a query set."""
+    """Distances of laws made Markov at ``R_n`` to the target law on a query set.
+
+    The laws come from one sweep over the sets, bit for bit those of
+    :func:`made_markov_law` at each ``R_n``.
+    """
     queries = np.asarray(query_times, dtype=float).ravel()
     if queries.size < 2:
         raise InvalidInputError("need at least two query times")
     if n_max < 1:
         raise InvalidInputError(f"n_max must be at least 1, got {n_max}")
-    laws = ((float(n), made_markov_law(kernel, time_set, queries))
-            for n, time_set in enumerate(adm.sets(n_max), start=1))
-    return _convergence_rows(laws, target, queries)
+    laws = enumerate(_made_markov_laws(kernel, adm.sets(n_max), queries), start=1)
+    return _convergence_rows(((float(n), law) for n, law in laws), target, queries)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,9 @@ reciprocal): a term of weight ``x * a^k`` can differ by up to
 ``made_markov_law_rows`` builds ``gaussmarkov.transform.made_markov_law`` one
 query row at a time, with the same arithmetic, so the two agree bit for bit
 wherever the kernel's ``cov`` rounds each entry alone, whatever the batch.
+``global_convergence_rows`` builds each row of
+``gaussmarkov.transform.global_convergence_experiment`` from that row loop, one
+split set at a time.
 """
 
 import math
@@ -16,10 +19,10 @@ import math
 import numpy as np
 
 from gaussmarkov.errors import InvalidInputError
-from gaussmarkov.gaussian import GaussianVector
-from gaussmarkov.kernels import _as_strictly_increasing, _sorted_unique
+from gaussmarkov.gaussian import GaussianVector, gaussian_distance
+from gaussmarkov.kernels import _as_strictly_increasing, _sorted_unique, correlation
 from gaussmarkov.spectral import WeierstrassConfig, _effective_cap
-from gaussmarkov.transform import _chain
+from gaussmarkov.transform import ConvergenceRow, _chain, joint_law
 
 
 def lacunary_sum(config: WeierstrassConfig, x: float, k_from: int, k_to: int) -> float:
@@ -77,3 +80,19 @@ def made_markov_law_rows(kernel, split_times, query_times) -> GaussianVector:
     np.fill_diagonal(cov, var)
     mean = np.array([kernel.mean(float(t)) for t in queries])
     return GaussianVector(times=queries, mean=mean, cov=cov)
+
+
+def global_convergence_rows(kernel, target, adm, query_times, n_max) -> list:
+    """``global_convergence_experiment`` with one ``made_markov_law_rows`` law per split set."""
+    target_law = joint_law(target, query_times)
+    tgt_corr = correlation(target, float(query_times[0]), float(query_times[-1]))
+    rows = []
+    for n in range(1, n_max + 1):
+        law = made_markov_law_rows(kernel, adm.time_set(n), query_times)
+        rows.append(ConvergenceRow(
+            index=float(n),
+            distance=gaussian_distance(law, target_law),
+            correlation=float(law.cov[0, -1]) / math.sqrt(float(law.cov[0, 0] * law.cov[-1, -1])),
+            target_correlation=tgt_corr,
+        ))
+    return rows

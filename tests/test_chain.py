@@ -8,7 +8,8 @@ Markov scan.  Kernels cover unit and non-unit variances, stationary and
 tabulated covariances, negative one-step correlations (cosine spectra and
 random tables) and exact zero correlations (white noise and tables with
 independent groups).  ``made_markov_law`` is also checked bit for bit against
-the per-query row loop it replaced, over a wider set of kernel families.
+the per-query row loop it replaced, over a wider set of kernel families,
+and so is every law of a sweep over several split sets.
 """
 
 import math
@@ -33,6 +34,7 @@ from gaussmarkov.kernels import RateFunction, rate_kernel, transform_kernel
 from gaussmarkov.spectral import SpectralMeasure, kernel_from_spectral
 from gaussmarkov.transform import (
     Partition,
+    _made_markov_laws,
     joint_law,
     made_markov_law,
     made_markov_law_by_blocks,
@@ -181,6 +183,45 @@ def test_made_markov_law_is_bitwise_the_row_loop(family, seed, q, m, inside):
     np.testing.assert_array_equal(fast.cov, slow.cov)
     np.testing.assert_array_equal(fast.mean, slow.mean)
     np.testing.assert_array_equal(fast.times, slow.times)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(BITWISE_FAMILIES), seed=seeds,
+       q=st.integers(min_value=1, max_value=12), m=st.integers(min_value=0, max_value=80),
+       kinds=st.lists(st.sampled_from(["empty", "outside", "inside"]), min_size=1, max_size=6))
+def test_sweep_laws_are_bitwise_the_one_set_laws(family, seed, q, m, kinds):
+    rng = np.random.default_rng(seed)
+    n_points = min(q + m, 100) if family == "table" else q + m
+    kern, grid = random_kernel(family, rng, max(n_points, q, 2))
+    queries = np.sort(rng.choice(grid, size=q, replace=False))
+    pools = {"empty": grid[:0], "inside": grid,
+             "outside": grid[(grid <= queries[0]) | (grid >= queries[-1])]}
+    # sizes up to m, so that sets of every size share a group of one kernel call
+    sets = [rng.choice(pools[kind], size=int(rng.integers(0, m + 1))) if pools[kind].size
+            else np.array([]) for kind in kinds]
+    laws = list(_made_markov_laws(kern, sets, queries))
+    assert len(laws) == len(sets)
+    for splits, law in zip(sets, laws):
+        for ref in (made_markov_law(kern, splits, queries),
+                    made_markov_law_rows(kern, splits, queries)):
+            np.testing.assert_array_equal(law.cov, ref.cov)
+            np.testing.assert_array_equal(law.mean, ref.mean)
+            np.testing.assert_array_equal(law.times, ref.times)
+
+
+def test_sweep_raises_the_first_error_set_after_set():
+    # [1.0] makes K(q, r_after) = 1.5 at unit variances; 3.0 is outside the domain.
+    # Each pair of sets shares one group, whose domain checks run before its PSD test.
+    kern = table_kernel([[1.0, 1.5, 0.1], [1.5, 1.0, 0.5], [0.1, 0.5, 1.0]])
+    queries = [0.0, 2.0]
+    laws = _made_markov_laws(kern, [[], [1.0]], queries)
+    assert np.array_equal(next(laws).cov, made_markov_law(kern, [], queries).cov)
+    with pytest.raises(InvalidInputError, match="not PSD at t=0.0"):
+        next(laws)
+    with pytest.raises(InvalidInputError, match="not PSD at t=0.0"):
+        list(_made_markov_laws(kern, [[1.0], [3.0]], queries))
+    with pytest.raises(InvalidInputError, match="time 3.0 outside domain"):
+        list(_made_markov_laws(kern, [[3.0], [1.0]], queries))
 
 
 def markov_chain_law(rng, n):

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -401,6 +402,23 @@ class TestCounterexample:
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in digests
         } == digests
+
+    def test_overflowing_frequency_is_named(self, tmp_path, capsys):
+        code = main(["counterexample", "--i-max", "4", "--k-cut", "700", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: location b**k of active index k = 647 overflows (b = 3.0)"
+        )
+
+    def test_cutoff_past_underflow_costs_nothing(self, tmp_path):
+        # every weight past k = 1074 is 0.0: the artifacts are those of --k-cut 1100
+        argv = ["counterexample", "--i-max", "1", "--targets", "0.25,1"]
+        assert main(argv + ["--k-cut", "1100", "--out", str(tmp_path / "a")]) == 0
+        start = time.perf_counter()
+        assert main(argv + ["--k-cut", "10000000", "--out", str(tmp_path / "b")]) == 0
+        assert time.perf_counter() - start < 0.5
+        for name in ("measure.json", "witnesses.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     @pytest.mark.parametrize("budget", [2**53 + 1, 10**400], ids=["2^53+1", "10^400"])
     @pytest.mark.parametrize("source", ["flag", "config"])

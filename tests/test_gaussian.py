@@ -1,8 +1,10 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaussmarkov import gaussian, kernels
@@ -102,6 +104,54 @@ class TestGaussianVector:
         law = GaussianVector(times=[0.0, 1.0], mean=[0.5, -1.0], cov=[[2, 1], [1, 2]])
         again = GaussianVector.from_json(law.to_json())
         assert gaussian_distance(law, again) == 0.0
+
+    @pytest.mark.parametrize("build", ["init", "from_json"])
+    @pytest.mark.parametrize("field,value", [
+        ("cov", [[1.0, math.nan], [math.nan, 1.0]]),
+        ("cov", [[1.0, math.inf], [math.inf, 1.0]]),
+        ("cov", [[1.0, -math.inf], [-math.inf, 1.0]]),
+        ("cov", [[math.nan, 0.0], [0.0, 1.0]]),
+        ("cov", [[math.inf, 0.0], [0.0, 1.0]]),
+        ("mean", [math.nan, 0.0]),
+        ("mean", [0.0, -math.inf]),
+        ("times", [0.0, math.inf]),
+        ("times", [-math.inf, 0.0]),
+    ])
+    def test_non_finite_law_is_rejected(self, build, field, value):
+        data = {"times": [0.0, 1.0], "mean": [0.0, 0.0], "cov": [[1.0, 0.5], [0.5, 1.0]]}
+        data[field] = value
+        with pytest.raises(InvalidInputError, match=f"^{field} must be finite, got"):
+            if build == "init":
+                GaussianVector(**data)
+            else:
+                GaussianVector.from_json(json.dumps(data))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(min_value=1, max_value=60), seed=st.integers(0, 2**32 - 1),
+       offset=st.floats(min_value=-15.0, max_value=-6.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_psd_certificate_decides_as_eigvalsh(n, seed, offset, sign):
+    # smallest eigenvalue -TOL_PSD * scale +- 10^offset * scale, the rest in [0, 1)
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    eigs = rng.uniform(0.0, 1.0, size=n)
+    eigs[0] = 0.0
+    cov = (basis * eigs) @ basis.T
+    scale = float(np.max(np.diag(cov)))
+    eigs[0] = (-kernels.TOL_PSD + sign * 10.0**offset) * scale
+    cov = (basis * eigs) @ basis.T
+    cov = 0.5 * (cov + cov.T)
+    spectrum = np.linalg.eigvalsh(cov)
+    min_eig = float(spectrum[0])
+    tol = kernels.TOL_PSD * max(float(np.max(np.diag(cov))), 1e-300)
+    # outside the band where rounding may decide either way
+    assume(abs(min_eig + tol) > 4 * n * 2.0**-53 * float(np.max(np.abs(spectrum))))
+    times, mean = np.arange(n, dtype=float), np.zeros(n)
+    if min_eig >= -tol:
+        GaussianVector(times=times, mean=mean, cov=cov)
+    else:
+        with pytest.raises(InvalidInputError, match=re.escape(f"min eigenvalue {min_eig}, ")):
+            GaussianVector(times=times, mean=mean, cov=cov)
 
 
 class TestCondition:

@@ -377,6 +377,20 @@ class TestCounterexampleMeasure:
             )
             assert diff <= bound + 1e-15
 
+    def test_weights_past_underflow_add_nothing(self):
+        # 0.5**k is 0.0 from k = 1075 on, so no later index changes a bit
+        windows = [(2, 3), (4, 9)]
+        at_1100 = measure_from_windows(WeierstrassConfig(k_cut=1100), windows)
+        assert measure_from_windows(WeierstrassConfig(k_cut=10**9), windows) == at_1100
+        assert measure_from_windows(WeierstrassConfig(k_cut=1075), windows) == at_1100
+
+    @pytest.mark.parametrize("windows,k", [([(2, 3), (600, 700)], 647), ([(2, 3), (2000, 2001)], 2000)],
+                             ids=["below-underflow", "past-underflow"])
+    def test_overflowing_location_is_named(self, windows, k):
+        with pytest.raises(InvalidInputError,
+                           match=rf"active index k = {k} overflows \(b = 3.0\)"):
+            measure_from_windows(WeierstrassConfig(k_cut=3000), windows)
+
 
 class TestClusterWitnesses:
     def test_targets_found(self, partial_measure):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,6 +12,8 @@ from gaussmarkov.kernels import RateFunction, estimate_alpha
 from gaussmarkov.transform import (
     AdmissibleSequence,
     Partition,
+    _made_markov_laws,
+    _set_groups,
     global_convergence_experiment,
     joint_law,
     local_convergence_experiment,
@@ -21,6 +24,8 @@ from gaussmarkov.transform import (
     rate_kernel,
     tightness_bound_check,
 )
+
+from oracles import global_convergence_rows
 
 
 def fbm_cov(h, s, t):
@@ -226,6 +231,26 @@ class TestMadeMarkovLaw:
             tracemalloc.stop()
         assert peak <= 10.6 * 2**20
 
+    def test_sweep_memory_is_within_twice_one_law(self):
+        # a group holds the splits of at most two such sets at once
+        rng = np.random.default_rng(5)
+        queries = np.sort(rng.uniform(1.0, 2.0, 50))
+        sets = [np.sort(rng.uniform(1.0, 2.0, 200_000)) for _ in range(6)]
+        kern = kernels.fbm(0.7)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lambda: made_markov_law(kern, sets[0], queries))
+        sweep = peak(lambda: [law.cov[0, -1] for law in _made_markov_laws(kern, sets, queries)])
+        assert [len(group) for group in _set_groups(sets, queries.size)] == [2, 2, 2]
+        assert sweep <= 2 * one
+
     def test_nan_split_is_outside_the_domain(self):
         with pytest.raises(InvalidInputError, match="time nan outside domain"):
             made_markov_law(kernels.fbm(0.75), [0.3, math.nan, math.nan], [0.1, 0.5, 0.9])
@@ -418,6 +443,37 @@ class TestGlobalConvergence:
         adm = AdmissibleSequence.geometric()
         rows = global_convergence_experiment(kern, kern, adm, [0.0, 0.7, 1.5], 5)
         assert all(r.distance < 1e-10 for r in rows)
+
+    @pytest.mark.parametrize("case", ["benchmark", "fbm_log_0.75"])
+    def test_rows_are_bitwise_the_per_set_oracle(self, case):
+        rng = np.random.default_rng(3)
+        if case == "benchmark":
+            kern, target = kernels.fbm_log(0.5), rate_kernel(RateFunction.constant(1.0))
+            adm = AdmissibleSequence.from_steps([2.0**-k for k in range(1, 8)])
+            queries, n_max = np.sort(rng.uniform(0.0, 1.0, 5)), 7
+        else:
+            kern, target = kernels.fbm_log(0.75), rate_kernel(RateFunction.constant(0.0))
+            adm = AdmissibleSequence.geometric(ratio=0.5, first_step=0.5)
+            queries, n_max = np.sort(rng.uniform(-1.0, 2.0, 12)), 9
+        rows = global_convergence_experiment(kern, target, adm, queries, n_max)
+        assert rows == global_convergence_rows(kern, target, adm, queries, n_max)
+
+    def test_benchmark_sweep_takes_its_query_values_in_one_call(self):
+        # 2 calls chain the queries, 2 per set chain its splits, 1 per group
+        calls = []
+        base = kernels.fbm_log(0.5)
+
+        def cov(s, t):
+            calls.append(np.size(s))
+            return base.cov(s, t)
+
+        kern = dataclasses.replace(base, cov=cov)
+        adm = AdmissibleSequence.from_steps([2.0**-k for k in range(1, 8)])
+        queries = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 5))
+        assert [len(group) for group in _set_groups(adm.sets(7), queries.size)] == [7]
+        global_convergence_experiment(kern, rate_kernel(RateFunction.constant(1.0)), adm,
+                                      queries, 7)
+        assert len(calls) == 2 + 2 * 7 + 1
 
     @pytest.mark.parametrize("n_max", [0, -1])
     def test_fewer_than_one_set_is_rejected(self, n_max):
