@@ -258,14 +258,14 @@ def _made_markov_laws(kernel: Kernel, split_sets, query_times) -> Iterator[Gauss
                 _, var = _chain(kernel, queries)
             # Only splits strictly inside the query range separate two queries.
             splits = splits[(splits > queries[0]) & (splits < queries[-1])]
-            after = np.searchsorted(splits, queries, side="right")  # first split after each query
-            before = np.searchsorted(splits, queries, side="left") - 1  # last split before it
-            j0 = np.maximum(rows + 1, np.searchsorted(before, after))  # first query past the next split
+            after = splits.searchsorted(queries, side="right")  # first split after each query
+            before = splits.searchsorted(queries, side="left") - 1  # last split before it
+            j0 = np.maximum(rows + 1, before.searchsorted(after))  # first query past the next split
             # Pairs i < j < j0[i] have no split between them: the kernel's own covariance.
             counts = j0 - rows - 1
-            pi = np.repeat(rows, counts)
-            pj = pi + 1 + np.arange(pi.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            has, split_rows = np.flatnonzero(before >= 0), np.flatnonzero(j0 < n)
+            pi = rows.repeat(counts)
+            pj = pi + 1 + np.arange(pi.size) - (counts.cumsum() - counts).repeat(counts)
+            has, split_rows = (before >= 0).nonzero()[0], (j0 < n).nonzero()[0]
             # (r_before, q) and (q, r_after) pairs, in made_markov_law's order of checks
             near += [splits[before[has]], queries[split_rows]]
             far += [queries[has], splits[after[split_rows]]]
@@ -276,7 +276,8 @@ def _made_markov_laws(kernel: Kernel, split_sets, query_times) -> Iterator[Gauss
         near, far = np.concatenate(near), np.concatenate(far)
         values = kernel.cov(np.concatenate([near, near, far, *pair_s]),
                             np.concatenate([far, near, far, *pair_t]))
-        cross, near_var, far_var, pairs = np.split(values, [near.size, 2 * near.size, 3 * near.size])
+        k = near.size
+        cross, near_var, far_var, pairs = values[:k], values[k : 2 * k], values[2 * k : 3 * k], values[3 * k :]
         _require_psd_pairs(near_var, far_var, cross, near)
         laws, at, pair_at = [], 0, 0
         for splits, before, after, j0, has, split_rows, pi, pj in plans:
@@ -297,13 +298,13 @@ def _made_markov_laws(kernel: Kernel, split_sets, query_times) -> Iterator[Gauss
         steps, split_var = chain or _chain(kernel, splits)
         factors = steps / split_var[:-1]
         run = np.empty(splits.size)
-        for i, first in zip(split_rows.tolist(), firsts.tolist()):
-            a, j = int(after[i]), int(j0[i])
+        for i, first, a, j in zip(split_rows.tolist(), firsts.tolist(),
+                                  after[split_rows].tolist(), j0[split_rows].tolist()):
             row = run[a:]  # run[k] = K(q_i, r_a) * factors[a] * ... * factors[k - 1]
             row[0] = first
             row[1:] = factors[a:]
             row.cumprod(out=row)
-            cov[i, j:] = run[before[j:]] * last[j:]
+            np.multiply(run[before[j:]], last[j:], out=cov[i, j:])
         cov = cov + cov.T
         np.fill_diagonal(cov, var)
         if mean is None:
