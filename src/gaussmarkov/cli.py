@@ -145,7 +145,8 @@ _OPTIONS = {
         _GRID._replace(help="start:stop:count; endpoints give the time pair"),
         _Option("mesh_sequence", _positive_list, None, "comma list of meshes (local experiment)"),
         _Option("steps", _positive_list, None, "comma list of step sizes (global experiment)"),
-        _Option("n_max", int, None, "number of sets in the global experiment (default: all)"),
+        _Option("n_max", int, None,
+                "number of sets in the global experiment, at most one per step (default: all)"),
         _OUT,
     )),
     "counterexample": ("lacunary measure and decay-rate witnesses", (
@@ -288,6 +289,9 @@ def _cmd_converge(kernel, alpha, grid, mesh_sequence, steps, n_max, out) -> int:
         ]
         rows = transform.local_convergence_experiment(kernel, target, s, t, partitions)
     else:
+        # from_steps repeats its last set: a count past the steps adds only copies
+        if n_max is not None and n_max > len(steps):
+            raise UsageError(f"--n-max: {n_max} sets asked for, but --steps gives {len(steps)}")
         adm = transform.AdmissibleSequence.from_steps(steps)
         n_sets = len(steps) if n_max is None else n_max
         rows = transform.global_convergence_experiment(kernel, target, adm, grid, n_sets)

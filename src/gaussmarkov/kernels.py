@@ -1,8 +1,8 @@
 """Covariance kernels and decorrelation-rate diagnostics.
 
 A :class:`Kernel` bundles a symmetric positive semi-definite covariance
-function ``K(s, t)``, as a scalar formula and as one broadcasting array
-evaluation, with a mean function and a validity domain.  Kernels are
+function ``K(s, t)``, one broadcasting formula that also gives its scalar
+values, with a mean function and a validity domain.  Kernels are
 immutable values; every operation in this module is pure and safe to call
 concurrently.
 
@@ -59,21 +59,25 @@ def _zero_mean(t: float) -> float:
 class Kernel:
     """A covariance function with metadata.
 
+    Give ``cov``, ``eval`` or both.
+
     Parameters
     ----------
-    eval : callable
+    eval : callable, optional
         ``(s, t) -> K(s, t)`` on scalars; must be symmetric in its arguments.
+        Defaults to ``float(cov(s, t))``, the one formula of every built-in
+        family.
     mean : callable, optional
         Mean function of the associated Gaussian process (default zero).
     cov : callable, optional
         ``(s, t) -> K(s, t)`` elementwise on broadcast arrays, exactly
-        symmetric; may differ from ``eval`` in the last bit.  Defaults to
-        one loop over ``eval``.
+        symmetric, each entry rounded alone whatever the batch.  Defaults
+        to one loop over ``eval``.
     domain : (float, float)
         Interval of valid times; bounds may be infinite.
     """
 
-    eval: Callable[[float, float], float]
+    eval: Callable[[float, float], float] | None = None
     mean: Callable[[float], float] = _zero_mean
     cov: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     domain: tuple[float, float] = (-math.inf, math.inf)
@@ -83,7 +87,12 @@ class Kernel:
         lo, hi = self.domain
         if not lo < hi:
             raise InvalidInputError(f"empty kernel domain {self.domain}")
-        if self.cov is None:
+        if self.eval is None:
+            if self.cov is None:
+                raise InvalidInputError("a kernel needs a cov or an eval")
+            array = self.cov
+            object.__setattr__(self, "eval", lambda s, t: float(array(s, t)))
+        elif self.cov is None:
             scalar = self.eval
 
             def cov(s, t):
@@ -373,10 +382,6 @@ def transform_kernel(
             raise InvalidInputError(f"scale vanishes at {t}")
         return u
 
-    def new_eval(s: float, t: float) -> float:
-        u, v = nonzero_scale(s), nonzero_scale(t)
-        return u * v * kernel.eval(phi(s), phi(t))
-
     def new_cov(s, t):
         u, v = _at_points(nonzero_scale, s, t)
         return u * v * kernel.cov(*_at_points(phi, s, t))
@@ -384,7 +389,7 @@ def transform_kernel(
     def new_mean(t: float) -> float:
         return scale_at(t) * kernel.mean(phi(t))
 
-    return Kernel(eval=new_eval, mean=new_mean, cov=new_cov, domain=new_domain, name=name)
+    return Kernel(mean=new_mean, cov=new_cov, domain=new_domain, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +407,11 @@ def fbm(hurst: float) -> Kernel:
         raise InvalidInputError(f"Hurst parameter must lie in (0, 1), got {hurst}")
     two_h = 2.0 * hurst
 
-    def k(s: float, t: float) -> float:
+    # Python's operators: two floats take libm's pow, arrays numpy's loops.
+    def cov(s, t):
         return 0.5 * (abs(t) ** two_h + abs(s) ** two_h - abs(t - s) ** two_h)
 
-    def cov(s, t):
-        s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-        return 0.5 * (np.abs(t) ** two_h + np.abs(s) ** two_h - np.abs(t - s) ** two_h)
-
-    return Kernel(eval=k, cov=cov, domain=(0.0, math.inf), name=f"fbm(H={hurst})")
+    return Kernel(cov=cov, domain=(0.0, math.inf), name=f"fbm(H={hurst})")
 
 
 def fbm_log(hurst: float) -> Kernel:
@@ -432,29 +434,17 @@ def fbm_log(hurst: float) -> Kernel:
             - np.abs(np.exp(x) - np.exp(-x)) ** two_h
         )
 
-    def k(s: float, t: float) -> float:
-        return float(profile(t - s))
-
-    return Kernel(
-        eval=k,
-        cov=lambda s, t: profile(np.subtract(t, s)),
-        name=f"fbm_log(H={hurst})",
-    )
+    return Kernel(cov=lambda s, t: profile(np.subtract(t, s)), name=f"fbm_log(H={hurst})")
 
 
 def constant() -> Kernel:
     """Completely correlated process: ``K(s, t) = 1`` everywhere."""
-    return Kernel(
-        eval=lambda s, t: 1.0,
-        cov=lambda s, t: np.ones_like(np.subtract(t, s, dtype=float)),
-        name="constant",
-    )
+    return Kernel(cov=lambda s, t: np.ones_like(np.subtract(t, s, dtype=float)), name="constant")
 
 
 def white_noise() -> Kernel:
     """Independent unit Gaussians: identity Gram matrix on any grid."""
     return Kernel(
-        eval=lambda s, t: 1.0 if s == t else 0.0,
         cov=lambda s, t: np.where(np.subtract(t, s, dtype=float) == 0.0, 1.0, 0.0),
         name="white_noise",
     )
@@ -599,15 +589,14 @@ def rate_kernel(
 
     ``alpha`` must be nonnegative and integrable on compact subsets of
     ``domain``; the infinite marker yields the white-noise kernel.  Unit
-    variance on the diagonal, returned without integrating.
+    variance on the diagonal: a call whose every pair is diagonal returns
+    ones without integrating, and two equal floats return 1.0 without numpy.
     """
     if alpha.is_infinite:
-        wn = white_noise()
-        return Kernel(eval=wn.eval, cov=wn.cov, domain=domain, name="rate_kernel(inf)")
+        return Kernel(cov=white_noise().cov, domain=domain, name="rate_kernel(inf)")
     if alpha.const is not None:
         c = alpha.const
         return Kernel(
-            eval=lambda s, t: math.exp(-c * abs(t - s)),
             cov=lambda s, t: np.exp(-c * np.abs(np.subtract(t, s, dtype=float))),
             domain=domain,
             name=f"rate_kernel(const={c})",
@@ -615,16 +604,15 @@ def rate_kernel(
 
     antider = _antiderivative(alpha, domain)
 
-    def k(s: float, t: float) -> float:
-        if s == t:
-            return 1.0
-        a_s, a_t = antider([s, t]).tolist()
-        return math.exp(-abs(a_t - a_s))
-
     def cov(s, t):
+        if isinstance(s, float) and isinstance(t, float):
+            if s == t:
+                return 1.0
+        elif np.equal(s, t).all():
+            return np.ones(np.broadcast(s, t).shape)
         return np.exp(-np.abs(antider(t) - antider(s)))
 
-    return Kernel(eval=k, cov=cov, domain=domain, name="rate_kernel")
+    return Kernel(cov=cov, domain=domain, name="rate_kernel")
 
 
 def exponential_rate(alpha, domain: tuple[float, float] = (-math.inf, math.inf)) -> Kernel:

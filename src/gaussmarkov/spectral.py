@@ -128,11 +128,7 @@ class SpectralMeasure:
 
 def kernel_from_spectral(mu: SpectralMeasure) -> Kernel:
     """Stationary kernel ``K(s, t) = mu_hat(t - s)``; unit variance."""
-    return Kernel(
-        eval=lambda s, t: float(mu.fourier(t - s)),
-        cov=lambda s, t: mu.fourier(np.subtract(t, s)),
-        name="spectral",
-    )
+    return Kernel(cov=lambda s, t: mu.fourier(np.subtract(t, s)), name="spectral")
 
 
 def fourier_decay_rate(mu: SpectralMeasure, t: float) -> float:

@@ -145,12 +145,12 @@ def pair_law(kernel: Kernel, s: float, t: float) -> TransportPlan:
 def _chain(kernel: Kernel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-step covariances ``K(p_i, p_{i+1})`` and variances ``K(p_i, p_i)`` over sorted points.
 
-    Makes the checks of every consecutive :func:`pair_law` at once: points
-    in the domain, positive variances, and each two-time covariance PSD to
-    the :class:`GaussianVector` bound.  Callers multiply ``K(p_0, p_1)`` by
-    ``K(p_i, p_{i+1}) / K(p_i, p_i)`` left to right, as :func:`gaussian.compose` does.
+    Makes the checks of every consecutive :func:`pair_law` at once, on
+    points the caller has checked are in the domain: positive variances,
+    and each two-time covariance PSD to the :class:`GaussianVector` bound.
+    Callers multiply ``K(p_0, p_1)`` by ``K(p_i, p_{i+1}) / K(p_i, p_i)``
+    left to right, as :func:`gaussian.compose` does.
     """
-    kernel.require_in_domain(points)
     steps = kernel.cov(points[:-1], points[1:])
     var = kernel.cov(points, points)
     singular = var <= 0.0
@@ -176,6 +176,7 @@ def partition_law(kernel: Kernel, partition: Partition) -> TransportPlan:
     endpoint marginals stay those of the kernel.  One running product over
     the partition, O(n) in its points.
     """
+    kernel.require_in_domain(partition.points)
     steps, var = _chain(kernel, partition.points)
     cross = np.cumprod(np.concatenate([steps[:1], steps[1:] / var[1:-1]]))[-1]
     return TransportPlan.from_blocks(
@@ -255,6 +256,7 @@ def _made_markov_laws(kernel: Kernel, split_sets, query_times) -> Iterator[Gauss
             splits = _sorted_unique(splits)
             kernel.require_in_domain(splits)
             if var is None:
+                kernel.require_in_domain(queries)
                 _, var = _chain(kernel, queries)
             # Only splits strictly inside the query range separate two queries.
             splits = splits[(splits > queries[0]) & (splits < queries[-1])]
@@ -393,20 +395,12 @@ def mimic_kernel(kernel: Kernel, alpha: RateFunction) -> Kernel:
             )
         return math.sqrt(v)
 
-    def k(s: float, t: float) -> float:
-        if s == t:
-            return kernel.eval(t, t)
-        return sigma(s) * sigma(t) * base.eval(s, t)
-
     def cov(s, t):
         std_s, std_t = _at_points(sigma, s, t)
         (var_t,) = _at_points(kernel.variance, t)
         return np.where(np.equal(s, t), var_t, std_s * std_t * base.cov(s, t))
 
-    return Kernel(
-        eval=k, mean=kernel.mean, cov=cov, domain=kernel.domain,
-        name=f"mimic({kernel.name})",
-    )
+    return Kernel(mean=kernel.mean, cov=cov, domain=kernel.domain, name=f"mimic({kernel.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +504,7 @@ def tightness_bound_check(
         pts = part.points
         if pts[0] < a - 1e-12 or pts[-1] > b + 1e-12:
             raise InvalidInputError(f"partition leaves [{a}, {b}]")
+        kernel.require_in_domain(pts)
         steps, var = _chain(kernel, pts)
         corr_steps = steps / np.sqrt(var[:-1] * var[1:])
         if np.any(corr_steps <= 0.0):

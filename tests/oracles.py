@@ -12,6 +12,10 @@ wherever the kernel's ``cov`` rounds each entry alone, whatever the batch.
 ``global_convergence_rows`` builds each row of
 ``gaussmarkov.transform.global_convergence_experiment`` from that row loop, one
 split set at a time.
+
+The ``*_eval`` builders are the scalar formulas the built-in kernel families
+stated beside their ``cov`` before ``Kernel.eval`` became ``cov`` at a scalar
+pair: Python's ``abs``, ``**`` and ``math.exp`` on two floats.
 """
 
 import math
@@ -20,7 +24,12 @@ import numpy as np
 
 from gaussmarkov.errors import InvalidInputError
 from gaussmarkov.gaussian import GaussianVector, gaussian_distance
-from gaussmarkov.kernels import _as_strictly_increasing, _sorted_unique, correlation
+from gaussmarkov.kernels import (
+    _antiderivative,
+    _as_strictly_increasing,
+    _sorted_unique,
+    correlation,
+)
 from gaussmarkov.spectral import WeierstrassConfig, _effective_cap
 from gaussmarkov.transform import ConvergenceRow, _chain, joint_law
 
@@ -57,6 +66,7 @@ def made_markov_law_rows(kernel, split_times, query_times) -> GaussianVector:
     splits = _sorted_unique(split_times)
     queries = _as_strictly_increasing(query_times)
     kernel.require_in_domain(splits)
+    kernel.require_in_domain(queries)
     _, var = _chain(kernel, queries)
     # Only splits strictly inside the query range separate two queries.
     splits = splits[(splits > queries[0]) & (splits < queries[-1])]
@@ -96,3 +106,69 @@ def global_convergence_rows(kernel, target, adm, query_times, n_max) -> list:
             target_correlation=tgt_corr,
         ))
     return rows
+
+
+def fbm_eval(hurst: float):
+    two_h = 2.0 * hurst
+
+    def k(s, t):
+        return 0.5 * (abs(t) ** two_h + abs(s) ** two_h - abs(t - s) ** two_h)
+
+    return k
+
+
+def fbm_log_eval(hurst: float):
+    two_h = 2.0 * hurst
+
+    def k(s, t):
+        x = np.asarray(t - s, dtype=float)
+        return float(0.5 * (np.exp(two_h * x) + np.exp(-two_h * x)
+                            - np.abs(np.exp(x) - np.exp(-x)) ** two_h))
+
+    return k
+
+
+def constant_eval(s, t):
+    return 1.0
+
+
+def white_noise_eval(s, t):
+    return 1.0 if s == t else 0.0
+
+
+def rate_eval(alpha, domain=(-math.inf, math.inf)):
+    """``exp(-|A(t) - A(s)|)`` by ``math.exp``; 1.0 on the diagonal without integrating."""
+    if alpha.is_infinite:
+        return white_noise_eval
+    if alpha.const is not None:
+        c = alpha.const
+        return lambda s, t: math.exp(-c * abs(t - s))
+    antider = _antiderivative(alpha, domain)
+
+    def k(s, t):
+        if s == t:
+            return 1.0
+        a_s, a_t = antider([s, t]).tolist()
+        return math.exp(-abs(a_t - a_s))
+
+    return k
+
+
+def spectral_eval(mu):
+    return lambda s, t: float(mu.fourier(t - s))
+
+
+def transformed_eval(base_eval, scale, time_change):
+    return lambda s, t: scale(s) * scale(t) * base_eval(time_change(s), time_change(t))
+
+
+def mimic_eval(base_eval, alpha, domain=(-math.inf, math.inf)):
+    """``sigma(s) sigma(t) R(s, t)``, and the base kernel's own variance on the diagonal."""
+    rate = rate_eval(alpha, domain)
+
+    def k(s, t):
+        if s == t:
+            return base_eval(t, t)
+        return math.sqrt(base_eval(s, s)) * math.sqrt(base_eval(t, t)) * rate(s, t)
+
+    return k

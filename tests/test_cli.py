@@ -324,6 +324,29 @@ class TestConverge:
         data = (tmp_path / "convergence.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    # from_steps repeats its last set, so sets past the steps would be copies
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_more_sets_than_steps_is_usage_error(self, tmp_path, capsys, source):
+        argv = ["converge", "--kernel", '{"type": "exponential", "rate": 1.0}', "--alpha", "1.0",
+                "--grid", "0:1:3", "--steps", "0.5,0.25", "--out", str(tmp_path / "out")]
+        if source == "flag":
+            argv += ["--n-max", "5"]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"n_max": 5}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "usage error: --n-max: 5 sets asked for, but --steps gives 2\n"
+        )
+        assert not (tmp_path / "out" / "convergence.csv").exists()
+
+    def test_as_many_sets_as_steps_runs(self, tmp_path):
+        assert main(["converge", "--kernel", '{"type": "exponential", "rate": 1.0}',
+                     "--alpha", "1.0", "--grid", "0:1:3", "--steps", "0.5,0.25",
+                     "--n-max", "2", "--out", str(tmp_path)]) == 0
+        assert len(read_csv(tmp_path / "convergence.csv")) == 3
+
     def test_both_modes_rejected(self, tmp_path):
         code = main([
             "converge",

@@ -28,6 +28,8 @@ from gaussmarkov.kernels import (
 )
 from gaussmarkov.transform import mimic_kernel
 
+import oracles
+
 
 def fbm_cov(h, s, t):
     return 0.5 * (abs(t) ** (2 * h) + abs(s) ** (2 * h) - abs(t - s) ** (2 * h))
@@ -451,6 +453,105 @@ def test_gram_matches_scalar_eval_and_is_symmetric(family, data):
     assert np.array_equal(mat, mat.T)
     scale = np.max(np.abs(np.diag(expected)))
     assert np.max(np.abs(mat - expected)) <= 1e-13 * scale
+
+
+#: (reference, bound) per built-in family: the scalar formula its eval had
+#: before eval became cov at a scalar pair (tests/oracles.py), and how far
+#: eval may be from it.  0.0 is bit for bit; "ulp" is one unit in the last
+#: place, for the rate kernels, whose exp now goes through numpy; a number is
+#: a relative bound, for the kernels built on a rate kernel.  The matrix and
+#: scalar_only kernels keep the eval they are given.
+SCALAR_REFERENCES = {
+    "fbm": (lambda: oracles.fbm_eval(0.3), 0.0),
+    "fbm_log": (lambda: oracles.fbm_log_eval(0.7), 0.0),
+    "constant": (lambda: oracles.constant_eval, 0.0),
+    "white_noise": (lambda: oracles.white_noise_eval, 0.0),
+    "rate_const": (lambda: oracles.rate_eval(RateFunction.constant(1.3)), "ulp"),
+    "rate_1+t": (lambda: oracles.rate_eval(RateFunction.from_callable(lambda t: 1.0 + t)), "ulp"),
+    "rate_inf": (lambda: oracles.rate_eval(RateFunction.infinite()), "ulp"),
+    "spectral": (lambda: oracles.spectral_eval(
+        spectral.SpectralMeasure(atoms=((0.2, 0.0), (0.25, 1.5), (0.15, 4.0)))), 0.0),
+    "spectral_60": (lambda: oracles.spectral_eval(spectral.SpectralMeasure(atoms=tuple(
+        zip(np.random.default_rng(5).dirichlet(np.ones(60)) / 2.0, np.linspace(0.5, 8.0, 60))
+    ))), 0.0),
+    "transformed": (lambda: oracles.transformed_eval(
+        oracles.fbm_log_eval(0.75), lambda t: t**0.75, lambda t: 0.5 * math.log(t)), 0.0),
+    "mimic": (lambda: oracles.mimic_eval(oracles.fbm_eval(0.6), RateFunction.from_callable(
+        lambda t: 0.5 / t), domain=(0.0, math.inf)), 4e-16),
+    "mimic_inf": (lambda: oracles.mimic_eval(
+        oracles.fbm_eval(0.6), RateFunction.infinite(), domain=(0.0, math.inf)), 4e-16),
+}
+
+
+def test_every_built_in_family_has_a_scalar_reference():
+    assert set(SCALAR_REFERENCES) == set(GRAM_FAMILIES) - {"matrix", "scalar_only"}
+
+
+def _assert_eval_is_cov_and_reference(family, kern, reference, s, t):
+    value = kern.eval(s, t)
+    assert value.hex() == float(kern.cov(s, t)).hex()
+    if reference is None:
+        return
+    expected = reference(s, t)
+    bound = SCALAR_REFERENCES[family][1]
+    if bound == 0.0:
+        assert value.hex() == expected.hex()
+    elif bound == "ulp":
+        assert abs(value - expected) <= math.ulp(expected)
+    else:
+        assert abs(value - expected) <= bound * abs(expected)
+
+
+def _scalar_case(family):
+    kern = GRAM_FAMILIES[family][0]()
+    reference = SCALAR_REFERENCES[family][0]() if family in SCALAR_REFERENCES else None
+    return kern, reference
+
+
+@pytest.mark.parametrize("family", sorted(GRAM_FAMILIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_eval_is_cov_at_a_scalar_pair(family, data):
+    _, lo, hi = GRAM_FAMILIES[family]
+    if family == "matrix":
+        points = st.sampled_from(_matrix_table()[0].tolist())
+    else:
+        points = st.floats(lo, hi, allow_nan=False)
+    s = data.draw(points)
+    t = data.draw(st.one_of(st.just(s), points))
+    _assert_eval_is_cov_and_reference(family, *_scalar_case(family), s, t)
+
+
+# Uniform draws reach the roundings that the simple floats a property test
+# favours rarely do: libm's and numpy's pow disagree on about 5 % of them.
+@pytest.mark.parametrize("family", sorted(GRAM_FAMILIES))
+def test_eval_is_cov_on_uniform_pairs(family):
+    _, lo, hi = GRAM_FAMILIES[family]
+    rng = np.random.default_rng(45)
+    if family == "matrix":
+        s, t = rng.choice(_matrix_table()[0], size=(2, 300)).tolist()
+    else:
+        s, t = rng.uniform(lo, hi, size=(2, 300)).tolist()
+    kern, reference = _scalar_case(family)
+    for a, b in zip(s + s[:50], t + s[:50]):  # 50 diagonal pairs last
+        _assert_eval_is_cov_and_reference(family, kern, reference, a, b)
+
+
+# The Gram of a family without ``**`` in its formula rounds each entry as
+# eval does; fbm's and fbm_log's ``**`` takes libm's pow on two floats and
+# numpy's loop on arrays.
+@pytest.mark.parametrize("family", sorted(set(GRAM_FAMILIES) - {"fbm", "fbm_log", "transformed"}))
+def test_gram_is_eval_bit_for_bit(family):
+    make, lo, hi = GRAM_FAMILIES[family]
+    rng = np.random.default_rng(44)
+    kern = make()
+    for _ in range(10):
+        if family == "matrix":
+            pts = np.sort(rng.choice(_matrix_table()[0], size=6, replace=False))
+        else:
+            pts = np.sort(rng.uniform(lo, hi, size=12))
+        expected = [[kern.eval(s, t) for t in pts.tolist()] for s in pts.tolist()]
+        assert kernels.gram(kern, pts).tolist() == expected
 
 
 # made_markov_law is bitwise its per-query row loop only because every

@@ -107,6 +107,8 @@ class TestRateKernel:
         kern = rate_kernel(RateFunction.from_callable(lambda t: calls.append(t) or 1.0 + t))
         assert kern.std(0.3) == 1.0
         assert kern.variance(2.0) == 1.0
+        assert kern.cov(0.7, 0.7) == 1.0
+        assert kern.cov(np.array([0.3, 2.0]), np.array([0.3, 2.0])).tolist() == [1.0, 1.0]
         assert calls == []
 
     def test_infinite_rate_is_white_noise(self):
@@ -474,6 +476,18 @@ class TestGlobalConvergence:
         global_convergence_experiment(kern, rate_kernel(RateFunction.constant(1.0)), adm,
                                       queries, 7)
         assert len(calls) == 2 + 2 * 7 + 1
+
+    def test_benchmark_sweep_checks_each_domain_once(self, monkeypatch):
+        # one check per split set, one for the queries, one for the target's Gram
+        calls = []
+        check = kernels.Kernel.require_in_domain
+        monkeypatch.setattr(kernels.Kernel, "require_in_domain",
+                            lambda kern, times: calls.append(np.size(times)) or check(kern, times))
+        adm = AdmissibleSequence.from_steps([2.0**-k for k in range(1, 8)])
+        queries = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 5))
+        global_convergence_experiment(kernels.fbm_log(0.5), rate_kernel(RateFunction.constant(1.0)),
+                                      adm, queries, 7)
+        assert len(calls) == 7 + 1 + 1
 
     @pytest.mark.parametrize("n_max", [0, -1])
     def test_fewer_than_one_set_is_rejected(self, n_max):
