@@ -596,13 +596,16 @@ def rate_kernel(
         return Kernel(cov=white_noise().cov, domain=domain, name="rate_kernel(inf)")
     if alpha.const is not None:
         c = alpha.const
-        return Kernel(
-            cov=lambda s, t: np.exp(-c * np.abs(np.subtract(t, s, dtype=float))),
-            domain=domain,
-            name=f"rate_kernel(const={c})",
-        )
+        name = f"rate_kernel(const={c})"
 
-    antider = _antiderivative(alpha, domain)
+        def integral(s, t):
+            return c * np.abs(np.subtract(t, s, dtype=float))
+    else:
+        antider = _antiderivative(alpha, domain)
+        name = "rate_kernel"
+
+        def integral(s, t):
+            return np.abs(antider(t) - antider(s))
 
     def cov(s, t):
         if isinstance(s, float) and isinstance(t, float):
@@ -610,9 +613,9 @@ def rate_kernel(
                 return 1.0
         elif np.equal(s, t).all():
             return np.ones(np.broadcast(s, t).shape)
-        return np.exp(-np.abs(antider(t) - antider(s)))
+        return np.exp(-integral(s, t))
 
-    return Kernel(cov=cov, domain=domain, name="rate_kernel")
+    return Kernel(cov=cov, domain=domain, name=name)
 
 
 def exponential_rate(alpha, domain: tuple[float, float] = (-math.inf, math.inf)) -> Kernel:

@@ -429,6 +429,7 @@ GRAM_FAMILIES = {
     "mimic": (lambda: mimic_kernel(
         kernels.fbm(0.6), RateFunction.from_callable(lambda t: 0.5 / t)), 0.1, 4.0),
     "mimic_inf": (lambda: mimic_kernel(kernels.fbm(0.6), RateFunction.infinite()), 0.1, 4.0),
+    "mimic_const": (lambda: mimic_kernel(kernels.fbm(0.6), RateFunction.constant(0.8)), 0.1, 4.0),
     "matrix": (lambda: kernels.matrix_kernel(*_matrix_table()), 0.0, 3.0),
     "scalar_only": (lambda: Kernel(eval=lambda s, t: math.exp(-(t - s) ** 2) / (1.0 + s * t),
                                    domain=(0.0, math.inf)), 0.0, 3.0),
@@ -480,6 +481,8 @@ SCALAR_REFERENCES = {
         lambda t: 0.5 / t), domain=(0.0, math.inf)), 4e-16),
     "mimic_inf": (lambda: oracles.mimic_eval(
         oracles.fbm_eval(0.6), RateFunction.infinite(), domain=(0.0, math.inf)), 4e-16),
+    "mimic_const": (lambda: oracles.mimic_eval(
+        oracles.fbm_eval(0.6), RateFunction.constant(0.8), domain=(0.0, math.inf)), 4e-16),
 }
 
 
