@@ -201,8 +201,17 @@ def _require_no_nan(points: np.ndarray) -> None:
         raise InvalidInputError(f"time {points[-1]} is not a number")
 
 
-def _at_points(f: Callable[[float], float], *args) -> list[np.ndarray]:
-    """``f`` at every entry of each argument, called once per distinct point in ascending order."""
+def _at_points(f: Callable[[float], float], *args) -> list:
+    """``f`` at every entry of each argument, called once per distinct point in ascending order.
+
+    Floats come back as floats, without the array round trip: a kernel's
+    ``eval`` is its ``cov`` at two floats.
+    """
+    if all(isinstance(a, float) for a in args):
+        if any(math.isnan(a) for a in args):
+            raise InvalidInputError("time nan is not a number")
+        values = {p: float(f(p)) for p in sorted(set(args))}
+        return [values[a] for a in args]
     arrays = [np.asarray(a, dtype=float) for a in args]
     points = _sorted_unique(np.concatenate([a.ravel() for a in arrays]))
     _require_no_nan(points)

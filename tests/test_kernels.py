@@ -284,6 +284,14 @@ def test_nan_time_is_rejected_by_name(name, times):
         kern.cov(np.array(times), np.full(len(times), 0.75))
 
 
+@pytest.mark.parametrize("name", sorted(NAN_COVARIANCES))
+def test_nan_time_is_rejected_by_name_at_two_floats(name):
+    kern = NAN_COVARIANCES[name]()
+    for s, t in [(math.nan, 0.75), (0.75, math.nan), (math.nan, math.nan)]:
+        with pytest.raises(InvalidInputError, match="time nan is not a number"):
+            kern.eval(s, t)
+
+
 class TestNoiseIntegral:
     def test_closed_form(self):
         kern = kernels.noise_integral(
