@@ -598,8 +598,9 @@ def rate_kernel(
 
     ``alpha`` must be nonnegative and integrable on compact subsets of
     ``domain``; the infinite marker yields the white-noise kernel.  Unit
-    variance on the diagonal: a call whose every pair is diagonal returns
-    ones without integrating, and two equal floats return 1.0 without numpy.
+    variance on the diagonal, without integrating: two equal floats return
+    1.0 before any numpy call, and two equal arrays of one shape return
+    ones.  A Gram's ``(n, 1)`` and ``(1, n)`` arguments skip that test.
     """
     if alpha.is_infinite:
         return Kernel(cov=white_noise().cov, domain=domain, name="rate_kernel(inf)")
@@ -620,8 +621,8 @@ def rate_kernel(
         if isinstance(s, float) and isinstance(t, float):
             if s == t:
                 return 1.0
-        elif np.equal(s, t).all():
-            return np.ones(np.broadcast(s, t).shape)
+        elif np.shape(s) == np.shape(t) and np.equal(s, t).all():
+            return np.ones(np.shape(s))
         return np.exp(-integral(s, t))
 
     return Kernel(cov=cov, domain=domain, name=name)
