@@ -32,6 +32,9 @@ from .errors import (
 #: PSD slack relative to the largest diagonal entry of a Gram matrix.
 TOL_PSD = 1e-10
 
+#: Largest entry whose double, ``x + x``, is finite.
+_HALF_MAX = np.finfo(float).max / 2
+
 #: Smallest admissible h when estimating the decorrelation rate.
 DEFAULT_H_MIN = 1e-8
 
@@ -55,6 +58,11 @@ def _zero_mean(t: float) -> float:
     return 0.0
 
 
+def _stale(derived: Callable | None, source: Callable) -> bool:
+    """Whether ``derived`` is missing or was derived from another callable than ``source``."""
+    return derived is None or getattr(derived, "derived_from", source) is not source
+
+
 @dataclass(frozen=True)
 class Kernel:
     """A covariance function with metadata.
@@ -75,6 +83,11 @@ class Kernel:
         to one loop over ``eval``.
     domain : (float, float)
         Interval of valid times; bounds may be infinite.
+
+    A default callable is derived again whenever the field it came from
+    changes, so ``dataclasses.replace(kernel, cov=...)`` gets a matching
+    ``eval`` and, on a kernel given only ``eval``, ``replace(kernel,
+    eval=...)`` a matching ``cov``.
     """
 
     eval: Callable[[float, float], float] | None = None
@@ -87,12 +100,17 @@ class Kernel:
         lo, hi = self.domain
         if not lo < hi:
             raise InvalidInputError(f"empty kernel domain {self.domain}")
-        if self.eval is None:
-            if self.cov is None:
-                raise InvalidInputError("a kernel needs a cov or an eval")
+        if self.eval is None and self.cov is None:
+            raise InvalidInputError("a kernel needs a cov or an eval")
+        if self.cov is not None and _stale(self.eval, self.cov):
             array = self.cov
-            object.__setattr__(self, "eval", lambda s, t: float(array(s, t)))
-        elif self.cov is None:
+
+            def eval(s, t):
+                return float(array(s, t))
+
+            eval.derived_from = array
+            object.__setattr__(self, "eval", eval)
+        elif _stale(self.cov, self.eval):
             scalar = self.eval
 
             def cov(s, t):
@@ -100,6 +118,7 @@ class Kernel:
                 vals = [scalar(a, b) for a, b in zip(s.flat, t.flat)]
                 return np.array(vals, dtype=float).reshape(s.shape)
 
+            cov.derived_from = scalar
             object.__setattr__(self, "cov", cov)
 
     def variance(self, t: float) -> float:
@@ -201,22 +220,29 @@ def _require_no_nan(points: np.ndarray) -> None:
         raise InvalidInputError(f"time {points[-1]} is not a number")
 
 
-def _at_points(f: Callable[[float], float], *args) -> list:
-    """``f`` at every entry of each argument, called once per distinct point in ascending order.
+def _at_points(funcs: Sequence[Callable[[float], float]], *args) -> list[list]:
+    """Each function at every entry of each argument: one list per function.
 
-    Floats come back as floats, without the array round trip: a kernel's
-    ``eval`` is its ``cov`` at two floats.
+    The distinct points are found once; each function is called once per
+    point in ascending order, the first at every point before the second
+    at any.  Floats come back as floats, without the array round trip: a
+    kernel's ``eval`` is its ``cov`` at two floats.
     """
     if all(isinstance(a, float) for a in args):
         if any(math.isnan(a) for a in args):
             raise InvalidInputError("time nan is not a number")
-        values = {p: float(f(p)) for p in sorted(set(args))}
-        return [values[a] for a in args]
+        points = sorted(set(args))
+        out = []
+        for f in funcs:
+            values = {p: float(f(p)) for p in points}
+            out.append([values[a] for a in args])
+        return out
     arrays = [np.asarray(a, dtype=float) for a in args]
     points = _sorted_unique(np.concatenate([a.ravel() for a in arrays]))
     _require_no_nan(points)
-    values = np.array([f(p) for p in points], dtype=float)
-    return [values[np.searchsorted(points, a)] for a in arrays]
+    where = [np.searchsorted(points, a) for a in arrays]
+    tables = (np.array([f(p) for p in points], dtype=float) for f in funcs)
+    return [[values[i] for i in where] for values in tables]
 
 
 def _as_strictly_increasing(grid) -> np.ndarray:
@@ -229,7 +255,16 @@ def _as_strictly_increasing(grid) -> np.ndarray:
 
 
 def gram(kernel: Kernel, grid) -> np.ndarray:
-    """Gram matrix ``[K(t_i, t_j)]`` over an ordered grid; every entry must be finite."""
+    """Gram matrix ``[K(t_i, t_j)]`` over an ordered grid; every entry must be finite.
+
+    Memory per call, in n-by-n arrays of doubles alive at once: one for the
+    rate kernels (white noise included), whose covariance is made in the
+    result; two for ``constant``, mimicking and spectral kernels (the
+    latter plus at most 1 MiB of cosines); three for ``fbm`` and five for
+    ``fbm_log``, whose formulas combine whole arrays; one more than its
+    base kernel for a transformed kernel.  The finiteness check adds n-by-n
+    booleans, an eighth of the Gram.
+    """
     pts = _as_strictly_increasing(grid)
     kernel.require_in_domain(pts)
     mat = np.asarray(kernel.cov(pts[:, None], pts[None, :]), dtype=float)
@@ -244,14 +279,22 @@ def psd_check(kernel: Kernel, grid) -> PsdReport:
     """Check positive semi-definiteness of the Gram matrix on a grid.
 
     Passes when the smallest eigenvalue is no smaller than
-    ``-TOL_PSD * max(diagonal)``.
+    ``-TOL_PSD * max(diagonal)``.  An exactly symmetric Gram goes to LAPACK
+    as it is, since ``0.5 * (x + x) == x`` for every entry it can check; any
+    other is symmetrized first.  Memory: the Gram's (see :func:`gram`),
+    then the Gram, n-by-n booleans for the symmetry test, LAPACK's copy and,
+    for an asymmetric Gram only, the symmetrized copy.
     """
     mat = gram(kernel, grid)
-    sym = 0.5 * (mat + mat.T)
-    if not np.isfinite(sym).all():
+    top = max(float(mat.max()), -float(mat.min()))
+    if np.array_equal(mat, mat.T):
+        sym, checkable = mat, top <= _HALF_MAX
+    else:
+        sym = 0.5 * (mat + mat.T)
+        checkable = np.isfinite(sym).all()
+    if not checkable:
         raise InvalidInputError(
-            f"kernel '{kernel.name}' has Gram entries too large to check, "
-            f"up to {float(np.abs(mat).max())}"
+            f"kernel '{kernel.name}' has Gram entries too large to check, up to {top}"
         )
     eigs = np.linalg.eigvalsh(sym)
     min_eig = float(eigs[0])
@@ -392,8 +435,8 @@ def transform_kernel(
         return u
 
     def new_cov(s, t):
-        u, v = _at_points(nonzero_scale, s, t)
-        return u * v * kernel.cov(*_at_points(phi, s, t))
+        (u, v), (phi_s, phi_t) = _at_points((nonzero_scale, phi), s, t)
+        return u * v * kernel.cov(phi_s, phi_t)
 
     def new_mean(t: float) -> float:
         return scale_at(t) * kernel.mean(phi(t))
@@ -609,21 +652,30 @@ def rate_kernel(
         name = f"rate_kernel(const={c})"
 
         def integral(s, t):
-            return c * np.abs(np.subtract(t, s, dtype=float))
+            x = np.subtract(t, s, dtype=float)
+            x *= c
+            return x
     else:
         antider = _antiderivative(alpha, domain)
         name = "rate_kernel"
 
         def integral(s, t):
-            return np.abs(antider(t) - antider(s))
+            return antider(t) - antider(s)
 
+    # ``integral`` is signed and new: an array is turned into the kernel in
+    # place, so a Gram allocates one n-by-n array.  |c x| is c |x| exactly.
     def cov(s, t):
         if isinstance(s, float) and isinstance(t, float):
             if s == t:
                 return 1.0
         elif np.shape(s) == np.shape(t) and np.equal(s, t).all():
             return np.ones(np.shape(s))
-        return np.exp(-integral(s, t))
+        x = integral(s, t)
+        if not np.ndim(x):
+            return np.exp(-abs(x))
+        np.abs(x, out=x)
+        np.negative(x, out=x)
+        return np.exp(x, out=x)
 
     return Kernel(cov=cov, domain=domain, name=name)
 

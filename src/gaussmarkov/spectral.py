@@ -60,6 +60,9 @@ _BOUND_MARGIN = 1e-9
 #: Last k with 0.5**k > 0.0: it is the smallest subnormal, and 0.5**1075 rounds to 0.0.
 _LAST_HALF_POWER = 1074
 
+#: Cosines :meth:`SpectralMeasure.fourier` holds at a time (512 KiB of doubles).
+_FOURIER_COSINES = 2**16
+
 #: Bisection steps :func:`cluster_witnesses` takes per target before it reports a stall.
 WITNESS_BISECTION_STEPS = 60
 
@@ -112,11 +115,18 @@ class SpectralMeasure:
         """Fourier transform ``mu_hat(t) = sum of eff * cos(t * y)``.
 
         Each entry is its own row sum, so its bits do not depend on how many
-        entries one call evaluates (a matrix-vector product's would).
+        entries one call evaluates (a matrix-vector product's would).  The
+        entries are summed in chunks of at most ``_FOURIER_COSINES`` cosines,
+        so their memory is bounded whatever the number of entries.
         """
         masses, locs = self.effective()
         t = np.asarray(t, dtype=float)
-        return (np.cos(np.multiply.outer(t, locs)) * masses).sum(axis=-1)
+        step = max(1, _FOURIER_COSINES // locs.size)
+        flat, out = t.ravel(), np.empty(t.size)
+        for i in range(0, t.size, step):
+            cosines = np.cos(np.multiply.outer(flat[i : i + step], locs))
+            out[i : i + step] = (cosines * masses).sum(axis=-1)
+        return out.reshape(t.shape)
 
     def to_list(self) -> list[dict]:
         return [{"weight": w, "location": y} for w, y in self.atoms]

@@ -384,21 +384,29 @@ def mimic_kernel(kernel: Kernel, alpha: RateFunction) -> Kernel:
     variances.  The diagonal is preserved exactly, a point of zero variance
     gets zero covariance, a negative variance raises
     :class:`SingularMarginalError`, and the result is Markov on every grid.
+    The base variance is taken once per distinct time, and a Gram allocates
+    two n-by-n arrays: ``sigma(s) sigma(t)``, turned into the result in
+    place, and ``R``'s.
     """
     base = rate_kernel(alpha, domain=kernel.domain)
 
-    def sigma(t: float) -> float:
+    def variance(t: float) -> float:
         v = kernel.variance(t)
         if v < 0.0:
             raise SingularMarginalError(
                 f"kernel '{kernel.name}' has negative variance {v} at t={t}"
             )
-        return math.sqrt(v)
+        return v
 
+    # np.sqrt is math.sqrt bit for bit: both round the square root correctly.
     def cov(s, t):
-        std_s, std_t = _at_points(sigma, s, t)
-        (var_t,) = _at_points(kernel.variance, t)
-        return np.where(np.equal(s, t), var_t, std_s * std_t * base.cov(s, t))
+        ((var_s, var_t),) = _at_points((variance,), s, t)
+        out = np.sqrt(var_s) * np.sqrt(var_t)
+        if not np.ndim(out):
+            return var_t if s == t else out * base.cov(s, t)
+        out *= base.cov(s, t)
+        np.copyto(out, var_t, where=np.equal(s, t))
+        return out
 
     return Kernel(mean=kernel.mean, cov=cov, domain=kernel.domain, name=f"mimic({kernel.name})")
 

@@ -16,6 +16,12 @@ split set at a time.
 The ``*_eval`` builders are the scalar formulas the built-in kernel families
 stated beside their ``cov`` before ``Kernel.eval`` became ``cov`` at a scalar
 pair: Python's ``abs``, ``**`` and ``math.exp`` on two floats.
+
+``rate_cov``, ``mimic_cov``, ``spectral_fourier`` and ``psd_check_symmetrized``
+are the whole-array forms that the library's in-place and chunked ones must
+match bit for bit: ``np.exp(-integral)``, ``sigma(s) sigma(t) R(s, t)`` with
+``np.where`` for the diagonal, one cosine per atom and entry at once, and a
+Gram always symmetrized before ``eigvalsh``.
 """
 
 import math
@@ -25,10 +31,13 @@ import numpy as np
 from gaussmarkov.errors import InvalidInputError
 from gaussmarkov.gaussian import GaussianVector, gaussian_distance
 from gaussmarkov.kernels import (
+    TOL_PSD,
+    PsdReport,
     _antiderivative,
     _as_strictly_increasing,
     _sorted_unique,
     correlation,
+    gram,
 )
 from gaussmarkov.spectral import WeierstrassConfig, _effective_cap
 from gaussmarkov.transform import ConvergenceRow, _chain, joint_law
@@ -172,3 +181,51 @@ def mimic_eval(base_eval, alpha, domain=(-math.inf, math.inf)):
         return math.sqrt(base_eval(s, s)) * math.sqrt(base_eval(t, t)) * rate(s, t)
 
     return k
+
+
+def rate_cov(alpha, domain=(-math.inf, math.inf)):
+    """``np.exp(-|integral of alpha from s to t|)`` over broadcast arrays, each step a new array."""
+    if alpha.is_infinite:
+        return lambda s, t: np.where(np.subtract(t, s, dtype=float) == 0.0, 1.0, 0.0)
+    if alpha.const is not None:
+        c = alpha.const
+        return lambda s, t: np.exp(-(c * np.abs(np.subtract(t, s, dtype=float))))
+    antider = _antiderivative(alpha, domain)
+    return lambda s, t: np.exp(-np.abs(antider(t) - antider(s)))
+
+
+def mimic_cov(base_eval, alpha, domain=(-math.inf, math.inf)):
+    """``sigma(s) sigma(t) R(s, t)`` by ``math.sqrt`` per entry, and the base variance on the diagonal."""
+    rate = rate_cov(alpha, domain)
+
+    def at(f, a):
+        a = np.asarray(a, dtype=float)
+        return np.array([f(p) for p in a.ravel().tolist()]).reshape(a.shape)
+
+    def cov(s, t):
+        std_s = at(lambda p: math.sqrt(base_eval(p, p)), s)
+        std_t = at(lambda p: math.sqrt(base_eval(p, p)), t)
+        var_t = at(lambda p: base_eval(p, p), t)
+        return np.where(np.equal(s, t), var_t, std_s * std_t * rate(s, t))
+
+    return cov
+
+
+def spectral_fourier(mu, t):
+    """``mu_hat(t)`` with every cosine of every entry in one array."""
+    masses, locs = mu.effective()
+    return (np.cos(np.multiply.outer(np.asarray(t, dtype=float), locs)) * masses).sum(axis=-1)
+
+
+def psd_check_symmetrized(kernel, grid) -> PsdReport:
+    """The PSD check on ``0.5 * (G + G.T)``, whether or not the Gram ``G`` is symmetric."""
+    mat = gram(kernel, grid)
+    sym = 0.5 * (mat + mat.T)
+    if not np.isfinite(sym).all():
+        raise InvalidInputError(
+            f"kernel '{kernel.name}' has Gram entries too large to check, "
+            f"up to {float(np.abs(mat).max())}"
+        )
+    min_eig = float(np.linalg.eigvalsh(sym)[0])
+    scale = float(np.max(np.diag(mat)))
+    return PsdReport(min_eigenvalue=min_eig, passed=min_eig >= -TOL_PSD * max(scale, 0.0))

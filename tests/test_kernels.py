@@ -1,8 +1,12 @@
+import dataclasses
+import functools
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +229,14 @@ class TestUniformConvergenceDiagnostic:
 
 
 class TestTransformKernel:
+    def test_scale_is_taken_at_every_point_before_the_time_change(self):
+        # the time change fails at 1.0, the scale at 3.0: the scale's error is named
+        kern = transform_kernel(kernels.fbm(0.5), lambda t: math.sqrt(2.5 - t),
+                                lambda t: math.log(t - 1.0), domain=(0.5, 5.0))
+        for run in (lambda: kernels.gram(kern, [1.0, 3.0]), lambda: kern.eval(1.0, 3.0)):
+            with pytest.raises(InvalidInputError, match=r"scale is undefined at t = 3\.0"):
+                run()
+
     def test_identity_transform(self):
         kern = kernels.fbm_log(0.6)
         same = transform_kernel(kern, lambda t: 1.0, lambda t: t)
@@ -579,3 +591,174 @@ def test_cov_in_one_call_is_bitwise_one_call_per_entry(family):
     batch = np.asarray(kern.cov(s, t), dtype=float)
     single = [float(np.asarray(kern.cov(s[[i]], t[[i]]))[0]) for i in range(s.size)]
     assert np.array_equal(batch, single)
+
+
+class TestReplace:
+    def test_replaced_cov_derives_eval_again(self):
+        base = kernels.fbm(0.5)
+        kern = dataclasses.replace(base, cov=lambda s, t: 2.0 * base.cov(s, t))
+        assert kern.eval(1.0, 1.0) == float(kern.cov(1.0, 1.0)) == 2.0
+        assert base.eval(1.0, 1.0) == 1.0
+
+    def test_replaced_eval_is_kept(self):
+        # perfbench's tracer counts calls this way, through functools.wraps
+        base = kernels.fbm(0.5)
+
+        @functools.wraps(base.eval)
+        def counted(s, t):
+            return base.eval(s, t)
+
+        for given in (counted, lambda s, t: 3.0):
+            kern = dataclasses.replace(base, eval=given)
+            assert kern.eval is given and kern.cov is base.cov
+
+    def test_replaced_eval_of_an_eval_only_kernel_derives_cov_again(self):
+        base = Kernel(eval=lambda s, t: min(s, t), domain=(0.0, math.inf))
+        kern = dataclasses.replace(base, eval=lambda s, t: 2.0 * min(s, t))
+        s, t = np.array([1.0, 3.0]), np.array([2.0, 0.5])
+        assert kern.cov(s, t).tolist() == [2.0, 1.0]
+        assert base.cov(s, t).tolist() == [1.0, 0.5]
+
+    def test_replaced_cov_of_an_eval_only_kernel_is_kept(self):
+        base = Kernel(eval=lambda s, t: min(s, t), domain=(0.0, math.inf))
+        cov = np.minimum
+        kern = dataclasses.replace(base, cov=cov)
+        assert kern.cov is cov and kern.eval is base.eval
+
+    @pytest.mark.parametrize("make", [lambda: kernels.fbm(0.5), kernels.white_noise,
+                                      lambda: kernels.matrix_kernel(*_matrix_table())])
+    def test_other_fields_keep_both_callables(self, make):
+        base = make()
+        kern = dataclasses.replace(base, name="renamed", domain=(0.5, 2.0))
+        assert kern.eval is base.eval and kern.cov is base.cov
+
+
+#: Whole-array references (tests/oracles.py) of the families whose cov works
+#: in place: the rate kernels and the mimicking kernels built on fbm(0.6).
+COV_REFERENCES = {
+    "rate_const": lambda: oracles.rate_cov(RateFunction.constant(1.3)),
+    "rate_1+t": lambda: oracles.rate_cov(RateFunction.from_callable(lambda t: 1.0 + t)),
+    "rate_inf": lambda: oracles.rate_cov(RateFunction.infinite()),
+    "mimic": lambda: oracles.mimic_cov(kernels.fbm(0.6).eval, RateFunction.from_callable(
+        lambda t: 0.5 / t), domain=(0.0, math.inf)),
+    "mimic_inf": lambda: oracles.mimic_cov(
+        kernels.fbm(0.6).eval, RateFunction.infinite(), domain=(0.0, math.inf)),
+    "mimic_const": lambda: oracles.mimic_cov(
+        kernels.fbm(0.6).eval, RateFunction.constant(0.8), domain=(0.0, math.inf)),
+}
+
+
+def _asymmetric_matrix_kernel():
+    grid, mat = _matrix_table()
+    upper = np.triu(np.random.default_rng(7).uniform(-1e-3, 1e-3, mat.shape), 1)
+    return kernels.matrix_kernel(grid, mat + upper, name="asymmetric")
+
+
+#: The Gram families plus a kernel whose Gram is not symmetric.
+PSD_FAMILIES = {**GRAM_FAMILIES, "matrix_asymmetric": (_asymmetric_matrix_kernel, 0.0, 3.0)}
+
+
+def _draw_grid(data, family, lo, hi) -> np.ndarray:
+    if family.startswith("matrix"):
+        grid = _matrix_table()[0]
+        return grid[sorted(data.draw(st.sets(st.integers(0, grid.size - 1), min_size=1)))]
+    return np.array(sorted(data.draw(st.sets(
+        st.floats(lo, hi, allow_nan=False), min_size=1, max_size=12))))
+
+
+@pytest.mark.parametrize("family", sorted(COV_REFERENCES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_in_place_cov_is_its_whole_array_reference(family, data):
+    make, lo, hi = GRAM_FAMILIES[family]
+    kern, reference = make(), COV_REFERENCES[family]()
+    pts = _draw_grid(data, family, lo, hi)
+    assert kernels.gram(kern, pts).tobytes() == reference(pts[:, None], pts[None, :]).tobytes()
+    s = data.draw(st.floats(lo, hi, allow_nan=False))
+    t = data.draw(st.one_of(st.just(s), st.floats(lo, hi, allow_nan=False)))
+    assert kern.eval(s, t).hex() == float(reference(s, t)).hex()
+
+
+@pytest.mark.parametrize("family", sorted(PSD_FAMILIES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_psd_check_is_the_always_symmetrized_check(family, data):
+    make, lo, hi = PSD_FAMILIES[family]
+    kern = make()
+    pts = _draw_grid(data, family, lo, hi)
+    report, expected = psd_check(kern, pts), oracles.psd_check_symmetrized(kern, pts)
+    assert report.min_eigenvalue.hex() == expected.min_eigenvalue.hex()
+    assert report.passed == expected.passed
+
+
+def test_asymmetric_gram_is_symmetrized():
+    kern, grid = _asymmetric_matrix_kernel(), _matrix_table()[0]
+    mat = kernels.gram(kern, grid)
+    assert not np.array_equal(mat, mat.T)
+    min_eig = psd_check(kern, grid).min_eigenvalue
+    assert min_eig == float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
+    assert min_eig != float(np.linalg.eigvalsh(mat)[0])
+
+
+# A symmetric Gram is checkable up to half the largest double, where x + x
+# still is finite; an asymmetric one while every x_ij + x_ji is.
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("corner", [np.finfo(float).max / 2, -np.finfo(float).max / 2])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_too_large_to_check_is_the_symmetrized_check(corner, symmetric):
+    for entry in (corner, np.nextafter(corner, math.copysign(math.inf, corner))):
+        mat = np.array([[1.0, entry], [entry if symmetric else 0.5 * entry, 1.0]])
+        kern = kernels.matrix_kernel([0.0, 1.0], mat)
+        try:
+            expected = oracles.psd_check_symmetrized(kern, [0.0, 1.0])
+        except InvalidInputError as exc:
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(str(exc))}$"):
+                psd_check(kern, [0.0, 1.0])
+            assert entry != corner and symmetric
+        else:
+            assert psd_check(kern, [0.0, 1.0]) == expected
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_RATE_1_T = RateFunction.from_callable(lambda t: 1.0 + t)
+
+
+# The rate kernels' covariance is made inside the one n-by-n array the
+# integral returns; a mimicking Gram adds R's array, a PSD check the
+# symmetry test's booleans (LAPACK's own copy is not traced).
+@pytest.mark.parametrize("run,grams", [
+    (lambda pts: kernels.gram(kernels.exponential_rate(_RATE_1_T), pts), 1.25),
+    (lambda pts: kernels.gram(kernels.exponential_rate(1.0), pts), 1.25),
+    (lambda pts: psd_check(kernels.exponential_rate(_RATE_1_T), pts), 1.25),
+    (lambda pts: kernels.gram(mimic_kernel(kernels.fbm(0.6), RateFunction.from_callable(
+        lambda t: 0.5 / t)), pts), 2.25),
+], ids=["gram-rate_1+t", "gram-exponential", "psd_check-rate_1+t", "gram-mimic"])
+def test_gram_memory_in_grams(run, grams):
+    n = 1024
+    pts = np.linspace(0.1, 3.0, n)
+    assert _traced_peak(lambda: run(pts)) <= grams * 8 * n * n
+
+
+def test_spectral_psd_check_memory_is_bounded(partial_measure):
+    # the n x n x atoms cosine table took 133 MiB here
+    assert len(partial_measure.atoms) == 54
+    kern = spectral.kernel_from_spectral(partial_measure)
+    assert _traced_peak(lambda: psd_check(kern, np.linspace(0.0, 3.0, 400))) < 8 * 2**20
+
+
+def test_fourier_in_chunks_is_bitwise_one_array(partial_measure):
+    pts = np.linspace(0.0, 3.0, 150)
+    x = np.subtract(pts[None, :], pts[:, None])
+    assert 5 * spectral._FOURIER_COSINES < x.size * len(partial_measure.atoms)
+    assert partial_measure.fourier(x).tobytes() == oracles.spectral_fourier(partial_measure, x).tobytes()
+    for t in (x[0], x[0, 7], 0.7):
+        expected = oracles.spectral_fourier(partial_measure, t)
+        assert partial_measure.fourier(t).tobytes() == np.asarray(expected).tobytes()
