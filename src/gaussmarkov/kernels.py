@@ -671,7 +671,7 @@ def rate_kernel(
         elif np.shape(s) == np.shape(t) and np.equal(s, t).all():
             return np.ones(np.shape(s))
         x = integral(s, t)
-        if not np.ndim(x):
+        if not isinstance(x, np.ndarray):
             return np.exp(-abs(x))
         np.abs(x, out=x)
         np.negative(x, out=x)

@@ -402,7 +402,7 @@ def mimic_kernel(kernel: Kernel, alpha: RateFunction) -> Kernel:
     def cov(s, t):
         ((var_s, var_t),) = _at_points((variance,), s, t)
         out = np.sqrt(var_s) * np.sqrt(var_t)
-        if not np.ndim(out):
+        if not isinstance(out, np.ndarray):
             return var_t if s == t else out * base.cov(s, t)
         out *= base.cov(s, t)
         np.copyto(out, var_t, where=np.equal(s, t))
