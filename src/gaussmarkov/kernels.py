@@ -261,9 +261,9 @@ def gram(kernel: Kernel, grid) -> np.ndarray:
     rate kernels (white noise included), whose covariance is made in the
     result; two for ``constant``, mimicking and spectral kernels (the
     latter plus at most 1 MiB of cosines); three for ``fbm`` and five for
-    ``fbm_log``, whose formulas combine whole arrays; one more than its
-    base kernel for a transformed kernel.  The finiteness check adds n-by-n
-    booleans, an eighth of the Gram.
+    ``fbm_log``, whose formulas combine whole arrays; for a transformed
+    kernel, the larger of its base kernel's count and three.  The
+    finiteness check adds n-by-n booleans, an eighth of the Gram.
     """
     pts = _as_strictly_increasing(grid)
     kernel.require_in_domain(pts)
@@ -436,7 +436,8 @@ def transform_kernel(
 
     def new_cov(s, t):
         (u, v), (phi_s, phi_t) = _at_points((nonzero_scale, phi), s, t)
-        return u * v * kernel.cov(phi_s, phi_t)
+        base = kernel.cov(phi_s, phi_t)  # first: its temporaries are gone before u * v
+        return u * v * base
 
     def new_mean(t: float) -> float:
         return scale_at(t) * kernel.mean(phi(t))

@@ -13,21 +13,21 @@ Schema (one object per kernel, dispatched on ``"type"``):
     {"type": "transformed",    "base": <kernel spec>, "scale": <scale spec>,
                                "time_change": <time-change spec>, "domain": [lo, hi]}
 
-Rate specs are a number, the string "inf", or an object:
+Rate specs are a number, the string "inf", or an object.  Rate, scale and
+time-change objects dispatch on ``"form"``; ``_FORMS`` is the one list of the
+forms each kind accepts.  Every field but ``value`` is optional: 1, intercepts 0.
 
-    {"form": "constant", "value": v}
-    {"form": "linear",   "slope": a, "intercept": b}
-    {"form": "power",    "coeff": c, "exponent": p}      # c * t**p where it is real
-    {"form": "infinite"}
-
-Scale specs: {"form": "constant", "value": c} | {"form": "power", "coeff": c,
-"exponent": p} | {"form": "exp", "coeff": c, "rate": r}.  Time-change specs:
-{"form": "affine", "slope": a, "intercept": b} | {"form": "log", "coeff": a,
-"intercept": b} | {"form": "exp", "coeff": c, "rate": r}.
+    {"form": "constant", "value": v}                  # rate, scale
+    {"form": "infinite"}                              # rate
+    {"form": "linear",   "slope": a, "intercept": b}  # rate; "affine" for a time change
+    {"form": "power",    "coeff": c, "exponent": p}   # rate, scale: c * t**p where real
+    {"form": "exp",      "coeff": c, "rate": r}       # scale, time change: c * e**(r*t)
+    {"form": "log",      "coeff": a, "intercept": b}  # time change: a * ln(t) + b
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -65,10 +65,46 @@ def _domain(value, default):
     return _bound(value[0]), _bound(value[1])
 
 
-def _form(spec, what: str):
+#: The forms each kind of function of time accepts: the one list of them.
+_FORMS = {
+    "rate": ("constant", "infinite", "linear", "power"),
+    "scale": ("constant", "power", "exp"),
+    "time-change": ("affine", "log", "exp"),
+}
+
+
+def _function(spec, kind: str) -> Callable[[float], float]:
+    """A ``kind`` spec's function of time; ``rate_from_spec`` builds constant and infinite rates."""
     if not isinstance(spec, dict):
-        raise InvalidInputError(f"{what} spec must be an object, got {spec!r}")
-    return spec.get("form")
+        raise InvalidInputError(f"{kind} spec must be an object, got {spec!r}")
+    form = spec.get("form")
+    if form not in _FORMS[kind]:
+        raise InvalidInputError(f"unknown {kind} form {form!r}")
+    increasing = kind == "time-change"
+    if form == "constant":
+        c = float(spec["value"])
+        return lambda t: c
+    if form == "power":
+        c = float(spec.get("coeff", 1.0))
+        p = float(spec.get("exponent", 1.0))
+        return lambda t: c * math.pow(t, p)
+    if form == "exp":
+        c = float(spec.get("coeff", 1.0))
+        r = float(spec.get("rate", 1.0))
+        if increasing and c * r <= 0.0:
+            raise InvalidInputError("exp time change must be increasing")
+        return lambda t: c * math.exp(r * t)
+    if form == "log":
+        a = float(spec.get("coeff", 1.0))
+        b = float(spec.get("intercept", 0.0))
+        if a <= 0.0:
+            raise InvalidInputError("log time change must have positive coefficient")
+        return lambda t: a * math.log(t) + b
+    a = float(spec.get("slope", 1.0))  # linear or affine
+    b = float(spec.get("intercept", 0.0))
+    if increasing and a <= 0.0:
+        raise InvalidInputError("affine time change must have positive slope")
+    return lambda t: a * t + b
 
 
 def rate_from_spec(spec) -> RateFunction:
@@ -92,54 +128,7 @@ def rate_from_spec(spec) -> RateFunction:
         return RateFunction.constant(float(spec["value"]))
     if form == "infinite":
         return RateFunction.infinite()
-    if form == "linear":
-        a = float(spec.get("slope", 1.0))
-        b = float(spec.get("intercept", 0.0))
-        return RateFunction.from_callable(lambda t: a * t + b)
-    if form == "power":
-        c = float(spec.get("coeff", 1.0))
-        p = float(spec.get("exponent", 1.0))
-        return RateFunction.from_callable(lambda t: c * math.pow(t, p))
-    raise InvalidInputError(f"unknown rate form {form!r}")
-
-
-def _scale_from_spec(spec) -> Callable[[float], float]:
-    form = _form(spec, "scale")
-    if form == "constant":
-        c = float(spec["value"])
-        return lambda t: c
-    if form == "power":
-        c = float(spec.get("coeff", 1.0))
-        p = float(spec.get("exponent", 1.0))
-        return lambda t: c * math.pow(t, p)
-    if form == "exp":
-        c = float(spec.get("coeff", 1.0))
-        r = float(spec.get("rate", 1.0))
-        return lambda t: c * math.exp(r * t)
-    raise InvalidInputError(f"unknown scale form {form!r}")
-
-
-def _time_change_from_spec(spec) -> Callable[[float], float]:
-    form = _form(spec, "time-change")
-    if form == "affine":
-        a = float(spec.get("slope", 1.0))
-        b = float(spec.get("intercept", 0.0))
-        if a <= 0.0:
-            raise InvalidInputError("affine time change must have positive slope")
-        return lambda t: a * t + b
-    if form == "log":
-        a = float(spec.get("coeff", 1.0))
-        b = float(spec.get("intercept", 0.0))
-        if a <= 0.0:
-            raise InvalidInputError("log time change must have positive coefficient")
-        return lambda t: a * math.log(t) + b
-    if form == "exp":
-        c = float(spec.get("coeff", 1.0))
-        r = float(spec.get("rate", 1.0))
-        if c * r <= 0.0:
-            raise InvalidInputError("exp time change must be increasing")
-        return lambda t: c * math.exp(r * t)
-    raise InvalidInputError(f"unknown time-change form {form!r}")
+    return RateFunction.from_callable(_function(spec, "rate"))
 
 
 def _noise_integral_family(name: str) -> Kernel:
@@ -150,11 +139,7 @@ def _noise_integral_family(name: str) -> Kernel:
             lambda t, u: math.sqrt(t) * math.exp(-t * u / 2.0),
             interval=(0.0, math.inf),
         )
-        return Kernel(
-            eval=kern.eval,
-            domain=(0.0, math.inf),
-            name="noise_integral(sqrt_exp)",
-        )
+        return dataclasses.replace(kern, domain=(0.0, math.inf), name="noise_integral(sqrt_exp)")
     raise InvalidInputError(f"unknown noise-integral family {name!r}")
 
 
@@ -200,7 +185,7 @@ def kernel_from_spec(spec) -> Kernel:
     if kind == "transformed":
         base = kernel_from_spec(spec["base"])
         return kernels.transform_kernel(
-            base, _scale_from_spec(spec["scale"]), _time_change_from_spec(spec["time_change"]),
+            base, _function(spec["scale"], "scale"), _function(spec["time_change"], "time-change"),
             domain=_domain(spec.get("domain"), None),
         )
     raise InvalidInputError(f"unknown kernel type {kind!r}")

@@ -141,16 +141,25 @@ def kernel_from_spectral(mu: SpectralMeasure) -> Kernel:
     return Kernel(cov=lambda s, t: mu.fourier(np.subtract(t, s)), name="spectral")
 
 
-def fourier_decay_rate(mu: SpectralMeasure, t: float) -> float:
-    """Decay rate ``(1 - mu_hat(t)) / t`` of the transform, for t > 0.
+def fourier_decay_rate(mu: SpectralMeasure, t):
+    """Decay rate ``(1 - mu_hat(t)) / t`` of the transform, for t > 0; a float for a scalar t.
 
     Computed as ``sum of eff * (1 - cos(t y)) / t`` so the result is
-    nonnegative by construction.
+    nonnegative by construction.  Each entry is its own vector dot product,
+    so its bits do not depend on how many entries one call evaluates; the
+    cosines are made ``_FOURIER_COSINES`` at a time.
     """
-    if t <= 0.0:
-        raise InvalidInputError(f"t must be positive, got {t}")
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0):
+        raise InvalidInputError(f"t must be positive, got {t[t <= 0.0].flat[0]}")
     masses, locs = mu.effective()
-    return float(np.dot(masses, 1.0 - np.cos(t * locs)) / t)
+    step = max(1, _FOURIER_COSINES // locs.size)
+    flat, out = t.ravel(), np.empty(t.size)
+    for i in range(0, t.size, step):
+        chunk = flat[i : i + step]
+        gaps = 1.0 - np.cos(chunk[:, None] * locs)
+        out[i : i + step] = np.matmul(gaps[:, None, :], masses[:, None])[:, 0, 0] / chunk
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +443,7 @@ def cluster_witnesses(
     if np.any(grid <= 0.0):
         raise InvalidInputError("search grid must be positive")
     grid = np.sort(grid)
-    rates = np.array([fourier_decay_rate(mu, float(t)) for t in grid])
+    rates = fourier_decay_rate(mu, grid)
     out: dict[float, WitnessResult] = {}
     for target in targets:
         target = float(target)

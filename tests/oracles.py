@@ -22,6 +22,12 @@ are the whole-array forms that the library's in-place and chunked ones must
 match bit for bit: ``np.exp(-integral)``, ``sigma(s) sigma(t) R(s, t)`` with
 ``np.where`` for the diagonal, one cosine per atom and entry at once, and a
 Gram always symmetrized before ``eigvalsh``.
+
+``rate_spec_function``, ``scale_from_spec`` and ``time_change_from_spec`` are
+the three spec parsers that ``gaussmarkov.serialize._function`` replaced, one
+per kind, each with its own copy of the forms it shares with the others.
+``decay_rates`` is ``gaussmarkov.spectral.fourier_decay_rate`` one scalar
+``np.dot`` at a time.
 """
 
 import math
@@ -33,6 +39,7 @@ from gaussmarkov.gaussian import GaussianVector, gaussian_distance
 from gaussmarkov.kernels import (
     TOL_PSD,
     PsdReport,
+    RateFunction,
     _antiderivative,
     _as_strictly_increasing,
     _sorted_unique,
@@ -229,3 +236,74 @@ def psd_check_symmetrized(kernel, grid) -> PsdReport:
     min_eig = float(np.linalg.eigvalsh(sym)[0])
     scale = float(np.max(np.diag(mat)))
     return PsdReport(min_eigenvalue=min_eig, passed=min_eig >= -TOL_PSD * max(scale, 0.0))
+
+
+def _form(spec, what: str):
+    if not isinstance(spec, dict):
+        raise InvalidInputError(f"{what} spec must be an object, got {spec!r}")
+    return spec.get("form")
+
+
+def rate_spec_function(spec) -> RateFunction:
+    """The object forms of ``gaussmarkov.serialize.rate_from_spec``."""
+    if not isinstance(spec, dict):
+        raise InvalidInputError(f"cannot parse rate spec {spec!r}")
+    form = spec.get("form")
+    if form == "constant":
+        return RateFunction.constant(float(spec["value"]))
+    if form == "infinite":
+        return RateFunction.infinite()
+    if form == "linear":
+        a = float(spec.get("slope", 1.0))
+        b = float(spec.get("intercept", 0.0))
+        return RateFunction.from_callable(lambda t: a * t + b)
+    if form == "power":
+        c = float(spec.get("coeff", 1.0))
+        p = float(spec.get("exponent", 1.0))
+        return RateFunction.from_callable(lambda t: c * math.pow(t, p))
+    raise InvalidInputError(f"unknown rate form {form!r}")
+
+
+def scale_from_spec(spec):
+    form = _form(spec, "scale")
+    if form == "constant":
+        c = float(spec["value"])
+        return lambda t: c
+    if form == "power":
+        c = float(spec.get("coeff", 1.0))
+        p = float(spec.get("exponent", 1.0))
+        return lambda t: c * math.pow(t, p)
+    if form == "exp":
+        c = float(spec.get("coeff", 1.0))
+        r = float(spec.get("rate", 1.0))
+        return lambda t: c * math.exp(r * t)
+    raise InvalidInputError(f"unknown scale form {form!r}")
+
+
+def time_change_from_spec(spec):
+    form = _form(spec, "time-change")
+    if form == "affine":
+        a = float(spec.get("slope", 1.0))
+        b = float(spec.get("intercept", 0.0))
+        if a <= 0.0:
+            raise InvalidInputError("affine time change must have positive slope")
+        return lambda t: a * t + b
+    if form == "log":
+        a = float(spec.get("coeff", 1.0))
+        b = float(spec.get("intercept", 0.0))
+        if a <= 0.0:
+            raise InvalidInputError("log time change must have positive coefficient")
+        return lambda t: a * math.log(t) + b
+    if form == "exp":
+        c = float(spec.get("coeff", 1.0))
+        r = float(spec.get("rate", 1.0))
+        if c * r <= 0.0:
+            raise InvalidInputError("exp time change must be increasing")
+        return lambda t: c * math.exp(r * t)
+    raise InvalidInputError(f"unknown time-change form {form!r}")
+
+
+def decay_rates(mu, grid) -> np.ndarray:
+    """``(1 - mu_hat(t)) / t`` at each time of ``grid``, one ``np.dot`` per time."""
+    masses, locs = mu.effective()
+    return np.array([float(np.dot(masses, 1.0 - np.cos(t * locs)) / t) for t in map(float, grid)])

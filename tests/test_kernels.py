@@ -762,3 +762,12 @@ def test_fourier_in_chunks_is_bitwise_one_array(partial_measure):
     for t in (x[0], x[0, 7], 0.7):
         expected = oracles.spectral_fourier(partial_measure, t)
         assert partial_measure.fourier(t).tobytes() == np.asarray(expected).tobytes()
+
+
+def test_transformed_fbm_log_gram_memory_is_its_base_kernels():
+    # fbm_log's five arrays are freed before the scale's u * v is formed
+    kern = transform_kernel(kernels.fbm_log(0.75), lambda t: t**0.75,
+                            lambda t: 0.5 * math.log(t), domain=(0.0, math.inf))
+    n = 1024
+    pts = np.linspace(0.1, 3.0, n)
+    assert _traced_peak(lambda: kernels.gram(kern, pts)) <= 5.1 * 8 * n * n

@@ -24,6 +24,7 @@ from gaussmarkov.spectral import (
     weierstrass_gamma,
     weierstrass_indices,
 )
+import oracles
 from oracles import f_witness
 
 
@@ -435,3 +436,32 @@ class TestClusterWitnesses:
         res = results[0.05]
         assert res.found
         assert abs(res.rate - 0.05) <= 1e-3 * 1.05
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=80),
+    data=st.data(),
+)
+def test_array_decay_rate_is_bitwise_the_scalar_loop(weights, data):
+    locations = data.draw(st.lists(
+        st.floats(1e-6, 1e30), min_size=len(weights), max_size=len(weights)))
+    total = 2.0 * math.fsum(weights)
+    mu = SpectralMeasure(atoms=tuple((w / total, y) for w, y in zip(weights, locations)))
+    grid = np.geomspace(1e-9, 20.0, 4000)  # cluster_witnesses' scan; in chunks past 16 atoms
+    rates = fourier_decay_rate(mu, grid)
+    assert rates.tobytes() == oracles.decay_rates(mu, grid).tobytes()
+    t = float(grid[data.draw(st.integers(0, grid.size - 1))])
+    assert type(fourier_decay_rate(mu, t)) is float
+    assert fourier_decay_rate(mu, t) == rates[grid == t][0]
+
+
+def test_array_decay_rate_on_the_readme_measures(partial_measure):
+    grid = np.geomspace(1e-9, 20.0, 4000)
+    shallow = counterexample_measure(WeierstrassConfig(i_max=1))  # counterexample --i-max 1
+    for mu in (shallow, partial_measure):
+        assert fourier_decay_rate(mu, grid).tobytes() == oracles.decay_rates(mu, grid).tobytes()
+        square = grid[:12].reshape(3, 4)
+        assert fourier_decay_rate(mu, square).shape == (3, 4)
+    with pytest.raises(InvalidInputError, match="t must be positive, got 0.0"):
+        fourier_decay_rate(two_point(), np.array([1.0, 0.0]))
