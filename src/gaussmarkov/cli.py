@@ -82,8 +82,22 @@ def _route(value):
 MAX_RANDOM_GRIDS = 10_000
 
 
+def _integer(value) -> int:
+    """An int, an integer literal, or a float of integral value; never a bool."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _seed(value) -> int:
+    seed = _integer(value)
+    if seed < 0:
+        raise ValueError(f"expected a nonnegative integer, got {seed}")
+    return seed
+
+
 def _random_grids(value) -> int:
-    count = int(value)
+    count = _integer(value)
     if count < 0:
         raise ValueError(f"expected a nonnegative count, got {count}")
     if count > MAX_RANDOM_GRIDS:
@@ -95,7 +109,7 @@ def _budget(value) -> int:
     """An index budget no larger than the searches can scan (``spectral.MAX_INDEX_BUDGET``)."""
     from . import spectral
 
-    budget = int(value)
+    budget = _integer(value)
     if budget > spectral.MAX_INDEX_BUDGET:
         raise ValueError(f"expected at most 2^53, got {budget}")
     return budget
@@ -129,7 +143,7 @@ _ALPHA = _Option("alpha", lambda v: serialize.rate_from_spec(v), _REQUIRED,
                  "decorrelation rate (number, 'inf', or JSON)")
 _GRID = _Option("grid", lambda v: serialize.parse_grid(str(v)), _REQUIRED,
                 "start:stop:count evaluation grid")
-_SEED = _Option("seed", int, 0, "RNG seed")
+_SEED = _Option("seed", _seed, 0, "RNG seed")
 # Last in every command, so that a usage error creates no directory.
 _OUT = _Option("out", _directory, Path("."), "output directory (default: current)")
 
@@ -145,20 +159,20 @@ _OPTIONS = {
         _GRID._replace(help="start:stop:count; endpoints give the time pair"),
         _Option("mesh_sequence", _positive_list, None, "comma list of meshes (local experiment)"),
         _Option("steps", _positive_list, None, "comma list of step sizes (global experiment)"),
-        _Option("n_max", int, None,
+        _Option("n_max", _integer, None,
                 "number of sets in the global experiment, at most one per step (default: all)"),
         _OUT,
     )),
     "counterexample": ("lacunary measure and decay-rate witnesses", (
         _Option("targets", _float_list, (0.25, 1.0, 4.0), "comma list of decay-rate targets"),
-        _Option("i_max", int, 4, "witness depth"),
-        _Option("k_cut", int, 60, "frequency truncation index"),
+        _Option("i_max", _integer, 4, "witness depth"),
+        _Option("k_cut", _integer, 60, "frequency truncation index"),
         _Option("budget", _budget, None, "integer search budget, at most 2^53"),
         _OUT,
     )),
     "simulate": ("SDE route vs Gaussian route comparison", (
         _KERNEL, _ALPHA, _GRID._replace(help="start:stop:count recorded grid"),
-        _Option("paths", int, 10_000, "number of sample paths"),
+        _Option("paths", _integer, 10_000, "number of sample paths"),
         _SEED,
         _Option("step", float, 1e-3, "Euler-Maruyama step"),
         _Option("route", _route, "exact", "Gaussian route: exact or cholesky"),

@@ -145,19 +145,24 @@ def pair_law(kernel: Kernel, s: float, t: float) -> TransportPlan:
 def _chain(kernel: Kernel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-step covariances ``K(p_i, p_{i+1})`` and variances ``K(p_i, p_i)`` over sorted points.
 
-    Makes the checks of every consecutive :func:`pair_law` at once, on
-    points the caller has checked are in the domain: positive variances,
-    and each two-time covariance PSD to the :class:`GaussianVector` bound.
+    Evaluates both in two kernel calls, on points the caller has checked
+    are in the domain, and passes them through :func:`_check_chain`.
     Callers multiply ``K(p_0, p_1)`` by ``K(p_i, p_{i+1}) / K(p_i, p_i)``
     left to right, as :func:`gaussian.compose` does.
     """
     steps = kernel.cov(points[:-1], points[1:])
     var = kernel.cov(points, points)
+    _check_chain(points, steps, var)
+    return steps, var
+
+
+def _check_chain(points: np.ndarray, steps: np.ndarray, var: np.ndarray) -> None:
+    """Makes the checks of every consecutive :func:`pair_law` at once: positive
+    variances, and each two-time covariance PSD to the :class:`GaussianVector` bound."""
     singular = var <= 0.0
     if singular.any():
         raise SingularMarginalError(f"kernel singular at t={points[singular.argmax()]}")
     _require_psd_pairs(var[:-1], var[1:], steps, points)
-    return steps, var
 
 
 def _require_psd_pairs(a: np.ndarray, b: np.ndarray, cross: np.ndarray, times) -> None:
@@ -202,127 +207,85 @@ def made_markov_law(kernel: Kernel, split_times, query_times) -> GaussianVector:
     One running product per query over the splits after it: O(q m)
     multiplications and O(q + m) kernel evaluations for q queries and m
     splits, besides the kernel's own covariances between unsplit queries.
-    Those pairs and the splits next to each query are evaluated in one
-    kernel call, and the loop over queries keeps only the running product,
-    in one buffer of m entries: O(q^2 + m) memory.
+    Four kernel calls: two chain the queries, two more take the splits
+    (:func:`_made_markov_cov`).  The loop over queries keeps only the
+    running product, in one buffer of m entries: O(q^2 + m) memory.
     """
     return next(_made_markov_laws(kernel, [split_times], query_times))
-
-
-def _set_groups(split_sets, n_queries: int):
-    """Consecutive split sets in groups whose splits plus pending per-query
-    values, counted as ``q^2 + m`` a set, stay within twice the largest
-    set's ``q^2 + m``.  When drawing a set raises, the sets before it come
-    out first as a group."""
-    group, total, largest = [], 0, 0
-    try:
-        for splits in split_sets:
-            cost = n_queries**2 + np.size(splits)
-            if group and total + cost > 2 * max(largest, cost):
-                yield group
-                group, total, largest = [], 0, 0
-            group.append(splits)
-            total, largest = total + cost, max(largest, cost)
-    except Exception:
-        if group:
-            yield group
-        raise
-    if group:
-        yield group
 
 
 def _made_markov_laws(kernel: Kernel, split_sets, query_times) -> Iterator[GaussianVector]:
     """:func:`made_markov_law` at each split set in turn, on the same query times.
 
-    The queries are validated and chained once, and their means taken
-    with the first law.  Each group of consecutive sets (:func:`_set_groups`)
-    evaluates every kernel value between a query and a neighbouring split
-    or an unsplit query in one ``kernel.cov`` call, with one PSD test; a
-    set's own split chain and running products wait until its law is due.
-    A group that fails any check is replayed one set at a time, so the
-    error raised is the first that :func:`made_markov_law` meets set after set.
+    The queries are validated and chained once, after the first set's
+    domain check, and their means taken with the first law.  Each set's law
+    is built in full, in two kernel calls and O(q^2 + m) memory, before the
+    next set is drawn, so the sweep holds one set at a time and raises the
+    first error that :func:`made_markov_law` meets set after set.
     """
     queries = _as_strictly_increasing(query_times)
-    n = queries.size
-    rows = np.arange(n)
     var = mean = None
-
-    def prepare(group):
-        """Per set of the group, what its law needs: sorted splits inside the
-        query range, index arrays and kernel values; the first set's chain."""
-        nonlocal var
-        plans, near, far, pair_s, pair_t = [], [], [], [], []
-        for splits in group:
-            splits = _sorted_unique(splits)
-            kernel.require_in_domain(splits)
-            if var is None:
-                kernel.require_in_domain(queries)
-                _, var = _chain(kernel, queries)
-            # Only splits strictly inside the query range separate two queries.
-            splits = splits[(splits > queries[0]) & (splits < queries[-1])]
-            after = splits.searchsorted(queries, side="right")  # first split after each query
-            before = splits.searchsorted(queries, side="left") - 1  # last split before it
-            j0 = np.maximum(rows + 1, before.searchsorted(after))  # first query past the next split
-            # Pairs i < j < j0[i] have no split between them: the kernel's own covariance.
-            counts = j0 - rows - 1
-            pi = rows.repeat(counts)
-            pj = pi + 1 + np.arange(pi.size) - (counts.cumsum() - counts).repeat(counts)
-            has, split_rows = (before >= 0).nonzero()[0], (j0 < n).nonzero()[0]
-            # (r_before, q) and (q, r_after) pairs, in made_markov_law's order of checks
-            near += [splits[before[has]], queries[split_rows]]
-            far += [queries[has], splits[after[split_rows]]]
-            pair_s.append(queries[pi])
-            pair_t.append(queries[pj])
-            plans.append((splits, before, after, j0, has, split_rows, pi, pj))
-        chain = _chain(kernel, plans[0][0])  # a lone set checks it first, as made_markov_law does
-        near, far = np.concatenate(near), np.concatenate(far)
-        values = kernel.cov(np.concatenate([near, near, far, *pair_s]),
-                            np.concatenate([far, near, far, *pair_t]))
-        k = near.size
-        cross, near_var, far_var, pairs = values[:k], values[k : 2 * k], values[2 * k : 3 * k], values[3 * k :]
-        _require_psd_pairs(near_var, far_var, cross, near)
-        laws, at, pair_at = [], 0, 0
-        for splits, before, after, j0, has, split_rows, pi, pj in plans:
-            last = np.zeros(n)  # K(r_before, q) / K(r_before, r_before)
-            last[has] = cross[at : at + has.size] / near_var[at : at + has.size]
-            at += has.size
-            cov = np.zeros((n, n))
-            cov[pi, pj] = pairs[pair_at : pair_at + pi.size]
-            pair_at += pi.size
-            firsts = cross[at : at + split_rows.size]  # K(q_i, r_after)
-            at += split_rows.size
-            laws.append((splits, chain, before, after, j0, split_rows, firsts, last, cov))
-            chain = None
-        return laws
-
-    def law(splits, chain, before, after, j0, split_rows, firsts, last, cov):
-        nonlocal mean
-        steps, split_var = chain or _chain(kernel, splits)
-        factors = steps / split_var[:-1]
-        run = np.empty(splits.size)
-        for i, first, a, j in zip(split_rows.tolist(), firsts.tolist(),
-                                  after[split_rows].tolist(), j0[split_rows].tolist()):
-            row = run[a:]  # run[k] = K(q_i, r_a) * factors[a] * ... * factors[k - 1]
-            row[0] = first
-            row[1:] = factors[a:]
-            row.cumprod(out=row)
-            np.multiply(run[before[j:]], last[j:], out=cov[i, j:])
-        cov = cov + cov.T
-        np.fill_diagonal(cov, var)
+    for splits in split_sets:
+        splits = _sorted_unique(splits)
+        kernel.require_in_domain(splits)
+        if var is None:
+            kernel.require_in_domain(queries)
+            _, var = _chain(kernel, queries)
+        # Only splits strictly inside the query range separate two queries.
+        splits = splits[(splits > queries[0]) & (splits < queries[-1])]
+        cov = _made_markov_cov(kernel, splits, queries, var)
         if mean is None:
             mean = np.array([kernel.mean(float(t)) for t in queries])
-        return GaussianVector(times=queries, mean=mean.copy(), cov=cov)
+        yield GaussianVector(times=queries, mean=mean.copy(), cov=cov)
 
-    for group in _set_groups(split_sets, n):
-        try:
-            plans = prepare(group)
-        except Exception:
-            if len(group) == 1:
-                raise
-            plans = None  # the replay one set at a time raises the error again, in order
-        for splits in group:
-            # popped, so that no set's arrays outlive its law
-            yield law(*(prepare([splits]) if plans is None else plans).pop(0))
+
+def _made_markov_cov(kernel: Kernel, splits: np.ndarray, queries: np.ndarray,
+                     var: np.ndarray) -> np.ndarray:
+    """Covariance at the queries made Markov at sorted splits inside their range.
+
+    ``var`` holds the queries' variances.  Two kernel calls: the split
+    variances together with every query-split value and every unsplit
+    query pair, then the splits' one-step covariances.  The checks follow
+    in :func:`made_markov_law`'s order: the split chain (:func:`_check_chain`),
+    then each query with its neighbouring splits.
+    """
+    n, m = queries.size, splits.size
+    rows = np.arange(n)
+    after = splits.searchsorted(queries, side="right")  # first split after each query
+    before = splits.searchsorted(queries, side="left") - 1  # last split before it
+    j0 = np.maximum(rows + 1, before.searchsorted(after))  # first query past the next split
+    # Pairs i < j < j0[i] have no split between them: the kernel's own covariance.
+    counts = j0 - rows - 1
+    pi = rows.repeat(counts)
+    pj = pi + 1 + np.arange(pi.size) - (counts.cumsum() - counts).repeat(counts)
+    has, split_rows = (before >= 0).nonzero()[0], (j0 < n).nonzero()[0]
+    # (r_before, q) and (q, r_after) pairs
+    near = np.concatenate([splits[before[has]], queries[split_rows]])
+    far = np.concatenate([queries[has], splits[after[split_rows]]])
+    k = near.size
+    values = kernel.cov(np.concatenate([splits, near, queries[pi]]),
+                        np.concatenate([splits, far, queries[pj]]))
+    split_var, cross = values[:m], values[m : m + k]
+    steps = kernel.cov(splits[:-1], splits[1:])
+    _check_chain(splits, steps, split_var)
+    _require_psd_pairs(np.concatenate([split_var[before[has]], var[split_rows]]),
+                       np.concatenate([var[has], split_var[after[split_rows]]]), cross, near)
+    last = np.zeros(n)  # K(r_before, q) / K(r_before, r_before)
+    last[has] = cross[: has.size] / split_var[before[has]]
+    cov = np.zeros((n, n))
+    cov[pi, pj] = values[m + k :]
+    factors = steps / split_var[:-1]
+    run = np.empty(m)
+    for i, first, a, j in zip(split_rows.tolist(), cross[has.size :].tolist(),
+                              after[split_rows].tolist(), j0[split_rows].tolist()):
+        row = run[a:]  # run[k] = K(q_i, r_a) * factors[a] * ... * factors[k - 1]
+        row[0] = first
+        row[1:] = factors[a:]
+        row.cumprod(out=row)
+        np.multiply(run[before[j:]], last[j:], out=cov[i, j:])
+    cov = cov + cov.T
+    np.fill_diagonal(cov, var)
+    return cov
 
 
 def made_markov_law_by_blocks(kernel: Kernel, split_times, query_times) -> GaussianVector:

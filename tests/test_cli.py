@@ -665,6 +665,7 @@ class TestConfigPrecedence:
     # line or from the config file alike.
     EXP = '{"type": "exponential", "rate": 1.0}'
     CONVERGE = ["converge", "--kernel", EXP, "--alpha", "1.0", "--grid", "0:1:3"]
+    SIMULATE = ["simulate", "--kernel", EXP, "--alpha", "1.0", "--grid", "0:1:3"]
 
     @pytest.mark.parametrize("command,key,value", [
         (["psd-check", "--kernel", EXP], "grid", "0:1:x"),
@@ -682,9 +683,21 @@ class TestConfigPrecedence:
         (["transform", "--kernel", EXP, "--grid", "1:2:3"], "alpha",
          {"form": "constant", "value": "inf"}),
         (["psd-check", "--grid", "0:1:3"], "kernel", {"type": "exponential", "rate": "nan"}),
+        (SIMULATE, "seed", -1),
+        (["psd-check", "--kernel", EXP, "--grid", "0:1:3", "--random-grids", "2"], "seed", -1),
+        (SIMULATE, "seed", True),
+        (SIMULATE, "seed", 1.5),
+        (SIMULATE, "paths", 2.5),
+        (["counterexample"], "i_max", 1.9),
+        (["counterexample"], "k_cut", math.inf),
+        (["counterexample"], "budget", 1e3 + 0.5),
+        (["psd-check", "--kernel", EXP, "--grid", "0:1:3"], "random_grids", False),
+        (CONVERGE, "n_max", 1.5),
     ], ids=["grid", "i_max", "targets", "steps", "kernel", "route", "random_grids",
             "mesh_zero", "mesh_nan", "mesh_negative", "steps_nan", "alpha_nan",
-            "alpha_constant_inf", "kernel_rate_nan"])
+            "alpha_constant_inf", "kernel_rate_nan", "seed_negative", "psd_seed_negative",
+            "seed_bool", "seed_fraction", "paths_fraction", "i_max_fraction", "k_cut_inf",
+            "budget_fraction", "random_grids_bool", "n_max_fraction"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_unparsable_value_is_usage_error(self, tmp_path, capsys, command, key, value, source):
         flag = "--" + key.replace("_", "-")

@@ -13,7 +13,6 @@ from gaussmarkov.transform import (
     AdmissibleSequence,
     Partition,
     _made_markov_laws,
-    _set_groups,
     global_convergence_experiment,
     joint_law,
     local_convergence_experiment,
@@ -233,8 +232,8 @@ class TestMadeMarkovLaw:
             tracemalloc.stop()
         assert peak <= 10.6 * 2**20
 
-    def test_sweep_memory_is_within_twice_one_law(self):
-        # a group holds the splits of at most two such sets at once
+    def test_sweep_memory_is_one_law(self):
+        # the sweep holds one set's splits at a time
         rng = np.random.default_rng(5)
         queries = np.sort(rng.uniform(1.0, 2.0, 50))
         sets = [np.sort(rng.uniform(1.0, 2.0, 200_000)) for _ in range(6)]
@@ -250,8 +249,7 @@ class TestMadeMarkovLaw:
 
         one = peak(lambda: made_markov_law(kern, sets[0], queries))
         sweep = peak(lambda: [law.cov[0, -1] for law in _made_markov_laws(kern, sets, queries)])
-        assert [len(group) for group in _set_groups(sets, queries.size)] == [2, 2, 2]
-        assert sweep <= 2 * one
+        assert sweep <= 1.05 * one
 
     def test_nan_split_is_outside_the_domain(self):
         with pytest.raises(InvalidInputError, match="time nan outside domain"):
@@ -460,8 +458,9 @@ class TestGlobalConvergence:
         rows = global_convergence_experiment(kern, target, adm, queries, n_max)
         assert rows == global_convergence_rows(kern, target, adm, queries, n_max)
 
-    def test_benchmark_sweep_takes_its_query_values_in_one_call(self):
-        # 2 calls chain the queries, 2 per set chain its splits, 1 per group
+    @pytest.mark.parametrize("n_sets", [1, 7])
+    def test_benchmark_sweep_takes_two_calls_per_set(self, n_sets):
+        # 2 calls chain the queries, 2 per set take its splits
         calls = []
         base = kernels.fbm_log(0.5)
 
@@ -472,10 +471,12 @@ class TestGlobalConvergence:
         kern = dataclasses.replace(base, cov=cov)
         adm = AdmissibleSequence.from_steps([2.0**-k for k in range(1, 8)])
         queries = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 5))
-        assert [len(group) for group in _set_groups(adm.sets(7), queries.size)] == [7]
-        global_convergence_experiment(kern, rate_kernel(RateFunction.constant(1.0)), adm,
-                                      queries, 7)
-        assert len(calls) == 2 + 2 * 7 + 1
+        if n_sets == 1:
+            made_markov_law(kern, adm.time_set(1), queries)
+        else:
+            global_convergence_experiment(kern, rate_kernel(RateFunction.constant(1.0)), adm,
+                                          queries, n_sets)
+        assert len(calls) == 2 + 2 * n_sets
 
     def test_benchmark_sweep_checks_each_domain_once(self, monkeypatch):
         # one check per split set, one for the queries, one for the target's Gram
