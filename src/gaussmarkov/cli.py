@@ -20,11 +20,11 @@ parse is a usage error wherever it came from; unused config keys are ignored.
 reruns with the same configuration and seed produce byte-identical files.
 
 Each subcommand loads only the modules it runs: every command loads
-``errors``, ``serialize``, ``kernels`` and ``gaussian``; ``transform`` and
-``converge`` add ``transform``, ``counterexample`` adds ``spectral``, and
-``simulate`` adds ``transform`` and ``simulate``.  A spectral kernel spec
-loads ``spectral`` when it is parsed.  Handlers import their modules where
-they use them and look functions up on the module at each call.
+``errors``, ``serialize`` and ``kernels``; ``transform`` and ``converge``
+add ``transform`` (which loads ``gaussian``), ``simulate`` adds those and
+``simulate``, and ``counterexample`` adds ``spectral``.  A spectral kernel
+spec loads ``spectral`` when it is parsed.  Handlers import their modules
+where they use them and look functions up on the module at each call.
 """
 
 from __future__ import annotations
@@ -40,8 +40,16 @@ import numpy as np
 
 from . import kernels, serialize
 from .errors import GaussMarkovError, InvalidInputError, InvalidMeasureError
-from .gaussian import markov_check
 from .kernels import psd_check
+
+
+def __getattr__(name: str):
+    """``cli.markov_check`` is ``gaussian.markov_check``, loaded on first access."""
+    if name != "markov_check":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .gaussian import markov_check
+    return markov_check
+
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -274,7 +282,7 @@ def _cmd_psd_check(kernel, grid, random_grids, seed, out) -> int:
 
 
 def _cmd_transform(kernel, alpha, grid, out) -> int:
-    from . import transform
+    from . import gaussian, transform
 
     mimic = transform.mimic_kernel(kernel, alpha)
     times = grid.tolist()
@@ -285,7 +293,7 @@ def _cmd_transform(kernel, alpha, grid, out) -> int:
     rows = [(s, t, a, b) for (s, t), a, b in zip(pairs, k, k_mimic)]
     path = out / "transform_table.csv"
     serialize.write_csv(path, ["s", "t", "k", "k_mimic"], rows)
-    report = markov_check(transform.joint_law(mimic, grid))
+    report = gaussian.markov_check(transform.joint_law(mimic, grid))
     print(f"transform: mimic residual {report.max_residual:.3e} -> {path}")
     return EXIT_OK
 

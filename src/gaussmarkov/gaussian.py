@@ -24,7 +24,7 @@ from .errors import (
     InvalidInputError,
     SingularMarginalError,
 )
-from .kernels import TOL_PSD
+from .kernels import _HALF_MAX, TOL_PSD, _as_strictly_increasing
 
 #: Condition-number guard for marginal covariance inversion.
 COND_LIMIT = 1e12
@@ -41,8 +41,9 @@ class GaussianVector:
     """Finite-dimensional Gaussian law on an ordered time grid.
 
     ``times`` must be strictly increasing; ``times``, ``mean`` and ``cov``
-    finite; ``cov`` symmetric with minimum eigenvalue at least
-    ``-TOL_PSD * max(diagonal)``.  A Cholesky factorization of ``cov`` shifted
+    finite; ``cov`` at most half the largest double entrywise, so that
+    symmetrizing it cannot overflow, and symmetric with minimum eigenvalue
+    at least ``-TOL_PSD * max(diagonal)``.  A Cholesky factorization of ``cov`` shifted
     by that bound certifies PSD; only when it fails does ``eigvalsh``
     decide, and a rejection names its minimum eigenvalue.  The covariance
     is stored symmetrized.
@@ -53,14 +54,10 @@ class GaussianVector:
     cov: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float).ravel()
+        times = _as_strictly_increasing(self.times)
         mean = np.asarray(self.mean, dtype=float).ravel()
         cov = np.asarray(self.cov, dtype=float)
         n = times.size
-        if n == 0:
-            raise InvalidInputError("empty time grid")
-        if n > 1 and not (times[1:] > times[:-1]).all():
-            raise InvalidInputError("times must be strictly increasing")
         if mean.shape != (n,) or cov.shape != (n, n):
             raise InvalidInputError(
                 f"shape mismatch: {n} times, mean {mean.shape}, cov {cov.shape}"
@@ -69,8 +66,11 @@ class GaussianVector:
             finite = np.isfinite(value)
             if not finite.all():
                 raise InvalidInputError(f"{name} must be finite, got {value[~finite][0]}")
+        top = float(abs(cov).max())
+        if top > _HALF_MAX:
+            raise InvalidInputError(f"cov entries too large to symmetrize, up to {top}")
         asym = float(abs(cov - cov.T).max())
-        if asym > 1e-12 * max(1.0, float(abs(cov).max())):
+        if asym > 1e-12 * max(1.0, top):
             raise InvalidInputError(f"covariance not symmetric (max deviation {asym})")
         cov = 0.5 * (cov + cov.T)
         scale = float(cov.diagonal().max())

@@ -663,17 +663,15 @@ def rate_kernel(
         def integral(s, t):
             return antider(t) - antider(s)
 
-    # ``integral`` is signed and new: an array is turned into the kernel in
-    # place, so a Gram allocates one n-by-n array.  |c x| is c |x| exactly.
+    # ``integral`` is signed and new: it is turned into the kernel in place,
+    # so a Gram allocates one n-by-n array.  |c x| is c |x| exactly.
     def cov(s, t):
         if isinstance(s, float) and isinstance(t, float):
             if s == t:
                 return 1.0
         elif np.shape(s) == np.shape(t) and np.equal(s, t).all():
             return np.ones(np.shape(s))
-        x = integral(s, t)
-        if not isinstance(x, np.ndarray):
-            return np.exp(-abs(x))
+        x = np.asarray(integral(s, t))
         np.abs(x, out=x)
         np.negative(x, out=x)
         return np.exp(x, out=x)

@@ -109,8 +109,6 @@ def _function(spec, kind: str) -> Callable[[float], float]:
 
 def rate_from_spec(spec) -> RateFunction:
     """Parse a rate specification (number, "inf", or an object)."""
-    if isinstance(spec, RateFunction):
-        return spec
     if isinstance(spec, (int, float)):
         return RateFunction.constant(float(spec))
     if isinstance(spec, str):
@@ -145,8 +143,6 @@ def _noise_integral_family(name: str) -> Kernel:
 
 def kernel_from_spec(spec) -> Kernel:
     """Build a kernel from a spec object, JSON text, or file path."""
-    if isinstance(spec, Kernel):
-        return spec
     if isinstance(spec, (str, Path)):
         text = str(spec)
         path = Path(text)

@@ -60,7 +60,7 @@ _BOUND_MARGIN = 1e-9
 #: Last k with 0.5**k > 0.0: it is the smallest subnormal, and 0.5**1075 rounds to 0.0.
 _LAST_HALF_POWER = 1074
 
-#: Cosines :meth:`SpectralMeasure.fourier` holds at a time (512 KiB of doubles).
+#: Cosines :func:`_over_cosines` holds at a time (512 KiB of doubles).
 _FOURIER_COSINES = 2**16
 
 #: Bisection steps :func:`cluster_witnesses` takes per target before it reports a stall.
@@ -115,18 +115,9 @@ class SpectralMeasure:
         """Fourier transform ``mu_hat(t) = sum of eff * cos(t * y)``.
 
         Each entry is its own row sum, so its bits do not depend on how many
-        entries one call evaluates (a matrix-vector product's would).  The
-        entries are summed in chunks of at most ``_FOURIER_COSINES`` cosines,
-        so their memory is bounded whatever the number of entries.
+        entries one call evaluates (a matrix-vector product's would).
         """
-        masses, locs = self.effective()
-        t = np.asarray(t, dtype=float)
-        step = max(1, _FOURIER_COSINES // locs.size)
-        flat, out = t.ravel(), np.empty(t.size)
-        for i in range(0, t.size, step):
-            cosines = np.cos(np.multiply.outer(flat[i : i + step], locs))
-            out[i : i + step] = (cosines * masses).sum(axis=-1)
-        return out.reshape(t.shape)
+        return _over_cosines(self, t, lambda _, cosines, masses: (cosines * masses).sum(axis=-1))
 
     def to_list(self) -> list[dict]:
         return [{"weight": w, "location": y} for w, y in self.atoms]
@@ -134,6 +125,22 @@ class SpectralMeasure:
     @classmethod
     def from_list(cls, data: Sequence[dict]) -> "SpectralMeasure":
         return cls(atoms=tuple((d["weight"], d["location"]) for d in data))
+
+
+def _over_cosines(mu: SpectralMeasure, t, reduce) -> np.ndarray:
+    """``reduce(chunk, cos(chunk x locations), masses)`` over ``t``, shaped as ``t``.
+
+    At most ``_FOURIER_COSINES`` cosines exist at a time, whatever the size of
+    ``t``; ``reduce`` gives each entry of the chunk from its own row alone.
+    """
+    masses, locs = mu.effective()
+    t = np.asarray(t, dtype=float)
+    step = max(1, _FOURIER_COSINES // locs.size)
+    flat, out = t.ravel(), np.empty(t.size)
+    for i in range(0, t.size, step):
+        chunk = flat[i : i + step]
+        out[i : i + step] = reduce(chunk, np.cos(np.multiply.outer(chunk, locs)), masses)
+    return out.reshape(t.shape)
 
 
 def kernel_from_spectral(mu: SpectralMeasure) -> Kernel:
@@ -146,20 +153,14 @@ def fourier_decay_rate(mu: SpectralMeasure, t):
 
     Computed as ``sum of eff * (1 - cos(t y)) / t`` so the result is
     nonnegative by construction.  Each entry is its own vector dot product,
-    so its bits do not depend on how many entries one call evaluates; the
-    cosines are made ``_FOURIER_COSINES`` at a time.
+    so its bits do not depend on how many entries one call evaluates.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise InvalidInputError(f"t must be positive, got {t[t <= 0.0].flat[0]}")
-    masses, locs = mu.effective()
-    step = max(1, _FOURIER_COSINES // locs.size)
-    flat, out = t.ravel(), np.empty(t.size)
-    for i in range(0, t.size, step):
-        chunk = flat[i : i + step]
-        gaps = 1.0 - np.cos(chunk[:, None] * locs)
-        out[i : i + step] = np.matmul(gaps[:, None, :], masses[:, None])[:, 0, 0] / chunk
-    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+    out = _over_cosines(mu, t, lambda chunk, cosines, masses: np.matmul(
+        (1.0 - cosines)[:, None, :], masses[:, None])[:, 0, 0] / chunk)
+    return float(out) if t.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +440,7 @@ def cluster_witnesses(
     """
     if search_grid is None:
         search_grid = np.geomspace(1e-9, 20.0, 4000)
-    grid = np.asarray(search_grid, dtype=float)
-    if np.any(grid <= 0.0):
-        raise InvalidInputError("search grid must be positive")
-    grid = np.sort(grid)
+    grid = np.sort(np.asarray(search_grid, dtype=float))
     rates = fourier_decay_rate(mu, grid)
     out: dict[float, WitnessResult] = {}
     for target in targets:

@@ -38,11 +38,9 @@ class Partition:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).ravel()
+        pts = _as_strictly_increasing(self.points)
         if pts.size < 2:
             raise InvalidInputError("a partition needs at least two points")
-        if not np.all(np.diff(pts) > 0.0):
-            raise InvalidInputError("partition points must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
     @classmethod

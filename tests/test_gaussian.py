@@ -126,6 +126,37 @@ class TestGaussianVector:
             else:
                 GaussianVector.from_json(json.dumps(data))
 
+    @pytest.mark.parametrize("build", ["init", "from_json"])
+    @pytest.mark.parametrize("cov,top", [
+        ([[1e308, 5e307], [5e307, 1e308]], "1e+308"),
+        ([[1.0, -1e308], [-1e308, 1.0]], "1e+308"),
+        ([[1.0, 0.0], [0.0, np.nextafter(kernels._HALF_MAX, np.inf)]], "8.98846567431158e+307"),
+    ])
+    def test_cov_too_large_to_symmetrize_is_rejected(self, build, cov, top):
+        # 0.5 * (cov + cov.T) would store inf where cov + cov.T overflows
+        data = {"times": [0.0, 1.0], "mean": [0.0, 0.0], "cov": cov}
+        with pytest.raises(InvalidInputError,
+                           match=f"^cov entries too large to symmetrize, up to {re.escape(top)}$"):
+            if build == "init":
+                GaussianVector(**data)
+            else:
+                GaussianVector.from_json(json.dumps(data))
+
+    def test_cov_up_to_half_max_keeps_its_bits(self):
+        half = kernels._HALF_MAX
+        cov = np.array([[half, 0.5 * half], [0.5 * half, half]])
+        assert np.array_equal(GaussianVector(times=[0.0, 1.0], mean=[0.0, 0.0], cov=cov).cov, cov)
+
+    @pytest.mark.parametrize("times,message", [
+        ([], "grid must contain at least one time"),
+        ([1.0, 0.0], "grid must be strictly increasing"),
+        ([0.0, math.nan], "grid must be strictly increasing"),
+    ])
+    def test_bad_time_grid_is_rejected(self, times, message):
+        n = len(times)
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            GaussianVector(times=times, mean=np.zeros(n), cov=np.eye(n))
+
 
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(min_value=1, max_value=60), seed=st.integers(0, 2**32 - 1),
@@ -391,3 +422,40 @@ class TestGaussianDistance:
         b = GaussianVector(times=[0, 1], mean=[0, 0], cov=np.eye(2))
         with pytest.raises(InvalidInputError):
             gaussian_distance(a, b)
+
+
+def _law(times):
+    return GaussianVector(times=times, mean=np.zeros(len(times)), cov=np.eye(len(times)))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: GaussianVector(times=[0.0, 1.0], mean=[0.0], cov=np.eye(2)),
+                 InvalidInputError, "shape mismatch: 2 times, mean (1,), cov (2, 2)",
+                 id="vector-shapes"),
+    pytest.param(lambda: TransportPlan(joint=_law([0.0, 1.0]), left_dim=0, right_dim=2),
+                 InvalidInputError, "block dimensions must be positive", id="plan-empty-block"),
+    pytest.param(lambda: TransportPlan(joint=_law([0.0, 1.0]), left_dim=1, right_dim=2),
+                 InvalidInputError, "blocks 1+2 != joint dim 2", id="plan-blocks-vs-joint"),
+    pytest.param(lambda: TransportPlan.from_blocks(np.ones((2, 3)), np.zeros(2), [[1.0]]),
+                 InvalidInputError, "marginal covariances must be square, got (2, 3) and (1, 1)",
+                 id="plan-non-square-marginal"),
+    pytest.param(lambda: condition(scalar_chain([0.5])[0], [1.0, 2.0]),
+                 InvalidInputError, "conditioning point has dim 2, expected 1",
+                 id="condition-point-dim"),
+    pytest.param(lambda: concatenate([]), InvalidInputError, "need at least one transport plan",
+                 id="concatenate-no-plan"),
+    pytest.param(lambda: compose([TransportPlan(joint=_law([0.0, 1.0]), left_dim=1, right_dim=1),
+                                  TransportPlan(joint=_law([1.0, 2.0, 3.0]), left_dim=2,
+                                                right_dim=1)]),
+                 ChainMismatchError, "dim mismatch: right block 1 vs left block 2",
+                 id="compose-block-dims"),
+    pytest.param(lambda: markov_check(_law([0.0, 1.0]), block_dims=[1, 2]),
+                 InvalidInputError, "block dims [1, 2] do not partition dim 2",
+                 id="markov-check-block-dims"),
+    pytest.param(lambda: gaussian_distance(_law([0.0, 1.0]), _law([0.0, 2.0])),
+                 InvalidInputError, "laws live on different time grids",
+                 id="distance-time-grids"),
+])
+def test_bad_arguments_are_named(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -227,6 +227,16 @@ class TestUniformConvergenceDiagnostic:
                 kernels.white_noise(), RateFunction.infinite(), 0.0, 1.0, 1e-2, 4
             )
 
+    def test_lags_past_the_interval_are_clipped_to_it(self):
+        # h_star = 2 on [0, 1]: both lags clip to h = 1 - 1e-12, the worst
+        # deviation of the exponential kernel's decay rate (1 - e^-h) / h
+        h = 1.0 - 1e-12
+        dev = uniform_convergence_diagnostic(
+            kernels.exponential_rate(1.0), RateFunction.constant(1.0), 0.0, 1.0,
+            h_star=2.0, grid_density=2,
+        )
+        assert dev == pytest.approx(1.0 - (1.0 - math.exp(-h)) / h, rel=1e-12)
+
 
 class TestTransformKernel:
     def test_scale_is_taken_at_every_point_before_the_time_change(self):
@@ -771,3 +781,38 @@ def test_transformed_fbm_log_gram_memory_is_its_base_kernels():
     n = 1024
     pts = np.linspace(0.1, 3.0, n)
     assert _traced_peak(lambda: kernels.gram(kern, pts)) <= 5.1 * 8 * n * n
+
+
+def _zero_variance():
+    return Kernel(cov=lambda s, t: np.zeros(np.broadcast(s, t).shape), name="zero")
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: Kernel(), InvalidInputError, "a kernel needs a cov or an eval",
+                 id="kernel-no-callable"),
+    pytest.param(lambda: _zero_variance().std(1.0), SingularMarginalError,
+                 "kernel 'zero' is singular at t=1.0", id="std-singular"),
+    pytest.param(lambda: kernels.gram(kernels.fbm(0.5), []), InvalidInputError,
+                 "grid must contain at least one time", id="gram-empty-grid"),
+    pytest.param(lambda: decay_rate(kernels.fbm(0.5), 1.0, 0.0), InvalidInputError,
+                 "h must be positive, got 0.0", id="decay-rate-h"),
+    pytest.param(lambda: estimate_alpha(kernels.fbm(0.5), 1.0, [0.1, 0.01]), InvalidInputError,
+                 "h_sequence needs at least three values", id="alpha-short-sequence"),
+    pytest.param(lambda: uniform_convergence_diagnostic(
+        kernels.constant(), RateFunction.constant(0.0), 1.0, 1.0, 0.1, 3),
+        InvalidInputError, "need s < t", id="diagnostic-interval"),
+    pytest.param(lambda: uniform_convergence_diagnostic(
+        kernels.constant(), RateFunction.constant(0.0), 0.0, 1.0, 0.1, 1),
+        InvalidInputError, "grid_density must be at least 2", id="diagnostic-density"),
+    pytest.param(lambda: kernels.noise_integral(lambda t, u: 1.0, (1.0, 1.0)), InvalidInputError,
+                 "empty integration interval (1.0, 1.0)", id="noise-integral-interval"),
+    pytest.param(lambda: kernels.noise_integral(lambda t, u: 1.0, (0.0, math.inf)).eval(1.0, 1.0),
+                 InvalidInputError,
+                 "noise-integral integrand does not decay on (0.0, inf) at (1.0, 1.0)",
+                 id="noise-integral-tail"),
+    pytest.param(lambda: kernels.matrix_kernel([0.0, 1.0], np.eye(2)).eval(0.0, 0.5),
+                 InvalidInputError, "time 0.5 not on the kernel grid", id="matrix-off-grid"),
+])
+def test_bad_arguments_are_named(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

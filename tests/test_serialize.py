@@ -4,7 +4,7 @@ import math
 import pytest
 
 from gaussmarkov.errors import InvalidInputError
-from gaussmarkov.kernels import fbm
+from gaussmarkov.kernels import RateFunction, fbm
 from gaussmarkov.serialize import (
     MAX_GRID_POINTS,
     kernel_from_spec,
@@ -61,6 +61,19 @@ class TestKernelSpecs:
         kern = kernel_from_spec(spec)
         assert kern.eval(0.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-9)
 
+    @pytest.mark.parametrize("bounds,domain", [
+        (["-inf", "inf"], (-math.inf, math.inf)),
+        ([" -INF ", "+inf"], (-math.inf, math.inf)),
+        ([0, "Infinity"], (0.0, math.inf)),
+        ([0, None], (0.0, math.inf)),
+    ])
+    def test_domain_bounds(self, bounds, domain):
+        assert kernel_from_spec({"type": "exponential", "domain": bounds}).domain == domain
+
+    def test_a_kernel_is_not_a_spec(self):
+        with pytest.raises(InvalidInputError, match="^kernel spec must be an object, got <class"):
+            kernel_from_spec(fbm(0.5))
+
     def test_unknown_type_rejected(self):
         with pytest.raises(InvalidInputError):
             kernel_from_spec({"type": "spline"})
@@ -83,6 +96,10 @@ class TestRateSpecs:
         power = rate_from_spec({"form": "power", "coeff": 3.0, "exponent": -1.0})
         assert power(2.0) == 1.5
         assert rate_from_spec({"form": "infinite"}).is_infinite
+
+    def test_a_rate_function_is_not_a_spec(self):
+        with pytest.raises(InvalidInputError, match=r"^cannot parse rate spec RateFunction\("):
+            rate_from_spec(RateFunction.constant(1.0))
 
     def test_unknown_form(self):
         with pytest.raises(InvalidInputError):

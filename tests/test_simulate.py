@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -525,3 +526,22 @@ class TestExports:
         )
         summary = report.summary_dict()
         assert set(summary) >= {"max_cov_discrepancy", "sde", "gauss", "analytic"}
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: TrajectoryBatch(times=[0.0, 1.0], paths=[[1.0, 2.0, 3.0]]),
+                 "paths shape (1, 3) does not match 2 times", id="batch-shape"),
+    pytest.param(lambda: TrajectoryBatch(times=[0.0, 1.0], paths=[[1.0, math.nan]]),
+                 "paths contain non-finite entries", id="batch-non-finite"),
+    pytest.param(lambda: cholesky_sample(GaussianVector([0.0], [0.0], [[1.0]]), 0, seed=1),
+                 "need at least one path", id="cholesky-no-path"),
+    pytest.param(lambda: mimicking_sde(kernels.exponential_rate(1.0), RateFunction.infinite(),
+                                       0.0, 0.1),
+                 "the SDE form requires a finite rate", id="sde-infinite-rate"),
+    pytest.param(lambda: figure_comparison(kernels.exponential_rate(1.0), RateFunction.constant(1.0),
+                                           [0.0], n_paths=10, seed=1),
+                 "need at least two grid times", id="comparison-one-time"),
+])
+def test_bad_arguments_are_named(call, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()

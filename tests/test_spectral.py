@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -465,3 +466,23 @@ def test_array_decay_rate_on_the_readme_measures(partial_measure):
         assert fourier_decay_rate(mu, square).shape == (3, 4)
     with pytest.raises(InvalidInputError, match="t must be positive, got 0.0"):
         fourier_decay_rate(two_point(), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: WeierstrassConfig(a=1.0), "need 0 < a < 1, got 1.0", id="config-a"),
+    pytest.param(lambda: WeierstrassConfig(a=0.5, b=2.0), "need a*b > 1, got 1.0", id="config-ab"),
+    pytest.param(lambda: WeierstrassConfig(k_cut=1), "k_cut must be at least 2", id="config-k-cut"),
+    pytest.param(lambda: WeierstrassConfig(i_max=0), "i_max must be at least 1", id="config-i-max"),
+    pytest.param(lambda: spectral.piecewise_f(
+        WeierstrassConfig(), spectral.WitnessIndices((2,), (), ""), 0.0),
+        "x must be positive, got 0.0", id="piecewise-f-x"),
+    pytest.param(lambda: spectral.measure_from_windows(WeierstrassConfig(a=0.25, b=5.0), [(2, 3)]),
+                 "the probability normalization requires a = 1/2", id="measure-a"),
+    pytest.param(lambda: cluster_witnesses(two_point(), [-1.0]),
+                 "targets must be finite and nonnegative, got -1.0", id="witness-target"),
+    pytest.param(lambda: cluster_witnesses(two_point(), [1.0], search_grid=[1.0, -2.0, 0.0]),
+                 "t must be positive, got -2.0", id="witness-grid"),
+])
+def test_bad_arguments_are_named(call, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -32,11 +33,15 @@ def fbm_cov(h, s, t):
 
 
 class TestPartition:
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            Partition(points=[0.0])
-        with pytest.raises(InvalidInputError):
-            Partition(points=[0.0, 0.0, 1.0])
+    @pytest.mark.parametrize("points,message", [
+        ([], "grid must contain at least one time"),
+        ([0.0], "a partition needs at least two points"),
+        ([0.0, 0.0, 1.0], "grid must be strictly increasing"),
+        ([0.0, math.nan], "grid must be strictly increasing"),
+    ])
+    def test_validation(self, points, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            Partition(points=points)
 
     def test_mesh(self):
         part = Partition(points=[0.0, 0.25, 1.0])
@@ -561,3 +566,42 @@ class TestTightnessBound:
         assert report.passed
         # ratios shrink with the mesh for a vanishing limit rate
         assert report.per_partition[-1] < report.per_partition[0]
+
+
+def _cosine():
+    from gaussmarkov.spectral import SpectralMeasure, kernel_from_spectral
+
+    return kernel_from_spectral(SpectralMeasure(atoms=((0.5, 1.0),)))  # K(s, t) = cos(t - s)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: Partition.uniform(0.0, 1.0, 0), InvalidInputError,
+                 "need at least one interval", id="uniform-no-interval"),
+    pytest.param(lambda: AdmissibleSequence.geometric(ratio=1.0), InvalidInputError,
+                 "ratio must be in (0, 1)", id="geometric-ratio"),
+    pytest.param(lambda: AdmissibleSequence.from_steps([0.5, 0.25], [1.0]), InvalidInputError,
+                 "need one half-width per step", id="from-steps-halfwidths"),
+    pytest.param(lambda: local_convergence_experiment(kernels.fbm(0.5), kernels.fbm(0.5),
+                                                      0.0, 1.0, []),
+                 InvalidInputError, "need at least one partition", id="local-no-partition"),
+    pytest.param(lambda: local_convergence_experiment(kernels.fbm(0.5), kernels.fbm(0.5), 0.0, 1.0,
+                                                      [Partition(points=[0.0, 2.0])]),
+                 InvalidInputError, "partition [0.0, 2.0] does not span [0.0, 1.0]",
+                 id="local-span"),
+    pytest.param(lambda: global_convergence_experiment(
+        kernels.fbm(0.5), kernels.fbm(0.5), AdmissibleSequence.geometric(), [1.0], 1),
+        InvalidInputError, "need at least two query times", id="global-one-query"),
+    pytest.param(lambda: tightness_bound_check(kernels.fbm(0.5), RateFunction.constant(1.0),
+                                               0.0, 1.0, []),
+                 InvalidInputError, "need at least one partition", id="tightness-no-partition"),
+    pytest.param(lambda: tightness_bound_check(kernels.fbm(0.5), RateFunction.constant(1.0),
+                                               0.0, 1.0, [Partition(points=[0.0, 2.0])]),
+                 InvalidInputError, "partition leaves [0.0, 1.0]", id="tightness-range"),
+    pytest.param(lambda: tightness_bound_check(_cosine(), RateFunction.constant(1.0),
+                                               0.0, 4.0, [Partition(points=[0.0, 2.0, 4.0])]),
+                 SingularMarginalError, "nonpositive one-step correlation",
+                 id="tightness-negative-correlation"),
+])
+def test_bad_arguments_are_named(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
