@@ -790,6 +790,12 @@ def _zero_variance():
 @pytest.mark.parametrize("call,error,message", [
     pytest.param(lambda: Kernel(), InvalidInputError, "a kernel needs a cov or an eval",
                  id="kernel-no-callable"),
+    pytest.param(lambda: Kernel(cov=np.multiply, domain=(1.0, 1.0)), InvalidInputError,
+                 "empty kernel domain (1.0, 1.0)", id="kernel-empty-domain"),
+    pytest.param(lambda: kernels.fbm(1.0), InvalidInputError,
+                 "Hurst parameter must lie in (0, 1), got 1.0", id="fbm-hurst"),
+    pytest.param(lambda: kernels.fbm_log(0.0), InvalidInputError,
+                 "Hurst parameter must lie in (0, 1), got 0.0", id="fbm-log-hurst"),
     pytest.param(lambda: _zero_variance().std(1.0), SingularMarginalError,
                  "kernel 'zero' is singular at t=1.0", id="std-singular"),
     pytest.param(lambda: kernels.gram(kernels.fbm(0.5), []), InvalidInputError,
@@ -810,6 +816,10 @@ def _zero_variance():
                  InvalidInputError,
                  "noise-integral integrand does not decay on (0.0, inf) at (1.0, 1.0)",
                  id="noise-integral-tail"),
+    pytest.param(lambda: transform_kernel(kernels.fbm(0.5), lambda t: 0.0, lambda t: t).eval(1.0, 2.0),
+                 InvalidInputError, "scale vanishes at 1.0", id="transform-zero-scale"),
+    pytest.param(lambda: kernels.matrix_kernel([0.0, 1.0], np.eye(3)), InvalidInputError,
+                 "matrix shape does not match grid length", id="matrix-shape"),
     pytest.param(lambda: kernels.matrix_kernel([0.0, 1.0], np.eye(2)).eval(0.0, 0.5),
                  InvalidInputError, "time 0.5 not on the kernel grid", id="matrix-off-grid"),
 ])

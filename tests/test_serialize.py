@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -69,6 +70,14 @@ class TestKernelSpecs:
     ])
     def test_domain_bounds(self, bounds, domain):
         assert kernel_from_spec({"type": "exponential", "domain": bounds}).domain == domain
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"type": "exponential", "domain": ["x", 1]}, "bad domain bound 'x'"),
+        ({"type": "noise_integral", "family": "gauss"}, "unknown noise-integral family 'gauss'"),
+    ])
+    def test_bad_field_is_named(self, spec, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            kernel_from_spec(spec)
 
     def test_a_kernel_is_not_a_spec(self):
         with pytest.raises(InvalidInputError, match="^kernel spec must be an object, got <class"):

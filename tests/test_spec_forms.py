@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gaussmarkov.errors import InvalidInputError
 from gaussmarkov.serialize import _FORMS, _function, rate_from_spec
 from test_boundaries import NEAR_VALID
 
@@ -78,3 +79,12 @@ def test_every_form_with_its_defaults_matches_reference(kind):
         for t in SAMPLE_TIMES[2:-1]:
             assert struct.pack("<d", new(t)) == struct.pack("<d", ref(t))
             assert math.isfinite(new(t))
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"form": "affine", "slope": 0.0}, "affine time change must have positive slope"),
+    ({"form": "log", "coeff": -1.0}, "log time change must have positive coefficient"),
+    ({"form": "exp", "coeff": 1.0, "rate": -1.0}, "exp time change must be increasing"),
+])
+def test_decreasing_time_change_is_rejected(spec, message):
+    assert _outcome(_function, spec, "time-change") == (InvalidInputError, message)

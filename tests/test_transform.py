@@ -33,13 +33,19 @@ def fbm_cov(h, s, t):
 
 
 class TestPartition:
+    def test_validation(self):
+        with pytest.raises(InvalidInputError):
+            Partition(points=[0.0])
+        with pytest.raises(InvalidInputError):
+            Partition(points=[0.0, 0.0, 1.0])
+
     @pytest.mark.parametrize("points,message", [
         ([], "grid must contain at least one time"),
         ([0.0], "a partition needs at least two points"),
         ([0.0, 0.0, 1.0], "grid must be strictly increasing"),
         ([0.0, math.nan], "grid must be strictly increasing"),
     ])
-    def test_validation(self, points, message):
+    def test_bad_points_are_named(self, points, message):
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             Partition(points=points)
 
