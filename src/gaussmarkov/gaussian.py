@@ -36,6 +36,51 @@ MARGINAL_MATCH_TOL = 1e-10
 MARKOV_RESIDUAL_TOL = 1e-8
 
 
+def _require_finite(name: str, value: np.ndarray) -> None:
+    finite = np.isfinite(value)
+    if not finite.all():
+        raise InvalidInputError(f"{name} must be finite, got {value[~finite][0]}")
+
+
+def _require_fields(times: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> None:
+    """Matching shapes, then finite ``times`` and ``mean``."""
+    n = times.size
+    if mean.shape != (n,) or cov.shape != (n, n):
+        raise InvalidInputError(
+            f"shape mismatch: {n} times, mean {mean.shape}, cov {cov.shape}"
+        )
+    _require_finite("times", times)
+    _require_finite("mean", mean)
+
+
+def _largest_entry(cov: np.ndarray) -> float:
+    """``max |cov|``, after checking that ``cov`` is finite and at most ``_HALF_MAX``
+    entrywise, so that symmetrizing it cannot overflow."""
+    top = float(abs(cov).max())
+    if not top <= _HALF_MAX:  # NaN compares false, and propagates through max
+        _require_finite("cov", cov)
+        raise InvalidInputError(f"cov entries too large to symmetrize, up to {top}")
+    return top
+
+
+def _require_psd(cov: np.ndarray) -> None:
+    """PSD certificate of a symmetric ``cov``: a Cholesky factorization of ``cov``
+    shifted by ``TOL_PSD * max(diagonal)``; only when it fails does ``eigvalsh``
+    decide, and a rejection names the minimum eigenvalue."""
+    scale = float(cov.diagonal().max())
+    tol = TOL_PSD * max(scale, 1e-300)
+    shifted = cov.copy()
+    shifted.flat[:: cov.shape[0] + 1] += tol
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(cov)[0])
+        if min_eig < -tol:
+            raise InvalidInputError(
+                f"covariance not PSD: min eigenvalue {min_eig}, scale {scale}"
+            ) from None
+
+
 @dataclass(frozen=True)
 class GaussianVector:
     """Finite-dimensional Gaussian law on an ordered time grid.
@@ -47,6 +92,11 @@ class GaussianVector:
     by that bound certifies PSD; only when it fails does ``eigvalsh``
     decide, and a rejection names its minimum eigenvalue.  The covariance
     is stored symmetrized.
+
+    The laws made Markov by ``transform.made_markov_law`` and its sweep
+    come from :meth:`_built` instead, which makes only the checks their
+    building does not guarantee: a finite ``cov`` within the size bound, and
+    the PSD certificate.  Their times and mean are checked once per sweep.
     """
 
     times: np.ndarray
@@ -57,37 +107,32 @@ class GaussianVector:
         times = _as_strictly_increasing(self.times)
         mean = np.asarray(self.mean, dtype=float).ravel()
         cov = np.asarray(self.cov, dtype=float)
-        n = times.size
-        if mean.shape != (n,) or cov.shape != (n, n):
-            raise InvalidInputError(
-                f"shape mismatch: {n} times, mean {mean.shape}, cov {cov.shape}"
-            )
-        for name, value in (("times", times), ("mean", mean), ("cov", cov)):
-            finite = np.isfinite(value)
-            if not finite.all():
-                raise InvalidInputError(f"{name} must be finite, got {value[~finite][0]}")
-        top = float(abs(cov).max())
-        if top > _HALF_MAX:
-            raise InvalidInputError(f"cov entries too large to symmetrize, up to {top}")
+        _require_fields(times, mean, cov)
+        top = _largest_entry(cov)
         asym = float(abs(cov - cov.T).max())
         if asym > 1e-12 * max(1.0, top):
             raise InvalidInputError(f"covariance not symmetric (max deviation {asym})")
         cov = 0.5 * (cov + cov.T)
-        scale = float(cov.diagonal().max())
-        tol = TOL_PSD * max(scale, 1e-300)
-        shifted = cov.copy()
-        shifted.flat[:: n + 1] += tol
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            min_eig = float(np.linalg.eigvalsh(cov)[0])
-            if min_eig < -tol:
-                raise InvalidInputError(
-                    f"covariance not PSD: min eigenvalue {min_eig}, scale {scale}"
-                ) from None
+        _require_psd(cov)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+
+    @classmethod
+    def _built(cls, times: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> "GaussianVector":
+        """A law from float arrays whose ``times`` and ``mean`` have passed
+        :func:`_require_fields` with ``cov``, and whose ``cov`` is exactly
+        symmetric, so ``__post_init__`` would store it as it is.  Checks that
+        ``cov`` is finite, within the size bound and PSD, with the messages
+        of ``__post_init__``.
+        """
+        _largest_entry(cov)
+        _require_psd(cov)
+        law = object.__new__(cls)
+        object.__setattr__(law, "times", times)
+        object.__setattr__(law, "mean", mean)
+        object.__setattr__(law, "cov", cov)
+        return law
 
     @property
     def dim(self) -> int:

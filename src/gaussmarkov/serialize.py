@@ -43,9 +43,10 @@ from .kernels import Kernel, RateFunction
 MAX_GRID_POINTS = 4096
 
 
-def _bound(value) -> float:
+def _bound(value, missing: float) -> float:
+    """One domain bound; ``None`` (JSON ``null``) is the unbounded end, ``missing``."""
     if value is None:
-        return math.inf
+        return missing
     if isinstance(value, str):
         text = value.strip().lower()
         if text in ("inf", "+inf", "infinity"):
@@ -62,7 +63,7 @@ def _domain(value, default):
         return default
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise InvalidInputError(f"domain must be a pair [lo, hi], got {value!r}")
-    return _bound(value[0]), _bound(value[1])
+    return _bound(value[0], -math.inf), _bound(value[1], math.inf)
 
 
 #: The forms each kind of function of time accepts: the one list of them.

@@ -30,6 +30,9 @@ from .kernels import (
 #: Point pairs per power-of-two stride that :func:`tightness_bound_check` probes.
 TIGHTNESS_PAIRS_PER_STRIDE = 32
 
+#: Most intervals a :meth:`Partition.uniform` may have: 128 MiB of points.
+MAX_PARTITION_INTERVALS = 2**24
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -47,6 +50,10 @@ class Partition:
     def uniform(cls, s: float, t: float, n_intervals: int) -> "Partition":
         if n_intervals < 1:
             raise InvalidInputError("need at least one interval")
+        if n_intervals > MAX_PARTITION_INTERVALS:
+            raise InvalidInputError(
+                f"partition of {n_intervals} intervals, above the cap of {MAX_PARTITION_INTERVALS}"
+            )
         return cls(points=np.linspace(s, t, n_intervals + 1))
 
     @classmethod
@@ -216,7 +223,10 @@ def _made_markov_laws(kernel: Kernel, split_sets, query_times) -> Iterator[Gauss
     """:func:`made_markov_law` at each split set in turn, on the same query times.
 
     The queries are validated and chained once, after the first set's
-    domain check, and their means taken with the first law.  Each set's law
+    domain check, and their means taken and checked with the first law.
+    Each law's covariance is exactly symmetric as built, so
+    :meth:`GaussianVector._built` checks only that it is finite, within the
+    size bound and PSD, with the messages of ``GaussianVector``.  Each set's law
     is built in full, in two kernel calls and O(q^2 + m) memory, before the
     next set is drawn, so the sweep holds one set at a time and raises the
     first error that :func:`made_markov_law` meets set after set.
@@ -230,11 +240,13 @@ def _made_markov_laws(kernel: Kernel, split_sets, query_times) -> Iterator[Gauss
             kernel.require_in_domain(queries)
             _, var = _chain(kernel, queries)
         # Only splits strictly inside the query range separate two queries.
-        splits = splits[(splits > queries[0]) & (splits < queries[-1])]
+        splits = splits[splits.searchsorted(queries[0], side="right"):
+                        splits.searchsorted(queries[-1], side="left")]
         cov = _made_markov_cov(kernel, splits, queries, var)
         if mean is None:
-            mean = np.array([kernel.mean(float(t)) for t in queries])
-        yield GaussianVector(times=queries, mean=mean.copy(), cov=cov)
+            mean = np.asarray([kernel.mean(float(t)) for t in queries], dtype=float).ravel()
+            gaussian._require_fields(queries, mean, cov)
+        yield GaussianVector._built(queries, mean.copy(), cov)
 
 
 def _made_markov_cov(kernel: Kernel, splits: np.ndarray, queries: np.ndarray,
@@ -251,38 +263,38 @@ def _made_markov_cov(kernel: Kernel, splits: np.ndarray, queries: np.ndarray,
     rows = np.arange(n)
     after = splits.searchsorted(queries, side="right")  # first split after each query
     before = splits.searchsorted(queries, side="left") - 1  # last split before it
-    j0 = np.maximum(rows + 1, before.searchsorted(after))  # first query past the next split
+    # First query past the next split; past query i itself, as before[i] < after[i].
+    j0 = before.searchsorted(after)
+    # Queries h0: have a split before them, queries :s1 one after them.
+    h0, s1 = int(before.searchsorted(0)), int(j0.searchsorted(n))
     # Pairs i < j < j0[i] have no split between them: the kernel's own covariance.
-    counts = j0 - rows - 1
-    pi = rows.repeat(counts)
-    pj = pi + 1 + np.arange(pi.size) - (counts.cumsum() - counts).repeat(counts)
-    has, split_rows = (before >= 0).nonzero()[0], (j0 < n).nonzero()[0]
+    pi, pj = ((rows[:, None] < rows) & (rows < j0[:, None])).nonzero()
     # (r_before, q) and (q, r_after) pairs
-    near = np.concatenate([splits[before[has]], queries[split_rows]])
-    far = np.concatenate([queries[has], splits[after[split_rows]]])
-    k = near.size
-    values = kernel.cov(np.concatenate([splits, near, queries[pi]]),
-                        np.concatenate([splits, far, queries[pj]]))
+    k = n - h0 + s1
+    near = np.concatenate([splits, splits[before[h0:]], queries[:s1], queries[pi]])
+    values = kernel.cov(near, np.concatenate([splits, queries[h0:], splits[after[:s1]], queries[pj]]))
+    near = near[m : m + k].copy()  # the earlier time of each pair; frees the m splits' copy
     split_var, cross = values[:m], values[m : m + k]
     steps = kernel.cov(splits[:-1], splits[1:])
     _check_chain(splits, steps, split_var)
-    _require_psd_pairs(np.concatenate([split_var[before[has]], var[split_rows]]),
-                       np.concatenate([var[has], split_var[after[split_rows]]]), cross, near)
-    last = np.zeros(n)  # K(r_before, q) / K(r_before, r_before)
-    last[has] = cross[: has.size] / split_var[before[has]]
+    var_before = split_var[before[h0:]]
+    _require_psd_pairs(np.concatenate([var_before, var[:s1]]),
+                       np.concatenate([var[h0:], split_var[after[:s1]]]), cross, near)
+    last = cross[: n - h0] / var_before  # K(r_before, q) / K(r_before, r_before), queries h0:
     cov = np.zeros((n, n))
     cov[pi, pj] = values[m + k :]
-    factors = steps / split_var[:-1]
+    # factors[k] = K(r_{k-1}, r_k) / K(r_{k-1}, r_{k-1}); each row sets its own first entry
+    factors = np.empty(m)
+    np.divide(steps, split_var[:-1], out=factors[1:])
     run = np.empty(m)
-    for i, first, a, j in zip(split_rows.tolist(), cross[has.size :].tolist(),
-                              after[split_rows].tolist(), j0[split_rows].tolist()):
-        row = run[a:]  # run[k] = K(q_i, r_a) * factors[a] * ... * factors[k - 1]
-        row[0] = first
-        row[1:] = factors[a:]
-        row.cumprod(out=row)
-        np.multiply(run[before[j:]], last[j:], out=cov[i, j:])
+    for i, (first, a, j) in enumerate(zip(cross[n - h0 :].tolist(), after[:s1].tolist(),
+                                          j0[:s1].tolist())):
+        factors[a] = first  # rows come in order of a: no later row reads factors[a]
+        # run[k] = K(q_i, r_a) * factors[a + 1] * ... * factors[k]
+        factors[a:].cumprod(out=run[a:])
+        np.multiply(run[before[j:]], last[j - h0 :], out=cov[i, j:])
     cov = cov + cov.T
-    np.fill_diagonal(cov, var)
+    cov.flat[:: n + 1] = var
     return cov
 
 

@@ -347,6 +347,16 @@ class TestConverge:
                      "--n-max", "2", "--out", str(tmp_path)]) == 0
         assert len(read_csv(tmp_path / "convergence.csv")) == 3
 
+    @pytest.mark.parametrize("mesh", ["1e-9", "1e-300"])
+    def test_partition_above_the_cap_is_a_validation_failure(self, tmp_path, capsys, mesh):
+        assert main(["converge", "--kernel", '{"type": "exponential", "rate": 1.0}',
+                     "--alpha", "1.0", "--grid", "0:1:2", "--mesh-sequence", mesh,
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: partition of {round(1.0 / float(mesh))} intervals, "
+            "above the cap of 16777216\n"
+        )
+
     def test_both_modes_rejected(self, tmp_path):
         code = main([
             "converge",

@@ -67,6 +67,7 @@ class TestKernelSpecs:
         ([" -INF ", "+inf"], (-math.inf, math.inf)),
         ([0, "Infinity"], (0.0, math.inf)),
         ([0, None], (0.0, math.inf)),
+        ([None, 2], (-math.inf, 2.0)),
     ])
     def test_domain_bounds(self, bounds, domain):
         assert kernel_from_spec({"type": "exponential", "domain": bounds}).domain == domain

@@ -11,6 +11,7 @@ from gaussmarkov.errors import InvalidInputError, InvalidRateError, SingularMarg
 from gaussmarkov.gaussian import gaussian_distance, markov_check
 from gaussmarkov.kernels import RateFunction, estimate_alpha
 from gaussmarkov.transform import (
+    MAX_PARTITION_INTERVALS,
     AdmissibleSequence,
     Partition,
     _made_markov_laws,
@@ -549,6 +550,37 @@ def test_zero_variance_target_is_singular(run):
         run(kernels.fbm(0.5))
 
 
+# No split falls strictly between the queries 1, 2 and 3, so their law is the
+# table's own, with eigenvalues 1.9, 1.9 and -0.8; time 0 is there for the split
+# that every R_n holds.
+_NON_PSD_BLOCK = kernels.matrix_kernel([0.0, 1.0, 2.0, 3.0], [
+    [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.9, 0.9], [0.0, 0.9, 1.0, -0.9], [0.0, 0.9, -0.9, 1.0],
+])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("kern,queries,message", [
+    pytest.param(_NON_PSD_BLOCK, [1.0, 2.0, 3.0],
+                 "covariance not PSD: min eigenvalue -0.8, scale 1.0", id="non-psd-block"),
+    pytest.param(kernels.fbm_log(0.5), [0.0, 1.0, math.inf],
+                 "times must be finite, got inf", id="infinite-time"),
+    pytest.param(dataclasses.replace(kernels.fbm_log(0.5), mean=lambda t: math.inf), [0.0, 1.0],
+                 "mean must be finite, got inf", id="infinite-mean"),
+])
+def test_made_markov_laws_keep_the_law_checks(kern, queries, message):
+    # Every R_n here is {0}, at or before the first query.  The global experiment
+    # builds the target's law first, which names an infinite time the same way.
+    adm = AdmissibleSequence.from_steps([4.0, 3.5], [3.0, 3.0])
+    runs = [
+        lambda: made_markov_law(kern, [0.0], queries),
+        lambda: list(_made_markov_laws(kern, adm.sets(2), queries)),
+        lambda: global_convergence_experiment(kern, kernels.constant(), adm, queries, 2),
+    ]
+    for run in runs:
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            run()
+
+
 class TestTightnessBound:
     def test_exponential_about_one(self):
         kern = kernels.exponential_rate(1.0)
@@ -583,6 +615,12 @@ def _cosine():
 @pytest.mark.parametrize("call,error,message", [
     pytest.param(lambda: Partition.uniform(0.0, 1.0, 0), InvalidInputError,
                  "need at least one interval", id="uniform-no-interval"),
+    pytest.param(lambda: Partition.uniform(0.0, 1.0, MAX_PARTITION_INTERVALS + 1),
+                 InvalidInputError, "partition of 16777217 intervals, above the cap of 16777216",
+                 id="uniform-above-cap"),
+    pytest.param(lambda: Partition.dyadic(0.0, 1.0, 300), InvalidInputError,
+                 f"partition of {2**300} intervals, above the cap of 16777216",
+                 id="dyadic-above-cap"),
     pytest.param(lambda: AdmissibleSequence.geometric(ratio=1.0), InvalidInputError,
                  "ratio must be in (0, 1)", id="geometric-ratio"),
     pytest.param(lambda: AdmissibleSequence.from_steps([0.5, 0.25], [1.0]), InvalidInputError,
