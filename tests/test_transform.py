@@ -618,9 +618,6 @@ def _cosine():
     pytest.param(lambda: Partition.uniform(0.0, 1.0, MAX_PARTITION_INTERVALS + 1),
                  InvalidInputError, "partition of 16777217 intervals, above the cap of 16777216",
                  id="uniform-above-cap"),
-    pytest.param(lambda: Partition.dyadic(0.0, 1.0, 300), InvalidInputError,
-                 f"partition of {2**300} intervals, above the cap of 16777216",
-                 id="dyadic-above-cap"),
     pytest.param(lambda: AdmissibleSequence.geometric(ratio=1.0), InvalidInputError,
                  "ratio must be in (0, 1)", id="geometric-ratio"),
     pytest.param(lambda: AdmissibleSequence.from_steps([0.5, 0.25], [1.0]), InvalidInputError,
