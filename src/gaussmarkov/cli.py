@@ -306,13 +306,16 @@ def _cmd_converge(kernel, alpha, grid, mesh_sequence, steps, n_max, out) -> int:
     target = kernels.rate_kernel(alpha, domain=kernel.domain)
     if mesh_sequence is not None:
         s, t = grid[[0, -1]].tolist()
-        partitions = [
-            transform.Partition.uniform(s, t, max(1, round((t - s) / mesh)))
-            for mesh in mesh_sequence
-        ]
+        partitions = []
+        for mesh in mesh_sequence:
+            count = (t - s) / mesh  # unrounded: a subnormal mesh gives inf, which round() refuses
+            if count > transform.MAX_PARTITION_INTERVALS:
+                raise InvalidInputError(f"partition of {count:.0f} intervals, above the cap "
+                                        f"of {transform.MAX_PARTITION_INTERVALS}")
+            partitions.append(transform.Partition.uniform(s, t, max(1, round(count))))
         rows = transform.local_convergence_experiment(kernel, target, s, t, partitions)
     else:
-        # from_steps repeats its last set: a count past the steps adds only copies
+        # a count past the steps is a usage error, not the library's validation failure
         if n_max is not None and n_max > len(steps):
             raise UsageError(f"--n-max: {n_max} sets asked for, but --steps gives {len(steps)}")
         adm = transform.AdmissibleSequence.from_steps(steps)

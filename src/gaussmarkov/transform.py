@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -76,65 +76,55 @@ class Partition:
 
 @dataclass(frozen=True)
 class AdmissibleSequence:
-    """Generator of time sets ``R_n = step(n) * Z intersect [-w(n), w(n)]``.
+    """Time sets ``R_n = steps[n-1] * Z intersect [-w, w]``, ``w = halfwidths[n-1]``.
 
-    Admissibility (inf to -inf, sup to +inf, mesh to 0) is sanity-checked
-    on the first ``check_first`` generated sets.
+    Admissibility (inf to -inf, sup to +inf, mesh to 0) is checked on every
+    set at construction.  There is no set past the last.
     """
 
-    step_at: Callable[[int], float]
-    halfwidth_at: Callable[[int], float]
-    check_first: int = 4
+    steps: tuple[float, ...]
+    halfwidths: tuple[float, ...]
 
     def __post_init__(self):
-        steps = [self.step_at(n) for n in range(1, self.check_first + 1)]
-        widths = [self.halfwidth_at(n) for n in range(1, self.check_first + 1)]
+        steps, widths = tuple(map(float, self.steps)), tuple(map(float, self.halfwidths))
+        if len(widths) != len(steps):
+            raise InvalidInputError("need one half-width per step")
         if not all(math.isfinite(v) and v > 0.0 for v in steps + widths):
             raise InvalidInputError(
                 f"steps and half-widths must be positive and finite, "
-                f"got steps {steps} and half-widths {widths}"
+                f"got steps {list(steps)} and half-widths {list(widths)}"
             )
         if len(steps) >= 2:
             if any(b > a + 1e-15 for a, b in zip(steps, steps[1:])) or steps[-1] >= steps[0]:
                 raise InvalidInputError("steps must decrease toward zero")
             if any(b < a - 1e-15 for a, b in zip(widths, widths[1:])):
                 raise InvalidInputError("half-widths must not shrink")
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "halfwidths", widths)
 
     @classmethod
-    def geometric(cls, ratio: float = 0.5, first_step: float = 1.0) -> "AdmissibleSequence":
+    def geometric(cls, n_sets: int, ratio: float = 0.5, first_step: float = 1.0):
+        """``n_sets`` sets with steps ``first_step * ratio**n`` and half-widths ``n``."""
         if not 0.0 < ratio < 1.0:
             raise InvalidInputError("ratio must be in (0, 1)")
-        return cls(
-            step_at=lambda n: first_step * ratio**n,
-            halfwidth_at=lambda n: float(n),
-        )
+        return cls.from_steps([first_step * ratio**n for n in range(1, n_sets + 1)])
 
     @classmethod
     def from_steps(cls, steps: Sequence[float], halfwidths: Sequence[float] | None = None):
-        steps = [float(s) for s in steps]
-        if halfwidths is None:
-            halfwidths = [float(n) for n in range(1, len(steps) + 1)]
-        halfwidths = [float(w) for w in halfwidths]
-        if len(halfwidths) != len(steps):
-            raise InvalidInputError("need one half-width per step")
-
-        def step_at(n: int) -> float:
-            return steps[min(n, len(steps)) - 1]
-
-        def halfwidth_at(n: int) -> float:
-            return halfwidths[min(n, len(halfwidths)) - 1]
-
-        return cls(step_at=step_at, halfwidth_at=halfwidth_at, check_first=len(steps))
+        """The given steps, with half-widths ``1, 2, ...`` unless given."""
+        return cls(steps, range(1, len(steps) + 1) if halfwidths is None else halfwidths)
 
     def time_set(self, n: int) -> np.ndarray:
-        step = self.step_at(n)
-        width = self.halfwidth_at(n)
-        k_max = int(math.floor(width / step))
-        return step * np.arange(-k_max, k_max + 1, dtype=float)
+        if not 1 <= n <= len(self.steps):
+            raise InvalidInputError(f"no time set R_{n}: the sequence has {len(self.steps)} sets")
+        k_max = int(math.floor(self.halfwidths[n - 1] / self.steps[n - 1]))
+        return self.steps[n - 1] * np.arange(-k_max, k_max + 1, dtype=float)
 
-    def sets(self, n_max: int) -> Iterable[np.ndarray]:
-        for n in range(1, n_max + 1):
-            yield self.time_set(n)
+    def sets(self, n_max: int) -> Iterator[np.ndarray]:
+        """``R_1 .. R_{n_max}``, one at a time; past the last set, ``time_set`` raises at once."""
+        if n_max > len(self.steps):
+            self.time_set(n_max)
+        return map(self.time_set, range(1, n_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -151,23 +141,22 @@ def _chain(kernel: Kernel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-step covariances ``K(p_i, p_{i+1})`` and variances ``K(p_i, p_i)`` over sorted points.
 
     Evaluates both in two kernel calls, on points the caller has checked
-    are in the domain, and passes them through :func:`_check_chain`.
-    Callers multiply ``K(p_0, p_1)`` by ``K(p_i, p_{i+1}) / K(p_i, p_i)``
-    left to right, as :func:`gaussian.compose` does.
+    are in the domain, and makes the checks of every consecutive
+    :func:`pair_law` at once.  Callers multiply ``K(p_0, p_1)`` by
+    ``K(p_i, p_{i+1}) / K(p_i, p_i)`` left to right, as :func:`gaussian.compose` does.
     """
     steps = kernel.cov(points[:-1], points[1:])
     var = kernel.cov(points, points)
-    _check_chain(points, steps, var)
+    _require_positive(points, var)
+    _require_psd_pairs(var[:-1], var[1:], steps, points)
     return steps, var
 
 
-def _check_chain(points: np.ndarray, steps: np.ndarray, var: np.ndarray) -> None:
-    """Makes the checks of every consecutive :func:`pair_law` at once: positive
-    variances, and each two-time covariance PSD to the :class:`GaussianVector` bound."""
+def _require_positive(points: np.ndarray, var: np.ndarray) -> None:
+    """Rejects the first point whose variance is not positive."""
     singular = var <= 0.0
     if singular.any():
         raise SingularMarginalError(f"kernel singular at t={points[singular.argmax()]}")
-    _require_psd_pairs(var[:-1], var[1:], steps, points)
 
 
 def _require_psd_pairs(a: np.ndarray, b: np.ndarray, cross: np.ndarray, times) -> None:
@@ -211,10 +200,12 @@ def made_markov_law(kernel: Kernel, split_times, query_times) -> GaussianVector:
 
     One running product per query over the splits after it: O(q m)
     multiplications and O(q + m) kernel evaluations for q queries and m
-    splits, besides the kernel's own covariances between unsplit queries.
-    Four kernel calls: two chain the queries, two more take the splits
+    splits, besides the kernel's own covariances between unsplit queries, in
+    three kernel calls: the query variances, then two on the splits
     (:func:`_made_markov_cov`).  The loop over queries keeps only the
-    running product, in one buffer of m entries: O(q^2 + m) memory.
+    running product, in one buffer of m entries: O(q^2 + m) memory.  It checks
+    what the law uses: positive variances, the two-time covariances that
+    enter a product, and the law's own PSD certificate.
     """
     return next(_made_markov_laws(kernel, [split_times], query_times))
 
@@ -222,9 +213,9 @@ def made_markov_law(kernel: Kernel, split_times, query_times) -> GaussianVector:
 def _made_markov_laws(kernel: Kernel, split_sets, query_times) -> Iterator[GaussianVector]:
     """:func:`made_markov_law` at each split set in turn, on the same query times.
 
-    The queries are validated and chained once, after the first set's
-    domain check, and their means taken and checked with the first law.
-    Each law's covariance is exactly symmetric as built, so
+    The queries are validated and their variances checked once, after the
+    first set's domain check; their means are taken and checked with the
+    first law.  Each law's covariance is exactly symmetric as built, so
     :meth:`GaussianVector._built` checks only that it is finite, within the
     size bound and PSD, with the messages of ``GaussianVector``.  Each set's law
     is built in full, in two kernel calls and O(q^2 + m) memory, before the
@@ -238,7 +229,8 @@ def _made_markov_laws(kernel: Kernel, split_sets, query_times) -> Iterator[Gauss
         kernel.require_in_domain(splits)
         if var is None:
             kernel.require_in_domain(queries)
-            _, var = _chain(kernel, queries)
+            var = kernel.cov(queries, queries)
+            _require_positive(queries, var)
         # Only splits strictly inside the query range separate two queries.
         splits = splits[splits.searchsorted(queries[0], side="right"):
                         splits.searchsorted(queries[-1], side="left")]
@@ -256,7 +248,7 @@ def _made_markov_cov(kernel: Kernel, splits: np.ndarray, queries: np.ndarray,
     ``var`` holds the queries' variances.  Two kernel calls: the split
     variances together with every query-split value and every unsplit
     query pair, then the splits' one-step covariances.  The checks follow
-    in :func:`made_markov_law`'s order: the split chain (:func:`_check_chain`),
+    in :func:`made_markov_law`'s order: the split chain, as in :func:`_chain`,
     then each query with its neighbouring splits.
     """
     n, m = queries.size, splits.size
@@ -276,7 +268,8 @@ def _made_markov_cov(kernel: Kernel, splits: np.ndarray, queries: np.ndarray,
     near = near[m : m + k].copy()  # the earlier time of each pair; frees the m splits' copy
     split_var, cross = values[:m], values[m : m + k]
     steps = kernel.cov(splits[:-1], splits[1:])
-    _check_chain(splits, steps, split_var)
+    _require_positive(splits, split_var)
+    _require_psd_pairs(split_var[:-1], split_var[1:], steps, splits)
     var_before = split_var[before[h0:]]
     _require_psd_pairs(np.concatenate([var_before, var[:s1]]),
                        np.concatenate([var[h0:], split_var[after[:s1]]]), cross, near)
@@ -315,13 +308,9 @@ def made_markov_law_by_blocks(kernel: Kernel, split_times, query_times) -> Gauss
     # Splits outside the query range do not change the projected law.
     relevant = splits[(splits > queries[0]) & (splits < queries[-1])]
     all_pts = _sorted_unique(np.concatenate([queries, relevant]))
-    cut_idx = [int(np.searchsorted(all_pts, r)) for r in relevant]
-    blocks = []
-    start = 0
-    for ci in cut_idx:
-        blocks.append(all_pts[start : ci + 1])
-        start = ci
-    blocks.append(all_pts[start:])
+    # Each block runs from one cut to the next, both included.
+    cuts = [0, *np.searchsorted(all_pts, relevant).tolist(), all_pts.size - 1]
+    blocks = [all_pts[a : b + 1] for a, b in zip(cuts, cuts[1:])]
 
     glued = joint_law(kernel, blocks[0])
     for block_pts in blocks[1:]:

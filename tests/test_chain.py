@@ -166,6 +166,43 @@ def test_made_markov_law_matches_block_gluing(family, seed, n_points):
     assert_close(fast.mean, slow.mean)
 
 
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from(["fbm", "fbm_log", "rate_1+t", "mimic"]), seed=seeds,
+       n_intervals=st.integers(min_value=1, max_value=60), uniform=st.booleans())
+def test_two_query_made_markov_law_is_bitwise_the_partition_law(family, seed, n_intervals,
+                                                               uniform):
+    rng = np.random.default_rng(seed)
+    hurst = rng.uniform(0.1, 0.9)
+    kern = {
+        "fbm": lambda: kernels.fbm(hurst),
+        "fbm_log": lambda: kernels.fbm_log(hurst),
+        "rate_1+t": lambda: rate_kernel(RateFunction.from_callable(lambda t: 1.0 + t)),
+        "mimic": lambda: mimic_kernel(kernels.fbm(hurst), RateFunction.constant(1.0)),
+    }[family]()
+    s, t = np.sort(rng.uniform(0.2, 3.0, 2))
+    if uniform:
+        points = Partition.uniform(s, t, n_intervals).points
+    else:
+        points = np.sort(np.concatenate([[s, t], rng.uniform(s, t, n_intervals - 1)]))
+        assume(np.all(np.diff(points) > 0.0))
+    law = made_markov_law(kern, points[1:-1], points[[0, -1]])
+    plan = partition_law(kern, Partition(points=points))
+    np.testing.assert_array_equal(law.cov, plan.joint.cov)
+    np.testing.assert_array_equal(law.mean, plan.joint.mean)
+
+
+def test_a_query_pair_with_a_split_between_is_not_checked():
+    # K(1, 2) = 2 at unit variances, but the split at 1.5 keeps that pair out
+    # of every law: each one is [[1, 0.25], [0.25, 1]].
+    kern = kernels.matrix_kernel([1.0, 1.5, 2.0], [[1, 0.5, 2], [0.5, 1, 0.5], [2, 0.5, 1]])
+    law = made_markov_law(kern, [1.5], [1.0, 2.0])
+    np.testing.assert_array_equal(law.cov, [[1.0, 0.25], [0.25, 1.0]])
+    for ref in (made_markov_law_by_blocks(kern, [1.5], [1.0, 2.0]).cov,
+                partition_law(kern, Partition(points=[1.0, 1.5, 2.0])).joint.cov,
+                next(_made_markov_laws(kern, [[1.5]], [1.0, 2.0])).cov):
+        np.testing.assert_array_equal(law.cov, ref)
+
+
 @settings(max_examples=80, deadline=None)
 @given(family=st.sampled_from(BITWISE_FAMILIES), seed=seeds,
        q=st.integers(min_value=1, max_value=40), m=st.integers(min_value=0, max_value=200),

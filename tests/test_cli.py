@@ -324,7 +324,7 @@ class TestConverge:
         data = (tmp_path / "convergence.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
-    # from_steps repeats its last set, so sets past the steps would be copies
+    # an admissible sequence has no set past its last step; the CLI names the flag
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_more_sets_than_steps_is_usage_error(self, tmp_path, capsys, source):
         argv = ["converge", "--kernel", '{"type": "exponential", "rate": 1.0}', "--alpha", "1.0",
@@ -347,14 +347,17 @@ class TestConverge:
                      "--n-max", "2", "--out", str(tmp_path)]) == 0
         assert len(read_csv(tmp_path / "convergence.csv")) == 3
 
-    @pytest.mark.parametrize("mesh", ["1e-9", "1e-300"])
-    def test_partition_above_the_cap_is_a_validation_failure(self, tmp_path, capsys, mesh):
+    # 1 / 5e-324 overflows to inf, which has no rounded interval count
+    @pytest.mark.parametrize("mesh,count", [
+        ("1e-9", round(1e9)), ("1e-300", round(1.0 / 1e-300)), ("0.5,5e-324", "inf"),
+    ], ids=["1e-9", "1e-300", "5e-324"])
+    def test_partition_above_the_cap_is_a_validation_failure(self, tmp_path, capsys, mesh,
+                                                              count):
         assert main(["converge", "--kernel", '{"type": "exponential", "rate": 1.0}',
                      "--alpha", "1.0", "--grid", "0:1:2", "--mesh-sequence", mesh,
                      "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (
-            f"error: partition of {round(1.0 / float(mesh))} intervals, "
-            "above the cap of 16777216\n"
+            f"error: partition of {count} intervals, above the cap of 16777216\n"
         )
 
     def test_both_modes_rejected(self, tmp_path):

@@ -172,6 +172,15 @@ class TestEulerMaruyama:
             euler_maruyama(spec, [0.0, 1.0], 10, seed=8)
         assert evaluated == [] and calls == []
 
+    def test_draws_are_capped_before_any_coefficient(self, monkeypatch):
+        calls = count_draws(monkeypatch)
+        evaluated = []
+        spec = dataclasses.replace(ou_spec(1e-6), diffusion=evaluated.append)
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "20000 paths of 1e+06 substeps take 2e+10 normals, above the cap of 1000000000")):
+            euler_maruyama(spec, [0.0, 1.0], 20_000, seed=8)
+        assert evaluated == [] and calls == []
+
     @pytest.mark.parametrize("name", ["initial_mean", "initial_var"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_initial_moments_must_be_finite(self, monkeypatch, name, value):

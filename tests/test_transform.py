@@ -58,14 +58,14 @@ class TestPartition:
 
 class TestAdmissibleSequence:
     def test_time_sets(self):
-        adm = AdmissibleSequence.geometric(ratio=0.5, first_step=1.0)
+        adm = AdmissibleSequence.geometric(2, ratio=0.5, first_step=1.0)
         r2 = adm.time_set(2)
         assert r2[0] == -2.0 and r2[-1] == 2.0
         assert np.max(np.diff(r2)) == pytest.approx(0.25)
 
     def test_rejects_growing_steps(self):
         with pytest.raises(InvalidInputError):
-            AdmissibleSequence(step_at=lambda n: float(n), halfwidth_at=lambda n: float(n))
+            AdmissibleSequence(steps=(1.0, 2.0), halfwidths=(1.0, 2.0))
 
     def test_from_steps(self):
         adm = AdmissibleSequence.from_steps([0.5, 0.25, 0.125])
@@ -91,6 +91,24 @@ class TestAdmissibleSequence:
     def test_checks_every_set(self, steps, halfwidths, message):
         with pytest.raises(InvalidInputError, match=message):
             AdmissibleSequence.from_steps(steps, halfwidths)
+
+    def test_is_a_checked_pair_of_tuples(self):
+        adm = AdmissibleSequence.geometric(3)
+        assert adm == AdmissibleSequence(steps=[0.5, 0.25, 0.125], halfwidths=[1, 2, 3])
+        assert adm.steps == (0.5, 0.25, 0.125) and adm.halfwidths == (1.0, 2.0, 3.0)
+        with pytest.raises(InvalidInputError, match="steps must decrease"):
+            AdmissibleSequence(steps=(0.5, 0.25, 0.125, 0.0625, 0.5), halfwidths=(1, 2, 3, 4, 5))
+
+    # Sets past the last used to repeat it; ``sets`` raises before it yields any.
+    @pytest.mark.parametrize("ask,n", [
+        (lambda adm: adm.time_set(4), 4),
+        (lambda adm: adm.time_set(0), 0),
+        (lambda adm: adm.sets(4), 4),
+    ], ids=["time-set-past-last", "time-set-zero", "sets-past-last"])
+    def test_no_set_past_the_last(self, ask, n):
+        adm = AdmissibleSequence.from_steps([0.5, 0.25, 0.125])
+        with pytest.raises(InvalidInputError, match=f"^no time set R_{n}: the sequence has 3 sets"):
+            ask(adm)
 
 
 class TestRateKernel:
@@ -452,7 +470,7 @@ class TestLocalConvergence:
 class TestGlobalConvergence:
     def test_markov_kernel_all_small(self):
         kern = kernels.exponential_rate(1.0)
-        adm = AdmissibleSequence.geometric()
+        adm = AdmissibleSequence.geometric(5)
         rows = global_convergence_experiment(kern, kern, adm, [0.0, 0.7, 1.5], 5)
         assert all(r.distance < 1e-10 for r in rows)
 
@@ -465,14 +483,14 @@ class TestGlobalConvergence:
             queries, n_max = np.sort(rng.uniform(0.0, 1.0, 5)), 7
         else:
             kern, target = kernels.fbm_log(0.75), rate_kernel(RateFunction.constant(0.0))
-            adm = AdmissibleSequence.geometric(ratio=0.5, first_step=0.5)
+            adm = AdmissibleSequence.geometric(9, ratio=0.5, first_step=0.5)
             queries, n_max = np.sort(rng.uniform(-1.0, 2.0, 12)), 9
         rows = global_convergence_experiment(kern, target, adm, queries, n_max)
         assert rows == global_convergence_rows(kern, target, adm, queries, n_max)
 
     @pytest.mark.parametrize("n_sets", [1, 7])
     def test_benchmark_sweep_takes_two_calls_per_set(self, n_sets):
-        # 2 calls chain the queries, 2 per set take its splits
+        # 1 call takes the query variances, 2 per set take its splits
         calls = []
         base = kernels.fbm_log(0.5)
 
@@ -488,7 +506,7 @@ class TestGlobalConvergence:
         else:
             global_convergence_experiment(kern, rate_kernel(RateFunction.constant(1.0)), adm,
                                           queries, n_sets)
-        assert len(calls) == 2 + 2 * n_sets
+        assert len(calls) == 1 + 2 * n_sets
 
     def test_benchmark_sweep_checks_each_domain_once(self, monkeypatch):
         # one check per split set, one for the queries, one for the target's Gram
@@ -507,13 +525,13 @@ class TestGlobalConvergence:
         kern = kernels.exponential_rate(1.0)
         with pytest.raises(InvalidInputError, match="n_max must be at least 1"):
             global_convergence_experiment(
-                kern, kern, AdmissibleSequence.geometric(), [0.0, 1.0], n_max
+                kern, kern, AdmissibleSequence.geometric(1), [0.0, 1.0], n_max
             )
 
     def test_stationary_limit_rate(self):
         kern = kernels.fbm_log(0.75)  # decay rate -> 0
         target = rate_kernel(RateFunction.constant(0.0))
-        adm = AdmissibleSequence.geometric(ratio=0.5, first_step=0.5)
+        adm = AdmissibleSequence.geometric(10, ratio=0.5, first_step=0.5)
         rows = global_convergence_experiment(kern, target, adm, [0.0, 1.0], 10)
         distances = [r.distance for r in rows]
         assert distances[-1] < distances[0]
@@ -541,7 +559,7 @@ class TestGlobalConvergence:
         kern, kern, 0.0, 1.0, [Partition.uniform(0.0, 1.0, 2)]
     ),
     lambda kern: global_convergence_experiment(
-        kern, kern, AdmissibleSequence.geometric(), [0.0, 1.0], 1
+        kern, kern, AdmissibleSequence.geometric(1), [0.0, 1.0], 1
     ),
 ], ids=["local", "global"])
 def test_zero_variance_target_is_singular(run):
@@ -562,6 +580,10 @@ _NON_PSD_BLOCK = kernels.matrix_kernel([0.0, 1.0, 2.0, 3.0], [
 @pytest.mark.parametrize("kern,queries,message", [
     pytest.param(_NON_PSD_BLOCK, [1.0, 2.0, 3.0],
                  "covariance not PSD: min eigenvalue -0.8, scale 1.0", id="non-psd-block"),
+    # an unsplit pair of consecutive queries is the law's own block
+    pytest.param(kernels.matrix_kernel([0.0, 1.0, 2.0], [[1, 0, 0], [0, 1, 2], [0, 2, 1]]),
+                 [1.0, 2.0], "covariance not PSD: min eigenvalue -1.0, scale 1.0",
+                 id="non-psd-pair"),
     pytest.param(kernels.fbm_log(0.5), [0.0, 1.0, math.inf],
                  "times must be finite, got inf", id="infinite-time"),
     pytest.param(dataclasses.replace(kernels.fbm_log(0.5), mean=lambda t: math.inf), [0.0, 1.0],
@@ -618,7 +640,7 @@ def _cosine():
     pytest.param(lambda: Partition.uniform(0.0, 1.0, MAX_PARTITION_INTERVALS + 1),
                  InvalidInputError, "partition of 16777217 intervals, above the cap of 16777216",
                  id="uniform-above-cap"),
-    pytest.param(lambda: AdmissibleSequence.geometric(ratio=1.0), InvalidInputError,
+    pytest.param(lambda: AdmissibleSequence.geometric(1, ratio=1.0), InvalidInputError,
                  "ratio must be in (0, 1)", id="geometric-ratio"),
     pytest.param(lambda: AdmissibleSequence.from_steps([0.5, 0.25], [1.0]), InvalidInputError,
                  "need one half-width per step", id="from-steps-halfwidths"),
@@ -630,7 +652,7 @@ def _cosine():
                  InvalidInputError, "partition [0.0, 2.0] does not span [0.0, 1.0]",
                  id="local-span"),
     pytest.param(lambda: global_convergence_experiment(
-        kernels.fbm(0.5), kernels.fbm(0.5), AdmissibleSequence.geometric(), [1.0], 1),
+        kernels.fbm(0.5), kernels.fbm(0.5), AdmissibleSequence.geometric(1), [1.0], 1),
         InvalidInputError, "need at least two query times", id="global-one-query"),
     pytest.param(lambda: tightness_bound_check(kernels.fbm(0.5), RateFunction.constant(1.0),
                                                0.0, 1.0, []),
