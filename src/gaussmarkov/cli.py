@@ -309,9 +309,8 @@ def _cmd_converge(kernel, alpha, grid, mesh_sequence, steps, n_max, out) -> int:
         partitions = []
         for mesh in mesh_sequence:
             count = (t - s) / mesh  # unrounded: a subnormal mesh gives inf, which round() refuses
-            if count > transform.MAX_PARTITION_INTERVALS:
-                raise InvalidInputError(f"partition of {count:.0f} intervals, above the cap "
-                                        f"of {transform.MAX_PARTITION_INTERVALS}")
+            kernels._require_at_most(count, transform.MAX_PARTITION_INTERVALS,
+                                     f"partition of {count:.0f} intervals")
             partitions.append(transform.Partition.uniform(s, t, max(1, round(count))))
         rows = transform.local_convergence_experiment(kernel, target, s, t, partitions)
     else:

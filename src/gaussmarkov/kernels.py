@@ -254,6 +254,12 @@ def _as_strictly_increasing(grid) -> np.ndarray:
     return arr
 
 
+def _require_at_most(count, cap, what: str) -> None:
+    """Refuses ``what`` unless ``count <= cap``, so an inf or NaN count is refused too."""
+    if not count <= cap:
+        raise InvalidInputError(f"{what}, above the cap of {cap}")
+
+
 def gram(kernel: Kernel, grid) -> np.ndarray:
     """Gram matrix ``[K(t_i, t_j)]`` over an ordered grid; every entry must be finite.
 

@@ -201,10 +201,7 @@ def parse_grid(text: str) -> np.ndarray:
         raise InvalidInputError(f"grid endpoints and span must be finite, got {text!r}")
     if count < 1 or not start < stop:
         raise InvalidInputError(f"bad grid {text!r}")
-    if count > MAX_GRID_POINTS:
-        raise InvalidInputError(
-            f"grid {text!r} has {count} points, above the cap of {MAX_GRID_POINTS}"
-        )
+    kernels._require_at_most(count, MAX_GRID_POINTS, f"grid {text!r} has {count} points")
     return np.linspace(start, stop, count)
 
 

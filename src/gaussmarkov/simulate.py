@@ -30,7 +30,8 @@ import numpy as np
 from . import transform
 from .errors import InvalidInputError, InvalidSdeError, NotPsdError
 from .gaussian import GaussianVector
-from .kernels import TOL_PSD, Kernel, RateFunction, _as_strictly_increasing, rate_kernel
+from .kernels import (TOL_PSD, Kernel, RateFunction, _as_strictly_increasing, _require_at_most,
+                      rate_kernel)
 from .serialize import write_csv
 
 #: Finite-difference step of the mean/std derivatives.
@@ -160,15 +161,10 @@ def euler_maruyama(
     """
     grid = _as_strictly_increasing(t_grid)
     substeps = float(grid[-1] - grid[0]) / spec.step
-    if substeps > MAX_EM_SUBSTEPS:
-        raise InvalidInputError(
-            f"step {spec.step} takes {substeps:.4g} substeps over [{grid[0]}, {grid[-1]}], "
-            f"above the cap of {MAX_EM_SUBSTEPS}"
-        )
-    if n_paths * substeps > MAX_EM_DRAWS:
-        raise InvalidInputError(f"{n_paths} paths of {substeps:.4g} substeps take "
-                                f"{n_paths * substeps:.4g} normals, above the cap of "
-                                f"{MAX_EM_DRAWS}")
+    _require_at_most(substeps, MAX_EM_SUBSTEPS,
+                     f"step {spec.step} takes {substeps:.4g} substeps over [{grid[0]}, {grid[-1]}]")
+    _require_at_most(n_paths * substeps, MAX_EM_DRAWS, f"{n_paths} paths of {substeps:.4g} "
+                     f"substeps take {n_paths * substeps:.4g} normals")
     gaps = []
     for a, b in zip(grid[:-1], grid[1:]):
         gap = b - a
@@ -378,11 +374,8 @@ def figure_comparison(
         raise InvalidInputError("need at least two grid times")
     if n_paths < 2:
         raise InvalidInputError(f"need at least two paths to estimate moments, got {n_paths}")
-    if n_paths * grid.size > MAX_PATH_VALUES:
-        raise InvalidInputError(
-            f"{n_paths} paths over {grid.size} grid points take {n_paths * grid.size} "
-            f"values, above the cap of {MAX_PATH_VALUES}"
-        )
+    _require_at_most(n_paths * grid.size, MAX_PATH_VALUES, f"{n_paths} paths over "
+                     f"{grid.size} grid points take {n_paths * grid.size} values")
     if gaussian_route not in ("exact", "cholesky"):
         raise InvalidInputError(f"unknown gaussian_route {gaussian_route!r}")
     mimic = transform.mimic_kernel(kernel, alpha)

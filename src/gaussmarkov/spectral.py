@@ -372,7 +372,7 @@ def measure_from_windows(
                 f"location b**k of active index k = {k} overflows (b = {config.b})"
             ) from None
 
-    # Past _LAST_HALF_POWER every weight a^k is 0.0 and adds 0.0 to the mass at 0.
+    # Past _LAST_HALF_POWER every a^k is 0.0 and adds 0.0 to the mass at 0, the tail's too.
     k_last = min(config.k_cut, _LAST_HALF_POWER)
     active = set(_window_indices(windows, k_last).tolist())
     zero_mass = 0.0
@@ -386,7 +386,7 @@ def measure_from_windows(
     late = [max(lo, k_last + 1) for lo, hi in windows if max(lo, k_last + 1) < min(hi, config.k_cut + 1)]
     if late:
         location(min(late))  # raises: a*b > 1 makes b > 2, so b^k > 2^1075
-    zero_mass += 2.0 * config.a**config.k_cut  # tail beyond the truncation
+    zero_mass += 2.0 * config.a**min(config.k_cut, _LAST_HALF_POWER + 1)  # k_cut may be no float
     atoms.append((zero_mass, 0.0))
     return SpectralMeasure(atoms=tuple(atoms))
 

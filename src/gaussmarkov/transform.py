@@ -23,6 +23,7 @@ from .kernels import (
     RateFunction,
     _as_strictly_increasing,
     _at_points,
+    _require_at_most,
     _sorted_unique,
     rate_kernel,
 )
@@ -30,7 +31,8 @@ from .kernels import (
 #: Point pairs per power-of-two stride that :func:`tightness_bound_check` probes.
 TIGHTNESS_PAIRS_PER_STRIDE = 32
 
-#: Most intervals a :meth:`Partition.uniform` may have: 128 MiB of points.
+#: Most intervals a :meth:`Partition.uniform` may have, and most points an
+#: :class:`AdmissibleSequence` set may have: 128 MiB of points.
 MAX_PARTITION_INTERVALS = 2**24
 
 
@@ -50,10 +52,8 @@ class Partition:
     def uniform(cls, s: float, t: float, n_intervals: int) -> "Partition":
         if n_intervals < 1:
             raise InvalidInputError("need at least one interval")
-        if n_intervals > MAX_PARTITION_INTERVALS:
-            raise InvalidInputError(
-                f"partition of {n_intervals} intervals, above the cap of {MAX_PARTITION_INTERVALS}"
-            )
+        _require_at_most(n_intervals, MAX_PARTITION_INTERVALS,
+                         f"partition of {n_intervals} intervals")
         return cls(points=np.linspace(s, t, n_intervals + 1))
 
     @classmethod
@@ -78,8 +78,9 @@ class Partition:
 class AdmissibleSequence:
     """Time sets ``R_n = steps[n-1] * Z intersect [-w, w]``, ``w = halfwidths[n-1]``.
 
-    Admissibility (inf to -inf, sup to +inf, mesh to 0) is checked on every
-    set at construction.  There is no set past the last.
+    Admissibility (inf to -inf, sup to +inf, mesh to 0) and the size of
+    every set, at most ``MAX_PARTITION_INTERVALS`` points, are checked at
+    construction.  There is no set past the last.
     """
 
     steps: tuple[float, ...]
@@ -99,6 +100,11 @@ class AdmissibleSequence:
                 raise InvalidInputError("steps must decrease toward zero")
             if any(b < a - 1e-15 for a, b in zip(widths, widths[1:])):
                 raise InvalidInputError("half-widths must not shrink")
+        for n, (step, width) in enumerate(zip(steps, widths), start=1):
+            # time_set's 2 floor(w / step) + 1 in floats: an overflowed ratio stays inf
+            points = 2.0 * math.modf(width / step)[1] + 1.0
+            _require_at_most(points, MAX_PARTITION_INTERVALS,
+                             f"time set R_{n} of {points:.0f} points")
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "halfwidths", widths)
 
@@ -455,7 +461,6 @@ class TightnessReport:
 
 def tightness_bound_check(
     kernel: Kernel,
-    alpha: RateFunction,
     a: float,
     b: float,
     partitions: Sequence[Partition],

@@ -47,7 +47,7 @@ from gaussmarkov.kernels import (
     gram,
 )
 from gaussmarkov.spectral import WeierstrassConfig, _effective_cap
-from gaussmarkov.transform import ConvergenceRow, _chain, joint_law
+from gaussmarkov.transform import ConvergenceRow, _chain, _require_positive, joint_law
 
 
 def lacunary_sum(config: WeierstrassConfig, x: float, k_from: int, k_to: int) -> float:
@@ -83,7 +83,8 @@ def made_markov_law_rows(kernel, split_times, query_times) -> GaussianVector:
     queries = _as_strictly_increasing(query_times)
     kernel.require_in_domain(splits)
     kernel.require_in_domain(queries)
-    _, var = _chain(kernel, queries)
+    var = kernel.cov(queries, queries)
+    _require_positive(queries, var)
     # Only splits strictly inside the query range separate two queries.
     splits = splits[(splits > queries[0]) & (splits < queries[-1])]
     steps, split_var = _chain(kernel, splits)

@@ -309,7 +309,7 @@ def test_criterion_8_tightness_bound():
     with Stopwatch(10.0) as watch:
         parts = [Partition.dyadic(0.0, 1.0, k) for k in range(3, 13)]
         report = tightness_bound_check(
-            kernels.fbm_log(0.75), RateFunction.constant(0.0), 0.0, 1.0, parts
+            kernels.fbm_log(0.75), 0.0, 1.0, parts
         )
     ok = report.passed and watch.elapsed < 10.0
     verdict(

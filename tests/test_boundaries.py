@@ -1,10 +1,13 @@
-"""Fuzz of the kernel-spec and rate-spec boundaries of the CLI.
+"""Fuzz of the kernel-spec, rate-spec and option boundaries of the CLI.
 
-Each example takes a valid spec, puts near-valid values (non-finite and
+Each spec example takes a valid spec, puts near-valid values (non-finite and
 extreme numbers, wrong JSON types) into one or two of its fields, and runs
 ``psd-check`` with it as the kernel, or ``transform`` with it as the rate,
-on a small grid drawn from positive, negative and zero-crossing ones.
-Whatever the spec, the command must end with an exit code of its own, and
+on a small grid drawn from positive, negative and zero-crossing ones.  The
+option cases take a tiny valid ``converge``, ``simulate`` or
+``counterexample`` run and put one near-valid value into one of its numeric
+options, on the command line or in a ``--config`` file.
+Whatever the input, the command must end with an exit code of its own, and
 no exception may reach the last-resort handler of ``cli.main``, which
 prints its type name after ``error:``.
 """
@@ -19,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaussmarkov.cli import main
+from gaussmarkov.cli import EXIT_BUDGET, main
 
 #: One valid spec per kernel type, and per rate, scale and time-change form.
 VALID_SPECS = [
@@ -71,6 +74,26 @@ NEAR_VALID = [
     0, -0.0, -1, 0.5, 1e-320, 700, 1e308, -1e308, 10**400, True, None, [], [1], [1, 2, 3], {},
 ]
 
+#: Values one step off a valid option: subnormal, tiny, zero, negative, non-finite and
+#: huge numbers, and the wrong JSON types.  As text, a value goes on the command line.
+NEAR_VALID_OPTIONS = [
+    5e-324, 1e-300, 1e-15, 0, -1, "nan", "inf", float("nan"), float("inf"), 10**400, True, [], "x",
+]
+
+_EXP = '{"type": "exponential"}'
+
+#: Tiny valid runs, each with the options the fuzz changes in it, one at a time.
+OPTION_RUNS = [
+    (["converge", "--kernel", _EXP, "--alpha", "1", "--grid", "0:1:2", "--steps", "0.5,0.25"],
+     ["steps", "n_max"]),
+    (["converge", "--kernel", _EXP, "--alpha", "1", "--grid", "0:1:2",
+      "--mesh-sequence", "0.5,0.25"], ["mesh_sequence"]),
+    (["simulate", "--kernel", _EXP, "--alpha", "1", "--grid", "0:1:2", "--paths", "20",
+      "--step", "0.25"], ["paths", "step"]),
+    (["counterexample", "--targets", "1", "--i-max", "1", "--k-cut", "10", "--budget", "100"],
+     ["i_max", "k_cut", "budget", "targets"]),
+]
+
 #: What ``cli.main`` prints for an exception that escaped every named error.
 UNNAMED_ERROR = re.compile(r"^error: [A-Z]\w*(Error|Exception)\b", re.M)
 
@@ -105,11 +128,11 @@ def out_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("boundaries")
 
 
-def assert_named_outcome(argv):
+def assert_named_outcome(argv, codes=(0, 1, 2)):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    assert code in (0, 1, 2), err.getvalue()
+    assert code in codes, err.getvalue()
     assert not UNNAMED_ERROR.search(err.getvalue()), (argv, err.getvalue())
 
 
@@ -132,3 +155,24 @@ def test_near_valid_kernel_spec_ends_with_a_named_outcome(out_dir, spec, grid):
 def test_near_valid_rate_spec_ends_with_a_named_outcome(out_dir, rate, kernel, grid):
     assert_named_outcome(["transform", "--kernel", json.dumps(kernel),
                           "--alpha", json.dumps(rate), f"--grid={grid}", "--out", str(out_dir)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", NEAR_VALID_OPTIONS,
+                         ids=lambda v: "10**400" if v == 10**400 else repr(v))
+@pytest.mark.parametrize("base, option", [
+    pytest.param(base, option, id=f"{base[0]}-{option}")
+    for base, options in OPTION_RUNS for option in options
+])
+def test_near_valid_option_ends_with_a_named_outcome(out_dir, base, option, value):
+    flag = "--" + option.replace("_", "-")
+    if flag in base:
+        at = base.index(flag)
+        base = base[:at] + base[at + 2:]
+    config = out_dir / "options.json"
+    config.write_text(json.dumps({option: value}))
+    # counterexample's own exit code for an index search that passed its budget
+    codes = (0, 1, 2, EXIT_BUDGET) if base[0] == "counterexample" else (0, 1, 2)
+    text = value if isinstance(value, str) else json.dumps(value)
+    for given in ([flag, text], ["--config", str(config)]):
+        assert_named_outcome(base + given + ["--out", str(out_dir)], codes)

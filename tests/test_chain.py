@@ -198,6 +198,7 @@ def test_a_query_pair_with_a_split_between_is_not_checked():
     law = made_markov_law(kern, [1.5], [1.0, 2.0])
     np.testing.assert_array_equal(law.cov, [[1.0, 0.25], [0.25, 1.0]])
     for ref in (made_markov_law_by_blocks(kern, [1.5], [1.0, 2.0]).cov,
+                made_markov_law_rows(kern, [1.5], [1.0, 2.0]).cov,
                 partition_law(kern, Partition(points=[1.0, 1.5, 2.0])).joint.cov,
                 next(_made_markov_laws(kern, [[1.5]], [1.0, 2.0])).cov):
         np.testing.assert_array_equal(law.cov, ref)
@@ -338,7 +339,7 @@ def test_tightness_maxima_unchanged_by_chain_routine():
     # maxima of the previous per-pair log-prefix loop, to 1e-12
     kern = kernels.fbm_log(0.75)
     parts = [Partition.dyadic(0.0, 1.0, k) for k in range(3, 9)]
-    report = tightness_bound_check(kern, RateFunction.constant(0.0), 0.0, 1.0, parts)
+    report = tightness_bound_check(kern, 0.0, 1.0, parts)
     for part, got in zip(parts, report.per_partition):
         pts = part.points
         log_prefix = np.concatenate([[0.0], np.cumsum(np.log(kern.cov(pts[:-1], pts[1:])))])
@@ -416,5 +417,4 @@ def test_point_outside_domain_is_rejected():
     with pytest.raises(InvalidInputError):
         made_markov_law(kern, [-0.5], [1.0, 2.0])
     with pytest.raises(InvalidInputError):
-        tightness_bound_check(kern, RateFunction.constant(0.0), -1.0, 1.0,
-                              [Partition(points=[-1.0, 0.5, 1.0])])
+        tightness_bound_check(kern, -1.0, 1.0, [Partition(points=[-1.0, 0.5, 1.0])])

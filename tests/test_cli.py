@@ -360,6 +360,20 @@ class TestConverge:
             f"error: partition of {count} intervals, above the cap of 16777216\n"
         )
 
+    # Every set is sized at construction, so a late one is refused even past --n-max.
+    @pytest.mark.parametrize("steps,n_max,message", [
+        ("5e-324", [], "time set R_1 of inf points"),
+        ("1e-15", [], "time set R_1 of 1999999999999999 points"),
+        ("0.5,1e-7", ["--n-max", "1"], "time set R_2 of 40000001 points"),
+    ], ids=["5e-324", "1e-15", "late-set"])
+    def test_time_set_above_the_cap_is_a_validation_failure(self, tmp_path, capsys, steps,
+                                                            n_max, message):
+        assert main(["converge", "--kernel", '{"type": "exponential", "rate": 1.0}',
+                     "--alpha", "1.0", "--grid", "0:1:2", "--steps", steps, *n_max,
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}, above the cap of 16777216\n"
+        assert not (tmp_path / "convergence.csv").exists()
+
     def test_both_modes_rejected(self, tmp_path):
         code = main([
             "converge",

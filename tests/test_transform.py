@@ -92,6 +92,22 @@ class TestAdmissibleSequence:
         with pytest.raises(InvalidInputError, match=message):
             AdmissibleSequence.from_steps(steps, halfwidths)
 
+    # 2 floor(w / step) + 1 points, as time_set builds them; inf when w / step overflows
+    @pytest.mark.parametrize("steps,halfwidths,count", [
+        ([1.0], [8388608.0], "16777217"),
+        ([0.5, 5e-324], None, "inf"),
+    ], ids=["one-past-the-cap", "subnormal-step"])
+    def test_sets_above_the_cap_are_refused(self, steps, halfwidths, count):
+        n = len(steps)
+        with pytest.raises(InvalidInputError,
+                           match=f"^time set R_{n} of {count} points, above the cap of 16777216$"):
+            AdmissibleSequence.from_steps(steps, halfwidths)
+
+    def test_set_at_the_cap_is_kept(self):
+        # floor(8388607.75) = 8388607: 16777215 points, one below the cap
+        adm = AdmissibleSequence.from_steps([1.0], [8388607.75])
+        assert adm.halfwidths == (8388607.75,)
+
     def test_is_a_checked_pair_of_tuples(self):
         adm = AdmissibleSequence.geometric(3)
         assert adm == AdmissibleSequence(steps=[0.5, 0.25, 0.125], halfwidths=[1, 2, 3])
@@ -607,13 +623,13 @@ class TestTightnessBound:
     def test_exponential_about_one(self):
         kern = kernels.exponential_rate(1.0)
         parts = [Partition.dyadic(0.0, 1.0, k) for k in range(2, 9)]
-        report = tightness_bound_check(kern, RateFunction.constant(1.0), 0.0, 1.0, parts)
+        report = tightness_bound_check(kern, 0.0, 1.0, parts)
         assert report.passed
         assert 0.8 <= report.m_empirical <= 1.05
 
     def test_constant_kernel_zero(self):
         report = tightness_bound_check(
-            kernels.constant(), RateFunction.constant(0.0), 0.0, 1.0,
+            kernels.constant(), 0.0, 1.0,
             [Partition.dyadic(0.0, 1.0, 3)],
         )
         assert report.m_empirical == 0.0
@@ -622,7 +638,7 @@ class TestTightnessBound:
     def test_fbm_log_bounded(self):
         kern = kernels.fbm_log(0.75)
         parts = [Partition.dyadic(0.0, 1.0, k) for k in range(3, 13)]
-        report = tightness_bound_check(kern, RateFunction.constant(0.0), 0.0, 1.0, parts)
+        report = tightness_bound_check(kern, 0.0, 1.0, parts)
         assert report.passed
         # ratios shrink with the mesh for a vanishing limit rate
         assert report.per_partition[-1] < report.per_partition[0]
@@ -654,14 +670,13 @@ def _cosine():
     pytest.param(lambda: global_convergence_experiment(
         kernels.fbm(0.5), kernels.fbm(0.5), AdmissibleSequence.geometric(1), [1.0], 1),
         InvalidInputError, "need at least two query times", id="global-one-query"),
-    pytest.param(lambda: tightness_bound_check(kernels.fbm(0.5), RateFunction.constant(1.0),
-                                               0.0, 1.0, []),
+    pytest.param(lambda: tightness_bound_check(kernels.fbm(0.5), 0.0, 1.0, []),
                  InvalidInputError, "need at least one partition", id="tightness-no-partition"),
-    pytest.param(lambda: tightness_bound_check(kernels.fbm(0.5), RateFunction.constant(1.0),
-                                               0.0, 1.0, [Partition(points=[0.0, 2.0])]),
+    pytest.param(lambda: tightness_bound_check(kernels.fbm(0.5), 0.0, 1.0,
+                                               [Partition(points=[0.0, 2.0])]),
                  InvalidInputError, "partition leaves [0.0, 1.0]", id="tightness-range"),
-    pytest.param(lambda: tightness_bound_check(_cosine(), RateFunction.constant(1.0),
-                                               0.0, 4.0, [Partition(points=[0.0, 2.0, 4.0])]),
+    pytest.param(lambda: tightness_bound_check(_cosine(), 0.0, 4.0,
+                                               [Partition(points=[0.0, 2.0, 4.0])]),
                  SingularMarginalError, "nonpositive one-step correlation",
                  id="tightness-negative-correlation"),
 ])
