@@ -97,6 +97,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A number or a numeric string; never a bool.  A non-finite, zero or negative
+    value passes, for the library to judge."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _seed(value) -> int:
     seed = _integer(value)
     if seed < 0:
@@ -182,7 +190,7 @@ _OPTIONS = {
         _KERNEL, _ALPHA, _GRID._replace(help="start:stop:count recorded grid"),
         _Option("paths", _integer, 10_000, "number of sample paths"),
         _SEED,
-        _Option("step", float, 1e-3, "Euler-Maruyama step"),
+        _Option("step", _real, 1e-3, "Euler-Maruyama step"),
         _Option("route", _route, "exact", "Gaussian route: exact or cholesky"),
         _Option("dump_paths", _switch, False, "also write full trajectory CSVs"),
         _OUT,
@@ -310,7 +318,7 @@ def _cmd_converge(kernel, alpha, grid, mesh_sequence, steps, n_max, out) -> int:
         for mesh in mesh_sequence:
             count = (t - s) / mesh  # unrounded: a subnormal mesh gives inf, which round() refuses
             kernels._require_at_most(count, transform.MAX_PARTITION_INTERVALS,
-                                     f"partition of {count:.0f} intervals")
+                                     f"partition of {count:.4g} intervals")
             partitions.append(transform.Partition.uniform(s, t, max(1, round(count))))
         rows = transform.local_convergence_experiment(kernel, target, s, t, partitions)
     else:

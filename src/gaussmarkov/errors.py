@@ -17,7 +17,7 @@ class ChainMismatchError(GaussMarkovError):
     """Consecutive transport plans do not share a marginal."""
 
 
-class NotPsdError(GaussMarkovError):
+class NotPsdError(InvalidInputError):
     """A covariance matrix has an eigenvalue below ``-TOL_PSD * max(diagonal)``."""
 
 

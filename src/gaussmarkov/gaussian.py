@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     ChainMismatchError,
     InvalidInputError,
+    NotPsdError,
     SingularMarginalError,
 )
 from .kernels import _HALF_MAX, TOL_PSD, _as_strictly_increasing
@@ -63,10 +64,19 @@ def _largest_entry(cov: np.ndarray) -> float:
     return top
 
 
-def _require_psd(cov: np.ndarray) -> None:
-    """PSD certificate of a symmetric ``cov``: a Cholesky factorization of ``cov``
-    shifted by ``TOL_PSD * max(diagonal)``; only when it fails does ``eigvalsh``
-    decide, and a rejection names the minimum eigenvalue."""
+def _psd_factor(cov: np.ndarray) -> np.ndarray | None:
+    """PSD certificate of a symmetric ``cov``, and its Cholesky factor when it has one.
+
+    Returns ``np.linalg.cholesky(cov)`` when that succeeds.  Otherwise a
+    Cholesky factorization of ``cov`` shifted by ``TOL_PSD * max(diagonal)``
+    certifies it, and only when that fails too does ``eigvalsh`` decide; a
+    certified ``cov`` without a factor gives None, and a rejection raises
+    :class:`NotPsdError` naming the minimum eigenvalue.
+    """
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        pass
     scale = float(cov.diagonal().max())
     tol = TOL_PSD * max(scale, 1e-300)
     shifted = cov.copy()
@@ -76,9 +86,10 @@ def _require_psd(cov: np.ndarray) -> None:
     except np.linalg.LinAlgError:
         min_eig = float(np.linalg.eigvalsh(cov)[0])
         if min_eig < -tol:
-            raise InvalidInputError(
+            raise NotPsdError(
                 f"covariance not PSD: min eigenvalue {min_eig}, scale {scale}"
             ) from None
+    return None
 
 
 @dataclass(frozen=True)
@@ -88,10 +99,9 @@ class GaussianVector:
     ``times`` must be strictly increasing; ``times``, ``mean`` and ``cov``
     finite; ``cov`` at most half the largest double entrywise, so that
     symmetrizing it cannot overflow, and symmetric with minimum eigenvalue
-    at least ``-TOL_PSD * max(diagonal)``.  A Cholesky factorization of ``cov`` shifted
-    by that bound certifies PSD; only when it fails does ``eigvalsh``
-    decide, and a rejection names its minimum eigenvalue.  The covariance
-    is stored symmetrized.
+    at least ``-TOL_PSD * max(diagonal)``, as :func:`_psd_factor` certifies;
+    a rejection raises :class:`NotPsdError` naming the minimum eigenvalue.
+    No factor is kept.  The covariance is stored symmetrized.
 
     The laws made Markov by ``transform.made_markov_law`` and its sweep
     come from :meth:`_built` instead, which makes only the checks their
@@ -113,7 +123,7 @@ class GaussianVector:
         if asym > 1e-12 * max(1.0, top):
             raise InvalidInputError(f"covariance not symmetric (max deviation {asym})")
         cov = 0.5 * (cov + cov.T)
-        _require_psd(cov)
+        _psd_factor(cov)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -127,7 +137,7 @@ class GaussianVector:
         of ``__post_init__``.
         """
         _largest_entry(cov)
-        _require_psd(cov)
+        _psd_factor(cov)
         law = object.__new__(cls)
         object.__setattr__(law, "times", times)
         object.__setattr__(law, "mean", mean)

@@ -225,18 +225,8 @@ def _at_points(funcs: Sequence[Callable[[float], float]], *args) -> list[list]:
 
     The distinct points are found once; each function is called once per
     point in ascending order, the first at every point before the second
-    at any.  Floats come back as floats, without the array round trip: a
-    kernel's ``eval`` is its ``cov`` at two floats.
+    at any.  Each value comes back shaped as its argument.
     """
-    if all(isinstance(a, float) for a in args):
-        if any(math.isnan(a) for a in args):
-            raise InvalidInputError("time nan is not a number")
-        points = sorted(set(args))
-        out = []
-        for f in funcs:
-            values = {p: float(f(p)) for p in points}
-            out.append([values[a] for a in args])
-        return out
     arrays = [np.asarray(a, dtype=float) for a in args]
     points = _sorted_unique(np.concatenate([a.ravel() for a in arrays]))
     _require_no_nan(points)

@@ -28,10 +28,9 @@ from typing import Callable
 import numpy as np
 
 from . import transform
-from .errors import InvalidInputError, InvalidSdeError, NotPsdError
-from .gaussian import GaussianVector
-from .kernels import (TOL_PSD, Kernel, RateFunction, _as_strictly_increasing, _require_at_most,
-                      rate_kernel)
+from .errors import InvalidInputError, InvalidSdeError
+from .gaussian import GaussianVector, _psd_factor
+from .kernels import Kernel, RateFunction, _as_strictly_increasing, _require_at_most, rate_kernel
 from .serialize import write_csv
 
 #: Finite-difference step of the mean/std derivatives.
@@ -109,35 +108,23 @@ class SdeSpec:
             )
 
 
-def _factor(cov: np.ndarray) -> np.ndarray:
-    """A factor ``F`` with ``F F^T = cov``: Cholesky, or ``V diag(sqrt(lambda))`` if singular.
-
-    Eigenvalues at or below ``n 2^-52 lambda_max`` are rounding and become 0,
-    so a rank-deficient law is sampled on its range.
-    """
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pass
-    lam, vecs = np.linalg.eigh(cov)
-    floor = -TOL_PSD * float(np.max(np.diag(cov)))
-    if lam[0] < floor:
-        raise NotPsdError(f"covariance has eigenvalue {lam[0]:.3g}, below {floor:.3g}")
-    lam[lam <= cov.shape[0] * 2.0**-52 * lam[-1]] = 0.0
-    return vecs * np.sqrt(lam)
-
-
 def cholesky_sample(law: GaussianVector, n_paths: int, seed: int) -> TrajectoryBatch:
     """Exact sampling of a finite-dimensional Gaussian law.
 
-    A full-rank covariance is factored by Cholesky.  A singular one (the
-    constant kernel's, or a mimicking law with ``alpha = 0``) is factored by
-    its eigen decomposition with the eigenvalues of rounding size set to 0,
+    A full-rank covariance is sampled through the Cholesky factor that
+    :func:`gaussian._psd_factor` certifies it with.  A singular one (the
+    constant kernel's, or a mimicking law with ``alpha = 0``) has none, and
+    is factored as ``V diag(sqrt(lambda))`` from its eigen decomposition:
+    eigenvalues at or below ``n 2^-52 lambda_max`` are rounding and become 0,
     so the paths lie in the covariance's range to rounding.
     """
     if n_paths < 1:
         raise InvalidInputError("need at least one path")
-    factor = _factor(law.cov)
+    factor = _psd_factor(law.cov)
+    if factor is None:
+        lam, vecs = np.linalg.eigh(law.cov)
+        lam[lam <= law.dim * 2.0**-52 * lam[-1]] = 0.0
+        factor = vecs * np.sqrt(lam)
     gen = _stream(seed, "cholesky-sampler")
     paths = gen.standard_normal((n_paths, law.dim)) @ factor.T
     paths += law.mean

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import gaussian, kernels
-from .errors import InvalidInputError, SingularMarginalError
+from .errors import InvalidInputError, NotPsdError, SingularMarginalError
 from .gaussian import GaussianVector, TransportPlan
 from .kernels import (
     Kernel,
@@ -104,7 +104,7 @@ class AdmissibleSequence:
             # time_set's 2 floor(w / step) + 1 in floats: an overflowed ratio stays inf
             points = 2.0 * math.modf(width / step)[1] + 1.0
             _require_at_most(points, MAX_PARTITION_INTERVALS,
-                             f"time set R_{n} of {points:.0f} points")
+                             f"time set R_{n} of {points:.4g} points")
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "halfwidths", widths)
 
@@ -166,11 +166,11 @@ def _require_positive(points: np.ndarray, var: np.ndarray) -> None:
 
 
 def _require_psd_pairs(a: np.ndarray, b: np.ndarray, cross: np.ndarray, times) -> None:
-    """Rejects the first two-time covariance ``[[a, cross], [cross, b]]`` below the
-    :class:`GaussianVector` PSD bound, naming the earlier time of its pair."""
+    """Raises :class:`NotPsdError` at the first two-time covariance ``[[a, cross], [cross, b]]``
+    below the :class:`GaussianVector` PSD bound, naming the earlier time of its pair."""
     bad = 0.5 * (a + b) - np.hypot(0.5 * (a - b), cross) < -kernels.TOL_PSD * np.maximum(a, b)
     if bad.any():
-        raise InvalidInputError(f"two-time covariance not PSD at t={times[bad.argmax()]}")
+        raise NotPsdError(f"two-time covariance not PSD at t={times[bad.argmax()]}")
 
 
 def partition_law(kernel: Kernel, partition: Partition) -> TransportPlan:
@@ -369,9 +369,7 @@ def mimic_kernel(kernel: Kernel, alpha: RateFunction) -> Kernel:
     # np.sqrt is math.sqrt bit for bit: both round the square root correctly.
     def cov(s, t):
         ((var_s, var_t),) = _at_points((variance,), s, t)
-        out = np.sqrt(var_s) * np.sqrt(var_t)
-        if not isinstance(out, np.ndarray):
-            return var_t if s == t else out * base.cov(s, t)
+        out = np.asarray(np.sqrt(var_s) * np.sqrt(var_t))
         out *= base.cov(s, t)
         np.copyto(out, var_t, where=np.equal(s, t))
         return out

@@ -347,9 +347,9 @@ class TestConverge:
                      "--n-max", "2", "--out", str(tmp_path)]) == 0
         assert len(read_csv(tmp_path / "convergence.csv")) == 3
 
-    # 1 / 5e-324 overflows to inf, which has no rounded interval count
+    # the unrounded count, to four digits; 1 / 5e-324 overflows to inf
     @pytest.mark.parametrize("mesh,count", [
-        ("1e-9", round(1e9)), ("1e-300", round(1.0 / 1e-300)), ("0.5,5e-324", "inf"),
+        ("1e-9", "1e+09"), ("1e-300", "1e+300"), ("0.5,5e-324", "inf"),
     ], ids=["1e-9", "1e-300", "5e-324"])
     def test_partition_above_the_cap_is_a_validation_failure(self, tmp_path, capsys, mesh,
                                                               count):
@@ -363,8 +363,8 @@ class TestConverge:
     # Every set is sized at construction, so a late one is refused even past --n-max.
     @pytest.mark.parametrize("steps,n_max,message", [
         ("5e-324", [], "time set R_1 of inf points"),
-        ("1e-15", [], "time set R_1 of 1999999999999999 points"),
-        ("0.5,1e-7", ["--n-max", "1"], "time set R_2 of 40000001 points"),
+        ("1e-15", [], "time set R_1 of 2e+15 points"),
+        ("0.5,1e-7", ["--n-max", "1"], "time set R_2 of 4e+07 points"),
     ], ids=["5e-324", "1e-15", "late-set"])
     def test_time_set_above_the_cap_is_a_validation_failure(self, tmp_path, capsys, steps,
                                                             n_max, message):
@@ -720,11 +720,13 @@ class TestConfigPrecedence:
         (["counterexample"], "budget", 1e3 + 0.5),
         (["psd-check", "--kernel", EXP, "--grid", "0:1:3"], "random_grids", False),
         (CONVERGE, "n_max", 1.5),
+        (SIMULATE, "step", True),
+        (SIMULATE, "step", False),
     ], ids=["grid", "i_max", "targets", "steps", "kernel", "route", "random_grids",
             "mesh_zero", "mesh_nan", "mesh_negative", "steps_nan", "alpha_nan",
             "alpha_constant_inf", "kernel_rate_nan", "seed_negative", "psd_seed_negative",
             "seed_bool", "seed_fraction", "paths_fraction", "i_max_fraction", "k_cut_inf",
-            "budget_fraction", "random_grids_bool", "n_max_fraction"])
+            "budget_fraction", "random_grids_bool", "n_max_fraction", "step_true", "step_false"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_unparsable_value_is_usage_error(self, tmp_path, capsys, command, key, value, source):
         flag = "--" + key.replace("_", "-")
@@ -760,6 +762,22 @@ class TestConfigPrecedence:
             "--paths", "10", "--step", "0.1", "--config", str(config), "--out", str(tmp_path),
         ]) == 0
         assert (tmp_path / "trajectories_sde.csv").exists() == value
+
+    # Every number parses as a --step, however bad; SdeSpec refuses the ones that are no step.
+    @pytest.mark.parametrize("value,shown", [("nan", "nan"), ("inf", "inf"), (0, "0.0"),
+                                             (-1, "-1.0")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_numeric_step_reaches_the_library(self, tmp_path, capsys, value, shown, source):
+        if source == "flag":
+            extra = ["--step", str(value)]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"step": value}))
+            extra = ["--config", str(config)]
+        assert main([*self.SIMULATE, "--paths", "10", *extra, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: step must be positive and finite, got {shown}\n"
+        )
 
     def test_unused_config_keys_are_ignored(self, tmp_path):
         config = tmp_path / "run.json"

@@ -11,6 +11,7 @@ from gaussmarkov import gaussian, kernels
 from gaussmarkov.errors import (
     ChainMismatchError,
     InvalidInputError,
+    NotPsdError,
     SingularMarginalError,
 )
 from gaussmarkov.gaussian import (
@@ -183,6 +184,19 @@ def test_psd_certificate_decides_as_eigvalsh(n, seed, offset, sign):
     else:
         with pytest.raises(InvalidInputError, match=re.escape(f"min eigenvalue {min_eig}, ")):
             GaussianVector(times=times, mean=mean, cov=cov)
+
+
+# Both PSD rejections raise NotPsdError, which every InvalidInputError catch still takes.
+@pytest.mark.parametrize("reject,message", [
+    pytest.param(lambda: GaussianVector([0.0, 1.0], [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]]),
+                 "covariance not PSD: min eigenvalue -1.0, scale 1.0", id="law"),
+    pytest.param(lambda: pair_law(kernels.matrix_kernel([0.0, 1.0], [[1, 2], [2, 1]]), 0.0, 1.0),
+                 "two-time covariance not PSD at t=0.0", id="pair"),
+])
+def test_psd_rejections_raise_not_psd_error(reject, message):
+    assert issubclass(NotPsdError, InvalidInputError)
+    with pytest.raises(NotPsdError, match=f"^{re.escape(message)}$"):
+        reject()
 
 
 class TestCondition:

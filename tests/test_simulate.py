@@ -17,7 +17,6 @@ from gaussmarkov.simulate import (
     MAX_PATH_VALUES,
     SdeSpec,
     TrajectoryBatch,
-    _factor,
     _stream,
     cholesky_sample,
     empirical_covariance,
@@ -86,7 +85,26 @@ class TestCholeskySample:
 
     def test_indefinite_matrix_not_factorizable(self):
         with pytest.raises(NotPsdError):
-            _factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            GaussianVector(times=[0, 1], mean=[0, 0], cov=[[1.0, 2.0], [2.0, 1.0]])
+
+    # The sampler reuses the factor that certifies the law, or clips an eigen
+    # decomposition when there is none: the same paths either way.
+    def test_full_rank_law_is_sampled_through_its_cholesky_factor(self):
+        law = joint_law(kernels.exponential_rate(1.0), [0.0, 0.5, 1.0, 2.0])
+        expected = _stream(4, "cholesky-sampler").standard_normal((50, 4))
+        expected = expected @ np.linalg.cholesky(law.cov).T + law.mean
+        np.testing.assert_array_equal(cholesky_sample(law, 50, seed=4).paths, expected)
+
+    def test_rank_one_law_is_sampled_through_its_clipped_eigen_factor(self):
+        mimic = transform.mimic_kernel(kernels.fbm(0.75), RateFunction.constant(0.0))
+        law = joint_law(mimic, np.linspace(1, 2, 5))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(law.cov)
+        lam, vecs = np.linalg.eigh(law.cov)
+        lam[lam <= 5 * 2.0**-52 * lam[-1]] = 0.0
+        expected = _stream(4, "cholesky-sampler").standard_normal((50, 5))
+        expected = expected @ (vecs * np.sqrt(lam)).T + law.mean
+        np.testing.assert_array_equal(cholesky_sample(law, 50, seed=4).paths, expected)
 
 
 class TestEulerMaruyama:
