@@ -87,8 +87,8 @@ class TestCholeskySample:
         with pytest.raises(NotPsdError):
             GaussianVector(times=[0, 1], mean=[0, 0], cov=[[1.0, 2.0], [2.0, 1.0]])
 
-    # The sampler reuses the factor that certifies the law, or clips an eigen
-    # decomposition when there is none: the same paths either way.
+    # The sampler takes the Cholesky factor from the routine that certifies the
+    # law, or clips an eigen decomposition when there is none.
     def test_full_rank_law_is_sampled_through_its_cholesky_factor(self):
         law = joint_law(kernels.exponential_rate(1.0), [0.0, 0.5, 1.0, 2.0])
         expected = _stream(4, "cholesky-sampler").standard_normal((50, 4))
