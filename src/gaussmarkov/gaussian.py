@@ -103,10 +103,10 @@ class GaussianVector:
     a rejection raises :class:`NotPsdError` naming the minimum eigenvalue.
     No factor is kept.  The covariance is stored symmetrized.
 
-    The laws made Markov by ``transform.made_markov_law`` and its sweep
-    come from :meth:`_built` instead, which makes only the checks their
-    building does not guarantee: a finite ``cov`` within the size bound, and
-    the PSD certificate.  Their times and mean are checked once per sweep.
+    ``transform``'s partition laws and laws made Markov (one or a sweep) come
+    from :meth:`_built` instead, which makes only the checks their building
+    does not guarantee: a finite ``cov`` within the size bound, and the PSD
+    certificate.  Their times and mean are checked once per law or sweep.
     """
 
     times: np.ndarray
@@ -130,11 +130,11 @@ class GaussianVector:
 
     @classmethod
     def _built(cls, times: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> "GaussianVector":
-        """A law from float arrays whose ``times`` and ``mean`` have passed
-        :func:`_require_fields` with ``cov``, and whose ``cov`` is exactly
-        symmetric, so ``__post_init__`` would store it as it is.  Checks that
-        ``cov`` is finite, within the size bound and PSD, with the messages
-        of ``__post_init__``.
+        """A partition law or a made-Markov law, from float arrays whose
+        ``times`` increase and have passed :func:`_require_fields` with ``mean``
+        and ``cov``, and whose ``cov`` is exactly symmetric, so ``__post_init__``
+        would store it as it is.  Checks that ``cov`` is finite, within the
+        size bound and PSD, with the messages of ``__post_init__``.
         """
         _largest_entry(cov)
         _psd_factor(cov)

@@ -450,7 +450,8 @@ def fbm(hurst: float) -> Kernel:
     """Fractional Brownian motion kernel on (0, inf).
 
     ``K(s, t) = (|t|^{2H} + |s|^{2H} - |t-s|^{2H}) / 2`` with Hurst
-    parameter ``H`` in (0, 1).
+    parameter ``H`` in (0, 1).  ``cov`` is within ``4 eps S`` of ``K``, ``S``
+    the sum of its terms' sizes, and 1 - correlation within ``4 eps (1 + S / (st)^H)``.
     """
     if not 0.0 < hurst < 1.0:
         raise InvalidInputError(f"Hurst parameter must lie in (0, 1), got {hurst}")
@@ -469,7 +470,9 @@ def fbm_log(hurst: float) -> Kernel:
     ``K(s, t) = Ktilde(t - s)`` with
     ``Ktilde(x) = (e^{2Hx} + e^{-2Hx} - |e^x - e^{-x}|^{2H}) / 2``;
     rescaling by ``t^H`` and the time change ``ln(s)/2`` recovers the
-    fBm kernel (see :func:`transform_kernel`).  Unit variance.
+    fBm kernel (see :func:`transform_kernel`).  Unit variance.  ``cov`` and
+    1 - correlation are within ``4 eps S`` and ``4 eps (1 + S)`` of their values,
+    ``S = (e^{2Hx} + e^{-2Hx} + 4H cosh x |2 sinh x|^{2H-1}) / 2`` at ``x = t - s``.
     """
     if not 0.0 < hurst < 1.0:
         raise InvalidInputError(f"Hurst parameter must lie in (0, 1), got {hurst}")
@@ -638,9 +641,11 @@ def rate_kernel(
 
     ``alpha`` must be nonnegative and integrable on compact subsets of
     ``domain``; the infinite marker yields the white-noise kernel.  Unit
-    variance on the diagonal, without integrating: two equal floats return
-    1.0 before any numpy call, and two equal arrays of one shape return
-    ones.  A Gram's ``(n, 1)`` and ``(1, n)`` arguments skip that test.
+    variance on the diagonal: two equal floats return 1.0 before any numpy
+    call, and equal array entries give ``exp(-0) = 1``.  ``cov`` is within
+    ``4 eps K S`` of ``K``, and 1 - correlation within ``4 eps (1 + K S)``, with
+    ``S = 1 + c |t - s|`` for a constant rate ``c`` and ``1 + |A(s)| + |A(t)|``
+    for ``1 + t``, ``A(t) = integral of alpha from the anchor to t``.
     """
     if alpha.is_infinite:
         return Kernel(cov=white_noise().cov, domain=domain, name="rate_kernel(inf)")
@@ -662,11 +667,8 @@ def rate_kernel(
     # ``integral`` is signed and new: it is turned into the kernel in place,
     # so a Gram allocates one n-by-n array.  |c x| is c |x| exactly.
     def cov(s, t):
-        if isinstance(s, float) and isinstance(t, float):
-            if s == t:
-                return 1.0
-        elif np.shape(s) == np.shape(t) and np.equal(s, t).all():
-            return np.ones(np.shape(s))
+        if isinstance(s, float) and isinstance(t, float) and s == t:
+            return 1.0
         x = np.asarray(integral(s, t))
         np.abs(x, out=x)
         np.negative(x, out=x)

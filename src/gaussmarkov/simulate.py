@@ -252,12 +252,11 @@ def empirical_covariance(batch: TrajectoryBatch) -> EmpiricalMoments:
     n = batch.n_paths
     mean = batch.paths.mean(axis=0)
     centered = batch.paths - mean[None, :]
-    cov = centered.T @ centered / (n - 1)
-    cov = 0.5 * (cov + cov.T)
-    var = np.diag(cov)
-    cov_se = np.sqrt((np.outer(var, var) + cov**2) / n)
+    # GaussianVector stores the covariance symmetrized
+    law = GaussianVector(times=batch.times, mean=mean, cov=centered.T @ centered / (n - 1))
+    var = np.diag(law.cov)
+    cov_se = np.sqrt((np.outer(var, var) + law.cov**2) / n)
     mean_se = np.sqrt(np.maximum(var, 0.0) / n)
-    law = GaussianVector(times=batch.times, mean=mean, cov=cov)
     return EmpiricalMoments(law=law, mean_se=mean_se, cov_se=cov_se, n_paths=n)
 
 

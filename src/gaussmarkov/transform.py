@@ -179,19 +179,17 @@ def partition_law(kernel: Kernel, partition: Partition) -> TransportPlan:
     Equals composing the kernel's consecutive :func:`pair_law` plans: the
     correlation is the product of the one-step correlations while the
     endpoint marginals stay those of the kernel.  One running product over
-    the partition, O(n) in its points.
+    the partition, O(n) in its points.  Its times increase and its covariance
+    is exactly symmetric as built, so :meth:`GaussianVector._built` checks the rest.
     """
     kernel.require_in_domain(partition.points)
     steps, var = _chain(kernel, partition.points)
     cross = np.cumprod(np.concatenate([steps[:1], steps[1:] / var[1:-1]]))[-1]
-    return TransportPlan.from_blocks(
-        cov_left=[[var[0]]],
-        cross=[[cross]],
-        cov_right=[[var[-1]]],
-        mean_left=[kernel.mean(partition.start)],
-        mean_right=[kernel.mean(partition.end)],
-        times=[partition.start, partition.end],
-    )
+    ends = partition.points[[0, -1]]
+    mean = np.asarray([kernel.mean(t) for t in ends.tolist()], dtype=float).ravel()
+    cov = np.array([[var[0], cross], [cross, var[-1]]])
+    gaussian._require_fields(ends, mean, cov)
+    return TransportPlan(GaussianVector._built(ends, mean, cov), 1, 1)
 
 
 def made_markov_law(kernel: Kernel, split_times, query_times) -> GaussianVector:

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from gaussmarkov import kernels
+from gaussmarkov import cli, kernels
 from gaussmarkov.cli import MAX_RANDOM_GRIDS, main
 from gaussmarkov.kernels import RateFunction
 from gaussmarkov.simulate import MAX_PATH_VALUES, cholesky_sample
@@ -791,3 +791,13 @@ class TestConfigPrecedence:
                 "--seed", "1", "--out", str(tmp_path),
             ])
         assert exc.value.code == 2
+
+
+def test_unexpected_exception_is_a_clean_failure(monkeypatch, tmp_path, capsys):
+    """``main``'s last-resort branch: an exception no check names exits 1 with its type."""
+    def boom(**options):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "counterexample", boom)
+    assert main(["counterexample", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: RuntimeError: boom\n"

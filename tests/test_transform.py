@@ -8,8 +8,8 @@ import pytest
 
 from gaussmarkov import kernels
 from gaussmarkov.errors import InvalidInputError, InvalidRateError, SingularMarginalError
-from gaussmarkov.gaussian import gaussian_distance, markov_check
-from gaussmarkov.kernels import RateFunction, estimate_alpha
+from gaussmarkov.gaussian import GaussianVector, TransportPlan, gaussian_distance, markov_check
+from gaussmarkov.kernels import Kernel, RateFunction, estimate_alpha
 from gaussmarkov.transform import (
     MAX_PARTITION_INTERVALS,
     AdmissibleSequence,
@@ -21,6 +21,7 @@ from gaussmarkov.transform import (
     made_markov_law,
     made_markov_law_by_blocks,
     mimic_kernel,
+    pair_law,
     partition_law,
     rate_kernel,
     tightness_bound_check,
@@ -154,8 +155,9 @@ class TestRateKernel:
         assert kern.std(0.3) == 1.0
         assert kern.variance(2.0) == 1.0
         assert kern.cov(0.7, 0.7) == 1.0
-        assert kern.cov(np.array([0.3, 2.0]), np.array([0.3, 2.0])).tolist() == [1.0, 1.0]
         assert calls == []
+        # equal arrays take the integral path, whose diagonal is exp(-0) = 1
+        assert kern.cov(np.array([0.3, 2.0]), np.array([0.3, 2.0])).tolist() == [1.0, 1.0]
 
     def test_infinite_rate_is_white_noise(self):
         kern = rate_kernel(RateFunction.infinite())
@@ -209,6 +211,26 @@ class TestPartitionLaw:
         plan = partition_law(kern, Partition.uniform(1.0, 2.0, 9))
         assert plan.cov_left[0, 0] == pytest.approx(fbm_cov(0.6, 1, 1), rel=1e-14)
         assert plan.cov_right[0, 0] == pytest.approx(fbm_cov(0.6, 2, 2), rel=1e-14)
+
+    def test_checked_once(self, monkeypatch):
+        # the chain checks every pair; the law skips GaussianVector's re-checks
+        def refuse(self):
+            raise AssertionError("GaussianVector.__post_init__ called")
+
+        monkeypatch.setattr(GaussianVector, "__post_init__", refuse)
+        plan = partition_law(kernels.fbm(0.6), Partition.uniform(1.0, 2.0, 9))
+        assert plan.joint.times.tolist() == [1.0, 2.0]
+        assert pair_law(kernels.fbm_log(0.3), 0.0, 1.0).joint.dim == 2
+
+    def test_same_law_as_from_blocks(self):
+        kern = Kernel(mean=lambda t: 0.5 * t, cov=kernels.fbm(0.7).cov, domain=(0.0, math.inf))
+        plan = partition_law(kern, Partition.uniform(0.5, 1.5, 7))
+        ref = TransportPlan.from_blocks(
+            plan.cov_left, plan.cross, plan.cov_right,
+            [kern.mean(0.5)], [kern.mean(1.5)], [0.5, 1.5],
+        )
+        for name in ("times", "mean", "cov"):
+            assert getattr(plan.joint, name).tobytes() == getattr(ref.joint, name).tobytes()
 
 
 class TestMadeMarkovLaw:
@@ -482,6 +504,46 @@ class TestLocalConvergence:
         assert rows[0].correlation == pytest.approx(math.exp(-1.0), abs=1e-12)
         assert rows[0].target_correlation == pytest.approx(math.exp(-1.0), abs=1e-12)
         assert rows[0].distance < 1e-12
+
+
+class TestConvergenceOrder:
+    """Partition-law correlation of ``fbm_log(H)`` on [0, 1] at meshes 2^-8 .. 2^-18.
+
+    ``1 - Ktilde(h) ~ (2h)^{2H} / 2``: for H > 1/2 the error from the limit 1
+    falls like mesh^{2H - 1}, for H < 1/2 faster than any power toward 0, and
+    at H = 1/2 the kernel is Markov, so only rounding is left.  This is why
+    criterion 3 fails at its fixed mesh 2^-12 for H = 0.75 (2.159e-2).
+    """
+
+    LEVELS = range(8, 19)
+
+    def errors(self, hurst, limit):
+        kern = kernels.fbm_log(hurst)
+        return [abs(float(partition_law(kern, Partition.dyadic(0.0, 1.0, k)).cross[0, 0]) - limit)
+                for k in self.LEVELS]
+
+    @pytest.mark.parametrize("hurst,first,last", [(0.6, 0.1635, 0.1900), (0.75, 0.4613, 0.4982),
+                                                  (0.9, 0.7156, 0.7820)])
+    def test_order_rises_toward_2h_minus_1(self, hurst, first, last):
+        errs = self.errors(hurst, 1.0)
+        orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+        assert all(a < b for a, b in zip(orders, orders[1:])), orders
+        assert orders[-1] < 2 * hurst - 1
+        assert orders[0] == pytest.approx(first, abs=1e-3)
+        assert orders[-1] == pytest.approx(last, abs=1e-3)
+
+    def test_rough_kernel_decorrelates_faster_than_any_power(self):
+        errs = self.errors(0.3, 0.0)
+        orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+        assert all(a < b for a, b in zip(orders, orders[1:])), orders
+        assert errs[-1] == pytest.approx(3.945e-49, rel=1e-3)
+
+    def test_markov_kernel_is_exact_to_rounding(self):
+        # the running product rounds once or twice a step: at most 2^k eps at mesh 2^-k
+        errs = self.errors(0.5, math.exp(-1.0))
+        eps = np.finfo(float).eps
+        assert all(e <= 2.0**k * eps for k, e in zip(self.LEVELS, errs)), errs
+        assert max(errs) < 4e-12
 
 
 class TestGlobalConvergence:
