@@ -15,7 +15,9 @@ Exit codes: 0 success, 1 numerical/validation failure, 2 usage error,
 Values from ``--config FILE`` (JSON, keys = flag names with underscores)
 fill in any flag not given on the command line; defaults apply last.  Every
 value then passes its option's converter (``_OPTIONS``), so one that does not
-parse is a usage error wherever it came from; unused config keys are ignored.
+parse is a usage error wherever it came from.  A config key that no command
+reads is a usage error; another command's key is ignored, so that one file can
+serve several commands.  A JSON boolean is no number, in an option or a spec.
 ``serialize.write_csv`` and ``serialize.write_json`` write every artifact, and
 reruns with the same configuration and seed produce byte-identical files.
 
@@ -95,14 +97,6 @@ def _integer(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
-
-
-def _real(value) -> float:
-    """A number or a numeric string; never a bool.  A non-finite, zero or negative
-    value passes, for the library to judge."""
-    if isinstance(value, bool):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
 
 
 def _seed(value) -> int:
@@ -190,7 +184,7 @@ _OPTIONS = {
         _KERNEL, _ALPHA, _GRID._replace(help="start:stop:count recorded grid"),
         _Option("paths", _integer, 10_000, "number of sample paths"),
         _SEED,
-        _Option("step", _real, 1e-3, "Euler-Maruyama step"),
+        _Option("step", serialize._number, 1e-3, "Euler-Maruyama step"),
         _Option("route", _route, "exact", "Gaussian route: exact or cholesky"),
         _Option("dump_paths", _switch, False, "also write full trajectory CSVs"),
         _OUT,
@@ -227,6 +221,10 @@ def _read_config(name: str) -> dict:
         raise UsageError(f"--config: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"--config: expected a JSON object, got {type(data).__name__}")
+    known = {opt.name for _, options in _OPTIONS.values() for opt in options}
+    unread = [key for key in data if key not in known]
+    if unread:
+        raise UsageError(f"--config: no command reads the key {unread[0]!r}")
     return data
 
 
@@ -295,8 +293,9 @@ def _cmd_transform(kernel, alpha, grid, out) -> int:
     mimic = transform.mimic_kernel(kernel, alpha)
     times = grid.tolist()
     pairs = [(s, t) for i, s in enumerate(times) for t in times[i:]]
-    k = [float(kernel.eval(s, t)) for s, t in pairs]
-    # one call: the mimicking kernel's cov entries are its eval, bit for bit
+    # one call per pair: fbm's scalar ``**`` rounds otherwise than its array one
+    k = [float(kernel.cov(s, t)) for s, t in pairs]
+    # one call: the mimicking kernel's array entries are its scalar ones, bit for bit
     k_mimic = mimic.cov(*np.array(pairs).T).tolist()
     rows = [(s, t, a, b) for (s, t), a, b in zip(pairs, k, k_mimic)]
     path = out / "transform_table.csv"

@@ -16,6 +16,7 @@ Schema (one object per kernel, dispatched on ``"type"``):
 Rate specs are a number, the string "inf", or an object.  Rate, scale and
 time-change objects dispatch on ``"form"``; ``_FORMS`` is the one list of the
 forms each kind accepts.  Every field but ``value`` is optional: 1, intercepts 0.
+A JSON ``true`` or ``false`` is no number: ``_number`` refuses it wherever one goes.
 
     {"form": "constant", "value": v}                  # rate, scale
     {"form": "infinite"}                              # rate
@@ -43,6 +44,13 @@ from .kernels import Kernel, RateFunction
 MAX_GRID_POINTS = 4096
 
 
+def _number(value) -> float:
+    """A number or a numeric string; never a bool, which JSON's ``true`` parses to."""
+    if isinstance(value, bool):
+        raise InvalidInputError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _bound(value, missing: float) -> float:
     """One domain bound; ``None`` (JSON ``null``) is the unbounded end, ``missing``."""
     if value is None:
@@ -54,7 +62,7 @@ def _bound(value, missing: float) -> float:
         if text == "-inf":
             return -math.inf
         raise InvalidInputError(f"bad domain bound {value!r}")
-    return float(value)
+    return _number(value)
 
 
 def _domain(value, default):
@@ -83,26 +91,26 @@ def _function(spec, kind: str) -> Callable[[float], float]:
         raise InvalidInputError(f"unknown {kind} form {form!r}")
     increasing = kind == "time-change"
     if form == "constant":
-        c = float(spec["value"])
+        c = _number(spec["value"])
         return lambda t: c
     if form == "power":
-        c = float(spec.get("coeff", 1.0))
-        p = float(spec.get("exponent", 1.0))
+        c = _number(spec.get("coeff", 1.0))
+        p = _number(spec.get("exponent", 1.0))
         return lambda t: c * math.pow(t, p)
     if form == "exp":
-        c = float(spec.get("coeff", 1.0))
-        r = float(spec.get("rate", 1.0))
+        c = _number(spec.get("coeff", 1.0))
+        r = _number(spec.get("rate", 1.0))
         if increasing and c * r <= 0.0:
             raise InvalidInputError("exp time change must be increasing")
         return lambda t: c * math.exp(r * t)
     if form == "log":
-        a = float(spec.get("coeff", 1.0))
-        b = float(spec.get("intercept", 0.0))
+        a = _number(spec.get("coeff", 1.0))
+        b = _number(spec.get("intercept", 0.0))
         if a <= 0.0:
             raise InvalidInputError("log time change must have positive coefficient")
         return lambda t: a * math.log(t) + b
-    a = float(spec.get("slope", 1.0))  # linear or affine
-    b = float(spec.get("intercept", 0.0))
+    a = _number(spec.get("slope", 1.0))  # linear or affine
+    b = _number(spec.get("intercept", 0.0))
     if increasing and a <= 0.0:
         raise InvalidInputError("affine time change must have positive slope")
     return lambda t: a * t + b
@@ -111,7 +119,7 @@ def _function(spec, kind: str) -> Callable[[float], float]:
 def rate_from_spec(spec) -> RateFunction:
     """Parse a rate specification (number, "inf", or an object)."""
     if isinstance(spec, (int, float)):
-        return RateFunction.constant(float(spec))
+        return RateFunction.constant(_number(spec))
     if isinstance(spec, str):
         text = spec.strip().lower()
         if text in ("inf", "+inf", "infinity", "infinite"):
@@ -124,7 +132,7 @@ def rate_from_spec(spec) -> RateFunction:
         raise InvalidInputError(f"cannot parse rate spec {spec!r}")
     form = spec.get("form")
     if form == "constant":
-        return RateFunction.constant(float(spec["value"]))
+        return RateFunction.constant(_number(spec["value"]))
     if form == "infinite":
         return RateFunction.infinite()
     return RateFunction.from_callable(_function(spec, "rate"))
@@ -160,9 +168,9 @@ def kernel_from_spec(spec) -> Kernel:
         raise InvalidInputError(f"kernel spec must be an object, got {type(spec)}")
     kind = spec.get("type")
     if kind == "fbm":
-        return kernels.fbm(float(spec["hurst"]))
+        return kernels.fbm(_number(spec["hurst"]))
     if kind == "fbm_log":
-        return kernels.fbm_log(float(spec["hurst"]))
+        return kernels.fbm_log(_number(spec["hurst"]))
     if kind == "exponential":
         bounds = _domain(spec.get("domain"), (-math.inf, math.inf))
         return kernels.exponential_rate(rate_from_spec(spec.get("rate", 1.0)), domain=bounds)

@@ -207,22 +207,21 @@ def ou_exact(alpha: RateFunction, t_grid, n_paths: int, seed: int) -> Trajectory
     """Exact-in-law sampling of the unit-variance Markov family.
 
     Uses the Markov transition: correlation over a step is
-    ``exp(-integral of alpha)``, so there is no discretization bias and
-    the cost is linear in the grid size.  The infinite rate falls back to
-    independent unit Gaussians.
+    ``exp(-integral of alpha)``, one ``cov`` call for every step, so there is
+    no discretization bias and the cost is linear in the grid size.  The
+    infinite rate falls back to independent unit Gaussians.
     """
     grid = _as_strictly_increasing(t_grid)
     gen = _stream(seed, "ou-exact")
     if alpha.is_infinite:
         return TrajectoryBatch(times=grid, paths=gen.standard_normal((n_paths, grid.size)))
     base = rate_kernel(alpha, domain=(grid[0], grid[-1]))
+    rhos = base.cov(grid[:-1], grid[1:]).tolist()
     x = gen.standard_normal(n_paths)
     out = np.empty((n_paths, grid.size))
     out[:, 0] = x
-    for gi, (a, b) in enumerate(zip(grid[:-1], grid[1:]), start=1):
-        rho = base.eval(float(a), float(b))
-        noise_scale = math.sqrt(max(0.0, 1.0 - rho * rho))
-        x = rho * x + noise_scale * gen.standard_normal(n_paths)
+    for gi, rho in enumerate(rhos, start=1):
+        x = rho * x + math.sqrt(max(0.0, 1.0 - rho * rho)) * gen.standard_normal(n_paths)
         out[:, gi] = x
     return TrajectoryBatch(times=grid, paths=out)
 

@@ -26,6 +26,11 @@ Gram always symmetrized before ``eigvalsh``.
 ``rate_spec_function``, ``scale_from_spec`` and ``time_change_from_spec`` are
 the three spec parsers that ``gaussmarkov.serialize._function`` replaced, one
 per kind, each with its own copy of the forms it shares with the others.
+``decay_rate_by_eval``, ``uniform_deviation_by_loops`` and ``ou_exact_by_steps``
+are the scalar loops that ``gaussmarkov.kernels.estimate_alpha``,
+``uniform_convergence_diagnostic`` and ``gaussmarkov.simulate.ou_exact``
+replaced by one ``cov`` call: three ``Kernel.eval`` calls per finite-h rate,
+a double loop over the (v, h) lattice, and one ``eval`` per grid step.
 ``decay_rates`` is ``gaussmarkov.spectral.fourier_decay_rate`` one scalar
 ``np.dot`` at a time.  ``half_angle_decay_rates`` is the same rate without its
 cancellation: ``2 sin^2(t y / 2)`` for ``1 - cos(t y)``, checked against mpmath
@@ -47,7 +52,9 @@ from gaussmarkov.kernels import (
     _sorted_unique,
     correlation,
     gram,
+    rate_kernel,
 )
+from gaussmarkov.simulate import TrajectoryBatch, _stream
 from gaussmarkov.spectral import WeierstrassConfig, _effective_cap
 from gaussmarkov.transform import ConvergenceRow, _chain, _require_positive, joint_law
 
@@ -322,3 +329,38 @@ def half_angle_decay_rates(mu, grid) -> np.ndarray:
     t = np.asarray(grid, dtype=float)
     half = np.sin(0.5 * np.multiply.outer(t, locs))
     return 2.0 * (half * half) @ masses / t
+
+
+def decay_rate_by_eval(kernel, t: float, h: float) -> float:
+    """``(1 - c(t, t+h)) / h`` from three scalar ``eval`` calls."""
+    rho = kernel.eval(t, t + h) / math.sqrt(kernel.eval(t, t) * kernel.eval(t + h, t + h))
+    return (1.0 - rho) / h
+
+
+def uniform_deviation_by_loops(kernel, alpha, s, t, h_star, grid_density) -> float:
+    """``uniform_convergence_diagnostic`` one lattice point at a time."""
+    worst = 0.0
+    for j in range(1, grid_density + 1):
+        h = h_star * j / grid_density
+        if h >= t - s:
+            h = (t - s) * (1.0 - 1e-12)
+        for v in np.linspace(s, t - h, grid_density):
+            dev = abs(decay_rate_by_eval(kernel, float(v), h) - alpha(float(v)))
+            if dev > worst:
+                worst = dev
+    return worst
+
+
+def ou_exact_by_steps(alpha, t_grid, n_paths: int, seed: int) -> TrajectoryBatch:
+    """``ou_exact`` for a finite rate, one scalar ``eval`` per grid step."""
+    grid = _as_strictly_increasing(t_grid)
+    gen = _stream(seed, "ou-exact")
+    base = rate_kernel(alpha, domain=(grid[0], grid[-1]))
+    x = gen.standard_normal(n_paths)
+    out = np.empty((n_paths, grid.size))
+    out[:, 0] = x
+    for gi, (a, b) in enumerate(zip(grid[:-1], grid[1:]), start=1):
+        rho = base.eval(float(a), float(b))
+        x = rho * x + math.sqrt(max(0.0, 1.0 - rho * rho)) * gen.standard_normal(n_paths)
+        out[:, gi] = x
+    return TrajectoryBatch(times=grid, paths=out)

@@ -784,6 +784,37 @@ class TestConfigPrecedence:
         config.write_text(json.dumps({"i_max": 1, "paths": "not read here", "seed": 3}))
         assert main(["counterexample", "--config", str(config), "--out", str(tmp_path)]) == 0
 
+    # Keys of other commands pass, so one file serves several commands; a
+    # misspelt key would otherwise leave its option at the default.
+    def test_config_key_no_command_reads_is_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"stepz": 0.5, "paths": 10}))
+        out = tmp_path / "out"
+        assert main([*self.SIMULATE, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: --config: no command reads the key 'stepz'\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kernel,alpha,message", [
+        ('{"type": "exponential", "rate": true}', "true", "--kernel: expected a number, got True"),
+        (EXP, "true", "--alpha: expected a number, got True"),
+        (EXP, '{"form": "constant", "value": true}', "--alpha: expected a number, got True"),
+        (EXP, '{"form": "linear", "slope": true}', "--alpha: expected a number, got True"),
+        ('{"type": "fbm", "hurst": true}', "1", "--kernel: expected a number, got True"),
+        ('{"type": "exponential", "domain": [false, 5]}', "1",
+         "--kernel: expected a number, got False"),
+        ('{"type": "transformed", "base": {"type": "exponential"}, "scale": {"form": "constant", '
+         '"value": 1}, "time_change": {"form": "affine", "intercept": true}}', "1",
+         "--kernel: expected a number, got True"),
+    ])
+    def test_json_boolean_is_no_number_in_a_spec(self, tmp_path, capsys, kernel, alpha, message):
+        out = tmp_path / "out"
+        argv = ["transform", "--kernel", kernel, "--alpha", alpha, "--grid", "1:2:3"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
     def test_seed_is_not_a_transform_option(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main([

@@ -238,6 +238,124 @@ class TestUniformConvergenceDiagnostic:
         assert dev == pytest.approx(1.0 - (1.0 - math.exp(-h)) / h, rel=1e-12)
 
 
+def _rate_1_plus_t():
+    return RateFunction.from_callable(lambda t: 1.0 + t)
+
+
+#: Kernels whose one-call rates are the scalar loops' bit for bit, each with a time
+#: inside its domain: rate kernels, fbm_log and mimicking kernels.
+BITWISE_RATE_KERNELS = {
+    "exponential(1.3)": (lambda: kernels.exponential_rate(1.3), 0.4),
+    "rate 1+t": (lambda: kernels.rate_kernel(_rate_1_plus_t(), (0.0, 4.0)), 1.1),
+    "fbm_log(0.3)": (lambda: kernels.fbm_log(0.3), -0.6),
+    "fbm_log(0.75)": (lambda: kernels.fbm_log(0.75), 0.9),
+    "mimic(fbm(0.6), 0.5)":
+        (lambda: mimic_kernel(kernels.fbm(0.6), RateFunction.constant(0.5)), 1.3),
+    "mimic(fbm_log(0.75), 1+t)":
+        (lambda: mimic_kernel(kernels.fbm_log(0.75), _rate_1_plus_t()), 0.2),
+}
+RATE_H_SEQUENCE = [10.0**-k for k in range(3, 8)]
+EPS = float(np.finfo(float).eps)
+
+
+def fbm_rate_slack(hurst, v, h):
+    """Largest gap of two fbm decay rates at ``(v, h)`` that each keep ``fbm``'s
+    stated bound on 1 - correlation, ``4 eps (1 + S / (s t)^H)``, divided by h."""
+    s, t, two_h = v, v + h, 2.0 * hurst
+    size = 0.5 * (s**two_h + t**two_h + h**two_h)
+    return 8.0 * EPS * (1.0 + size / (s * t) ** hurst) / h
+
+
+class TestOneCallAgainstScalarLoops:
+    """``estimate_alpha`` and the uniform diagnostic against the scalar ``eval`` loops
+    they replaced (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("name", sorted(BITWISE_RATE_KERNELS))
+    def test_estimate_alpha_bit_for_bit(self, name):
+        make, t = BITWISE_RATE_KERNELS[name]
+        kern = make()
+        est = estimate_alpha(kern, t, RATE_H_SEQUENCE)
+        assert est.samples == tuple(oracles.decay_rate_by_eval(kern, t, h) for h in RATE_H_SEQUENCE)
+
+    @pytest.mark.parametrize("h_star", [0.3, 2.0])  # 2.0 clips the longer lags to the interval
+    @pytest.mark.parametrize("name", sorted(BITWISE_RATE_KERNELS))
+    def test_uniform_diagnostic_bit_for_bit(self, name, h_star):
+        make, t = BITWISE_RATE_KERNELS[name]
+        kern, alpha = make(), _rate_1_plus_t()
+        args = (kern, alpha, t, t + 1.0, h_star, 7)
+        assert uniform_convergence_diagnostic(*args) == oracles.uniform_deviation_by_loops(*args)
+
+    @pytest.mark.parametrize("hurst", [0.3, 0.75])
+    def test_fbm_within_its_stated_bound(self, hurst):
+        # numpy's array ** rounds otherwise than libm's pow on two floats
+        kern, t = kernels.fbm(hurst), 1.7
+        est = estimate_alpha(kern, t, RATE_H_SEQUENCE)
+        for h, new in zip(RATE_H_SEQUENCE, est.samples):
+            assert abs(new - oracles.decay_rate_by_eval(kern, t, h)) <= fbm_rate_slack(hurst, t, h)
+        s, t, h_star, density = 0.8, 1.8, 0.05, 7
+        hs = h_star * np.arange(1, density + 1) / density
+        slack = fbm_rate_slack(hurst, np.linspace(s, t - hs, density), hs).max()
+        args = (kern, _rate_1_plus_t(), s, t, h_star, density)
+        new, old = uniform_convergence_diagnostic(*args), oracles.uniform_deviation_by_loops(*args)
+        assert abs(new - old) <= slack
+
+    def test_two_floats_give_a_float(self):
+        kern = kernels.fbm(0.75)
+        assert type(correlation(kern, 1.0, 2.0)) is float
+        assert type(decay_rate(kern, 1.0, 0.5)) is float
+        assert decay_rate(kern, 1.0, np.array([0.5, 0.25])).shape == (2,)
+
+    def test_array_errors_name_the_first_bad_entry(self):
+        with pytest.raises(InvalidInputError, match=r"h must be positive, got -0\.5"):
+            decay_rate(kernels.fbm(0.5), 1.0, np.array([0.5, -0.5, -1.0]))
+        with pytest.raises(SingularMarginalError, match=r"at s=0\.0 or t=0\.5"):
+            correlation(kernels.fbm(0.5), np.array([1.0, 0.0]), np.array([2.0, 0.5]))
+
+
+def test_no_library_path_calls_eval(monkeypatch, tmp_path):
+    """Every kernel built while this runs has an ``eval`` that raises, as perfbench's
+    tracer replaces it: the library reads kernels only through ``cov``."""
+    from gaussmarkov import cli, serialize, simulate, transform
+
+    def refuse(s, t):
+        raise AssertionError("the library called Kernel.eval")
+
+    built = Kernel.__post_init__
+
+    def post_init(self):
+        built(self)
+        object.__setattr__(self, "eval", refuse)
+
+    monkeypatch.setattr(Kernel, "__post_init__", post_init)
+    one = RateFunction.constant(1.0)
+    rate = RateFunction.from_callable(lambda t: 1.0 + t * t)
+    for kern in (kernels.fbm(0.6), kernels.fbm_log(0.75), kernels.rate_kernel(rate)):
+        with pytest.raises(AssertionError):
+            kern.eval(1.0, 2.0)
+        grid = np.linspace(1.0, 2.0, 5)
+        transform.partition_law(kern, transform.Partition(grid))
+        transform.made_markov_law(kern, [1.5], grid)
+        if kern.domain[0] < -2.0:  # the sweep's sets R_n = step Z ∩ [-n, n]
+            adm = transform.AdmissibleSequence.from_steps([0.5, 0.25])
+            transform.global_convergence_experiment(kern, kernels.exponential_rate(1.0),
+                                                    adm, grid, 2)
+        transform.joint_law(kern, grid)
+        psd_check(kern, grid)
+        mimic = mimic_kernel(kern, one)
+        mimic.cov(grid[:, None], grid[None, :])
+        correlation(kern, 1.0, 2.0)
+        decay_rate(kern, 1.0, 1e-3)
+        estimate_alpha(mimic, 1.0, RATE_H_SEQUENCE)
+        uniform_convergence_diagnostic(kern, one, 1.0, 2.0, 0.1, 3)
+        transform.tightness_bound_check(kern, 1.0, 2.0, [transform.Partition(grid)])
+        for route in ("exact", "cholesky"):
+            simulate.figure_comparison(kern, one, grid[:3], n_paths=20, seed=1, step=0.05,
+                                       gaussian_route=route)
+    monkeypatch.setattr(serialize, "kernel_from_spec", lambda spec: kernels.fbm(0.75))
+    argv = ["transform", "--kernel", "fbm", "--alpha", "1", "--grid", "1:2:9"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+
+
 class TestTransformKernel:
     def test_scale_is_taken_at_every_point_before_the_time_change(self):
         # the time change fails at 1.0, the scale at 3.0: the scale's error is named

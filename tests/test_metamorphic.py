@@ -3,12 +3,17 @@
 For ``K_T(s, t) = u(s) u(t) K(phi(s), phi(t))`` with ``u > 0`` and ``phi``
 increasing, ``made_markov_law(K_T, S, Q) = D_u made_markov_law(K, phi(S),
 phi(Q)) D_u`` with ``D_u = diag(u(Q))``, and likewise ``partition_law``: the
-chains of the two kernels telescope through the same points.
+chains of the two kernels telescope through the same points.  The scale
+cancels from the correlation, so the decorrelation rate of ``K_T`` is the
+base kernel's rate at ``phi(t)`` times ``phi'(t)``.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+from gaussmarkov.kernels import estimate_alpha
 from gaussmarkov.serialize import _function, kernel_from_spec
 from gaussmarkov.transform import Partition, made_markov_law, partition_law
 
@@ -60,3 +65,38 @@ def test_laws_of_a_transformed_kernel_are_the_scaled_laws_of_its_base(base, u_fo
     ends = PARTITION[[0, -1]]
     _close(partition_law(transformed, Partition(PARTITION)).joint.cov,
            scaled(partition_law(kern, Partition(image(PARTITION))).joint.cov, ends))
+
+
+#: Each rate base with its own rate ``alpha_K(x)``: fbm(1/2) is Brownian motion, min(s, t).
+RATE_BASES = {
+    "exponential": ({"type": "exponential", "rate": 1.3}, lambda x: 1.3),
+    "fbm(0.5)": ({"type": "fbm", "hurst": 0.5}, lambda x: 0.5 / x),
+}
+#: ``phi'`` of each time change in ``TIME_CHANGES``.
+PHI_PRIME = {
+    "affine": lambda t: 1.5,
+    "log": lambda t: 0.9 / t,
+    "exp": lambda t: 0.5 * 0.7 * math.exp(0.7 * t),
+}
+RATE_DOMAIN = [0.5, 3.0]
+RATE_TIMES = [0.7, 1.3, 2.5]
+H_SEQUENCE = [10.0**-k for k in range(3, 8)]
+#: Worst relative gap measured over these cases: 2.1e-7, the O(h) bias at h = 1e-7.
+RATE_REL_TOL = 1e-6
+
+
+@pytest.mark.parametrize("phi_form", sorted(TIME_CHANGES))
+@pytest.mark.parametrize("u_form", sorted(SCALES))
+@pytest.mark.parametrize("base", sorted(RATE_BASES))
+def test_rate_of_a_transformed_kernel_is_the_time_changed_rate(base, u_form, phi_form):
+    base_spec, alpha = RATE_BASES[base]
+    transformed = kernel_from_spec({
+        "type": "transformed", "base": base_spec, "scale": SCALES[u_form],
+        "time_change": TIME_CHANGES[phi_form], "domain": RATE_DOMAIN,
+    })
+    phi = _function(TIME_CHANGES[phi_form], "time-change")
+    for t in RATE_TIMES:
+        est = estimate_alpha(transformed, t, H_SEQUENCE)
+        expected = alpha(phi(t)) * PHI_PRIME[phi_form](t)
+        assert est.converged and not est.is_infinite
+        assert abs(est.value - expected) <= RATE_REL_TOL * expected, (t, est.value, expected)

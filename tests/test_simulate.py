@@ -27,6 +27,8 @@ from gaussmarkov.simulate import (
 )
 from gaussmarkov.transform import joint_law
 
+import oracles
+
 
 def constant(value):
     return lambda t: value
@@ -383,6 +385,32 @@ class TestOuExact:
         )
         combined = np.sqrt(a.cov_se**2 + b.cov_se**2)
         assert np.all(np.abs(a.law.cov - b.law.cov) < 3 * combined)
+
+
+    @pytest.mark.parametrize("alpha", [
+        RateFunction.constant(0.37),
+        RateFunction.from_callable(lambda t: 1.0 + t),
+        RateFunction.from_callable(lambda t: 0.8 * t**1.5),
+    ], ids=["constant", "1+t", "power"])
+    def test_one_cov_call_is_the_step_loop_bit_for_bit(self, alpha):
+        rng = np.random.default_rng(31)
+        for size in (2, 17, 60):
+            grid = np.sort(rng.uniform(0.0, 4.0, size))
+            batch = ou_exact(alpha, grid, 5, seed=size)
+            np.testing.assert_array_equal(
+                batch.paths, oracles.ou_exact_by_steps(alpha, grid, 5, seed=size).paths)
+
+    def test_one_cov_call_per_run(self, monkeypatch):
+        calls = []
+        rate_kernel = simulate.rate_kernel
+
+        def counted(alpha, domain):
+            kern = rate_kernel(alpha, domain=domain)
+            return dataclasses.replace(kern, cov=lambda s, t: calls.append(1) or kern.cov(s, t))
+
+        monkeypatch.setattr(simulate, "rate_kernel", counted)
+        ou_exact(RateFunction.constant(1.0), np.linspace(0.0, 1.0, 50), 3, seed=1)
+        assert calls == [1]
 
 
 class TestEmpiricalCovariance:

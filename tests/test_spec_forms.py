@@ -25,8 +25,31 @@ SAMPLE_TIMES = [-1.5, 0.0, 0.25, 1.0, 2.0, 800.0]
 VALUES = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(NEAR_VALID))
 
 
+#: The number fields each form reads, in the order it reads them.
+READS = {
+    "constant": ("value",), "power": ("coeff", "exponent"), "exp": ("coeff", "rate"),
+    "log": ("coeff", "intercept"), "linear": ("slope", "intercept"),
+    "affine": ("slope", "intercept"),
+}
+
+
 def _new(spec, kind):
     return rate_from_spec(spec) if kind == "rate" else _function(spec, kind)
+
+
+def _reference(spec, kind):
+    """The replaced parser's outcome, except that a JSON boolean read before any
+    field that is no number is refused: the old parsers took ``true`` for 1.0."""
+    if isinstance(spec, dict) and spec.get("form") in _FORMS[kind]:
+        for field in READS.get(spec["form"], ()):
+            value = spec.get(field, 1.0)
+            if isinstance(value, bool):
+                return InvalidInputError, f"expected a number, got {value!r}"
+            try:
+                float(value)
+            except (TypeError, ValueError, OverflowError):
+                break
+    return _outcome(REFERENCES[kind], spec)
 
 
 def _outcome(call, *args):
@@ -56,7 +79,7 @@ def specs(draw, kind):
 @given(data=st.data())
 def test_parser_matches_reference_bit_for_bit(kind, data):
     spec = data.draw(specs(kind))
-    new, ref = _outcome(_new, spec, kind), _outcome(REFERENCES[kind], spec)
+    new, ref = _outcome(_new, spec, kind), _reference(spec, kind)
     if not callable(ref):
         assert new == ref
         return
