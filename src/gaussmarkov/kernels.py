@@ -44,6 +44,9 @@ RATE_REL_TOL = 1e-3
 #: Rate value past which an increasing sequence is declared divergent.
 RATE_DIVERGENCE_THRESHOLD = 1e6
 
+#: Largest ``grid_density`` of the uniform diagnostic, whose lattice arrays then take 32 MiB.
+MAX_LATTICE_DENSITY = 2048
+
 #: Absolute tolerance of the package quadrature, for rates and noise integrals.
 INTEGRAL_ABS_TOL = 1e-10
 
@@ -363,6 +366,7 @@ def uniform_convergence_diagnostic(
         raise InvalidInputError("need s < t")
     if grid_density < 2:
         raise InvalidInputError("grid_density must be at least 2")
+    _require_at_most(grid_density, MAX_LATTICE_DENSITY, f"grid_density {grid_density}")
     hs = h_star * np.arange(1, grid_density + 1) / grid_density
     hs[hs >= t - s] = (t - s) * (1.0 - 1e-12)
     v = np.linspace(s, t - hs, grid_density)  # column j is the v-grid of hs[j]

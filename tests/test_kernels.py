@@ -928,6 +928,9 @@ def _zero_variance():
     pytest.param(lambda: uniform_convergence_diagnostic(
         kernels.constant(), RateFunction.constant(0.0), 0.0, 1.0, 0.1, 1),
         InvalidInputError, "grid_density must be at least 2", id="diagnostic-density"),
+    pytest.param(lambda: uniform_convergence_diagnostic(
+        kernels.constant(), RateFunction.constant(0.0), 0.0, 1.0, 0.1, 10**6),
+        InvalidInputError, "grid_density 1000000, above the cap of 2048", id="diagnostic-cap"),
     pytest.param(lambda: kernels.noise_integral(lambda t, u: 1.0, (1.0, 1.0)), InvalidInputError,
                  "empty integration interval (1.0, 1.0)", id="noise-integral-interval"),
     pytest.param(lambda: kernels.noise_integral(lambda t, u: 1.0, (0.0, math.inf)).eval(1.0, 1.0),
