@@ -56,6 +56,9 @@ MAX_RATE_EVALS = 100_000
 #: Integrand size past which a noise integral's infinite end is cut off.
 NOISE_TAIL_TOL = 1e-14
 
+#: Most distinct (s, t) pairs that one quadrature run of a noise-integral ``cov`` takes.
+NOISE_PAIR_CHUNK = 2**8
+
 
 def _zero_mean(t: float) -> float:
     return 0.0
@@ -68,29 +71,13 @@ def _stale(derived: Callable | None, source: Callable) -> bool:
 
 @dataclass(frozen=True)
 class Kernel:
-    """A covariance function with metadata.
+    """A covariance function ``cov`` with a mean (default zero), a domain and a name.
 
-    Give ``cov``, ``eval`` or both.  The library reads only ``cov``.
-
-    Parameters
-    ----------
-    eval : callable, optional
-        ``(s, t) -> K(s, t)`` on scalars; must be symmetric in its arguments.
-        Defaults to ``float(cov(s, t))``, the one formula of every built-in
-        family.
-    mean : callable, optional
-        Mean function of the associated Gaussian process (default zero).
-    cov : callable, optional
-        ``(s, t) -> K(s, t)`` elementwise on broadcast arrays, exactly
-        symmetric, each entry rounded alone whatever the batch.  Defaults
-        to one loop over ``eval``.
-    domain : (float, float)
-        Interval of valid times; bounds may be infinite.
-
-    A default callable is derived again whenever the field it came from
-    changes, so ``dataclasses.replace(kernel, cov=...)`` gets a matching
-    ``eval`` and, on a kernel given only ``eval``, ``replace(kernel,
-    eval=...)`` a matching ``cov``.
+    ``cov(s, t)``, required and the only field the library reads, is ``K(s, t)``
+    elementwise on broadcast arrays, exactly symmetric, each entry rounded alone
+    whatever the batch; a scalar function enters through :meth:`from_scalar`.
+    ``eval(s, t)`` is ``float(cov(s, t))``, derived again when ``cov`` changes; a
+    given ``eval`` over the same ``cov`` is kept, as a call counter wraps it.
     """
 
     eval: Callable[[float, float], float] | None = None
@@ -103,9 +90,9 @@ class Kernel:
         lo, hi = self.domain
         if not lo < hi:
             raise InvalidInputError(f"empty kernel domain {self.domain}")
-        if self.eval is None and self.cov is None:
-            raise InvalidInputError("a kernel needs a cov or an eval")
-        if self.cov is not None and _stale(self.eval, self.cov):
+        if self.cov is None:
+            raise InvalidInputError("a kernel needs a cov; see Kernel.from_scalar")
+        if _stale(self.eval, self.cov):
             array = self.cov
 
             def eval(s, t):
@@ -113,16 +100,16 @@ class Kernel:
 
             eval.derived_from = array
             object.__setattr__(self, "eval", eval)
-        elif _stale(self.cov, self.eval):
-            scalar = self.eval
 
-            def cov(s, t):
-                s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-                vals = [scalar(a, b) for a, b in zip(s.flat, t.flat)]
-                return np.array(vals, dtype=float).reshape(s.shape)
+    @classmethod
+    def from_scalar(cls, scalar: Callable[[float, float], float], **fields) -> "Kernel":
+        """A kernel whose ``cov`` calls the symmetric ``scalar(s, t)`` once per entry."""
+        def cov(s, t):
+            s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+            vals = [scalar(a, b) for a, b in zip(s.flat, t.flat)]
+            return np.array(vals, dtype=float).reshape(s.shape)
 
-            cov.derived_from = scalar
-            object.__setattr__(self, "cov", cov)
+        return cls(cov=cov, **fields)
 
     def variance(self, t: float) -> float:
         return float(self.cov(t, t))
@@ -252,13 +239,15 @@ def _require_at_most(count, cap, what: str) -> None:
 def gram(kernel: Kernel, grid) -> np.ndarray:
     """Gram matrix ``[K(t_i, t_j)]`` over an ordered grid; every entry must be finite.
 
-    Memory per call, in n-by-n arrays of doubles alive at once: one for the
-    rate kernels (white noise included), whose covariance is made in the
-    result; two for ``constant``, mimicking and spectral kernels (the
-    latter plus at most 1 MiB of cosines); three for ``fbm`` and five for
-    ``fbm_log``, whose formulas combine whole arrays; for a transformed
-    kernel, the larger of its base kernel's count and three.  The
-    finiteness check adds n-by-n booleans, an eighth of the Gram.
+    Memory per call, in n-by-n arrays of doubles alive at once: one for the rate
+    kernels (white noise included), whose covariance is made in the result, and
+    for a matrix kernel beside its table; two for ``constant``, mimicking and
+    spectral kernels (the latter plus at most 1 MiB of cosines); three for ``fbm``
+    and five for ``fbm_log``, whose formulas combine whole arrays; 6.25 for a
+    noise integral, whose pairs one sort makes distinct, plus the quadrature of
+    ``NOISE_PAIR_CHUNK`` pairs (3 MiB for ``sqrt_exp``, 4 MiB a pair if it takes
+    all ``MAX_RATE_EVALS``); for a transformed kernel, the larger of its base
+    kernel's count and three.  The finiteness check adds n-by-n booleans.
     """
     pts = _as_strictly_increasing(grid)
     kernel.require_in_domain(pts)
@@ -471,11 +460,8 @@ def fbm_log(hurst: float) -> Kernel:
 
     def profile(x):
         x = np.asarray(x, dtype=float)
-        return 0.5 * (
-            np.exp(two_h * x)
-            + np.exp(-two_h * x)
-            - np.abs(np.exp(x) - np.exp(-x)) ** two_h
-        )
+        return 0.5 * (np.exp(two_h * x) + np.exp(-two_h * x)
+                      - np.abs(np.exp(x) - np.exp(-x)) ** two_h)
 
     return Kernel(cov=lambda s, t: profile(np.subtract(t, s)), name=f"fbm_log(H={hurst})")
 
@@ -487,10 +473,8 @@ def constant() -> Kernel:
 
 def white_noise() -> Kernel:
     """Independent unit Gaussians: identity Gram matrix on any grid."""
-    return Kernel(
-        cov=lambda s, t: np.where(np.subtract(t, s, dtype=float) == 0.0, 1.0, 0.0),
-        name="white_noise",
-    )
+    return Kernel(cov=lambda s, t: np.where(np.subtract(t, s, dtype=float) == 0.0, 1.0, 0.0),
+                  name="white_noise")
 
 
 # ---------------------------------------------------------------------------
@@ -513,26 +497,28 @@ _ROUNDOFF = 50 * np.finfo(float).eps
 _PANEL_OFFSETS = np.concatenate([[0.0], 2.0 ** np.arange(1024)])
 
 
-def _value_or_nan(func: Callable[[float], float], t: float) -> float:
+def _value_or_nan(func: Callable[..., float], *args) -> float:
     try:
-        return func(t)
+        return func(*args)
     except (ArithmeticError, ValueError):
         return math.nan
 
 
-def _integrate(func, lo: np.ndarray, hi: np.ndarray, integrand: str | None = None) -> np.ndarray:
+def _integrate(func, lo: np.ndarray, hi: np.ndarray,
+               integrand: Callable[[int], str] | None = None) -> np.ndarray:
     """``integral of func`` over each ``[lo_i, hi_i]``, by bisecting a Gauss-Kronrod pair.
 
-    ``func`` is a rate, nonnegative and failing with :class:`InvalidRateError`,
-    unless ``integrand`` names it: then its sign is free and it fails with
-    :class:`InvalidInputError`.  A piece is kept once ``|K7 - L4|`` is within
-    ``INTEGRAL_ABS_TOL`` or within rounding of its value.  The tolerance is the
-    same for every piece, so a jump in ``func`` is bisected down to a piece
-    short enough to meet it.  Each round evaluates ``func`` at every node of
-    every open piece in one pass; an integral's kept pieces are summed in
-    ascending order, so it depends on its own interval alone.
+    ``func(u)`` is a rate, nonnegative and failing with :class:`InvalidRateError`,
+    unless ``integrand(i)`` names it: then it is ``func(u, i)`` over interval ``i``,
+    of free sign, failing with :class:`InvalidInputError`.  A piece is kept once
+    ``|K7 - L4|`` is within ``INTEGRAL_ABS_TOL`` or within rounding of its value.
+    The tolerance is the same for every piece, so a jump in ``func`` is bisected
+    down to a piece short enough to meet it.  Each round evaluates ``func`` at
+    every node of every open piece in one pass; an integral's kept pieces are
+    summed in ascending order, so it depends on its own interval alone.
     """
-    name, error = ("rate", InvalidRateError) if integrand is None else (integrand, InvalidInputError)
+    name = integrand or (lambda i: "rate")
+    error = InvalidRateError if integrand is None else InvalidInputError
     out = np.zeros(lo.size)
     owner = np.flatnonzero(hi > lo)
     a, b = lo[owner], hi[owner]
@@ -541,18 +527,20 @@ def _integrate(func, lo: np.ndarray, hi: np.ndarray, integrand: str | None = Non
     while owner.size:
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
         nodes = mid + half * _GK_NODES
-        xs = nodes.ravel().tolist()
+        args = [nodes.ravel().tolist()]
+        if integrand is not None:  # nodes are row-major: each row runs over the open pieces
+            args.append(owner.tolist() * nodes.shape[0])
         try:
-            f = np.fromiter(map(func, xs), float, len(xs))
+            f = np.fromiter(map(func, *args), float, nodes.size)
         except (ArithmeticError, ValueError):  # reported below as not finite where it fails
-            f = np.array([_value_or_nan(func, x) for x in xs])
+            f = np.array([_value_or_nan(func, *x) for x in zip(*args)])
         f = f.reshape(nodes.shape)
         bad = ~np.isfinite(f) | ((f < -1e-12) & (integrand is None))
         if bad.any():
             j, i = np.unravel_index(np.argmax(bad), f.shape)
             kind = "negative" if f[j, i] < 0.0 else "not finite"
             raise error(
-                f"{name} is {kind} at t={nodes[j, i]}: {f[j, i]}, integrating over "
+                f"{name(owner[i])} is {kind} at t={nodes[j, i]}: {f[j, i]}, integrating over "
                 f"[{lo[owner[i]]}, {hi[owner[i]]}]"
             )
         kron = half * sum(w * row for w, row in zip(_KRONROD_WEIGHTS, f))
@@ -565,7 +553,7 @@ def _integrate(func, lo: np.ndarray, hi: np.ndarray, integrand: str | None = Non
         if stuck.any():
             i = owner[np.argmax(stuck)]
             raise error(
-                f"{name} is not integrable to {INTEGRAL_ABS_TOL} over [{lo[i]}, {hi[i]}] "
+                f"{name(i)} is not integrable to {INTEGRAL_ABS_TOL} over [{lo[i]}, {hi[i]}] "
                 f"within {MAX_RATE_EVALS} evaluations"
             )
         owner, a, b = np.tile(owner, 2), np.concatenate([a, mid]), np.concatenate([mid, b])
@@ -676,18 +664,18 @@ def exponential_rate(alpha, domain: tuple[float, float] = (-math.inf, math.inf))
 
 
 def noise_integral(k: Callable[[float, float], float], interval: tuple[float, float]) -> Kernel:
-    """Kernel of a white-noise integral process.
+    """White-noise integral kernel ``K(s, t) = integral over J of k(s, u) k(t, u) du``.
 
-    ``K(s, t) = integral over J of k(s, u) k(t, u) du`` by the quadrature of
-    :func:`rate_kernel`; an integrand that is not finite there or does not
-    converge raises :class:`InvalidInputError` naming the interval.  Infinite
-    endpoints are cut off where the integrand falls below ``NOISE_TAIL_TOL``.
-    Evaluations are memoized; the kernel is exactly symmetric by construction.
+    One ``cov`` call integrates its distinct pairs ``(min(s, t), max(s, t))`` by
+    :func:`rate_kernel`'s quadrature, ``NOISE_PAIR_CHUNK`` at a time in shared
+    rounds, calling ``k`` on floats once per node and pair; each value is its own
+    pair's integral, so the kernel is exactly symmetric.  An infinite end is cut
+    off, per pair, where the integrand falls below ``NOISE_TAIL_TOL``; one that is
+    not finite or does not converge raises :class:`InvalidInputError` naming the interval.
     """
     lo, hi = interval
     if not lo < hi:
         raise InvalidInputError(f"empty integration interval {interval}")
-    cache: dict[tuple[float, float], float] = {}
 
     def truncated(s: float, t: float, u: float) -> float:
         """Doubles ``u`` until the integrand is negligible at ``u`` and ``2u``; returns ``2u``."""
@@ -695,23 +683,34 @@ def noise_integral(k: Callable[[float, float], float], interval: tuple[float, fl
             if all(abs(k(s, v) * k(t, v)) < NOISE_TAIL_TOL for v in (u, 2 * u)):
                 return 2 * u
             u *= 2.0
-        raise InvalidInputError(
-            f"noise-integral integrand does not decay on {interval} at ({s}, {t})"
-        )
+        raise InvalidInputError(f"noise-integral integrand does not decay on {interval} "
+                                f"at ({s}, {t})")
 
-    def kv(s: float, t: float) -> float:
-        key = (s, t) if s <= t else (t, s)
-        if key not in cache:
-            a, b = key
-            upper = hi if math.isfinite(hi) else truncated(a, b, max(1.0, lo + 1.0))
-            lower = lo if math.isfinite(lo) else truncated(a, b, min(-1.0, hi - 1.0))
-            (cache[key],) = _integrate(
-                lambda u: k(a, u) * k(b, u), np.array([lower]), np.array([upper]),
-                integrand=f"noise-integral integrand k({a}, u) k({b}, u)",
-            ).tolist()
-        return cache[key]
+    def window(s: float, t: float) -> tuple[float, float]:
+        upper = hi if math.isfinite(hi) else truncated(s, t, max(1.0, lo + 1.0))
+        return (lo if math.isfinite(lo) else truncated(s, t, min(-1.0, hi - 1.0))), upper
 
-    return Kernel(eval=kv, domain=(-math.inf, math.inf), name="noise_integral")
+    def cov(s, t):
+        s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+        a, b = np.where(first := s <= t, s, t).ravel(), np.where(first, t, s).ravel()
+        order = np.lexsort((b, a))  # distinct pairs as _sorted_unique finds distinct times
+        a, b = a[order], b[order]
+        new = np.ones(a.shape, dtype=bool)
+        new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+        where = np.empty_like(order)
+        where[order] = np.cumsum(new) - 1
+        a, b = a[new], b[new]
+        values = np.empty(a.size)
+        for c in range(0, a.size, NOISE_PAIR_CHUNK):
+            x, y = a[c : c + NOISE_PAIR_CHUNK].tolist(), b[c : c + NOISE_PAIR_CHUNK].tolist()
+            ends = np.array([window(p, q) for p, q in zip(x, y)]).reshape(-1, 2)
+            values[c : c + NOISE_PAIR_CHUNK] = _integrate(
+                lambda u, i: k(x[i], u) * k(y[i], u), ends[:, 0], ends[:, 1],
+                integrand=lambda i: f"noise-integral integrand k({x[i]}, u) k({y[i]}, u)",
+            )
+        return values[where].reshape(s.shape)
+
+    return Kernel(cov=cov, name="noise_integral")
 
 
 def matrix_kernel(grid, matrix, name: str = "matrix") -> Kernel:
@@ -720,12 +719,13 @@ def matrix_kernel(grid, matrix, name: str = "matrix") -> Kernel:
     mat = np.asarray(matrix, dtype=float)
     if mat.shape != (pts.size, pts.size):
         raise InvalidInputError("matrix shape does not match grid length")
-    index = {float(p): i for i, p in enumerate(pts)}
 
-    def k(s: float, t: float) -> float:
-        try:
-            return float(mat[index[float(s)], index[float(t)]])
-        except KeyError as exc:
-            raise InvalidInputError(f"time {exc} not on the kernel grid") from exc
+    def index(times) -> np.ndarray:
+        times = np.asarray(times, dtype=float)
+        i = np.minimum(np.searchsorted(pts, times), pts.size - 1)
+        if (off := pts[i] != times).any():
+            raise InvalidInputError(f"time {float(times[off][0])} not on the kernel grid")
+        return i
 
-    return Kernel(eval=k, domain=(float(pts[0]), float(pts[-1])), name=name)
+    return Kernel(cov=lambda s, t: mat[index(s), index(t)],
+                  domain=(float(pts[0]), float(pts[-1])), name=name)

@@ -15,8 +15,10 @@ Schema (one object per kernel, dispatched on ``"type"``):
 
 Rate specs are a number, the string "inf", or an object.  Rate, scale and
 time-change objects dispatch on ``"form"``; ``_FORMS`` is the one list of the
-forms each kind accepts.  Every field but ``value`` is optional: 1, intercepts 0.
-A JSON ``true`` or ``false`` is no number: ``_number`` refuses it wherever one goes.
+forms each kind accepts and of their keys, as ``_TYPES`` is of the kernel types'.
+A spec holding any other key is refused.  Every field but ``value`` is optional:
+1, intercepts 0.  A JSON ``true`` or ``false`` is no number: ``_number`` refuses
+it wherever one goes, in spectral atoms and matrix tables too.
 
     {"form": "constant", "value": v}                  # rate, scale
     {"form": "infinite"}                              # rate
@@ -51,6 +53,13 @@ def _number(value) -> float:
     return float(value)
 
 
+def _numbers(value):
+    """A number, or nested lists of numbers, as ``_number`` reads each."""
+    if isinstance(value, (list, tuple)):
+        return [_numbers(item) for item in value]
+    return _number(value)
+
+
 def _bound(value, missing: float) -> float:
     """One domain bound; ``None`` (JSON ``null``) is the unbounded end, ``missing``."""
     if value is None:
@@ -74,21 +83,46 @@ def _domain(value, default):
     return _bound(value[0], -math.inf), _bound(value[1], math.inf)
 
 
-#: The forms each kind of function of time accepts: the one list of them.
-_FORMS = {
-    "rate": ("constant", "infinite", "linear", "power"),
-    "scale": ("constant", "power", "exp"),
-    "time-change": ("affine", "log", "exp"),
+#: The keys of each kernel type's spec, beside ``type``: the one list of them.
+_TYPES = {
+    "fbm": ("hurst",), "fbm_log": ("hurst",), "exponential": ("rate", "domain"),
+    "constant": (), "white_noise": (), "spectral": ("atoms",), "noise_integral": ("family",),
+    "matrix": ("grid", "matrix"), "transformed": ("base", "scale", "time_change", "domain"),
 }
+
+#: The forms each kind of function of time accepts, each with its keys beside ``form``.
+_FORMS = {
+    "rate": {"constant": ("value",), "infinite": (), "linear": ("slope", "intercept"),
+             "power": ("coeff", "exponent")},
+    "scale": {"constant": ("value",), "power": ("coeff", "exponent"), "exp": ("coeff", "rate")},
+    "time-change": {"affine": ("slope", "intercept"), "log": ("coeff", "intercept"),
+                    "exp": ("coeff", "rate")},
+}
+
+
+def _only(spec, keys, what: str) -> dict:
+    """``spec``, refused unless it is an object whose every key is one of ``keys``."""
+    if not isinstance(spec, dict):
+        raise InvalidInputError(f"{what} spec must be an object, got {spec!r}")
+    if unknown := [key for key in spec if key not in keys]:
+        raise InvalidInputError(f"unknown key {unknown[0]!r} in {what} spec")
+    return spec
+
+
+def _form(spec, kind: str) -> str:
+    """The form of a ``kind`` spec, whose keys are checked against the form's."""
+    if not isinstance(spec, dict):
+        raise InvalidInputError(f"{kind} spec must be an object, got {spec!r}")
+    form = spec.get("form")
+    if not isinstance(form, str) or form not in _FORMS[kind]:
+        raise InvalidInputError(f"unknown {kind} form {form!r}")
+    _only(spec, ("form", *_FORMS[kind][form]), f"{form} {kind}")
+    return form
 
 
 def _function(spec, kind: str) -> Callable[[float], float]:
     """A ``kind`` spec's function of time; ``rate_from_spec`` builds constant and infinite rates."""
-    if not isinstance(spec, dict):
-        raise InvalidInputError(f"{kind} spec must be an object, got {spec!r}")
-    form = spec.get("form")
-    if form not in _FORMS[kind]:
-        raise InvalidInputError(f"unknown {kind} form {form!r}")
+    form = _form(spec, kind)
     increasing = kind == "time-change"
     if form == "constant":
         c = _number(spec["value"])
@@ -130,7 +164,7 @@ def rate_from_spec(spec) -> RateFunction:
             return rate_from_spec(json.loads(spec))
     if not isinstance(spec, dict):
         raise InvalidInputError(f"cannot parse rate spec {spec!r}")
-    form = spec.get("form")
+    form = _form(spec, "rate")
     if form == "constant":
         return RateFunction.constant(_number(spec["value"]))
     if form == "infinite":
@@ -167,6 +201,9 @@ def kernel_from_spec(spec) -> Kernel:
     if not isinstance(spec, dict):
         raise InvalidInputError(f"kernel spec must be an object, got {type(spec)}")
     kind = spec.get("type")
+    if not isinstance(kind, str) or kind not in _TYPES:
+        raise InvalidInputError(f"unknown kernel type {kind!r}")
+    _only(spec, ("type", *_TYPES[kind]), f"{kind} kernel")
     if kind == "fbm":
         return kernels.fbm(_number(spec["hurst"]))
     if kind == "fbm_log":
@@ -181,19 +218,18 @@ def kernel_from_spec(spec) -> Kernel:
     if kind == "spectral":
         from . import spectral
 
-        mu = spectral.SpectralMeasure.from_list(spec["atoms"])
-        return spectral.kernel_from_spectral(mu)
+        atoms = [_only(atom, ("weight", "location"), "spectral atom") for atom in spec["atoms"]]
+        return spectral.kernel_from_spectral(spectral.SpectralMeasure(atoms=tuple(
+            (_number(atom["weight"]), _number(atom["location"])) for atom in atoms)))
     if kind == "noise_integral":
         return _noise_integral_family(spec.get("family", "sqrt_exp"))
     if kind == "matrix":
-        return kernels.matrix_kernel(spec["grid"], spec["matrix"])
-    if kind == "transformed":
-        base = kernel_from_spec(spec["base"])
-        return kernels.transform_kernel(
-            base, _function(spec["scale"], "scale"), _function(spec["time_change"], "time-change"),
-            domain=_domain(spec.get("domain"), None),
-        )
-    raise InvalidInputError(f"unknown kernel type {kind!r}")
+        return kernels.matrix_kernel(_numbers(spec["grid"]), _numbers(spec["matrix"]))
+    base = kernel_from_spec(spec["base"])  # transformed
+    return kernels.transform_kernel(
+        base, _function(spec["scale"], "scale"), _function(spec["time_change"], "time-change"),
+        domain=_domain(spec.get("domain"), None),
+    )
 
 
 def parse_grid(text: str) -> np.ndarray:

@@ -215,8 +215,9 @@ def ou_exact(alpha: RateFunction, t_grid, n_paths: int, seed: int) -> Trajectory
     gen = _stream(seed, "ou-exact")
     if alpha.is_infinite:
         return TrajectoryBatch(times=grid, paths=gen.standard_normal((n_paths, grid.size)))
-    base = rate_kernel(alpha, domain=(grid[0], grid[-1]))
-    rhos = base.cov(grid[:-1], grid[1:]).tolist()
+    rhos = []
+    if grid.size > 1:  # one time has no step, and a rate kernel needs a nonempty domain
+        rhos = rate_kernel(alpha, domain=(grid[0], grid[-1])).cov(grid[:-1], grid[1:]).tolist()
     x = gen.standard_normal(n_paths)
     out = np.empty((n_paths, grid.size))
     out[:, 0] = x

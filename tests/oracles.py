@@ -31,6 +31,10 @@ are the scalar loops that ``gaussmarkov.kernels.estimate_alpha``,
 ``uniform_convergence_diagnostic`` and ``gaussmarkov.simulate.ou_exact``
 replaced by one ``cov`` call: three ``Kernel.eval`` calls per finite-h rate,
 a double loop over the (v, h) lattice, and one ``eval`` per grid step.
+``noise_integral_by_entry`` is the scalar formula ``gaussmarkov.kernels.noise_integral``
+had before its ``cov`` integrated every distinct pair of a call in shared rounds:
+one quadrature run per pair, memoized.  ``DECAY_RATE_LIMITS`` gives the limit of
+each built-in family's decay rate ``(1 - corr(t, t+h)) / h`` as ``h -> 0``.
 ``decay_rates`` is ``gaussmarkov.spectral.fourier_decay_rate`` one scalar
 ``np.dot`` at a time.  ``half_angle_decay_rates`` is the same rate without its
 cancellation: ``2 sin^2(t y / 2)`` for ``1 - cos(t y)``, checked against mpmath
@@ -44,11 +48,13 @@ import numpy as np
 from gaussmarkov.errors import InvalidInputError
 from gaussmarkov.gaussian import GaussianVector, gaussian_distance
 from gaussmarkov.kernels import (
+    NOISE_TAIL_TOL,
     TOL_PSD,
     PsdReport,
     RateFunction,
     _antiderivative,
     _as_strictly_increasing,
+    _integrate,
     _sorted_unique,
     correlation,
     gram,
@@ -364,3 +370,54 @@ def ou_exact_by_steps(alpha, t_grid, n_paths: int, seed: int) -> TrajectoryBatch
         x = rho * x + math.sqrt(max(0.0, 1.0 - rho * rho)) * gen.standard_normal(n_paths)
         out[:, gi] = x
     return TrajectoryBatch(times=grid, paths=out)
+
+
+def noise_integral_by_entry(k, interval):
+    """``(s, t) -> integral over the interval of k(s, u) k(t, u) du``, one memoized
+    quadrature run per pair, its infinite ends cut off where the integrand falls
+    below ``NOISE_TAIL_TOL``."""
+    lo, hi = interval
+    cache = {}
+
+    def truncated(s, t, u):
+        for _ in range(200):
+            if all(abs(k(s, v) * k(t, v)) < NOISE_TAIL_TOL for v in (u, 2 * u)):
+                return 2 * u
+            u *= 2.0
+        raise InvalidInputError(
+            f"noise-integral integrand does not decay on {interval} at ({s}, {t})"
+        )
+
+    def kv(s, t):
+        key = (s, t) if s <= t else (t, s)
+        if key not in cache:
+            a, b = key
+            upper = hi if math.isfinite(hi) else truncated(a, b, max(1.0, lo + 1.0))
+            lower = lo if math.isfinite(lo) else truncated(a, b, min(-1.0, hi - 1.0))
+            (cache[key],) = _integrate(
+                lambda u, i: k(a, u) * k(b, u), np.array([lower]), np.array([upper]),
+                integrand=lambda i: f"noise-integral integrand k({a}, u) k({b}, u)",
+            ).tolist()
+        return cache[key]
+
+    return kv
+
+
+#: The limit of the decay rate (1 - corr(t, t+h)) / h as h -> 0, per built-in
+#: family, from its correlation: fbm's 1 - corr is about h^{2H} / (2 t^{2H}) and
+#: fbm_log's about (2h)^{2H} / 2, so the rate is infinite below H = 1/2 and 0
+#: above; at H = 1/2 it is 1/(2t) and 1.  sqrt_exp's 1 - corr is about
+#: h^2 / (8 t^2), and a constant kernel's or a finite spectral measure's is
+#: O(h^2); white noise's correlation is 0 at every h > 0.
+DECAY_RATE_LIMITS = {
+    "fbm(0.3)": lambda t: math.inf,
+    "fbm(0.5)": lambda t: 1.0 / (2.0 * t),
+    "fbm(0.7)": lambda t: 0.0,
+    "fbm_log(0.3)": lambda t: math.inf,
+    "fbm_log(0.5)": lambda t: 1.0,
+    "fbm_log(0.7)": lambda t: 0.0,
+    "sqrt_exp": lambda t: 0.0,
+    "constant": lambda t: 0.0,
+    "spectral": lambda t: 0.0,
+    "white_noise": lambda t: math.inf,
+}

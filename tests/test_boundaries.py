@@ -11,8 +11,8 @@ Whatever the input, the command must end with an exit code of its own, and
 no exception may reach the last-resort handler of ``cli.main``, which
 prints its type name after ``error:``.  A JSON boolean, a list or a word is
 no option's value, so it never exits 0; nor is a JSON boolean a number in a
-spec, so a spec holding one never exits 0 either, outside the spectral atoms
-and matrix tables, which are read by rules of their own.
+spec, so a spec holding one never exits 0 either.  A misspelled key, in a spec
+or a config file, is a usage error that names it.
 """
 
 import contextlib
@@ -107,10 +107,6 @@ MALFORMED_OPTIONS = [True, [], "x"]
 UNNAMED_ERROR = re.compile(r"^error: [A-Z]\w*(Error|Exception)\b", re.M)
 
 
-#: Spec types whose tables of numbers a JSON boolean may still reach.
-TABLE_TYPES = ("spectral", "matrix")
-
-
 def _holds_bool(node) -> bool:
     """Whether a JSON boolean sits anywhere in ``node``."""
     if isinstance(node, bool):
@@ -164,7 +160,7 @@ def assert_named_outcome(argv, codes=(0, 1, 2)):
 @example(spec=VALID_SPECS[-1], grid="-3:-1:3")  # log of a negative time
 @example(spec={"type": "exponential", "rate": {"form": "constant", "value": True}}, grid="1:3:3")
 def test_near_valid_kernel_spec_ends_with_a_named_outcome(out_dir, spec, grid):
-    codes = (1, 2) if _holds_bool(spec) and spec.get("type") not in TABLE_TYPES else (0, 1, 2)
+    codes = (1, 2) if _holds_bool(spec) else (0, 1, 2)
     assert_named_outcome(["psd-check", "--kernel", json.dumps(spec), f"--grid={grid}",
                           "--out", str(out_dir)], codes)
 
@@ -203,3 +199,38 @@ def test_near_valid_option_ends_with_a_named_outcome(out_dir, base, option, valu
     text = value if isinstance(value, str) else json.dumps(value)
     for given in ([flag, text], ["--config", str(config)]):
         assert_named_outcome(base + given + ["--out", str(out_dir)], codes)
+
+
+def _misspelled(spec: dict) -> tuple[dict, str]:
+    """``spec`` with a misspelled copy of its last key added, and that key."""
+    key = list(spec)[-1] + "z"
+    return {**spec, key: spec[list(spec)[-1]]}, key
+
+
+def assert_usage_error_names(argv, key):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code == 2 and f"key {key!r}" in err.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("spec", VALID_SPECS, ids=lambda spec: spec["type"])
+def test_misspelled_kernel_spec_key_is_a_usage_error(out_dir, spec):
+    spec, key = _misspelled(spec)
+    assert_usage_error_names(["psd-check", "--kernel", json.dumps(spec), "--grid", "1:3:3",
+                              "--out", str(out_dir)], key)
+
+
+@pytest.mark.parametrize("rate", VALID_RATES, ids=lambda rate: rate["form"])
+def test_misspelled_rate_spec_key_is_a_usage_error(out_dir, rate):
+    rate, key = _misspelled(rate)
+    assert_usage_error_names(["transform", "--kernel", _EXP, "--alpha", json.dumps(rate),
+                              "--grid", "1:3:3", "--out", str(out_dir)], key)
+
+
+@pytest.mark.parametrize("base, option", [(base, options[0]) for base, options in OPTION_RUNS],
+                         ids=lambda value: value if isinstance(value, str) else value[0])
+def test_misspelled_config_key_is_a_usage_error(out_dir, base, option):
+    config = out_dir / "misspelled.json"
+    config.write_text(json.dumps({option + "z": 1}))
+    assert_usage_error_names(base + ["--config", str(config), "--out", str(out_dir)], option + "z")

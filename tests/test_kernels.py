@@ -52,7 +52,7 @@ class TestPsdCheck:
 
     def test_negative_off_diagonal_fails(self):
         # eigenvalues of [[1,-1,-1],[-1,1,-1],[-1,-1,1]] are {2, 2, -1}
-        bad = Kernel(eval=lambda s, t: 1.0 if s == t else -1.0, name="bad")
+        bad = Kernel.from_scalar(lambda s, t: 1.0 if s == t else -1.0, name="bad")
         report = psd_check(bad, [0.0, 1.0, 2.0])
         assert not report.passed
         assert report.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
@@ -123,9 +123,8 @@ class TestCorrelation:
             noise,
         ):
             lo = 0.1 if kern.domain[0] == 0.0 or kern is noise else -4.0
-            for _ in range(1000):
-                s, t = rng.uniform(lo, lo + 6.0, size=2)
-                assert kern.eval(s, t) == kern.eval(t, s)
+            s, t = rng.uniform(lo, lo + 6.0, size=(1000, 2)).T  # the old loop's pairs
+            assert kern.cov(s, t).tolist() == kern.cov(t, s).tolist()
 
 
 class TestDecayRate:
@@ -191,6 +190,52 @@ class TestEstimateAlpha:
     def test_respects_h_floor(self):
         with pytest.raises(InvalidInputError):
             estimate_alpha(kernels.constant(), 0.0, [1e-2, 1e-4, 1e-12])
+
+
+def _sqrt_exp():
+    return kernels.noise_integral(lambda t, u: math.sqrt(t) * math.exp(-t * u / 2.0),
+                                  (0.0, math.inf))
+
+
+#: A kernel of each family in ``oracles.DECAY_RATE_LIMITS``.
+LIMIT_KERNELS = {
+    "fbm(0.3)": lambda: kernels.fbm(0.3),
+    "fbm(0.5)": lambda: kernels.fbm(0.5),
+    "fbm(0.7)": lambda: kernels.fbm(0.7),
+    "fbm_log(0.3)": lambda: kernels.fbm_log(0.3),
+    "fbm_log(0.5)": lambda: kernels.fbm_log(0.5),
+    "fbm_log(0.7)": lambda: kernels.fbm_log(0.7),
+    "sqrt_exp": _sqrt_exp,
+    "constant": kernels.constant,
+    "spectral": lambda: spectral.kernel_from_spectral(
+        spectral.SpectralMeasure(atoms=((0.2, 0.0), (0.25, 1.5), (0.15, 4.0)))),
+    "white_noise": kernels.white_noise,
+}
+
+
+# Along h = 1e-3 ... 1e-7, at t = 1.3: fbm(0.5) converges to 0.38462 (1/2.6) and
+# fbm_log(0.5) to 0.99999995, each off by its O(h) term, 3h/(4t) and h/2 relative
+# (at most 1.1e-7 here), plus rounding, eps/h = 2.2e-9; the gate is 2h + 1e-8.
+# The rest do not settle on a finite nonzero value: fbm(0.3) reaches 269.5 and
+# fbm_log(0.3) 478, rising; fbm(0.7) 5.5e-4 and fbm_log(0.7) 2.1e-3, falling;
+# sqrt_exp's samples are about h/(8t^2), the spectral kernel's about 2.96 h, and
+# the constant kernel's are 0; white noise's are 1/h, declared infinite.
+@pytest.mark.parametrize("name", sorted(oracles.DECAY_RATE_LIMITS))
+def test_decay_rate_tends_to_the_family_limit(name):
+    assert set(LIMIT_KERNELS) == set(oracles.DECAY_RATE_LIMITS)
+    kern = LIMIT_KERNELS[name]()
+    h_last = RATE_H_SEQUENCE[-1]
+    for t in (0.7, 1.3, 2.5):
+        limit = oracles.DECAY_RATE_LIMITS[name](t)
+        est = estimate_alpha(kern, t, RATE_H_SEQUENCE)
+        steps = np.diff(est.samples)
+        if limit == math.inf:
+            assert (steps > 0.0).all() and (est.is_infinite or not est.converged)
+        elif limit == 0.0 and any(est.samples):
+            assert (steps < 0.0).all() and min(est.samples) > 0.0 and not est.is_infinite
+        else:
+            assert est.converged and not est.is_infinite
+            assert abs(est.value - limit) <= (2.0 * h_last + 1e-8) * limit
 
 
 class TestUniformConvergenceDiagnostic:
@@ -469,9 +514,56 @@ class TestNoiseIntegral:
     def test_failure_names_the_interval(self, k):
         kern = kernels.noise_integral(k, (0.0, 1.0))
         start = time.perf_counter()
-        with pytest.raises(InvalidInputError, match=r"\[0\.0, 1\.0\]"):
+        with pytest.raises(InvalidInputError, match=r"\[0\.0, 1\.0\]") as raised:
             kern.eval(1.0, 2.0)
         assert time.perf_counter() - start < 1.0
+        with pytest.raises(InvalidInputError) as expected:
+            oracles.noise_integral_by_entry(k, (0.0, 1.0))(1.0, 2.0)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("k,interval", [
+        (lambda t, u: math.sqrt(t) * math.exp(-t * u / 2.0), (0.0, math.inf)),
+        (lambda t, u: math.exp(-abs(t - u)), (-math.inf, math.inf)),
+        (lambda t, u: math.cos(t * u) / (1.0 + u * u), (-math.inf, 0.5)),
+        (lambda t, u: min(t, u), (0.0, 1.0)),
+    ], ids=["sqrt_exp", "two_sided", "lower_tail", "brownian"])
+    def test_gram_is_the_per_entry_oracle_bit_for_bit(self, k, interval):
+        rng = np.random.default_rng(53)
+        for size in (1, 2, 7):
+            pts = np.sort(rng.uniform(0.2, 3.0, size))
+            reference = oracles.noise_integral_by_entry(k, interval)
+            expected = [[reference(s, t) for t in pts.tolist()] for s in pts.tolist()]
+            assert kernels.gram(kernels.noise_integral(k, interval), pts).tolist() == expected
+
+    def test_integrand_is_called_once_per_node_and_distinct_pair(self):
+        calls = []
+
+        def k(t, u):
+            calls.append(1)
+            return math.sqrt(t) * math.exp(-t * u / 2.0)
+
+        pts = np.linspace(0.5, 3.0, 6)
+        kernels.gram(kernels.noise_integral(k, (0.0, math.inf)), pts)
+        batched, calls[:] = len(calls), []
+        reference = oracles.noise_integral_by_entry(k, (0.0, math.inf))
+        for s in pts.tolist():
+            for t in pts.tolist():
+                reference(s, t)
+        assert batched == len(calls)
+
+    def test_pairs_are_integrated_in_chunks(self, monkeypatch):
+        sizes = []
+        integrate = kernels._integrate
+
+        def counted(func, lo, hi, integrand=None):
+            sizes.append(lo.size)
+            return integrate(func, lo, hi, integrand)
+
+        monkeypatch.setattr(kernels, "_integrate", counted)
+        kern = kernels.noise_integral(lambda t, u: 1.0, (0.0, 1.0))
+        pts = np.linspace(0.5, 3.0, 30)  # 465 distinct pairs
+        assert (kernels.gram(kern, pts) == kern.eval(1.0, 1.0)).all()
+        assert sizes == [kernels.NOISE_PAIR_CHUNK, 465 - kernels.NOISE_PAIR_CHUNK, 1]
 
 
 def test_numpy_is_the_only_runtime_dependency():
@@ -555,8 +647,7 @@ def _matrix_table():
 
 
 #: (family, lowest time, highest time): the built-in families, plus a kernel
-#: given by its scalar eval alone, which gets the default elementwise cov
-#: (the path noise_integral takes, whose quadrature is too slow to sweep).
+#: made by ``Kernel.from_scalar``, whose cov calls its scalar function per entry.
 GRAM_FAMILIES = {
     "fbm": (lambda: kernels.fbm(0.3), 0.0, 4.0),
     "fbm_log": (lambda: kernels.fbm_log(0.7), -2.0, 2.0),
@@ -579,29 +670,43 @@ GRAM_FAMILIES = {
     "mimic_inf": (lambda: mimic_kernel(kernels.fbm(0.6), RateFunction.infinite()), 0.1, 4.0),
     "mimic_const": (lambda: mimic_kernel(kernels.fbm(0.6), RateFunction.constant(0.8)), 0.1, 4.0),
     "matrix": (lambda: kernels.matrix_kernel(*_matrix_table()), 0.0, 3.0),
-    "scalar_only": (lambda: Kernel(eval=lambda s, t: math.exp(-(t - s) ** 2) / (1.0 + s * t),
-                                   domain=(0.0, math.inf)), 0.0, 3.0),
+    "noise_integral": (_sqrt_exp, 0.2, 4.0),
+    "scalar_only": (lambda: Kernel.from_scalar(
+        lambda s, t: math.exp(-(t - s) ** 2) / (1.0 + s * t), domain=(0.0, math.inf)), 0.0, 3.0),
 }
 
 
+def _examples(family: str, count: int) -> int:
+    """A family's share of a sweep's ``count`` examples: a fifth for a noise integral,
+    whose lone pair takes about 1 ms and whose Gram about 10 ms at 10 times."""
+    return max(1, count // 5) if family == "noise_integral" else count
+
+
+def _run_property(check, family: str, count: int) -> None:
+    """Runs ``check(data)`` as a hypothesis property over ``_examples(family, count)`` examples."""
+    settings(max_examples=_examples(family, count), deadline=None)(given(data=st.data())(check))()
+
+
 @pytest.mark.parametrize("family", sorted(GRAM_FAMILIES))
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_gram_matches_scalar_eval_and_is_symmetric(family, data):
+def test_gram_matches_scalar_eval_and_is_symmetric(family):
     make, lo, hi = GRAM_FAMILIES[family]
-    if family == "matrix":
-        grid, _ = _matrix_table()
-        picks = data.draw(st.sets(st.integers(0, grid.size - 1), min_size=1))
-        pts = grid[sorted(picks)]
-    else:
-        pts = np.array(sorted(data.draw(st.sets(
-            st.floats(lo, hi, allow_nan=False), min_size=1, max_size=12))))
-    kern = make()
-    mat = kernels.gram(kern, pts)
-    expected = np.array([[kern.eval(s, t) for t in pts.tolist()] for s in pts.tolist()])
-    assert np.array_equal(mat, mat.T)
-    scale = np.max(np.abs(np.diag(expected)))
-    assert np.max(np.abs(mat - expected)) <= 1e-13 * scale
+
+    def check(data):
+        if family == "matrix":
+            grid, _ = _matrix_table()
+            picks = data.draw(st.sets(st.integers(0, grid.size - 1), min_size=1))
+            pts = grid[sorted(picks)]
+        else:
+            pts = np.array(sorted(data.draw(st.sets(
+                st.floats(lo, hi, allow_nan=False), min_size=1, max_size=12))))
+        kern = make()
+        mat = kernels.gram(kern, pts)
+        expected = np.array([[kern.eval(s, t) for t in pts.tolist()] for s in pts.tolist()])
+        assert np.array_equal(mat, mat.T)
+        scale = np.max(np.abs(np.diag(expected)))
+        assert np.max(np.abs(mat - expected)) <= 1e-13 * scale
+
+    _run_property(check, family, 40)
 
 
 #: (reference, bound) per built-in family: the scalar formula its eval had
@@ -609,7 +714,7 @@ def test_gram_matches_scalar_eval_and_is_symmetric(family, data):
 #: eval may be from it.  0.0 is bit for bit; "ulp" is one unit in the last
 #: place, for the rate kernels, whose exp now goes through numpy; a number is
 #: a relative bound, for the kernels built on a rate kernel.  The matrix and
-#: scalar_only kernels keep the eval they are given.
+#: scalar_only kernels look up or call what they are given.
 SCALAR_REFERENCES = {
     "fbm": (lambda: oracles.fbm_eval(0.3), 0.0),
     "fbm_log": (lambda: oracles.fbm_log_eval(0.7), 0.0),
@@ -631,6 +736,8 @@ SCALAR_REFERENCES = {
         oracles.fbm_eval(0.6), RateFunction.infinite(), domain=(0.0, math.inf)), 4e-16),
     "mimic_const": (lambda: oracles.mimic_eval(
         oracles.fbm_eval(0.6), RateFunction.constant(0.8), domain=(0.0, math.inf)), 4e-16),
+    "noise_integral": (lambda: oracles.noise_integral_by_entry(
+        lambda t, u: math.sqrt(t) * math.exp(-t * u / 2.0), (0.0, math.inf)), 0.0),
 }
 
 
@@ -660,17 +767,19 @@ def _scalar_case(family):
 
 
 @pytest.mark.parametrize("family", sorted(GRAM_FAMILIES))
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_eval_is_cov_at_a_scalar_pair(family, data):
+def test_eval_is_cov_at_a_scalar_pair(family):
     _, lo, hi = GRAM_FAMILIES[family]
     if family == "matrix":
         points = st.sampled_from(_matrix_table()[0].tolist())
     else:
         points = st.floats(lo, hi, allow_nan=False)
-    s = data.draw(points)
-    t = data.draw(st.one_of(st.just(s), points))
-    _assert_eval_is_cov_and_reference(family, *_scalar_case(family), s, t)
+
+    def check(data):
+        s = data.draw(points)
+        t = data.draw(st.one_of(st.just(s), points))
+        _assert_eval_is_cov_and_reference(family, *_scalar_case(family), s, t)
+
+    _run_property(check, family, 60)
 
 
 # Uniform draws reach the roundings that the simple floats a property test
@@ -678,13 +787,14 @@ def test_eval_is_cov_at_a_scalar_pair(family, data):
 @pytest.mark.parametrize("family", sorted(GRAM_FAMILIES))
 def test_eval_is_cov_on_uniform_pairs(family):
     _, lo, hi = GRAM_FAMILIES[family]
-    rng = np.random.default_rng(45)
+    rng, count = np.random.default_rng(45), _examples(family, 300)
     if family == "matrix":
-        s, t = rng.choice(_matrix_table()[0], size=(2, 300)).tolist()
+        s, t = rng.choice(_matrix_table()[0], size=(2, count)).tolist()
     else:
-        s, t = rng.uniform(lo, hi, size=(2, 300)).tolist()
+        s, t = rng.uniform(lo, hi, size=(2, count)).tolist()
     kern, reference = _scalar_case(family)
-    for a, b in zip(s + s[:50], t + s[:50]):  # 50 diagonal pairs last
+    diagonal = count // 6  # 50 of 300 pairs, last
+    for a, b in zip(s + s[:diagonal], t + s[:diagonal]):
         _assert_eval_is_cov_and_reference(family, kern, reference, a, b)
 
 
@@ -696,7 +806,7 @@ def test_gram_is_eval_bit_for_bit(family):
     make, lo, hi = GRAM_FAMILIES[family]
     rng = np.random.default_rng(44)
     kern = make()
-    for _ in range(10):
+    for _ in range(_examples(family, 10)):
         if family == "matrix":
             pts = np.sort(rng.choice(_matrix_table()[0], size=6, replace=False))
         else:
@@ -710,11 +820,11 @@ def test_gram_is_eval_bit_for_bit(family):
 @pytest.mark.parametrize("family", sorted(GRAM_FAMILIES))
 def test_cov_in_one_call_is_bitwise_one_call_per_entry(family):
     make, lo, hi = GRAM_FAMILIES[family]
-    rng = np.random.default_rng(43)
+    rng, count = np.random.default_rng(43), _examples(family, 300)
     if family == "matrix":
-        s, t = rng.choice(_matrix_table()[0], size=(2, 300))
+        s, t = rng.choice(_matrix_table()[0], size=(2, count))
     else:
-        s, t = rng.uniform(lo, hi, size=(2, 300))
+        s, t = rng.uniform(lo, hi, size=(2, count))
     kern = make()
     batch = np.asarray(kern.cov(s, t), dtype=float)
     single = [float(np.asarray(kern.cov(s[[i]], t[[i]]))[0]) for i in range(s.size)]
@@ -740,18 +850,11 @@ class TestReplace:
             kern = dataclasses.replace(base, eval=given)
             assert kern.eval is given and kern.cov is base.cov
 
-    def test_replaced_eval_of_an_eval_only_kernel_derives_cov_again(self):
-        base = Kernel(eval=lambda s, t: min(s, t), domain=(0.0, math.inf))
-        kern = dataclasses.replace(base, eval=lambda s, t: 2.0 * min(s, t))
-        s, t = np.array([1.0, 3.0]), np.array([2.0, 0.5])
-        assert kern.cov(s, t).tolist() == [2.0, 1.0]
-        assert base.cov(s, t).tolist() == [1.0, 0.5]
-
-    def test_replaced_cov_of_an_eval_only_kernel_is_kept(self):
-        base = Kernel(eval=lambda s, t: min(s, t), domain=(0.0, math.inf))
-        cov = np.minimum
-        kern = dataclasses.replace(base, cov=cov)
-        assert kern.cov is cov and kern.eval is base.eval
+    def test_replaced_cov_of_a_scalar_kernel_is_kept_and_derives_eval_again(self):
+        base = Kernel.from_scalar(lambda s, t: min(s, t), domain=(0.0, math.inf))
+        assert base.eval(3.0, 0.5) == 0.5
+        kern = dataclasses.replace(base, cov=np.maximum)
+        assert kern.cov is np.maximum and kern.eval(3.0, 0.5) == 3.0
 
     @pytest.mark.parametrize("make", [lambda: kernels.fbm(0.5), kernels.white_noise,
                                       lambda: kernels.matrix_kernel(*_matrix_table())])
@@ -808,15 +911,17 @@ def test_in_place_cov_is_its_whole_array_reference(family, data):
 
 
 @pytest.mark.parametrize("family", sorted(PSD_FAMILIES))
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_psd_check_is_the_always_symmetrized_check(family, data):
+def test_psd_check_is_the_always_symmetrized_check(family):
     make, lo, hi = PSD_FAMILIES[family]
     kern = make()
-    pts = _draw_grid(data, family, lo, hi)
-    report, expected = psd_check(kern, pts), oracles.psd_check_symmetrized(kern, pts)
-    assert report.min_eigenvalue.hex() == expected.min_eigenvalue.hex()
-    assert report.passed == expected.passed
+
+    def check(data):
+        pts = _draw_grid(data, family, lo, hi)
+        report, expected = psd_check(kern, pts), oracles.psd_check_symmetrized(kern, pts)
+        assert report.min_eigenvalue.hex() == expected.min_eigenvalue.hex()
+        assert report.passed == expected.passed
+
+    _run_property(check, family, 25)
 
 
 def test_asymmetric_gram_is_symmetrized():
@@ -906,8 +1011,8 @@ def _zero_variance():
 
 
 @pytest.mark.parametrize("call,error,message", [
-    pytest.param(lambda: Kernel(), InvalidInputError, "a kernel needs a cov or an eval",
-                 id="kernel-no-callable"),
+    pytest.param(lambda: Kernel(eval=lambda s, t: 1.0), InvalidInputError,
+                 "a kernel needs a cov; see Kernel.from_scalar", id="kernel-no-callable"),
     pytest.param(lambda: Kernel(cov=np.multiply, domain=(1.0, 1.0)), InvalidInputError,
                  "empty kernel domain (1.0, 1.0)", id="kernel-empty-domain"),
     pytest.param(lambda: kernels.fbm(1.0), InvalidInputError,

@@ -400,6 +400,14 @@ class TestOuExact:
             np.testing.assert_array_equal(
                 batch.paths, oracles.ou_exact_by_steps(alpha, grid, 5, seed=size).paths)
 
+    def test_one_point_grid_is_one_column(self):
+        # the first draw starts every path, as on a longer grid of the same seed
+        one = RateFunction.constant(1.0)
+        batch = ou_exact(one, [1.0], 3, seed=1)
+        assert batch.paths.shape == (3, 1) and batch.times.tolist() == [1.0]
+        np.testing.assert_array_equal(batch.paths, ou_exact(one, [1.0, 2.0], 3, seed=1).paths[:, :1])
+        assert ou_exact(RateFunction.infinite(), [1.0], 3, seed=1).paths.shape == (3, 1)
+
     def test_one_cov_call_per_run(self, monkeypatch):
         calls = []
         rate_kernel = simulate.rate_kernel
@@ -485,8 +493,8 @@ class TestFigureComparison:
     def test_nonzero_mean_and_varying_std(self):
         # kernel with drifting mean: both routes must reproduce the mean
         # function and the rescaled covariance
-        kern = kernels.Kernel(
-            eval=lambda s, t: (1 + 0.2 * s) * (1 + 0.2 * t) * math.exp(-abs(t - s)),
+        kern = kernels.Kernel.from_scalar(
+            lambda s, t: (1 + 0.2 * s) * (1 + 0.2 * t) * math.exp(-abs(t - s)),
             mean=lambda t: 2.0 + 0.5 * t,
         )
         report = figure_comparison(

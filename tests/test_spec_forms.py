@@ -38,10 +38,15 @@ def _new(spec, kind):
 
 
 def _reference(spec, kind):
-    """The replaced parser's outcome, except that a JSON boolean read before any
-    field that is no number is refused: the old parsers took ``true`` for 1.0."""
-    if isinstance(spec, dict) and spec.get("form") in _FORMS[kind]:
-        for field in READS.get(spec["form"], ()):
+    """The replaced parser's outcome, except for two refusals: of a key the form does
+    not read, and of a JSON boolean read before any field that is no number.  The
+    old parsers ignored the key and took ``true`` for 1.0."""
+    if isinstance(spec, dict) and spec.get("form") in tuple(_FORMS[kind]):
+        form = spec["form"]
+        for key in spec:
+            if key != "form" and key not in READS.get(form, ()):
+                return InvalidInputError, f"unknown key {key!r} in {form} {kind} spec"
+        for field in READS.get(form, ()):
             value = spec.get(field, 1.0)
             if isinstance(value, bool):
                 return InvalidInputError, f"expected a number, got {value!r}"
@@ -70,7 +75,8 @@ def specs(draw, kind):
     spec = draw(st.dictionaries(st.sampled_from(FIELDS), VALUES, max_size=3))
     if draw(st.integers(0, 9)):
         spec["form"] = draw(st.one_of(
-            st.sampled_from(_FORMS[kind]), st.sampled_from(ALL_FORMS), st.sampled_from(NEAR_VALID)))
+            st.sampled_from(sorted(_FORMS[kind])), st.sampled_from(ALL_FORMS),
+            st.sampled_from(NEAR_VALID)))
     return spec
 
 
