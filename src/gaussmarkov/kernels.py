@@ -460,8 +460,11 @@ def fbm_log(hurst: float) -> Kernel:
 
     def profile(x):
         x = np.asarray(x, dtype=float)
-        return 0.5 * (np.exp(two_h * x) + np.exp(-two_h * x)
-                      - np.abs(np.exp(x) - np.exp(-x)) ** two_h)
+        return 0.5 * (
+            np.exp(two_h * x)
+            + np.exp(-two_h * x)
+            - np.abs(np.exp(x) - np.exp(-x)) ** two_h
+        )
 
     return Kernel(cov=lambda s, t: profile(np.subtract(t, s)), name=f"fbm_log(H={hurst})")
 
@@ -473,8 +476,10 @@ def constant() -> Kernel:
 
 def white_noise() -> Kernel:
     """Independent unit Gaussians: identity Gram matrix on any grid."""
-    return Kernel(cov=lambda s, t: np.where(np.subtract(t, s, dtype=float) == 0.0, 1.0, 0.0),
-                  name="white_noise")
+    return Kernel(
+        cov=lambda s, t: np.where(np.subtract(t, s, dtype=float) == 0.0, 1.0, 0.0),
+        name="white_noise",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +672,13 @@ def noise_integral(k: Callable[[float, float], float], interval: tuple[float, fl
     """White-noise integral kernel ``K(s, t) = integral over J of k(s, u) k(t, u) du``.
 
     One ``cov`` call integrates its distinct pairs ``(min(s, t), max(s, t))`` by
-    :func:`rate_kernel`'s quadrature, ``NOISE_PAIR_CHUNK`` at a time in shared
-    rounds, calling ``k`` on floats once per node and pair; each value is its own
-    pair's integral, so the kernel is exactly symmetric.  An infinite end is cut
-    off, per pair, where the integrand falls below ``NOISE_TAIL_TOL``; one that is
-    not finite or does not converge raises :class:`InvalidInputError` naming the interval.
+    :func:`rate_kernel`'s quadrature in shared rounds, in runs of 1, 2, 4, ...
+    up to ``NOISE_PAIR_CHUNK`` pairs, so an integrand that fails on the first
+    pair costs one pair's evaluations.  ``k`` is called on floats once per node
+    and pair; each value is its own pair's integral, so the kernel is exactly
+    symmetric.  An infinite end is cut off, per pair, where the integrand falls
+    below ``NOISE_TAIL_TOL``; one that is not finite or does not converge raises
+    :class:`InvalidInputError` naming the interval.
     """
     lo, hi = interval
     if not lo < hi:
@@ -683,8 +690,9 @@ def noise_integral(k: Callable[[float, float], float], interval: tuple[float, fl
             if all(abs(k(s, v) * k(t, v)) < NOISE_TAIL_TOL for v in (u, 2 * u)):
                 return 2 * u
             u *= 2.0
-        raise InvalidInputError(f"noise-integral integrand does not decay on {interval} "
-                                f"at ({s}, {t})")
+        raise InvalidInputError(
+            f"noise-integral integrand does not decay on {interval} at ({s}, {t})"
+        )
 
     def window(s: float, t: float) -> tuple[float, float]:
         upper = hi if math.isfinite(hi) else truncated(s, t, max(1.0, lo + 1.0))
@@ -700,14 +708,15 @@ def noise_integral(k: Callable[[float, float], float], interval: tuple[float, fl
         where = np.empty_like(order)
         where[order] = np.cumsum(new) - 1
         a, b = a[new], b[new]
-        values = np.empty(a.size)
-        for c in range(0, a.size, NOISE_PAIR_CHUNK):
-            x, y = a[c : c + NOISE_PAIR_CHUNK].tolist(), b[c : c + NOISE_PAIR_CHUNK].tolist()
-            ends = np.array([window(p, q) for p, q in zip(x, y)]).reshape(-1, 2)
-            values[c : c + NOISE_PAIR_CHUNK] = _integrate(
+        values, c, size = np.empty(a.size), 0, 1
+        while c < a.size:
+            x, y = a[c : c + size].tolist(), b[c : c + size].tolist()
+            ends = np.array([window(p, q) for p, q in zip(x, y)])
+            values[c : c + size] = _integrate(
                 lambda u, i: k(x[i], u) * k(y[i], u), ends[:, 0], ends[:, 1],
                 integrand=lambda i: f"noise-integral integrand k({x[i]}, u) k({y[i]}, u)",
             )
+            c, size = c + size, min(2 * size, NOISE_PAIR_CHUNK)
         return values[where].reshape(s.shape)
 
     return Kernel(cov=cov, name="noise_integral")

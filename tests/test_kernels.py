@@ -123,8 +123,9 @@ class TestCorrelation:
             noise,
         ):
             lo = 0.1 if kern.domain[0] == 0.0 or kern is noise else -4.0
-            s, t = rng.uniform(lo, lo + 6.0, size=(1000, 2)).T  # the old loop's pairs
-            assert kern.cov(s, t).tolist() == kern.cov(t, s).tolist()
+            for _ in range(100 if kern is noise else 1000):  # a noise pair takes about 1 ms
+                s, t = rng.uniform(lo, lo + 6.0, size=2)
+                assert kern.eval(s, t) == kern.eval(t, s)
 
 
 class TestDecayRate:
@@ -563,7 +564,19 @@ class TestNoiseIntegral:
         kern = kernels.noise_integral(lambda t, u: 1.0, (0.0, 1.0))
         pts = np.linspace(0.5, 3.0, 30)  # 465 distinct pairs
         assert (kernels.gram(kern, pts) == kern.eval(1.0, 1.0)).all()
-        assert sizes == [kernels.NOISE_PAIR_CHUNK, 465 - kernels.NOISE_PAIR_CHUNK, 1]
+        assert sizes == [1, 2, 4, 8, 16, 32, 64, 128, 465 - 255, 1]
+        sizes[:] = []
+        kernels.gram(kern, np.linspace(0.5, 3.0, 45))  # 1035 distinct pairs
+        assert sizes == [1, 2, 4, 8, 16, 32, 64, 128, 256, 256, 256, 1035 - 1023]
+        assert max(sizes) == kernels.NOISE_PAIR_CHUNK
+
+    def test_an_integrand_failing_everywhere_fails_after_one_pair(self):
+        kern = kernels.noise_integral(lambda t, u: math.cos(1e7 * t * u), (0.0, 1.0))
+        start = time.perf_counter()
+        with pytest.raises(InvalidInputError, match=r"not integrable .* over \[0\.0, 1\.0\]"):
+            kernels.gram(kern, np.linspace(0.5, 3.0, 23))  # 276 distinct pairs
+        # one pair takes about 0.05 s to fail; the pairs of a run bisect in lockstep
+        assert time.perf_counter() - start < 1.0
 
 
 def test_numpy_is_the_only_runtime_dependency():
