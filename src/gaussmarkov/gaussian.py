@@ -13,7 +13,6 @@ factors through the marginal of the block just before it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,28 +66,19 @@ def _largest_entry(cov: np.ndarray) -> float:
 def _psd_factor(cov: np.ndarray) -> np.ndarray | None:
     """PSD certificate of a symmetric ``cov``, and its Cholesky factor when it has one.
 
-    Returns ``np.linalg.cholesky(cov)`` when that succeeds.  Otherwise a
-    Cholesky factorization of ``cov`` shifted by ``TOL_PSD * max(diagonal)``
-    certifies it, and only when that fails too does ``eigvalsh`` decide; a
-    certified ``cov`` without a factor gives None, and a rejection raises
-    :class:`NotPsdError` naming the minimum eigenvalue.
+    Returns ``np.linalg.cholesky(cov)`` when that succeeds.  Otherwise
+    ``eigvalsh`` decides by :func:`kernels.psd_check`'s rule: a minimum
+    eigenvalue of at least ``-TOL_PSD * max(diagonal)`` gives None, and a
+    smaller one raises :class:`NotPsdError` naming it.
     """
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         pass
     scale = float(cov.diagonal().max())
-    tol = TOL_PSD * max(scale, 1e-300)
-    shifted = cov.copy()
-    shifted.flat[:: cov.shape[0] + 1] += tol
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        min_eig = float(np.linalg.eigvalsh(cov)[0])
-        if min_eig < -tol:
-            raise NotPsdError(
-                f"covariance not PSD: min eigenvalue {min_eig}, scale {scale}"
-            ) from None
+    min_eig = float(np.linalg.eigvalsh(cov)[0])
+    if min_eig < -TOL_PSD * max(scale, 0.0):
+        raise NotPsdError(f"covariance not PSD: min eigenvalue {min_eig}, scale {scale}")
     return None
 
 
@@ -162,21 +152,6 @@ class GaussianVector:
             "mean": self.mean.tolist(),
             "cov": self.cov.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GaussianVector":
-        return cls(
-            times=np.asarray(data["times"], dtype=float),
-            mean=np.asarray(data["mean"], dtype=float),
-            cov=np.asarray(data["cov"], dtype=float),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "GaussianVector":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -252,12 +227,6 @@ class TransportPlan:
     @property
     def times_right(self) -> np.ndarray:
         return self.joint.times[self.left_dim :]
-
-    def left_marginal(self) -> GaussianVector:
-        return self.joint.project(np.arange(self.left_dim))
-
-    def right_marginal(self) -> GaussianVector:
-        return self.joint.project(np.arange(self.left_dim, self.joint.dim))
 
 
 @dataclass(frozen=True)

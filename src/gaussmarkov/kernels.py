@@ -137,12 +137,19 @@ class RateFunction:
     The infinite rate is represented explicitly (``is_infinite=True``)
     instead of a float sentinel, so it can never leak into matrices.
     ``const`` is an optional hint that the rate is a known constant, used
-    for exact stationary shortcuts.
+    for exact stationary shortcuts.  A finite rate needs a callable ``func``,
+    and the infinite marker has none.
     """
 
     func: Callable[[float], float] | None = None
     is_infinite: bool = False
     const: float | None = None
+
+    def __post_init__(self):
+        if self.is_infinite and self.func is not None:
+            raise InvalidInputError("the infinite rate takes no func")
+        if not (self.is_infinite or callable(self.func)):
+            raise InvalidInputError(f"a finite rate needs a callable func, got {self.func!r}")
 
     @classmethod
     def constant(cls, value: float) -> "RateFunction":
@@ -154,7 +161,7 @@ class RateFunction:
 
     @classmethod
     def infinite(cls) -> "RateFunction":
-        return cls(func=None, is_infinite=True)
+        return cls(is_infinite=True)
 
     @classmethod
     def from_callable(cls, f: Callable[[float], float]) -> "RateFunction":

@@ -122,10 +122,6 @@ class SpectralMeasure:
     def to_list(self) -> list[dict]:
         return [{"weight": w, "location": y} for w, y in self.atoms]
 
-    @classmethod
-    def from_list(cls, data: Sequence[dict]) -> "SpectralMeasure":
-        return cls(atoms=tuple((d["weight"], d["location"]) for d in data))
-
 
 def _over_cosines(mu: SpectralMeasure, t, reduce) -> np.ndarray:
     """``reduce(chunk, cos(chunk x locations), masses)`` over ``t``, shaped as ``t``.
@@ -208,12 +204,6 @@ class WitnessIndices:
     @property
     def complete(self) -> bool:
         return not self.stopped
-
-    def y_map(self, k_max: int | None = None) -> dict[int, float]:
-        """Location ``y_k`` of every index k in ``[2, k_max]``: ``b^k`` when active, else 0."""
-        k_max = self.config.k_cut if k_max is None else k_max
-        active = set(_window_indices(self.windows, max(k_max, 0)).tolist())
-        return {k: self.config.b**k if k in active else 0.0 for k in range(2, k_max + 1)}
 
 
 def _effective_cap(config: WeierstrassConfig, x: float) -> int:
@@ -352,6 +342,11 @@ def weierstrass_indices(
     return WitnessIndices(tuple(indices), tuple(closed_windows), stopped="", config=config)
 
 
+def _require_half(config: WeierstrassConfig) -> None:
+    if config.a != 0.5:
+        raise InvalidInputError("the probability normalization requires a = 1/2")
+
+
 def measure_from_windows(
     config: WeierstrassConfig, windows: Sequence[tuple[int, int]]
 ) -> SpectralMeasure:
@@ -361,8 +356,7 @@ def measure_from_windows(
     silenced; all indices beyond ``k_cut`` are folded into the atom at 0
     so the measure stays a probability measure.
     """
-    if config.a != 0.5:
-        raise InvalidInputError("the probability normalization requires a = 1/2")
+    _require_half(config)
 
     def location(k: int) -> float:
         try:
@@ -403,10 +397,13 @@ def counterexample_measure(
 ) -> SpectralMeasure:
     """Measure whose Fourier decay rate has every point of [0, inf] as cluster point.
 
-    Raises :class:`BudgetExceededError` when an index search stops short;
-    :func:`weierstrass_indices` returns the partial windows in that case.
+    Refuses ``a != 1/2`` before any search, as :func:`measure_from_windows`
+    would after it.  Raises :class:`BudgetExceededError` when an index
+    search stops short; :func:`weierstrass_indices` returns the partial
+    windows in that case.
     """
     config = config or WeierstrassConfig()
+    _require_half(config)
     witness = weierstrass_indices(config, budget=budget)
     if not witness.complete:
         raise BudgetExceededError(

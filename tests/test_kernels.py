@@ -1057,6 +1057,14 @@ def _zero_variance():
                  id="noise-integral-tail"),
     pytest.param(lambda: transform_kernel(kernels.fbm(0.5), lambda t: 0.0, lambda t: t).eval(1.0, 2.0),
                  InvalidInputError, "scale vanishes at 1.0", id="transform-zero-scale"),
+    pytest.param(lambda: RateFunction(), InvalidInputError,
+                 "a finite rate needs a callable func, got None", id="rate-no-func"),
+    pytest.param(lambda: RateFunction.from_callable(None), InvalidInputError,
+                 "a finite rate needs a callable func, got None", id="rate-from-none"),
+    pytest.param(lambda: RateFunction.from_callable(2.0), InvalidInputError,
+                 "a finite rate needs a callable func, got 2.0", id="rate-from-float"),
+    pytest.param(lambda: RateFunction(func=abs, is_infinite=True), InvalidInputError,
+                 "the infinite rate takes no func", id="rate-infinite-with-func"),
     pytest.param(lambda: kernels.matrix_kernel([0.0, 1.0], np.eye(3)), InvalidInputError,
                  "matrix shape does not match grid length", id="matrix-shape"),
     pytest.param(lambda: kernels.matrix_kernel([0.0, 1.0], np.eye(2)).eval(0.0, 0.5),

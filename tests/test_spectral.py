@@ -115,11 +115,6 @@ class TestSpectralMeasure:
         with pytest.raises(InvalidMeasureError, match="finite, got inf"):
             SpectralMeasure(atoms=((0.5, math.inf),))
 
-    def test_serialization_round_trip(self):
-        mu = SpectralMeasure(atoms=((0.25, 1.0), (0.5, 0.0)))
-        again = SpectralMeasure.from_list(mu.to_list())
-        assert again.atoms == mu.atoms
-
 
 class TestKernelFromSpectral:
     def test_two_point_gives_cosine(self):
@@ -325,16 +320,32 @@ class TestWitnessIndices:
         for n in want[0][1:]:
             assert search(config, n - 1) == reference_search(config, n - 1)
 
-    def test_location_map(self, partial_witness):
-        y = partial_witness.y_map()
-        assert y[2] == 9.0 and y[3] == 0.0
-        assert y[4] == 81.0 and y[8] == 3.0**8 and y[9] == 0.0
-        assert y[14] == 3.0**14
+    def test_location_map(self, partial_witness, partial_measure):
+        # partial_measure is measure_from_windows(partial_witness.config, partial_witness.windows):
+        # active index k sits at 3^k with weight 2^-k, silenced indices fold into the atom at 0
+        assert partial_witness.windows[:2] == ((2, 3), (4, 9))
+        weight = {y: w for w, y in partial_measure.atoms}
+        assert len(weight) == len(partial_measure.atoms)
+        for k in (2, 4, 8, 14, 60):
+            assert weight[3.0**k] == 0.5**k
+        silenced = [3, *range(9, 14)]
+        assert weight[0.0] == pytest.approx(2.0 * (sum(0.5**k for k in silenced) + 0.5**60), rel=1e-15)
+        assert sorted(weight) == [0.0] + [3.0**k for k in (2, *range(4, 9), *range(14, 61))]
 
 
 class TestCounterexampleMeasure:
     def test_total_mass_one(self, partial_measure):
         assert partial_measure.total_mass == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("a,b", [(0.4, 3.0), (0.3, 4.0)])
+    def test_weights_other_than_half_are_refused_before_any_search(self, monkeypatch, a, b):
+        def search(*args, **kwargs):
+            raise AssertionError("an index search ran")
+
+        monkeypatch.setattr(spectral, "weierstrass_indices", search)
+        with pytest.raises(InvalidInputError,
+                           match=r"^the probability normalization requires a = 1/2$"):
+            counterexample_measure(WeierstrassConfig(a=a, b=b))
 
     def test_incomplete_search_raises(self):
         # the contract is the full measure: a partial one never comes back
