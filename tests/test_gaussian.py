@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -24,6 +25,12 @@ from gaussmarkov.gaussian import (
 )
 from gaussmarkov.kernels import Kernel, RateFunction
 from gaussmarkov.transform import joint_law, mimic_kernel, pair_law
+
+
+def _law_from_json(text):
+    """A law read back from JSON text (as summary.json holds it) through the constructor."""
+    d = json.loads(text)
+    return GaussianVector(**{k: d[k] for k in ("times", "mean", "cov")})
 
 
 def scalar_chain(correlations, times=None):
@@ -101,6 +108,13 @@ class TestGaussianVector:
         with pytest.raises(InvalidInputError):
             GaussianVector(times=[0.0, 1.0], mean=[0, 0], cov=[[1, 2], [2, 1]])
 
+    def test_json_round_trip(self):
+        # summary.json holds to_dict(); a law reads back through the constructor
+        law = GaussianVector(times=[0.0, 1.0], mean=[0.5, -1.0], cov=[[2, 1], [1, 2]])
+        again = _law_from_json(json.dumps(law.to_dict()))
+        assert gaussian_distance(law, again) == 0.0
+
+    @pytest.mark.parametrize("build", ["init", "from_json"])
     @pytest.mark.parametrize("field,value", [
         ("cov", [[1.0, math.nan], [math.nan, 1.0]]),
         ("cov", [[1.0, math.inf], [math.inf, 1.0]]),
@@ -112,23 +126,30 @@ class TestGaussianVector:
         ("times", [0.0, math.inf]),
         ("times", [-math.inf, 0.0]),
     ])
-    def test_non_finite_law_is_rejected(self, field, value):
+    def test_non_finite_law_is_rejected(self, build, field, value):
         data = {"times": [0.0, 1.0], "mean": [0.0, 0.0], "cov": [[1.0, 0.5], [0.5, 1.0]]}
         data[field] = value
         with pytest.raises(InvalidInputError, match=f"^{field} must be finite, got"):
-            GaussianVector(**data)
+            if build == "init":
+                GaussianVector(**data)
+            else:
+                _law_from_json(json.dumps(data))
 
+    @pytest.mark.parametrize("build", ["init", "from_json"])
     @pytest.mark.parametrize("cov,top", [
         ([[1e308, 5e307], [5e307, 1e308]], "1e+308"),
         ([[1.0, -1e308], [-1e308, 1.0]], "1e+308"),
         ([[1.0, 0.0], [0.0, np.nextafter(kernels._HALF_MAX, np.inf)]], "8.98846567431158e+307"),
     ])
-    def test_cov_too_large_to_symmetrize_is_rejected(self, cov, top):
+    def test_cov_too_large_to_symmetrize_is_rejected(self, build, cov, top):
         # 0.5 * (cov + cov.T) would store inf where cov + cov.T overflows
         data = {"times": [0.0, 1.0], "mean": [0.0, 0.0], "cov": cov}
         with pytest.raises(InvalidInputError,
                            match=f"^cov entries too large to symmetrize, up to {re.escape(top)}$"):
-            GaussianVector(**data)
+            if build == "init":
+                GaussianVector(**data)
+            else:
+                _law_from_json(json.dumps(data))
 
     def test_cov_up_to_half_max_keeps_its_bits(self):
         half = kernels._HALF_MAX

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -114,6 +115,13 @@ class TestSpectralMeasure:
             SpectralMeasure(atoms=((math.nan, 1.0),))  # a NaN total mass is not != 1
         with pytest.raises(InvalidMeasureError, match="finite, got inf"):
             SpectralMeasure(atoms=((0.5, math.inf),))
+
+    def test_serialization_round_trip(self):
+        # measure.json holds to_list(); a measure reads back through the constructor
+        mu = SpectralMeasure(atoms=((0.25, 1.0), (0.5, 0.0)))
+        again = SpectralMeasure(atoms=tuple((a["weight"], a["location"])
+                                            for a in json.loads(json.dumps(mu.to_list()))))
+        assert again.atoms == mu.atoms
 
 
 class TestKernelFromSpectral:
