@@ -270,6 +270,7 @@ def condition(plan: TransportPlan, x) -> ConditionalLaw:
         raise InvalidInputError(
             f"conditioning point has dim {x.size}, expected {plan.left_dim}"
         )
+    _require_finite("conditioning point", x)
     solved = solve_spd(plan.cov_left, np.column_stack([plan.cross, (x - plan.mean_left)[:, None]]),
                        what="left marginal")
     solved_cross = solved[:, : plan.right_dim]

@@ -132,13 +132,12 @@ class Kernel:
 
 @dataclass(frozen=True)
 class RateFunction:
-    """Nonnegative decorrelation rate, possibly the infinite marker.
+    """Nonnegative decorrelation rate: exactly one of a callable ``func``, a
+    constant ``const`` and the infinite marker ``is_infinite=True``.
 
-    The infinite rate is represented explicitly (``is_infinite=True``)
-    instead of a float sentinel, so it can never leak into matrices.
-    ``const`` is an optional hint that the rate is a known constant, used
-    for exact stationary shortcuts.  A finite rate needs a callable ``func``,
-    and the infinite marker has none.
+    The infinite rate is explicit instead of a float sentinel, so it can
+    never leak into matrices.  A constant rate has no ``func``: ``alpha(t)``
+    and :func:`rate_kernel`'s exact shortcut read the one ``const``.
     """
 
     func: Callable[[float], float] | None = None
@@ -148,16 +147,20 @@ class RateFunction:
     def __post_init__(self):
         if self.is_infinite and self.func is not None:
             raise InvalidInputError("the infinite rate takes no func")
-        if not (self.is_infinite or callable(self.func)):
+        if self.const is not None:
+            if self.is_infinite or self.func is not None:
+                raise InvalidInputError("a constant rate takes no func and no infinite marker")
+            if not (math.isfinite(self.const) and self.const >= 0.0):
+                raise InvalidInputError(
+                    f"rate must be nonnegative and finite (the infinite rate is 'inf'), got {self.const}"
+                )
+            object.__setattr__(self, "const", float(self.const))
+        elif not (self.is_infinite or callable(self.func)):
             raise InvalidInputError(f"a finite rate needs a callable func, got {self.func!r}")
 
     @classmethod
     def constant(cls, value: float) -> "RateFunction":
-        if not (math.isfinite(value) and value >= 0.0):
-            raise InvalidInputError(
-                f"rate must be nonnegative and finite (the infinite rate is 'inf'), got {value}"
-            )
-        return cls(func=lambda t: value, const=float(value))
+        return cls(const=value)
 
     @classmethod
     def infinite(cls) -> "RateFunction":
@@ -170,7 +173,7 @@ class RateFunction:
     def __call__(self, t: float) -> float:
         if self.is_infinite:
             raise UnsupportedDiagnosticError("rate is the infinite marker")
-        return float(self.func(t))
+        return self.const if self.const is not None else float(self.func(t))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,6 +49,8 @@ MAX_EM_DRAWS = 10**9
 
 
 def _stream(seed: int, name: str) -> np.random.Generator:
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed}")
     tag = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "little")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), tag])))
 
@@ -146,6 +149,8 @@ def euler_maruyama(
     its place, and leaving out a zero term changes no path value (bar an
     exact -0.0), so an ``alpha == 0`` run costs what an ODE costs.
     """
+    if n_paths < 1:
+        raise InvalidInputError("need at least one path")
     grid = _as_strictly_increasing(t_grid)
     substeps = float(grid[-1] - grid[0]) / spec.step
     _require_at_most(substeps, MAX_EM_SUBSTEPS,
@@ -211,6 +216,8 @@ def ou_exact(alpha: RateFunction, t_grid, n_paths: int, seed: int) -> Trajectory
     no discretization bias and the cost is linear in the grid size.  The
     infinite rate falls back to independent unit Gaussians.
     """
+    if n_paths < 1:
+        raise InvalidInputError("need at least one path")
     grid = _as_strictly_increasing(t_grid)
     gen = _stream(seed, "ou-exact")
     if alpha.is_infinite:

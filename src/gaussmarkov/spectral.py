@@ -152,8 +152,10 @@ def fourier_decay_rate(mu: SpectralMeasure, t):
     so its bits do not depend on how many entries one call evaluates.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise InvalidInputError(f"t must be positive, got {t[t <= 0.0].flat[0]}")
+    if not np.all(t > 0.0):
+        raise InvalidInputError(f"t must be positive, got {t[~(t > 0.0)].flat[0]}")
+    if np.any(t == math.inf):
+        raise InvalidInputError("t must be finite, got inf")
     out = _over_cosines(mu, t, lambda chunk, cosines, masses: np.matmul(
         (1.0 - cosines)[:, None, :], masses[:, None])[:, 0, 0] / chunk)
     return float(out) if t.ndim == 0 else out
@@ -277,8 +279,10 @@ def _first_crossing(
 
 def piecewise_f(config: WeierstrassConfig, witness: WitnessIndices, x: float) -> float:
     """``x * sum_{k=2}^{floor(x)} a^k (1 - cos(y_k / x))`` with the constructed y."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise InvalidInputError(f"x must be positive, got {x}")
+    if x == math.inf:
+        raise InvalidInputError("x must be finite, got inf")
     ks = _window_indices(witness.windows, _effective_cap(config, x))
     return float(_windowed_sum(config, ks, np.array([float(x)]))[0])
 
@@ -296,7 +300,7 @@ def weierstrass_indices(
     unreachable within it ends the construction: the result then holds the
     indices and windows found so far and names that search in ``stopped``.
     """
-    if budget < 1:
+    if not budget >= 1:
         raise InvalidInputError(f"index budget must be at least 1, got {budget}")
     if budget > MAX_INDEX_BUDGET:
         raise InvalidInputError(f"index budget must be at most 2^53, got {budget}")

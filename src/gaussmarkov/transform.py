@@ -468,6 +468,8 @@ def tightness_bound_check(
     ratio ``(1 - corr_n(s, t)) / |s - t|``.  Passes when the per-partition
     maxima show no growth trend across partitions (bounded M exists).
     """
+    if not a < b:
+        raise InvalidInputError(f"need a < b, got [{a}, {b}]")
     if not partitions:
         raise InvalidInputError("need at least one partition")
     maxima = []

@@ -503,6 +503,9 @@ def _law(times):
     pytest.param(lambda: condition(scalar_chain([0.5])[0], [1.0, 2.0]),
                  InvalidInputError, "conditioning point has dim 2, expected 1",
                  id="condition-point-dim"),
+    pytest.param(lambda: condition(scalar_chain([0.5])[0], [math.nan]),
+                 InvalidInputError, "conditioning point must be finite, got nan",
+                 id="condition-point-nan"),
     pytest.param(lambda: concatenate([]), InvalidInputError, "need at least one transport plan",
                  id="concatenate-no-plan"),
     pytest.param(lambda: compose([TransportPlan(joint=_law([0.0, 1.0]), left_dim=1, right_dim=1),

@@ -21,6 +21,7 @@ from gaussmarkov.errors import (
     UnsupportedDiagnosticError,
 )
 from gaussmarkov.kernels import (
+    AlphaEstimate,
     Kernel,
     RateFunction,
     correlation,
@@ -30,6 +31,7 @@ from gaussmarkov.kernels import (
     transform_kernel,
     uniform_convergence_diagnostic,
 )
+from gaussmarkov.serialize import rate_from_spec
 from gaussmarkov.transform import mimic_kernel
 
 import oracles
@@ -640,6 +642,18 @@ class TestConcurrentEvaluation:
         assert threaded == sequential
 
 
+#: Every way of building the constant rate 1.5; ``exponential_rate`` builds a
+#: kernel, and its rate is the one it hands to ``rate_kernel``.
+CONSTANT_RATE_1_5 = {
+    "RateFunction.constant": lambda: RateFunction.constant(1.5),
+    "rate_from_spec(number)": lambda: rate_from_spec(1.5),
+    "rate_from_spec(text)": lambda: rate_from_spec("1.5"),
+    "rate_from_spec(object)": lambda: rate_from_spec({"form": "constant", "value": 1.5}),
+    "AlphaEstimate.as_rate": lambda: AlphaEstimate(1.5, is_infinite=False, converged=True).as_rate(),
+    "exponential_rate": lambda: kernels.exponential_rate(1.5),
+}
+
+
 class TestRateFunction:
     def test_negative_constant_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -652,6 +666,33 @@ class TestRateFunction:
     def test_exponential_rate_accepts_plain_number(self):
         kern = kernels.exponential_rate(2.0)
         assert kern.eval(0.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("way", sorted(CONSTANT_RATE_1_5))
+    def test_every_constant_rate_is_its_const_alone(self, way, monkeypatch):
+        handed = []
+        real = kernels.rate_kernel
+        monkeypatch.setattr(kernels, "rate_kernel",
+                            lambda alpha, domain: handed.append(alpha) or real(alpha, domain))
+        built = CONSTANT_RATE_1_5[way]()
+        rate = built if isinstance(built, RateFunction) else handed[0]
+        assert rate.func is None and rate.const == 1.5
+        assert [rate(t) for t in (-2.0, 0.0, 3.5)] == [1.5, 1.5, 1.5]
+        kern = real(rate)
+        assert kern.name == "rate_kernel(const=1.5)"
+        # the exact stationary form, c |t - s| rounded once and exponentiated
+        grid = np.linspace(-2.0, 3.0, 11)
+        want = np.exp(-(1.5 * np.abs(np.subtract.outer(grid, grid))))
+        assert kernels.gram(kern, grid).tobytes() == want.tobytes()
+
+    def test_only_a_function_rate_takes_a_new_func(self):
+        # perfbench's tracer counts rate calls by replacing func
+        def g(t):
+            return 2.0
+
+        assert dataclasses.replace(RateFunction.from_callable(abs), func=g).func is g
+        with pytest.raises(InvalidInputError,
+                           match="^a constant rate takes no func and no infinite marker$"):
+            dataclasses.replace(RateFunction.constant(1.0), func=g)
 
 
 def _matrix_table():
@@ -1065,6 +1106,17 @@ def _zero_variance():
                  "a finite rate needs a callable func, got 2.0", id="rate-from-float"),
     pytest.param(lambda: RateFunction(func=abs, is_infinite=True), InvalidInputError,
                  "the infinite rate takes no func", id="rate-infinite-with-func"),
+    pytest.param(lambda: RateFunction(func=lambda t: 5.0, const=1.0), InvalidInputError,
+                 "a constant rate takes no func and no infinite marker", id="rate-const-with-func"),
+    pytest.param(lambda: RateFunction(is_infinite=True, const=1.0), InvalidInputError,
+                 "a constant rate takes no func and no infinite marker",
+                 id="rate-const-and-infinite"),
+    pytest.param(lambda: RateFunction(const=-1.0), InvalidInputError,
+                 "rate must be nonnegative and finite (the infinite rate is 'inf'), got -1.0",
+                 id="rate-const-negative"),
+    pytest.param(lambda: RateFunction(const=math.nan), InvalidInputError,
+                 "rate must be nonnegative and finite (the infinite rate is 'inf'), got nan",
+                 id="rate-const-nan"),
     pytest.param(lambda: kernels.matrix_kernel([0.0, 1.0], np.eye(3)), InvalidInputError,
                  "matrix shape does not match grid length", id="matrix-shape"),
     pytest.param(lambda: kernels.matrix_kernel([0.0, 1.0], np.eye(2)).eval(0.0, 0.5),

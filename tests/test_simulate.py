@@ -591,6 +591,12 @@ class TestExports:
         assert set(summary) >= {"max_cov_discrepancy", "sde", "gauss", "analytic"}
 
 
+def test_numpy_integer_seeds_are_python_integer_seeds():
+    for seed in (np.int64(7), np.uint32(7)):
+        assert _stream(seed, "ou-exact").standard_normal(3).tolist() == (
+            _stream(7, "ou-exact").standard_normal(3).tolist())
+
+
 @pytest.mark.parametrize("call,message", [
     pytest.param(lambda: TrajectoryBatch(times=[0.0, 1.0], paths=[[1.0, 2.0, 3.0]]),
                  "paths shape (1, 3) does not match 2 times", id="batch-shape"),
@@ -598,6 +604,26 @@ class TestExports:
                  "paths contain non-finite entries", id="batch-non-finite"),
     pytest.param(lambda: cholesky_sample(GaussianVector([0.0], [0.0], [[1.0]]), 0, seed=1),
                  "need at least one path", id="cholesky-no-path"),
+    pytest.param(lambda: euler_maruyama(ou_spec(0.1), [0.0, 1.0], 0, seed=1),
+                 "need at least one path", id="em-no-path"),
+    pytest.param(lambda: euler_maruyama(ou_spec(0.1), [0.0, 1.0], -1, seed=1),
+                 "need at least one path", id="em-negative-paths"),
+    pytest.param(lambda: ou_exact(RateFunction.constant(1.0), [0.0, 1.0], 0, seed=1),
+                 "need at least one path", id="ou-no-path"),
+    pytest.param(lambda: ou_exact(RateFunction.constant(1.0), [0.0, 1.0], -1, seed=1),
+                 "need at least one path", id="ou-negative-paths"),
+    pytest.param(lambda: cholesky_sample(GaussianVector([0.0], [0.0], [[1.0]]), 1, seed=-1),
+                 "seed must be a nonnegative integer, got -1", id="cholesky-negative-seed"),
+    pytest.param(lambda: euler_maruyama(ou_spec(0.1), [0.0, 1.0], 1, seed=-1),
+                 "seed must be a nonnegative integer, got -1", id="em-negative-seed"),
+    pytest.param(lambda: ou_exact(RateFunction.constant(1.0), [0.0, 1.0], 1, seed=-1),
+                 "seed must be a nonnegative integer, got -1", id="ou-negative-seed"),
+    pytest.param(lambda: ou_exact(RateFunction.constant(1.0), [0.0, 1.0], 1, seed=1.9),
+                 "seed must be a nonnegative integer, got 1.9", id="ou-fractional-seed"),
+    pytest.param(lambda: cholesky_sample(GaussianVector([0.0], [0.0], [[1.0]]), 1,
+                                         seed=np.int64(-2)),
+                 "seed must be a nonnegative integer, got -2",
+                 id="cholesky-negative-numpy-seed"),
     pytest.param(lambda: mimicking_sde(kernels.exponential_rate(1.0), RateFunction.infinite(),
                                        0.0, 0.1),
                  "the SDE form requires a finite rate", id="sde-infinite-rate"),

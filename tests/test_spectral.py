@@ -495,6 +495,18 @@ def test_array_decay_rate_on_the_readme_measures(partial_measure):
     pytest.param(lambda: spectral.piecewise_f(
         WeierstrassConfig(), spectral.WitnessIndices((2,), (), ""), 0.0),
         "x must be positive, got 0.0", id="piecewise-f-x"),
+    pytest.param(lambda: spectral.piecewise_f(
+        WeierstrassConfig(), spectral.WitnessIndices((2,), (), ""), math.nan),
+        "x must be positive, got nan", id="piecewise-f-nan"),
+    pytest.param(lambda: spectral.piecewise_f(
+        WeierstrassConfig(), spectral.WitnessIndices((2,), (), ""), math.inf),
+        "x must be finite, got inf", id="piecewise-f-inf"),
+    pytest.param(lambda: fourier_decay_rate(two_point(), math.nan),
+                 "t must be positive, got nan", id="decay-rate-nan"),
+    pytest.param(lambda: fourier_decay_rate(two_point(), [1.0, math.inf]),
+                 "t must be finite, got inf", id="decay-rate-inf"),
+    pytest.param(lambda: spectral.weierstrass_indices(WeierstrassConfig(), budget=math.nan),
+                 "index budget must be at least 1, got nan", id="index-budget-nan"),
     pytest.param(lambda: spectral.measure_from_windows(WeierstrassConfig(a=0.25, b=5.0), [(2, 3)]),
                  "the probability normalization requires a = 1/2", id="measure-a"),
     pytest.param(lambda: cluster_witnesses(two_point(), [-1.0]),

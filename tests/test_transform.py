@@ -735,6 +735,12 @@ def _cosine():
         InvalidInputError, "need at least two query times", id="global-one-query"),
     pytest.param(lambda: tightness_bound_check(kernels.fbm(0.5), 0.0, 1.0, []),
                  InvalidInputError, "need at least one partition", id="tightness-no-partition"),
+    pytest.param(lambda: tightness_bound_check(kernels.fbm(0.5), math.nan, 1.0,
+                                               [Partition(points=[0.0, 1.0])]),
+                 InvalidInputError, "need a < b, got [nan, 1.0]", id="tightness-nan-end"),
+    pytest.param(lambda: tightness_bound_check(kernels.fbm(0.5), 1.0, 0.0,
+                                               [Partition(points=[0.0, 1.0])]),
+                 InvalidInputError, "need a < b, got [1.0, 0.0]", id="tightness-reversed"),
     pytest.param(lambda: tightness_bound_check(kernels.fbm(0.5), 0.0, 1.0,
                                                [Partition(points=[0.0, 2.0])]),
                  InvalidInputError, "partition leaves [0.0, 1.0]", id="tightness-range"),
