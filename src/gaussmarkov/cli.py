@@ -92,24 +92,13 @@ def _route(value):
 MAX_RANDOM_GRIDS = 10_000
 
 
-def _integer(value) -> int:
-    """An int, an integer literal, or a float of integral value; never a bool."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _seed(value) -> int:
-    seed = _integer(value)
-    if seed < 0:
-        raise ValueError(f"expected a nonnegative integer, got {seed}")
-    return seed
+def _integer(value, what: str = "the value", least: int | None = None) -> int:
+    """An integer literal, or a config value that passes the library's ``kernels._count``."""
+    return kernels._count(int(value) if isinstance(value, str) else value, what, least)
 
 
 def _random_grids(value) -> int:
-    count = _integer(value)
-    if count < 0:
-        raise ValueError(f"expected a nonnegative count, got {count}")
+    count = _integer(value, "random grid count", 0)
     if count > MAX_RANDOM_GRIDS:
         raise ValueError(f"expected at most {MAX_RANDOM_GRIDS}, got {count}")
     return count
@@ -153,7 +142,7 @@ _ALPHA = _Option("alpha", lambda v: serialize.rate_from_spec(v), _REQUIRED,
                  "decorrelation rate (number, 'inf', or JSON)")
 _GRID = _Option("grid", lambda v: serialize.parse_grid(str(v)), _REQUIRED,
                 "start:stop:count evaluation grid")
-_SEED = _Option("seed", _seed, 0, "RNG seed")
+_SEED = _Option("seed", lambda v: _integer(v, "seed", 0), 0, "RNG seed")
 # Last in every command, so that a usage error creates no directory.
 _OUT = _Option("out", _directory, Path("."), "output directory (default: current)")
 

@@ -24,7 +24,7 @@ from .errors import (
     NotPsdError,
     SingularMarginalError,
 )
-from .kernels import _HALF_MAX, TOL_PSD, _as_strictly_increasing
+from .kernels import _HALF_MAX, TOL_PSD, _as_strictly_increasing, _count
 
 #: Condition-number guard for marginal covariance inversion.
 COND_LIMIT = 1e12
@@ -139,7 +139,11 @@ class GaussianVector:
         return self.times.size
 
     def project(self, indices) -> "GaussianVector":
-        idx = np.asarray(indices, dtype=int)
+        """The law at coordinates ``indices``; a negative one counts from the end, as in numpy."""
+        idx = [_count(i, "index", None) for i in indices]
+        outside = [i for i in idx if not -self.dim <= i < self.dim]
+        if outside:
+            raise InvalidInputError(f"index {outside[0]} is out of range for dim {self.dim}")
         return GaussianVector(
             times=self.times[idx],
             mean=self.mean[idx],
@@ -163,8 +167,9 @@ class TransportPlan:
     right_dim: int
 
     def __post_init__(self):
-        if self.left_dim < 1 or self.right_dim < 1:
-            raise InvalidInputError("block dimensions must be positive")
+        for name in ("left_dim", "right_dim"):
+            dim = _count(getattr(self, name), name, 1, "block dimensions must be positive")
+            object.__setattr__(self, name, dim)
         if self.left_dim + self.right_dim != self.joint.dim:
             raise InvalidInputError(
                 f"blocks {self.left_dim}+{self.right_dim} != joint dim {self.joint.dim}"
@@ -360,11 +365,10 @@ def compose(plans: Sequence[TransportPlan]) -> TransportPlan:
 
 
 def _block_slices(dim: int, block_dims: Sequence[int] | None) -> list[slice]:
-    if block_dims is None:
-        block_dims = [1] * dim
-    if sum(block_dims) != dim or any(d < 1 for d in block_dims):
-        raise InvalidInputError(f"block dims {block_dims} do not partition dim {dim}")
-    offsets = np.concatenate([[0], np.cumsum(block_dims)])
+    dims = [1] * dim if block_dims is None else [_count(d, "block dim", 1) for d in block_dims]
+    if sum(dims) != dim:
+        raise InvalidInputError(f"block dims {dims} do not partition dim {dim}")
+    offsets = np.concatenate([[0], np.cumsum(dims)])
     return [slice(int(a), int(b)) for a, b in zip(offsets, offsets[1:])]
 
 

@@ -17,6 +17,7 @@ exist (see :mod:`gaussmarkov.spectral` for a kernel whose rate oscillates).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -246,6 +247,23 @@ def _require_at_most(count, cap, what: str) -> None:
         raise InvalidInputError(f"{what}, above the cap of {cap}")
 
 
+def _count(value, what: str, least: int | None = 0, below: str | None = None) -> int:
+    """``value`` as an int: the one rule for every count.  A Python or numpy
+    integer passes, and so does a float of integral value.  A number below
+    ``least`` (None: no bound), NaN or -inf is refused with ``below``, by default
+    ``{what} must be at least {least}`` (``a nonnegative integer`` for 0), and a
+    bool, a fraction, +inf or a non-number with ``{what} must be an integer``.
+    """
+    rule = "a nonnegative integer" if least == 0 else "an integer"
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if least is not None and not value >= least:
+            bound = rule if least == 0 else f"at least {least}"
+            raise InvalidInputError(below or f"{what} must be {bound}, got {value}")
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise InvalidInputError(f"{what} must be {rule}, got {value!r}")
+
+
 def gram(kernel: Kernel, grid) -> np.ndarray:
     """Gram matrix ``[K(t_i, t_j)]`` over an ordered grid; every entry must be finite.
 
@@ -363,8 +381,7 @@ def uniform_convergence_diagnostic(
         )
     if not s < t:
         raise InvalidInputError("need s < t")
-    if grid_density < 2:
-        raise InvalidInputError("grid_density must be at least 2")
+    grid_density = _count(grid_density, "grid_density", 2, "grid_density must be at least 2")
     _require_at_most(grid_density, MAX_LATTICE_DENSITY, f"grid_density {grid_density}")
     hs = h_star * np.arange(1, grid_density + 1) / grid_density
     hs[hs >= t - s] = (t - s) * (1.0 - 1e-12)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,7 +30,8 @@ import numpy as np
 from . import transform
 from .errors import InvalidInputError, InvalidSdeError
 from .gaussian import GaussianVector, _psd_factor
-from .kernels import Kernel, RateFunction, _as_strictly_increasing, _require_at_most, rate_kernel
+from .kernels import (Kernel, RateFunction, _as_strictly_increasing, _count, _require_at_most,
+                      rate_kernel)
 from .serialize import write_csv
 
 #: Finite-difference step of the mean/std derivatives.
@@ -49,10 +49,9 @@ MAX_EM_DRAWS = 10**9
 
 
 def _stream(seed: int, name: str) -> np.random.Generator:
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed}")
+    seed = _count(seed, "seed")
     tag = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "little")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), tag])))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, tag])))
 
 
 @dataclass(frozen=True)
@@ -121,8 +120,7 @@ def cholesky_sample(law: GaussianVector, n_paths: int, seed: int) -> TrajectoryB
     eigenvalues at or below ``n 2^-52 lambda_max`` are rounding and become 0,
     so the paths lie in the covariance's range to rounding.
     """
-    if n_paths < 1:
-        raise InvalidInputError("need at least one path")
+    n_paths = _count(n_paths, "n_paths", 1, "need at least one path")
     factor = _psd_factor(law.cov)
     if factor is None:
         lam, vecs = np.linalg.eigh(law.cov)
@@ -149,8 +147,7 @@ def euler_maruyama(
     its place, and leaving out a zero term changes no path value (bar an
     exact -0.0), so an ``alpha == 0`` run costs what an ODE costs.
     """
-    if n_paths < 1:
-        raise InvalidInputError("need at least one path")
+    n_paths = _count(n_paths, "n_paths", 1, "need at least one path")
     grid = _as_strictly_increasing(t_grid)
     substeps = float(grid[-1] - grid[0]) / spec.step
     _require_at_most(substeps, MAX_EM_SUBSTEPS,
@@ -216,8 +213,7 @@ def ou_exact(alpha: RateFunction, t_grid, n_paths: int, seed: int) -> Trajectory
     no discretization bias and the cost is linear in the grid size.  The
     infinite rate falls back to independent unit Gaussians.
     """
-    if n_paths < 1:
-        raise InvalidInputError("need at least one path")
+    n_paths = _count(n_paths, "n_paths", 1, "need at least one path")
     grid = _as_strictly_increasing(t_grid)
     gen = _stream(seed, "ou-exact")
     if alpha.is_infinite:
@@ -365,8 +361,8 @@ def figure_comparison(
     grid = np.asarray(t_grid, dtype=float).ravel()
     if grid.size < 2:
         raise InvalidInputError("need at least two grid times")
-    if n_paths < 2:
-        raise InvalidInputError(f"need at least two paths to estimate moments, got {n_paths}")
+    n_paths = _count(n_paths, "n_paths", 2,
+                     f"need at least two paths to estimate moments, got {n_paths}")
     _require_at_most(n_paths * grid.size, MAX_PATH_VALUES, f"{n_paths} paths over "
                      f"{grid.size} grid points take {n_paths * grid.size} values")
     if gaussian_route not in ("exact", "cholesky"):

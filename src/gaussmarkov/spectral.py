@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError, InvalidMeasureError
-from .kernels import Kernel
+from .kernels import Kernel, _count
 
 #: Default integer budget of the witness-index searches.
 DEFAULT_INDEX_BUDGET = 10**6
@@ -180,10 +180,9 @@ class WeierstrassConfig:
             raise InvalidInputError(f"need 0 < a < 1, got {self.a}")
         if self.a * self.b <= 1.0:
             raise InvalidInputError(f"need a*b > 1, got {self.a * self.b}")
-        if self.k_cut < 2:
-            raise InvalidInputError("k_cut must be at least 2")
-        if self.i_max < 1:
-            raise InvalidInputError("i_max must be at least 1")
+        for name, least in (("k_cut", 2), ("i_max", 1)):
+            count = _count(getattr(self, name), name, least, f"{name} must be at least {least}")
+            object.__setattr__(self, name, count)
 
 
 @dataclass(frozen=True)
@@ -300,8 +299,7 @@ def weierstrass_indices(
     unreachable within it ends the construction: the result then holds the
     indices and windows found so far and names that search in ``stopped``.
     """
-    if not budget >= 1:
-        raise InvalidInputError(f"index budget must be at least 1, got {budget}")
+    budget = _count(budget, "index budget", 1)
     if budget > MAX_INDEX_BUDGET:
         raise InvalidInputError(f"index budget must be at most 2^53, got {budget}")
     indices: list[int] = [2]

@@ -23,6 +23,7 @@ from .kernels import (
     RateFunction,
     _as_strictly_increasing,
     _at_points,
+    _count,
     _require_at_most,
     _sorted_unique,
     rate_kernel,
@@ -50,8 +51,7 @@ class Partition:
 
     @classmethod
     def uniform(cls, s: float, t: float, n_intervals: int) -> "Partition":
-        if n_intervals < 1:
-            raise InvalidInputError("need at least one interval")
+        n_intervals = _count(n_intervals, "n_intervals", 1, "need at least one interval")
         _require_at_most(n_intervals, MAX_PARTITION_INTERVALS,
                          f"partition of {n_intervals} intervals")
         return cls(points=np.linspace(s, t, n_intervals + 1))
@@ -59,7 +59,7 @@ class Partition:
     @classmethod
     def dyadic(cls, s: float, t: float, level: int) -> "Partition":
         """Uniform partition with mesh ``(t - s) * 2**-level``."""
-        return cls.uniform(s, t, 2**level)
+        return cls.uniform(s, t, 2 ** _count(level, "level"))
 
     @property
     def start(self) -> float:
@@ -113,6 +113,7 @@ class AdmissibleSequence:
         """``n_sets`` sets with steps ``first_step * ratio**n`` and half-widths ``n``."""
         if not 0.0 < ratio < 1.0:
             raise InvalidInputError("ratio must be in (0, 1)")
+        n_sets = _count(n_sets, "n_sets", 1)
         return cls.from_steps([first_step * ratio**n for n in range(1, n_sets + 1)])
 
     @classmethod
@@ -442,8 +443,7 @@ def global_convergence_experiment(
     queries = np.asarray(query_times, dtype=float).ravel()
     if queries.size < 2:
         raise InvalidInputError("need at least two query times")
-    if n_max < 1:
-        raise InvalidInputError(f"n_max must be at least 1, got {n_max}")
+    n_max = _count(n_max, "n_max", 1)
     laws = enumerate(_made_markov_laws(kernel, adm.sets(n_max), queries), start=1)
     return _convergence_rows(((float(n), law) for n, law in laws), target, queries)
 

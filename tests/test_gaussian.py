@@ -489,12 +489,26 @@ def _law(times):
     return GaussianVector(times=times, mean=np.zeros(len(times)), cov=np.eye(len(times)))
 
 
+def test_project_counts_negative_indices_from_the_end():
+    law = GaussianVector(times=[0.0, 1.0, 2.0], mean=[1.0, 2.0, 3.0],
+                         cov=[[2.0, 1.0, 0.5], [1.0, 3.0, 1.5], [0.5, 1.5, 4.0]])
+    assert law.project([0, -1]).to_dict() == law.project(np.array([0, 2])).to_dict() == {
+        "times": [0.0, 2.0], "mean": [1.0, 3.0], "cov": [[2.0, 0.5], [0.5, 4.0]]}
+
+
 @pytest.mark.parametrize("call,error,message", [
     pytest.param(lambda: GaussianVector(times=[0.0, 1.0], mean=[0.0], cov=np.eye(2)),
                  InvalidInputError, "shape mismatch: 2 times, mean (1,), cov (2, 2)",
                  id="vector-shapes"),
     pytest.param(lambda: TransportPlan(joint=_law([0.0, 1.0]), left_dim=0, right_dim=2),
                  InvalidInputError, "block dimensions must be positive", id="plan-empty-block"),
+    pytest.param(lambda: TransportPlan(joint=_law([0.0, 1.0, 2.0]), left_dim=1.5, right_dim=1.5),
+                 InvalidInputError, "left_dim must be an integer, got 1.5",
+                 id="plan-fractional-block"),
+    pytest.param(lambda: TransportPlan(joint=_law([0.0, 1.0]), left_dim=1, right_dim=True),
+                 InvalidInputError, "right_dim must be an integer, got True", id="plan-bool-block"),
+    pytest.param(lambda: TransportPlan(joint=_law([0.0, 1.0]), left_dim=math.nan, right_dim=2),
+                 InvalidInputError, "block dimensions must be positive", id="plan-nan-block"),
     pytest.param(lambda: TransportPlan(joint=_law([0.0, 1.0]), left_dim=1, right_dim=2),
                  InvalidInputError, "blocks 1+2 != joint dim 2", id="plan-blocks-vs-joint"),
     pytest.param(lambda: TransportPlan.from_blocks(np.ones((2, 3)), np.zeros(2), [[1.0]]),
@@ -516,6 +530,23 @@ def _law(times):
     pytest.param(lambda: markov_check(_law([0.0, 1.0]), block_dims=[1, 2]),
                  InvalidInputError, "block dims [1, 2] do not partition dim 2",
                  id="markov-check-block-dims"),
+    pytest.param(lambda: markov_check(_law([0.0, 1.0, 2.0]), block_dims=[1.5, 1.5, 1]),
+                 InvalidInputError, "block dim must be an integer, got 1.5",
+                 id="markov-check-fractional-blocks"),
+    pytest.param(lambda: markov_check(_law([0.0, 1.0, 2.0]), block_dims=[True, 2]),
+                 InvalidInputError, "block dim must be an integer, got True",
+                 id="markov-check-bool-block"),
+    pytest.param(lambda: markov_check(_law([0.0, 1.0, 2.0]), block_dims=[math.nan, 3]),
+                 InvalidInputError, "block dim must be at least 1, got nan",
+                 id="markov-check-nan-block"),
+    pytest.param(lambda: _law([0.0, 1.0, 2.0]).project([0.5, 1.7]),
+                 InvalidInputError, "index must be an integer, got 0.5",
+                 id="project-fractional-index"),
+    pytest.param(lambda: _law([0.0, 1.0, 2.0]).project([3]),
+                 InvalidInputError, "index 3 is out of range for dim 3", id="project-past-end"),
+    pytest.param(lambda: _law([0.0, 1.0, 2.0]).project([-4]),
+                 InvalidInputError, "index -4 is out of range for dim 3",
+                 id="project-before-start"),
     pytest.param(lambda: gaussian_distance(_law([0.0, 1.0]), _law([0.0, 2.0])),
                  InvalidInputError, "laws live on different time grids",
                  id="distance-time-grids"),

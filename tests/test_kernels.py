@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussmarkov import kernels, spectral
+from gaussmarkov import kernels, simulate, spectral, transform
 from gaussmarkov.errors import (
     InvalidInputError,
     SingularMarginalError,
@@ -1090,6 +1090,15 @@ def _zero_variance():
     pytest.param(lambda: uniform_convergence_diagnostic(
         kernels.constant(), RateFunction.constant(0.0), 0.0, 1.0, 0.1, 10**6),
         InvalidInputError, "grid_density 1000000, above the cap of 2048", id="diagnostic-cap"),
+    pytest.param(lambda: uniform_convergence_diagnostic(
+        kernels.constant(), RateFunction.constant(0.0), 0.0, 1.0, 0.1, True),
+        InvalidInputError, "grid_density must be an integer, got True", id="diagnostic-bool"),
+    pytest.param(lambda: uniform_convergence_diagnostic(
+        kernels.constant(), RateFunction.constant(0.0), 0.0, 1.0, 0.1, 2.5),
+        InvalidInputError, "grid_density must be an integer, got 2.5", id="diagnostic-fraction"),
+    pytest.param(lambda: uniform_convergence_diagnostic(
+        kernels.constant(), RateFunction.constant(0.0), 0.0, 1.0, 0.1, math.inf),
+        InvalidInputError, "grid_density must be an integer, got inf", id="diagnostic-inf"),
     pytest.param(lambda: kernels.noise_integral(lambda t, u: 1.0, (1.0, 1.0)), InvalidInputError,
                  "empty integration interval (1.0, 1.0)", id="noise-integral-interval"),
     pytest.param(lambda: kernels.noise_integral(lambda t, u: 1.0, (0.0, math.inf)).eval(1.0, 1.0),
@@ -1125,3 +1134,20 @@ def _zero_variance():
 def test_bad_arguments_are_named(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+# A count given as an integral float, as JSON may write it, or as a numpy
+# integer is that int: every result keeps its bits.
+@pytest.mark.parametrize("count", [4.0, np.int64(4), np.int32(4)], ids=["float", "int64", "int32"])
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda n: simulate.cholesky_sample(
+        transform.joint_law(kernels.fbm(0.5), [1.0, 2.0, 3.0]), 50 * n, seed=n).paths,
+        id="cholesky-paths"),
+    pytest.param(lambda n: transform.Partition.uniform(0.0, 1.0, n).points, id="uniform-points"),
+    pytest.param(lambda n: transform.AdmissibleSequence.geometric(n).steps, id="geometric-steps"),
+    pytest.param(lambda n: spectral.weierstrass_indices(
+        spectral.WeierstrassConfig(k_cut=15 * n, i_max=n // 2), budget=10**n).indices,
+        id="weierstrass-indices"),
+])
+def test_integral_counts_give_the_int_bits(run, count):
+    assert np.asarray(run(count)).tobytes() == np.asarray(run(4)).tobytes()

@@ -527,6 +527,9 @@ class TestFigureComparison:
         (1, "exact", "got 1"),
         (10, "bogus", "'bogus'"),
         (MAX_PATH_VALUES // 2 + 1, "exact", f"above the cap of {MAX_PATH_VALUES}"),
+        (True, "exact", "n_paths must be an integer, got True"),
+        (2.5, "exact", "n_paths must be an integer, got 2.5"),
+        (math.nan, "exact", "need at least two paths to estimate moments, got nan"),
     ])
     def test_bad_arguments_rejected_before_drawing(self, monkeypatch, n_paths, route, message):
         calls = count_draws(monkeypatch)
@@ -624,6 +627,28 @@ def test_numpy_integer_seeds_are_python_integer_seeds():
                                          seed=np.int64(-2)),
                  "seed must be a nonnegative integer, got -2",
                  id="cholesky-negative-numpy-seed"),
+    pytest.param(lambda: cholesky_sample(GaussianVector([0.0], [0.0], [[1.0]]), True, seed=1),
+                 "n_paths must be an integer, got True", id="cholesky-bool-paths"),
+    pytest.param(lambda: cholesky_sample(GaussianVector([0.0], [0.0], [[1.0]]), 2.5, seed=1),
+                 "n_paths must be an integer, got 2.5", id="cholesky-fractional-paths"),
+    pytest.param(lambda: cholesky_sample(GaussianVector([0.0], [0.0], [[1.0]]), math.inf, seed=1),
+                 "n_paths must be an integer, got inf", id="cholesky-infinite-paths"),
+    pytest.param(lambda: euler_maruyama(ou_spec(0.1), [0.0, 1.0], True, seed=1),
+                 "n_paths must be an integer, got True", id="em-bool-paths"),
+    pytest.param(lambda: euler_maruyama(ou_spec(0.1), [0.0, 1.0], 2.5, seed=1),
+                 "n_paths must be an integer, got 2.5", id="em-fractional-paths"),
+    pytest.param(lambda: euler_maruyama(ou_spec(0.1), [0.0, 1.0], math.nan, seed=1),
+                 "need at least one path", id="em-nan-paths"),
+    pytest.param(lambda: ou_exact(RateFunction.constant(1.0), [0.0, 1.0], True, seed=1),
+                 "n_paths must be an integer, got True", id="ou-bool-paths"),
+    pytest.param(lambda: ou_exact(RateFunction.constant(1.0), [0.0, 1.0], 2.5, seed=1),
+                 "n_paths must be an integer, got 2.5", id="ou-fractional-paths"),
+    pytest.param(lambda: ou_exact(RateFunction.constant(1.0), [0.0, 1.0], math.inf, seed=1),
+                 "n_paths must be an integer, got inf", id="ou-infinite-paths"),
+    pytest.param(lambda: ou_exact(RateFunction.constant(1.0), [0.0, 1.0], 1, seed=True),
+                 "seed must be a nonnegative integer, got True", id="ou-bool-seed"),
+    pytest.param(lambda: euler_maruyama(ou_spec(0.1), [0.0, 1.0], 1, seed=math.nan),
+                 "seed must be a nonnegative integer, got nan", id="em-nan-seed"),
     pytest.param(lambda: mimicking_sde(kernels.exponential_rate(1.0), RateFunction.infinite(),
                                        0.0, 0.1),
                  "the SDE form requires a finite rate", id="sde-infinite-rate"),

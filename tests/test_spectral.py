@@ -492,6 +492,18 @@ def test_array_decay_rate_on_the_readme_measures(partial_measure):
     pytest.param(lambda: WeierstrassConfig(a=0.5, b=2.0), "need a*b > 1, got 1.0", id="config-ab"),
     pytest.param(lambda: WeierstrassConfig(k_cut=1), "k_cut must be at least 2", id="config-k-cut"),
     pytest.param(lambda: WeierstrassConfig(i_max=0), "i_max must be at least 1", id="config-i-max"),
+    pytest.param(lambda: WeierstrassConfig(k_cut=True), "k_cut must be an integer, got True",
+                 id="config-k-cut-bool"),
+    pytest.param(lambda: WeierstrassConfig(k_cut=60.5), "k_cut must be an integer, got 60.5",
+                 id="config-k-cut-fraction"),
+    pytest.param(lambda: WeierstrassConfig(k_cut=math.inf), "k_cut must be an integer, got inf",
+                 id="config-k-cut-inf"),
+    pytest.param(lambda: WeierstrassConfig(i_max=True), "i_max must be an integer, got True",
+                 id="config-i-max-bool"),
+    pytest.param(lambda: WeierstrassConfig(i_max=1.5), "i_max must be an integer, got 1.5",
+                 id="config-i-max-fraction"),
+    pytest.param(lambda: WeierstrassConfig(i_max=math.nan), "i_max must be at least 1",
+                 id="config-i-max-nan"),
     pytest.param(lambda: spectral.piecewise_f(
         WeierstrassConfig(), spectral.WitnessIndices((2,), (), ""), 0.0),
         "x must be positive, got 0.0", id="piecewise-f-x"),
@@ -507,6 +519,12 @@ def test_array_decay_rate_on_the_readme_measures(partial_measure):
                  "t must be finite, got inf", id="decay-rate-inf"),
     pytest.param(lambda: spectral.weierstrass_indices(WeierstrassConfig(), budget=math.nan),
                  "index budget must be at least 1, got nan", id="index-budget-nan"),
+    pytest.param(lambda: spectral.weierstrass_indices(WeierstrassConfig(), budget=True),
+                 "index budget must be an integer, got True", id="index-budget-bool"),
+    pytest.param(lambda: spectral.weierstrass_indices(WeierstrassConfig(), budget=2500.5),
+                 "index budget must be an integer, got 2500.5", id="index-budget-fraction"),
+    pytest.param(lambda: spectral.weierstrass_indices(WeierstrassConfig(), budget=math.inf),
+                 "index budget must be an integer, got inf", id="index-budget-inf"),
     pytest.param(lambda: spectral.measure_from_windows(WeierstrassConfig(a=0.25, b=5.0), [(2, 3)]),
                  "the probability normalization requires a = 1/2", id="measure-a"),
     pytest.param(lambda: cluster_witnesses(two_point(), [-1.0]),

@@ -719,8 +719,32 @@ def _cosine():
     pytest.param(lambda: Partition.uniform(0.0, 1.0, MAX_PARTITION_INTERVALS + 1),
                  InvalidInputError, "partition of 16777217 intervals, above the cap of 16777216",
                  id="uniform-above-cap"),
+    pytest.param(lambda: Partition.uniform(0.0, 1.0, True), InvalidInputError,
+                 "n_intervals must be an integer, got True", id="uniform-bool"),
+    pytest.param(lambda: Partition.uniform(0.0, 1.0, 2.5), InvalidInputError,
+                 "n_intervals must be an integer, got 2.5", id="uniform-fraction"),
+    pytest.param(lambda: Partition.uniform(0.0, 1.0, math.inf), InvalidInputError,
+                 "n_intervals must be an integer, got inf", id="uniform-inf"),
+    pytest.param(lambda: Partition.dyadic(0.0, 1.0, True), InvalidInputError,
+                 "level must be a nonnegative integer, got True", id="dyadic-bool"),
+    pytest.param(lambda: Partition.dyadic(0.0, 1.0, 1.5), InvalidInputError,
+                 "level must be a nonnegative integer, got 1.5", id="dyadic-fraction"),
+    pytest.param(lambda: Partition.dyadic(0.0, 1.0, math.nan), InvalidInputError,
+                 "level must be a nonnegative integer, got nan", id="dyadic-nan"),
+    pytest.param(lambda: Partition.dyadic(0.0, 1.0, -1), InvalidInputError,
+                 "level must be a nonnegative integer, got -1", id="dyadic-negative"),
     pytest.param(lambda: AdmissibleSequence.geometric(1, ratio=1.0), InvalidInputError,
                  "ratio must be in (0, 1)", id="geometric-ratio"),
+    pytest.param(lambda: AdmissibleSequence.geometric(0), InvalidInputError,
+                 "n_sets must be at least 1, got 0", id="geometric-no-set"),
+    pytest.param(lambda: AdmissibleSequence.geometric(-3), InvalidInputError,
+                 "n_sets must be at least 1, got -3", id="geometric-negative"),
+    pytest.param(lambda: AdmissibleSequence.geometric(True), InvalidInputError,
+                 "n_sets must be an integer, got True", id="geometric-bool"),
+    pytest.param(lambda: AdmissibleSequence.geometric(2.5), InvalidInputError,
+                 "n_sets must be an integer, got 2.5", id="geometric-fraction"),
+    pytest.param(lambda: AdmissibleSequence.geometric(math.inf), InvalidInputError,
+                 "n_sets must be an integer, got inf", id="geometric-inf"),
     pytest.param(lambda: AdmissibleSequence.from_steps([0.5, 0.25], [1.0]), InvalidInputError,
                  "need one half-width per step", id="from-steps-halfwidths"),
     pytest.param(lambda: local_convergence_experiment(kernels.fbm(0.5), kernels.fbm(0.5),
@@ -733,6 +757,15 @@ def _cosine():
     pytest.param(lambda: global_convergence_experiment(
         kernels.fbm(0.5), kernels.fbm(0.5), AdmissibleSequence.geometric(1), [1.0], 1),
         InvalidInputError, "need at least two query times", id="global-one-query"),
+    pytest.param(lambda: global_convergence_experiment(
+        kernels.fbm(0.5), kernels.fbm(0.5), AdmissibleSequence.geometric(1), [0.0, 1.0], True),
+        InvalidInputError, "n_max must be an integer, got True", id="global-bool"),
+    pytest.param(lambda: global_convergence_experiment(
+        kernels.fbm(0.5), kernels.fbm(0.5), AdmissibleSequence.geometric(1), [0.0, 1.0], 1.5),
+        InvalidInputError, "n_max must be an integer, got 1.5", id="global-fraction"),
+    pytest.param(lambda: global_convergence_experiment(
+        kernels.fbm(0.5), kernels.fbm(0.5), AdmissibleSequence.geometric(1), [0.0, 1.0], math.nan),
+        InvalidInputError, "n_max must be at least 1, got nan", id="global-nan"),
     pytest.param(lambda: tightness_bound_check(kernels.fbm(0.5), 0.0, 1.0, []),
                  InvalidInputError, "need at least one partition", id="tightness-no-partition"),
     pytest.param(lambda: tightness_bound_check(kernels.fbm(0.5), math.nan, 1.0,
