@@ -92,26 +92,17 @@ def _route(value):
 MAX_RANDOM_GRIDS = 10_000
 
 
-def _integer(value, what: str = "the value", least: int | None = None) -> int:
+def _integer(value, what: str = "the value", least: int | None = None,
+             most: int | None = None) -> int:
     """An integer literal, or a config value that passes the library's ``kernels._count``."""
-    return kernels._count(int(value) if isinstance(value, str) else value, what, least)
-
-
-def _random_grids(value) -> int:
-    count = _integer(value, "random grid count", 0)
-    if count > MAX_RANDOM_GRIDS:
-        raise ValueError(f"expected at most {MAX_RANDOM_GRIDS}, got {count}")
-    return count
+    return kernels._count(int(value) if isinstance(value, str) else value, what, least, None, most)
 
 
 def _budget(value) -> int:
     """An index budget no larger than the searches can scan (``spectral.MAX_INDEX_BUDGET``)."""
     from . import spectral
 
-    budget = _integer(value)
-    if budget > spectral.MAX_INDEX_BUDGET:
-        raise ValueError(f"expected at most 2^53, got {budget}")
-    return budget
+    return _integer(value, "index budget", most=spectral.MAX_INDEX_BUDGET)
 
 
 def _switch(value) -> bool:
@@ -149,7 +140,9 @@ _OUT = _Option("out", _directory, Path("."), "output directory (default: current
 #: Per subcommand: its help and the options it reads, in the order they resolve.
 _OPTIONS = {
     "psd-check": ("validate positive semi-definiteness on grids", (
-        _KERNEL, _GRID, _Option("random_grids", _random_grids, 0, "additional random subgrids"),
+        _KERNEL, _GRID,
+        _Option("random_grids", lambda v: _integer(v, "random grid count", 0, MAX_RANDOM_GRIDS),
+                0, "additional random subgrids"),
         _SEED, _OUT,
     )),
     "transform": ("tabulate a kernel and its mimicking kernel", (_KERNEL, _ALPHA, _GRID, _OUT)),
@@ -206,7 +199,7 @@ def _read_config(name: str) -> dict:
         data = json.loads(Path(name).read_text())
     except FileNotFoundError:
         raise UsageError(f"--config: file not found: {name}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSON error, or an integer past Python's 4300 digits
         raise UsageError(f"--config: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"--config: expected a JSON object, got {type(data).__name__}")
@@ -304,10 +297,9 @@ def _cmd_converge(kernel, alpha, grid, mesh_sequence, steps, n_max, out) -> int:
         s, t = grid[[0, -1]].tolist()
         partitions = []
         for mesh in mesh_sequence:
-            count = (t - s) / mesh  # unrounded: a subnormal mesh gives inf, which round() refuses
-            kernels._require_at_most(count, transform.MAX_PARTITION_INTERVALS,
-                                     f"partition of {count:.4g} intervals")
-            partitions.append(transform.Partition.uniform(s, t, max(1, round(count))))
+            # rounded in floats: a subnormal mesh gives inf, which the partition's cap refuses
+            count = max(1.0, np.rint((t - s) / mesh))
+            partitions.append(transform.Partition.uniform(s, t, count))
         rows = transform.local_convergence_experiment(kernel, target, s, t, partitions)
     else:
         # a count past the steps is a usage error, not the library's validation failure

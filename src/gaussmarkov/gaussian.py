@@ -140,10 +140,7 @@ class GaussianVector:
 
     def project(self, indices) -> "GaussianVector":
         """The law at coordinates ``indices``; a negative one counts from the end, as in numpy."""
-        idx = [_count(i, "index", None) for i in indices]
-        outside = [i for i in idx if not -self.dim <= i < self.dim]
-        if outside:
-            raise InvalidInputError(f"index {outside[0]} is out of range for dim {self.dim}")
+        idx = [_count(i, "index", -self.dim, most=self.dim - 1) for i in indices]
         return GaussianVector(
             times=self.times[idx],
             mean=self.mean[idx],
@@ -168,7 +165,8 @@ class TransportPlan:
 
     def __post_init__(self):
         for name in ("left_dim", "right_dim"):
-            dim = _count(getattr(self, name), name, 1, "block dimensions must be positive")
+            dim = _count(getattr(self, name), name, 1, "block dimensions must be positive",
+                         self.joint.dim)
             object.__setattr__(self, name, dim)
         if self.left_dim + self.right_dim != self.joint.dim:
             raise InvalidInputError(
@@ -365,7 +363,8 @@ def compose(plans: Sequence[TransportPlan]) -> TransportPlan:
 
 
 def _block_slices(dim: int, block_dims: Sequence[int] | None) -> list[slice]:
-    dims = [1] * dim if block_dims is None else [_count(d, "block dim", 1) for d in block_dims]
+    dims = [1] * dim if block_dims is None else [_count(d, "block dim", 1, most=dim)
+                                                 for d in block_dims]
     if sum(dims) != dim:
         raise InvalidInputError(f"block dims {dims} do not partition dim {dim}")
     offsets = np.concatenate([[0], np.cumsum(dims)])

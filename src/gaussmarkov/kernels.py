@@ -247,18 +247,30 @@ def _require_at_most(count, cap, what: str) -> None:
         raise InvalidInputError(f"{what}, above the cap of {cap}")
 
 
-def _count(value, what: str, least: int | None = 0, below: str | None = None) -> int:
-    """``value`` as an int: the one rule for every count.  A Python or numpy
-    integer passes, and so does a float of integral value.  A number below
-    ``least`` (None: no bound), NaN or -inf is refused with ``below``, by default
-    ``{what} must be at least {least}`` (``a nonnegative integer`` for 0), and a
-    bool, a fraction, +inf or a non-number with ``{what} must be an integer``.
-    """
+def _shown(value):
+    """A refused count as messages show it: past 64 bits by its size, lest its digits not print."""
+    if isinstance(value, numbers.Integral) and int(value).bit_length() > 64:
+        return f"{'a negative' if value < 0 else 'an'} integer of {int(value).bit_length()} bits"
+    return value
+
+
+def _count(value, what: str, least: int | None = 0, below: str | None = None,
+           most: int | None = None) -> int:
+    """``value`` as an int: the one rule for every count and its bounds (None: no
+    bound).  A Python or numpy integer passes, and so does a float of integral
+    value.  Below ``least``, NaN and -inf are refused with ``below``, whose ``{}``
+    stands for the value, by default ``{what} must be at least {least}, got {}``
+    (``a nonnegative integer`` for 0); above ``most``, +inf too, with ``{what}
+    must be at most {most}``; a bool, a fraction or a non-number with ``{what}
+    must be an integer``."""
     rule = "a nonnegative integer" if least == 0 else "an integer"
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         if least is not None and not value >= least:
             bound = rule if least == 0 else f"at least {least}"
-            raise InvalidInputError(below or f"{what} must be {bound}, got {value}")
+            below = below or f"{what} must be {bound}, got {{}}"
+            raise InvalidInputError(below.format(_shown(value)))
+        if most is not None and value > most:
+            raise InvalidInputError(f"{what} must be at most {most}, got {_shown(value)}")
         if isinstance(value, numbers.Integral) or float(value).is_integer():
             return int(value)
     raise InvalidInputError(f"{what} must be {rule}, got {value!r}")
@@ -381,8 +393,8 @@ def uniform_convergence_diagnostic(
         )
     if not s < t:
         raise InvalidInputError("need s < t")
-    grid_density = _count(grid_density, "grid_density", 2, "grid_density must be at least 2")
-    _require_at_most(grid_density, MAX_LATTICE_DENSITY, f"grid_density {grid_density}")
+    grid_density = _count(grid_density, "grid_density", 2, "grid_density must be at least 2",
+                          MAX_LATTICE_DENSITY)
     hs = h_star * np.arange(1, grid_density + 1) / grid_density
     hs[hs >= t - s] = (t - s) * (1.0 - 1e-12)
     v = np.linspace(s, t - hs, grid_density)  # column j is the v-grid of hs[j]

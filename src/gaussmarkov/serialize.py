@@ -238,14 +238,16 @@ def parse_grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise InvalidInputError(f"grid must be start:stop:count, got {text!r}")
     start, stop = float(parts[0]), float(parts[1])
-    count = int(parts[2])
     # stop - start is not finite when an endpoint is not, or when the span
     # overflows, which would make the inner points NaN.
     if not math.isfinite(stop - start):
         raise InvalidInputError(f"grid endpoints and span must be finite, got {text!r}")
-    if count < 1 or not start < stop:
+    try:  # int() refuses a non-literal, and one past Python's 4300 digits
+        count = kernels._count(int(parts[2]), "grid point count", 1, most=MAX_GRID_POINTS)
+    except ValueError as exc:
+        raise InvalidInputError(f"grid point count: {exc}") from None
+    if not start < stop:
         raise InvalidInputError(f"bad grid {text!r}")
-    kernels._require_at_most(count, MAX_GRID_POINTS, f"grid {text!r} has {count} points")
     return np.linspace(start, stop, count)
 
 

@@ -120,7 +120,7 @@ def cholesky_sample(law: GaussianVector, n_paths: int, seed: int) -> TrajectoryB
     eigenvalues at or below ``n 2^-52 lambda_max`` are rounding and become 0,
     so the paths lie in the covariance's range to rounding.
     """
-    n_paths = _count(n_paths, "n_paths", 1, "need at least one path")
+    n_paths = _count(n_paths, "n_paths", 1, "need at least one path", MAX_PATH_VALUES)
     factor = _psd_factor(law.cov)
     if factor is None:
         lam, vecs = np.linalg.eigh(law.cov)
@@ -147,7 +147,7 @@ def euler_maruyama(
     its place, and leaving out a zero term changes no path value (bar an
     exact -0.0), so an ``alpha == 0`` run costs what an ODE costs.
     """
-    n_paths = _count(n_paths, "n_paths", 1, "need at least one path")
+    n_paths = _count(n_paths, "n_paths", 1, "need at least one path", MAX_PATH_VALUES)
     grid = _as_strictly_increasing(t_grid)
     substeps = float(grid[-1] - grid[0]) / spec.step
     _require_at_most(substeps, MAX_EM_SUBSTEPS,
@@ -213,7 +213,7 @@ def ou_exact(alpha: RateFunction, t_grid, n_paths: int, seed: int) -> Trajectory
     no discretization bias and the cost is linear in the grid size.  The
     infinite rate falls back to independent unit Gaussians.
     """
-    n_paths = _count(n_paths, "n_paths", 1, "need at least one path")
+    n_paths = _count(n_paths, "n_paths", 1, "need at least one path", MAX_PATH_VALUES)
     grid = _as_strictly_increasing(t_grid)
     gen = _stream(seed, "ou-exact")
     if alpha.is_infinite:
@@ -361,8 +361,8 @@ def figure_comparison(
     grid = np.asarray(t_grid, dtype=float).ravel()
     if grid.size < 2:
         raise InvalidInputError("need at least two grid times")
-    n_paths = _count(n_paths, "n_paths", 2,
-                     f"need at least two paths to estimate moments, got {n_paths}")
+    n_paths = _count(n_paths, "n_paths", 2, "need at least two paths to estimate moments, got {}",
+                     MAX_PATH_VALUES)
     _require_at_most(n_paths * grid.size, MAX_PATH_VALUES, f"{n_paths} paths over "
                      f"{grid.size} grid points take {n_paths * grid.size} values")
     if gaussian_route not in ("exact", "cholesky"):

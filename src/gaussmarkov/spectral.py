@@ -299,9 +299,7 @@ def weierstrass_indices(
     unreachable within it ends the construction: the result then holds the
     indices and windows found so far and names that search in ``stopped``.
     """
-    budget = _count(budget, "index budget", 1)
-    if budget > MAX_INDEX_BUDGET:
-        raise InvalidInputError(f"index budget must be at most 2^53, got {budget}")
+    budget = _count(budget, "index budget", 1, most=MAX_INDEX_BUDGET)
     indices: list[int] = [2]
     closed_windows: list[tuple[int, int]] = []
     a = config.a

@@ -51,15 +51,15 @@ class Partition:
 
     @classmethod
     def uniform(cls, s: float, t: float, n_intervals: int) -> "Partition":
-        n_intervals = _count(n_intervals, "n_intervals", 1, "need at least one interval")
-        _require_at_most(n_intervals, MAX_PARTITION_INTERVALS,
-                         f"partition of {n_intervals} intervals")
+        n_intervals = _count(n_intervals, "n_intervals", 1, "need at least one interval",
+                             MAX_PARTITION_INTERVALS)
         return cls(points=np.linspace(s, t, n_intervals + 1))
 
     @classmethod
     def dyadic(cls, s: float, t: float, level: int) -> "Partition":
-        """Uniform partition with mesh ``(t - s) * 2**-level``."""
-        return cls.uniform(s, t, 2 ** _count(level, "level"))
+        """Uniform partition with mesh ``(t - s) * 2**-level``; the level is bounded first."""
+        level = _count(level, "level", most=MAX_PARTITION_INTERVALS.bit_length() - 1)
+        return cls.uniform(s, t, 2**level)
 
     @property
     def start(self) -> float:
@@ -72,6 +72,13 @@ class Partition:
     @property
     def mesh(self) -> float:
         return float(np.max(np.diff(self.points)))
+
+
+def _require_set_size(n: int, step: float, width: float) -> None:
+    """Refuses ``R_n`` past the cap, counting its points as ``time_set`` makes them,
+    2 floor(w / step) + 1, in floats: an overflowed ratio stays inf."""
+    points = 2.0 * math.modf(width / step)[1] + 1.0
+    _require_at_most(points, MAX_PARTITION_INTERVALS, f"time set R_{n} of {points:.4g} points")
 
 
 @dataclass(frozen=True)
@@ -90,31 +97,36 @@ class AdmissibleSequence:
         steps, widths = tuple(map(float, self.steps)), tuple(map(float, self.halfwidths))
         if len(widths) != len(steps):
             raise InvalidInputError("need one half-width per step")
-        if not all(math.isfinite(v) and v > 0.0 for v in steps + widths):
-            raise InvalidInputError(
-                f"steps and half-widths must be positive and finite, "
-                f"got steps {list(steps)} and half-widths {list(widths)}"
-            )
+        for name, values in (("step", steps), ("half-width", widths)):
+            for n, v in enumerate(values, start=1):
+                if not (math.isfinite(v) and v > 0.0):
+                    raise InvalidInputError(f"{name} {n} must be positive and finite, got {v}")
         if len(steps) >= 2:
             if any(b > a + 1e-15 for a, b in zip(steps, steps[1:])) or steps[-1] >= steps[0]:
                 raise InvalidInputError("steps must decrease toward zero")
             if any(b < a - 1e-15 for a, b in zip(widths, widths[1:])):
                 raise InvalidInputError("half-widths must not shrink")
         for n, (step, width) in enumerate(zip(steps, widths), start=1):
-            # time_set's 2 floor(w / step) + 1 in floats: an overflowed ratio stays inf
-            points = 2.0 * math.modf(width / step)[1] + 1.0
-            _require_at_most(points, MAX_PARTITION_INTERVALS,
-                             f"time set R_{n} of {points:.4g} points")
+            _require_set_size(n, step, width)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "halfwidths", widths)
 
     @classmethod
     def geometric(cls, n_sets: int, ratio: float = 0.5, first_step: float = 1.0):
-        """``n_sets`` sets with steps ``first_step * ratio**n`` and half-widths ``n``."""
+        """``n_sets`` sets with steps ``first_step * ratio**n`` and half-widths ``n``.
+
+        The first set that fails, by a step that is not positive and finite or
+        by its size, is refused before any later step is made.
+        """
         if not 0.0 < ratio < 1.0:
             raise InvalidInputError("ratio must be in (0, 1)")
-        n_sets = _count(n_sets, "n_sets", 1)
-        return cls.from_steps([first_step * ratio**n for n in range(1, n_sets + 1)])
+        steps = []
+        for n in range(1, _count(n_sets, "n_sets", 1) + 1):
+            steps.append(first_step * ratio**n)
+            if not 0.0 < steps[-1] < math.inf:
+                break  # named by the constructor
+            _require_set_size(n, steps[-1], n)
+        return cls.from_steps(steps)
 
     @classmethod
     def from_steps(cls, steps: Sequence[float], halfwidths: Sequence[float] | None = None):
@@ -122,15 +134,13 @@ class AdmissibleSequence:
         return cls(steps, range(1, len(steps) + 1) if halfwidths is None else halfwidths)
 
     def time_set(self, n: int) -> np.ndarray:
-        if not 1 <= n <= len(self.steps):
-            raise InvalidInputError(f"no time set R_{n}: the sequence has {len(self.steps)} sets")
+        n = _count(n, "set index n", 1, most=len(self.steps))
         k_max = int(math.floor(self.halfwidths[n - 1] / self.steps[n - 1]))
         return self.steps[n - 1] * np.arange(-k_max, k_max + 1, dtype=float)
 
     def sets(self, n_max: int) -> Iterator[np.ndarray]:
-        """``R_1 .. R_{n_max}``, one at a time; past the last set, ``time_set`` raises at once."""
-        if n_max > len(self.steps):
-            self.time_set(n_max)
+        """``R_1 .. R_{n_max}``, one at a time; an ``n_max`` past the last set raises at once."""
+        n_max = _count(n_max, "n_max", 1, most=len(self.steps))
         return map(self.time_set, range(1, n_max + 1))
 
 
@@ -443,7 +453,6 @@ def global_convergence_experiment(
     queries = np.asarray(query_times, dtype=float).ravel()
     if queries.size < 2:
         raise InvalidInputError("need at least two query times")
-    n_max = _count(n_max, "n_max", 1)
     laws = enumerate(_made_markov_laws(kernel, adm.sets(n_max), queries), start=1)
     return _convergence_rows(((float(n), law) for n, law in laws), target, queries)
 

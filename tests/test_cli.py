@@ -77,7 +77,7 @@ class TestPsdCheck:
             "--grid", "0:1:100000", "--out", str(out),
         ]) == 2
         assert capsys.readouterr().err == (
-            "usage error: --grid: grid '0:1:100000' has 100000 points, above the cap of 4096\n"
+            "usage error: --grid: grid point count must be at most 4096, got 100000\n"
         )
         assert not out.exists()
 
@@ -152,7 +152,7 @@ class TestPsdCheck:
             argv += ["--config", str(config)]
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"usage error: --random-grids: expected at most {MAX_RANDOM_GRIDS}, "
+            f"usage error: --random-grids: random grid count must be at most {MAX_RANDOM_GRIDS}, "
             f"got {MAX_RANDOM_GRIDS + 1}\n"
         )
         assert not out.exists()
@@ -347,9 +347,9 @@ class TestConverge:
                      "--n-max", "2", "--out", str(tmp_path)]) == 0
         assert len(read_csv(tmp_path / "convergence.csv")) == 3
 
-    # the unrounded count, to four digits; 1 / 5e-324 overflows to inf
+    # the count rounded in floats; 1 / 5e-324 overflows to inf
     @pytest.mark.parametrize("mesh,count", [
-        ("1e-9", "1e+09"), ("1e-300", "1e+300"), ("0.5,5e-324", "inf"),
+        ("1e-9", "1000000000.0"), ("1e-300", "9.999999999999999e+299"), ("0.5,5e-324", "inf"),
     ], ids=["1e-9", "1e-300", "5e-324"])
     def test_partition_above_the_cap_is_a_validation_failure(self, tmp_path, capsys, mesh,
                                                               count):
@@ -357,7 +357,7 @@ class TestConverge:
                      "--alpha", "1.0", "--grid", "0:1:2", "--mesh-sequence", mesh,
                      "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (
-            f"error: partition of {count} intervals, above the cap of 16777216\n"
+            f"error: n_intervals must be at most 16777216, got {count}\n"
         )
 
     # Every set is sized at construction, so a late one is refused even past --n-max.
@@ -474,6 +474,7 @@ class TestCounterexample:
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_budget_beyond_the_search_is_usage_error(self, tmp_path, capsys, budget, source):
         out = tmp_path / "cx"
+        shown = {10**400: "an integer of 1329 bits"}.get(budget, budget)
         if source == "flag":
             argv = ["counterexample", "--budget", str(budget), "--out", str(out)]
         else:
@@ -482,7 +483,7 @@ class TestCounterexample:
             argv = ["counterexample", "--config", str(config), "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            f"usage error: --budget: expected at most 2^53, got {budget}\n"
+            f"usage error: --budget: index budget must be at most 9007199254740992, got {shown}\n"
         )
         assert not out.exists()
 
@@ -678,7 +679,8 @@ class TestConfigPrecedence:
         (None, "--config: file not found: "),
         ("{", "--config: not valid JSON: "),
         ("[1]", "--config: expected a JSON object, got list"),
-    ], ids=["missing", "invalid-json", "not-an-object"])
+        ('{"random_grids": 1' + "0" * 5000 + "}", "--config: not valid JSON: Exceeds the limit"),
+    ], ids=["missing", "invalid-json", "not-an-object", "integer-of-5001-digits"])
     def test_missing_config_file(self, tmp_path, capsys, text, message):
         config = tmp_path / "run.json"
         if text is not None:

@@ -543,9 +543,9 @@ def test_project_counts_negative_indices_from_the_end():
                  InvalidInputError, "index must be an integer, got 0.5",
                  id="project-fractional-index"),
     pytest.param(lambda: _law([0.0, 1.0, 2.0]).project([3]),
-                 InvalidInputError, "index 3 is out of range for dim 3", id="project-past-end"),
+                 InvalidInputError, "index must be at most 2, got 3", id="project-past-end"),
     pytest.param(lambda: _law([0.0, 1.0, 2.0]).project([-4]),
-                 InvalidInputError, "index -4 is out of range for dim 3",
+                 InvalidInputError, "index must be at least -3, got -4",
                  id="project-before-start"),
     pytest.param(lambda: gaussian_distance(_law([0.0, 1.0]), _law([0.0, 2.0])),
                  InvalidInputError, "laws live on different time grids",

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussmarkov import kernels, simulate, spectral, transform
+from gaussmarkov import gaussian, kernels, simulate, spectral, transform
 from gaussmarkov.errors import (
     InvalidInputError,
     SingularMarginalError,
@@ -31,7 +31,7 @@ from gaussmarkov.kernels import (
     transform_kernel,
     uniform_convergence_diagnostic,
 )
-from gaussmarkov.serialize import rate_from_spec
+from gaussmarkov.serialize import parse_grid, rate_from_spec
 from gaussmarkov.transform import mimic_kernel
 
 import oracles
@@ -1089,7 +1089,7 @@ def _zero_variance():
         InvalidInputError, "grid_density must be at least 2", id="diagnostic-density"),
     pytest.param(lambda: uniform_convergence_diagnostic(
         kernels.constant(), RateFunction.constant(0.0), 0.0, 1.0, 0.1, 10**6),
-        InvalidInputError, "grid_density 1000000, above the cap of 2048", id="diagnostic-cap"),
+        InvalidInputError, "grid_density must be at most 2048, got 1000000", id="diagnostic-cap"),
     pytest.param(lambda: uniform_convergence_diagnostic(
         kernels.constant(), RateFunction.constant(0.0), 0.0, 1.0, 0.1, True),
         InvalidInputError, "grid_density must be an integer, got True", id="diagnostic-bool"),
@@ -1098,7 +1098,7 @@ def _zero_variance():
         InvalidInputError, "grid_density must be an integer, got 2.5", id="diagnostic-fraction"),
     pytest.param(lambda: uniform_convergence_diagnostic(
         kernels.constant(), RateFunction.constant(0.0), 0.0, 1.0, 0.1, math.inf),
-        InvalidInputError, "grid_density must be an integer, got inf", id="diagnostic-inf"),
+        InvalidInputError, "grid_density must be at most 2048, got inf", id="diagnostic-inf"),
     pytest.param(lambda: kernels.noise_integral(lambda t, u: 1.0, (1.0, 1.0)), InvalidInputError,
                  "empty integration interval (1.0, 1.0)", id="noise-integral-interval"),
     pytest.param(lambda: kernels.noise_integral(lambda t, u: 1.0, (0.0, math.inf)).eval(1.0, 1.0),
@@ -1151,3 +1151,50 @@ def test_bad_arguments_are_named(call, error, message):
 ])
 def test_integral_counts_give_the_int_bits(run, count):
     assert np.asarray(run(count)).tobytes() == np.asarray(run(4)).tobytes()
+
+
+_LAW = transform.joint_law(kernels.fbm(0.5), [1.0, 2.0, 3.0])
+_SPEC = simulate.mimicking_sde(kernels.exponential_rate(1.0), RateFunction.constant(1.0), 0.0, 0.1)
+_CONSTANT = kernels.constant()
+_ZERO_RATE = RateFunction.constant(0.0)
+_SEQUENCE = transform.AdmissibleSequence.geometric(3)
+
+
+def _decimal(n: int) -> str:
+    """``n`` in decimal, as ``str`` gives it up to 4300 digits; past that only ``±10**5000``."""
+    return str(n) if n.bit_length() <= 64 else "-" * (n < 0) + "1" + "0" * 5000
+
+
+# Every count with a bound, fed integers too long to print in full either way and
+# 2**62, past every cap: each is refused at once with a short message, before any
+# power, array or message is made of it.
+@pytest.mark.parametrize("value", [10**5000, -10**5000, 2**62], ids=["1e5000", "-1e5000", "2^62"])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda n: transform.Partition.uniform(0.0, 1.0, n), id="uniform-intervals"),
+    pytest.param(lambda n: transform.Partition.dyadic(0.0, 1.0, n), id="dyadic-level"),
+    pytest.param(lambda n: uniform_convergence_diagnostic(_CONSTANT, _ZERO_RATE, 0.0, 1.0, 0.1, n),
+                 id="diagnostic-density"),
+    pytest.param(lambda n: spectral.weierstrass_indices(spectral.WeierstrassConfig(), budget=n),
+                 id="index-budget"),
+    pytest.param(lambda n: parse_grid("0:1:" + _decimal(n)), id="grid-points"),
+    pytest.param(lambda n: _LAW.project([n]), id="project-index"),
+    pytest.param(lambda n: gaussian.TransportPlan(_LAW, n, 1), id="plan-left-dim"),
+    pytest.param(lambda n: gaussian.TransportPlan(_LAW, 1, n), id="plan-right-dim"),
+    pytest.param(lambda n: gaussian.markov_check(_LAW, [n]), id="markov-block-dim"),
+    pytest.param(lambda n: transform.global_convergence_experiment(
+        kernels.fbm(0.5), kernels.fbm(0.5), _SEQUENCE, [0.0, 1.0], n), id="global-n-max"),
+    pytest.param(lambda n: _SEQUENCE.time_set(n), id="time-set-index"),
+    pytest.param(lambda n: transform.AdmissibleSequence.geometric(n), id="geometric-sets"),
+    pytest.param(lambda n: simulate.cholesky_sample(_LAW, n, 1), id="cholesky-paths"),
+    pytest.param(lambda n: simulate.ou_exact(_ZERO_RATE, [0.0, 1.0], n, 1), id="ou-paths"),
+    pytest.param(lambda n: simulate.euler_maruyama(_SPEC, [0.0, 1.0], n, 1), id="em-paths"),
+    pytest.param(lambda n: simulate.figure_comparison(
+        kernels.exponential_rate(1.0), RateFunction.constant(1.0), [0.0, 1.0], n_paths=n, seed=1),
+        id="comparison-paths"),
+])
+def test_a_count_past_its_bound_is_refused_at_once(call, value):
+    start = time.perf_counter()
+    with pytest.raises(InvalidInputError) as refused:
+        call(value)
+    assert time.perf_counter() - start < 0.01
+    assert len(str(refused.value)) < 200

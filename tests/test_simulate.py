@@ -632,7 +632,7 @@ def test_numpy_integer_seeds_are_python_integer_seeds():
     pytest.param(lambda: cholesky_sample(GaussianVector([0.0], [0.0], [[1.0]]), 2.5, seed=1),
                  "n_paths must be an integer, got 2.5", id="cholesky-fractional-paths"),
     pytest.param(lambda: cholesky_sample(GaussianVector([0.0], [0.0], [[1.0]]), math.inf, seed=1),
-                 "n_paths must be an integer, got inf", id="cholesky-infinite-paths"),
+                 "n_paths must be at most 16777216, got inf", id="cholesky-infinite-paths"),
     pytest.param(lambda: euler_maruyama(ou_spec(0.1), [0.0, 1.0], True, seed=1),
                  "n_paths must be an integer, got True", id="em-bool-paths"),
     pytest.param(lambda: euler_maruyama(ou_spec(0.1), [0.0, 1.0], 2.5, seed=1),
@@ -644,7 +644,7 @@ def test_numpy_integer_seeds_are_python_integer_seeds():
     pytest.param(lambda: ou_exact(RateFunction.constant(1.0), [0.0, 1.0], 2.5, seed=1),
                  "n_paths must be an integer, got 2.5", id="ou-fractional-paths"),
     pytest.param(lambda: ou_exact(RateFunction.constant(1.0), [0.0, 1.0], math.inf, seed=1),
-                 "n_paths must be an integer, got inf", id="ou-infinite-paths"),
+                 "n_paths must be at most 16777216, got inf", id="ou-infinite-paths"),
     pytest.param(lambda: ou_exact(RateFunction.constant(1.0), [0.0, 1.0], 1, seed=True),
                  "seed must be a nonnegative integer, got True", id="ou-bool-seed"),
     pytest.param(lambda: euler_maruyama(ou_spec(0.1), [0.0, 1.0], 1, seed=math.nan),
