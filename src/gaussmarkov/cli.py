@@ -76,9 +76,13 @@ _REQUIRED = object()
 
 
 def _directory(value) -> Path:
-    path = Path(value)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    if not isinstance(value, str):
+        raise ValueError(f"expected a directory name, got {value!r}")
+    try:
+        Path(value).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file of that name, a name too long, no permission
+        raise ValueError(f"cannot make the directory: {exc.strerror}") from None
+    return Path(value)
 
 
 def _route(value):
@@ -199,7 +203,9 @@ def _read_config(name: str) -> dict:
         data = json.loads(Path(name).read_text())
     except FileNotFoundError:
         raise UsageError(f"--config: file not found: {name}") from None
-    except ValueError as exc:  # a JSON error, or an integer past Python's 4300 digits
+    except OSError as exc:  # a directory, a name too long, no permission
+        raise UsageError(f"--config: cannot read the file: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:  # bad JSON, past 4300 digits, too deep
         raise UsageError(f"--config: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"--config: expected a JSON object, got {type(data).__name__}")
@@ -225,10 +231,8 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
             continue
         try:
             values[opt.name] = opt.convert(raw)
-        except (InvalidInputError, InvalidMeasureError, ValueError, TypeError, KeyError,
-                OverflowError) as exc:
-            reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise UsageError(f"{_flag(opt.name)}: {reason}") from exc
+        except (InvalidInputError, InvalidMeasureError, ValueError) as exc:
+            raise UsageError(f"{_flag(opt.name)}: {exc}") from exc
     return values
 
 

@@ -233,7 +233,10 @@ def _at_points(funcs: Sequence[Callable[[float], float]], *args) -> list[list]:
 
 
 def _as_strictly_increasing(grid) -> np.ndarray:
-    arr = np.asarray(grid, dtype=float).ravel()
+    try:
+        arr = np.asarray(grid, dtype=float).ravel()
+    except (TypeError, ValueError):  # a ragged list, text or another object
+        raise InvalidInputError("grid must be a list of numbers") from None
     if arr.size < 1:
         raise InvalidInputError("grid must contain at least one time")
     if arr.size > 1 and not (arr[1:] > arr[:-1]).all():
@@ -764,7 +767,10 @@ def noise_integral(k: Callable[[float, float], float], interval: tuple[float, fl
 def matrix_kernel(grid, matrix, name: str = "matrix") -> Kernel:
     """Kernel defined by table lookup on a fixed grid (diagnostic helper)."""
     pts = _as_strictly_increasing(grid)
-    mat = np.asarray(matrix, dtype=float)
+    try:
+        mat = np.asarray(matrix, dtype=float)
+    except (TypeError, ValueError):  # a ragged table, text or another object
+        raise InvalidInputError("matrix is not a square table of numbers") from None
     if mat.shape != (pts.size, pts.size):
         raise InvalidInputError("matrix shape does not match grid length")
 

@@ -826,6 +826,47 @@ class TestConfigPrecedence:
         assert exc.value.code == 2
 
 
+def _deep_config(tmp_path):
+    config = tmp_path / "deep.json"
+    config.write_text('{"kernel": ' + "[" * 50_000 + "]" * 50_000 + "}")
+    return ["--config", str(config)]
+
+
+def _existing_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return ["--out", str(tmp_path / "taken")]
+
+
+# Each reached main's last-resort handler: exit 1 with "error: RecursionError: …",
+# "error: IsADirectoryError: …", "error: OSError: [Errno 36] …" or "error: FileExistsError: …".
+@pytest.mark.parametrize("given,message", [
+    (lambda tmp_path: ["--kernel", "[" * 50_000],
+     "--kernel: kernel spec is JSON nested too deeply to parse"),
+    (_deep_config, "--config: not valid JSON: maximum recursion depth exceeded while decoding a "
+                   "JSON array from a unicode string"),
+    (lambda tmp_path: ["--config", str(tmp_path)], "--config: cannot read the file: Is a directory"),
+    (lambda tmp_path: ["--kernel", "x" * 5000 + ".json"],
+     "--kernel: cannot read kernel spec file: File name too long"),
+    (_existing_file, "--out: cannot make the directory: File exists"),
+], ids=["kernel-nested-too-deeply", "config-nested-too-deeply", "config-is-a-directory",
+        "kernel-path-too-long", "out-is-a-file"])
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys, given, message):
+    argv = ["psd-check", "--grid", "0:1:3", "--out", str(tmp_path / "out"), *given(tmp_path)]
+    if "--kernel" not in argv and "--config" not in argv:
+        argv += ["--kernel", '{"type": "constant"}']
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("out", [[1], 3, {}])
+def test_out_in_a_config_file_must_be_a_name(tmp_path, capsys, out):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"out": out}))
+    argv = ["psd-check", "--kernel", '{"type": "constant"}', "--grid", "0:1:3"]
+    assert main([*argv, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"usage error: --out: expected a directory name, got {out!r}\n"
+
+
 def test_unexpected_exception_is_a_clean_failure(monkeypatch, tmp_path, capsys):
     """``main``'s last-resort branch: an exception no check names exits 1 with its type."""
     def boom(**options):

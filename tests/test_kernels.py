@@ -1136,6 +1136,20 @@ def test_bad_arguments_are_named(call, error, message):
         call()
 
 
+# A ragged table or grid escaped as numpy's "setting an array element with a
+# sequence", and an object in one as float()'s TypeError.
+@pytest.mark.parametrize("grid,matrix,message", [
+    ([0.0, 1.0], [[1.0, 0.0], [0.0]], "matrix is not a square table of numbers"),
+    ([0.0, 1.0], [[1.0, 0.0], [0.0, [1.0]]], "matrix is not a square table of numbers"),
+    ([0.0, 1.0], [[1.0, 0.0], [0.0, {}]], "matrix is not a square table of numbers"),
+    ([[0.0], 1.0], [[1.0, 0.0], [0.0, 1.0]], "grid must be a list of numbers"),
+    ([0.0, {}], [[1.0, 0.0], [0.0, 1.0]], "grid must be a list of numbers"),
+], ids=["short-row", "nested-entry", "object-entry", "ragged-grid", "object-in-grid"])
+def test_ragged_table_is_refused(grid, matrix, message):
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        kernels.matrix_kernel(grid, matrix)
+
+
 # A count given as an integral float, as JSON may write it, or as a numpy
 # integer is that int: every result keeps its bits.
 @pytest.mark.parametrize("count", [4.0, np.int64(4), np.int32(4)], ids=["float", "int64", "int32"])

@@ -38,14 +38,18 @@ def _new(spec, kind):
 
 
 def _reference(spec, kind):
-    """The replaced parser's outcome, except for two refusals: of a key the form does
-    not read, and of a JSON boolean read before any field that is no number.  The
-    old parsers ignored the key and took ``true`` for 1.0."""
+    """The replaced parser's outcome, except for four refusals: of a key the form does
+    not read, of a constant form without ``value``, and of the first field read that
+    is a JSON boolean or that ``float()`` cannot read.  The old parsers ignored the
+    key, raised ``KeyError`` for the missing ``value``, took ``true`` for 1.0 and
+    raised ``float()``'s own error."""
     if isinstance(spec, dict) and spec.get("form") in tuple(_FORMS[kind]):
         form = spec["form"]
         for key in spec:
             if key != "form" and key not in READS.get(form, ()):
                 return InvalidInputError, f"unknown key {key!r} in {form} {kind} spec"
+        if form == "constant" and "value" not in spec:
+            return InvalidInputError, f"constant {kind} spec needs the key 'value'"
         for field in READS.get(form, ()):
             value = spec.get(field, 1.0)
             if isinstance(value, bool):
@@ -53,7 +57,9 @@ def _reference(spec, kind):
             try:
                 float(value)
             except (TypeError, ValueError, OverflowError):
-                break
+                big = isinstance(value, int)  # such as 10**400, which no double holds
+                shown = f"an integer of {value.bit_length()} bits" if big else repr(value)
+                return InvalidInputError, f"expected a number, got {shown}"
     return _outcome(REFERENCES[kind], spec)
 
 

@@ -117,6 +117,16 @@ class TestAdmissibleSequence:
         with pytest.raises(InvalidInputError, match="steps must decrease"):
             AdmissibleSequence(steps=(0.5, 0.25, 0.125, 0.0625, 0.5), halfwidths=(1, 2, 3, 4, 5))
 
+    # ``geometric`` stops at the first step that is not positive and finite and
+    # leaves its naming to the constructor.
+    @pytest.mark.parametrize("first_step,shown", [
+        (math.inf, "inf"), (math.nan, "nan"), (0.0, "0.0"), (-1.0, "-0.5"),
+    ])
+    def test_geometric_names_a_bad_first_step(self, first_step, shown):
+        with pytest.raises(InvalidInputError,
+                           match=f"^step 1 must be positive and finite, got {shown}$"):
+            AdmissibleSequence.geometric(3, first_step=first_step)
+
     # Sets past the last used to repeat it; ``sets`` raises before it yields any.
     @pytest.mark.parametrize("ask,message", [
         (lambda adm: adm.time_set(4), "set index n must be at most 3, got 4"),
