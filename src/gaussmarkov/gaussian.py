@@ -24,7 +24,8 @@ from .errors import (
     NotPsdError,
     SingularMarginalError,
 )
-from .kernels import _HALF_MAX, TOL_PSD, _as_strictly_increasing, _count
+from .kernels import (_as_strictly_increasing, _below_psd, _checkable, _count, _require_finite,
+                      _symmetric)
 
 #: Condition-number guard for marginal covariance inversion.
 COND_LIMIT = 1e12
@@ -34,12 +35,6 @@ MARGINAL_MATCH_TOL = 1e-10
 
 #: Residual threshold of the Markov criterion, relative to max diagonal.
 MARKOV_RESIDUAL_TOL = 1e-8
-
-
-def _require_finite(name: str, value: np.ndarray) -> None:
-    finite = np.isfinite(value)
-    if not finite.all():
-        raise InvalidInputError(f"{name} must be finite, got {value[~finite][0]}")
 
 
 def _require_fields(times: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> None:
@@ -53,31 +48,16 @@ def _require_fields(times: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> Non
     _require_finite("mean", mean)
 
 
-def _largest_entry(cov: np.ndarray) -> float:
-    """``max |cov|``, after checking that ``cov`` is finite and at most ``_HALF_MAX``
-    entrywise, so that symmetrizing it cannot overflow."""
-    top = float(abs(cov).max())
-    if not top <= _HALF_MAX:  # NaN compares false, and propagates through max
-        _require_finite("cov", cov)
-        raise InvalidInputError(f"cov entries too large to symmetrize, up to {top}")
-    return top
-
-
 def _psd_factor(cov: np.ndarray) -> np.ndarray | None:
-    """PSD certificate of a symmetric ``cov``, and its Cholesky factor when it has one.
-
-    Returns ``np.linalg.cholesky(cov)`` when that succeeds.  Otherwise
-    ``eigvalsh`` decides by :func:`kernels.psd_check`'s rule: a minimum
-    eigenvalue of at least ``-TOL_PSD * max(diagonal)`` gives None, and a
-    smaller one raises :class:`NotPsdError` naming it.
-    """
+    """PSD certificate of a symmetric ``cov``: its Cholesky factor when it has one, else
+    None, or :class:`NotPsdError` when ``eigvalsh`` finds it :func:`kernels._below_psd`."""
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         pass
     scale = float(cov.diagonal().max())
     min_eig = float(np.linalg.eigvalsh(cov)[0])
-    if min_eig < -TOL_PSD * max(scale, 0.0):
+    if _below_psd(min_eig, max(scale, 0.0)):
         raise NotPsdError(f"covariance not PSD: min eigenvalue {min_eig}, scale {scale}")
     return None
 
@@ -86,17 +66,14 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray | None:
 class GaussianVector:
     """Finite-dimensional Gaussian law on an ordered time grid.
 
-    ``times`` must be strictly increasing; ``times``, ``mean`` and ``cov``
-    finite; ``cov`` at most half the largest double entrywise, so that
-    symmetrizing it cannot overflow, and symmetric with minimum eigenvalue
-    at least ``-TOL_PSD * max(diagonal)``, as :func:`_psd_factor` certifies;
-    a rejection raises :class:`NotPsdError` naming the minimum eigenvalue.
-    No factor is kept.  The covariance is stored symmetrized.
+    ``times`` must be strictly increasing, ``times`` and ``mean`` finite, and ``cov``
+    pass :func:`kernels._symmetric`, whose result is stored in a copy of its own, and
+    :func:`_psd_factor`.  No factor is kept.
 
     ``transform``'s partition laws and laws made Markov (one or a sweep) come
     from :meth:`_built` instead, which makes only the checks their building
-    does not guarantee: a finite ``cov`` within the size bound, and the PSD
-    certificate.  Their times and mean are checked once per law or sweep.
+    does not guarantee: :func:`kernels._checkable` and the PSD certificate.
+    Their times and mean are checked once per law or sweep.
     """
 
     times: np.ndarray
@@ -106,13 +83,9 @@ class GaussianVector:
     def __post_init__(self):
         times = _as_strictly_increasing(self.times)
         mean = np.asarray(self.mean, dtype=float).ravel()
-        cov = np.asarray(self.cov, dtype=float)
+        cov = np.array(self.cov, dtype=float)
         _require_fields(times, mean, cov)
-        top = _largest_entry(cov)
-        asym = float(abs(cov - cov.T).max())
-        if asym > 1e-12 * max(1.0, top):
-            raise InvalidInputError(f"covariance not symmetric (max deviation {asym})")
-        cov = 0.5 * (cov + cov.T)
+        cov = _symmetric(cov, "cov")
         _psd_factor(cov)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "mean", mean)
@@ -120,13 +93,10 @@ class GaussianVector:
 
     @classmethod
     def _built(cls, times: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> "GaussianVector":
-        """A partition law or a made-Markov law, from float arrays whose
-        ``times`` increase and have passed :func:`_require_fields` with ``mean``
-        and ``cov``, and whose ``cov`` is exactly symmetric, so ``__post_init__``
-        would store it as it is.  Checks that ``cov`` is finite, within the
-        size bound and PSD, with the messages of ``__post_init__``.
-        """
-        _largest_entry(cov)
+        """A partition law or a made-Markov law, from float arrays whose ``times``
+        increase and have passed :func:`_require_fields` with ``mean`` and an exactly
+        symmetric ``cov``: the checks of ``__post_init__`` but the symmetry test."""
+        _checkable(cov, "cov")
         _psd_factor(cov)
         law = object.__new__(cls)
         object.__setattr__(law, "times", times)
@@ -251,6 +221,8 @@ def solve_spd(mat: np.ndarray, rhs: np.ndarray, what: str = "marginal") -> np.nd
 
     Raises :class:`SingularMarginalError` once the condition number reaches
     ``COND_LIMIT``; below that bound an LU solve is as accurate as Cholesky.
+    It asks whether ``mat`` can be inverted, not whether it is a covariance
+    (:func:`kernels._symmetric`), so it symmetrizes whatever it is given.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))

@@ -250,11 +250,17 @@ def _require_at_most(count, cap, what: str) -> None:
         raise InvalidInputError(f"{what}, above the cap of {cap}")
 
 
-def _shown(value):
-    """A refused count as messages show it: past 64 bits by its size, lest its digits not print."""
-    if isinstance(value, numbers.Integral) and int(value).bit_length() > 64:
-        return f"{'a negative' if value < 0 else 'an'} integer of {int(value).bit_length()} bits"
-    return value
+def _shown(value, most_bits: float = math.inf) -> str:
+    """A refused value as messages show it: a real number by ``str``, anything else by
+    ``repr``.  An integer past ``most_bits``, or past Python's digit limit, is shown by
+    its size instead, and another value holding one past that limit by its type."""
+    try:
+        if not (isinstance(value, numbers.Integral) and int(value).bit_length() > most_bits):
+            return str(value) if isinstance(value, numbers.Real) else repr(value)
+    except ValueError:  # digits past the limit, of the value or of one inside it
+        if not isinstance(value, numbers.Integral):
+            return f"a {type(value).__name__} holding an integer too long to print"
+    return f"{'a negative' if value < 0 else 'an'} integer of {int(value).bit_length()} bits"
 
 
 def _count(value, what: str, least: int | None = 0, below: str | None = None,
@@ -271,12 +277,12 @@ def _count(value, what: str, least: int | None = 0, below: str | None = None,
         if least is not None and not value >= least:
             bound = rule if least == 0 else f"at least {least}"
             below = below or f"{what} must be {bound}, got {{}}"
-            raise InvalidInputError(below.format(_shown(value)))
+            raise InvalidInputError(below.format(_shown(value, 64)))
         if most is not None and value > most:
-            raise InvalidInputError(f"{what} must be at most {most}, got {_shown(value)}")
+            raise InvalidInputError(f"{what} must be at most {most}, got {_shown(value, 64)}")
         if isinstance(value, numbers.Integral) or float(value).is_integer():
             return int(value)
-    raise InvalidInputError(f"{what} must be {rule}, got {value!r}")
+    raise InvalidInputError(f"{what} must be {rule}, got {_shown(value)}")
 
 
 def gram(kernel: Kernel, grid) -> np.ndarray:
@@ -302,31 +308,49 @@ def gram(kernel: Kernel, grid) -> np.ndarray:
     return mat
 
 
-def psd_check(kernel: Kernel, grid) -> PsdReport:
-    """Check positive semi-definiteness of the Gram matrix on a grid.
+def _require_finite(what: str, value: np.ndarray) -> None:
+    finite = np.isfinite(value)
+    if not finite.all():
+        raise InvalidInputError(f"{what} must be finite, got {value[~finite][0]}")
 
-    Passes when the smallest eigenvalue is no smaller than
-    ``-TOL_PSD * max(diagonal)``.  An exactly symmetric Gram goes to LAPACK
-    as it is, since ``0.5 * (x + x) == x`` for every entry it can check; any
-    other is symmetrized first.  Memory: the Gram's (see :func:`gram`),
-    then the Gram, n-by-n booleans for the symmetry test, LAPACK's copy and,
-    for an asymmetric Gram only, the symmetrized copy.
-    """
-    mat = gram(kernel, grid)
+
+def _checkable(mat: np.ndarray, what: str) -> float:
+    """``max |mat|``, after refusing a ``mat`` that is not finite or has an entry
+    past ``_HALF_MAX``, where ``0.5 * (x + y)`` could overflow."""
     top = max(float(mat.max()), -float(mat.min()))
+    if not top <= _HALF_MAX:  # NaN compares false, and propagates through max and min
+        _require_finite(what, mat)
+        raise InvalidInputError(f"{what} entries too large to check, up to {top}")
+    return top
+
+
+def _symmetric(mat: np.ndarray, what: str) -> np.ndarray:
+    """A :func:`_checkable` square ``mat`` itself when it is exactly symmetric, else
+    its symmetric part; an asymmetry above ``1e-12 * max(1, max |mat|)`` is refused."""
+    top = _checkable(mat, what)
     if np.array_equal(mat, mat.T):
-        sym, checkable = mat, top <= _HALF_MAX
-    else:
-        sym = 0.5 * (mat + mat.T)
-        checkable = np.isfinite(sym).all()
-    if not checkable:
-        raise InvalidInputError(
-            f"kernel '{kernel.name}' has Gram entries too large to check, up to {top}"
-        )
-    eigs = np.linalg.eigvalsh(sym)
-    min_eig = float(eigs[0])
-    scale = float(np.max(np.diag(mat)))
-    return PsdReport(min_eigenvalue=min_eig, passed=min_eig >= -TOL_PSD * max(scale, 0.0))
+        return mat
+    asym = float((mat - mat.T).max())  # x - y is exactly -(y - x): the max is max |mat - mat.T|
+    if asym > 1e-12 * max(1.0, top):
+        raise InvalidInputError(f"{what} entries not symmetric (max deviation {asym})")
+    return 0.5 * (mat + mat.T)
+
+
+def _below_psd(min_eig, scale):
+    """Whether eigenvalues fall below the PSD bound of a nonnegative ``scale``; NaN does not."""
+    return min_eig < -TOL_PSD * scale
+
+
+def psd_check(kernel: Kernel, grid) -> PsdReport:
+    """Check positive semi-definiteness of the Gram matrix on a grid, which must pass
+    :func:`_symmetric`: it passes unless :func:`_below_psd` at ``max(diagonal)``.  Memory: the
+    Gram's (see :func:`gram`), then the Gram, n-by-n booleans for the symmetry test and
+    LAPACK's copy, and one more n-by-n array for a Gram symmetric only to rounding."""
+    mat = gram(kernel, grid)
+    sym = _symmetric(mat, f"kernel '{kernel.name}' has Gram")
+    min_eig = float(np.linalg.eigvalsh(sym)[0])
+    scale = max(float(mat.diagonal().max()), 0.0)
+    return PsdReport(min_eigenvalue=min_eig, passed=not _below_psd(min_eig, scale))
 
 
 def correlation(kernel: Kernel, s, t):
@@ -765,7 +789,8 @@ def noise_integral(k: Callable[[float, float], float], interval: tuple[float, fl
 
 
 def matrix_kernel(grid, matrix, name: str = "matrix") -> Kernel:
-    """Kernel defined by table lookup on a fixed grid (diagnostic helper)."""
+    """Kernel defined by table lookup on a fixed grid (diagnostic helper).  A table not exactly
+    symmetric, NaNs counted equal, is stored as :func:`_symmetric` leaves it."""
     pts = _as_strictly_increasing(grid)
     try:
         mat = np.asarray(matrix, dtype=float)
@@ -773,6 +798,8 @@ def matrix_kernel(grid, matrix, name: str = "matrix") -> Kernel:
         raise InvalidInputError("matrix is not a square table of numbers") from None
     if mat.shape != (pts.size, pts.size):
         raise InvalidInputError("matrix shape does not match grid length")
+    if not np.array_equal(mat, mat.T, equal_nan=True):  # gram names a symmetric table's NaN
+        mat = _symmetric(mat, "matrix")
 
     def index(times) -> np.ndarray:
         times = np.asarray(times, dtype=float)

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidInputError
-from .kernels import Kernel, RateFunction
+from .kernels import Kernel, RateFunction, _shown
 
 #: Most points a ``start:stop:count`` grid may have: a Gram over it takes 128 MiB.
 MAX_GRID_POINTS = 4096
@@ -53,8 +53,7 @@ def _number(value) -> float:
             return float(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    shown = kernels._shown(value) if isinstance(value, int) else repr(value)
-    raise InvalidInputError(f"expected a number, got {shown}")
+    raise InvalidInputError(f"expected a number, got {_shown(value, 64)}")
 
 
 def _numbers(value, depth: int = 64):
@@ -71,7 +70,7 @@ def _domain(value, default):
     if value is None:
         return default
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise InvalidInputError(f"domain must be a pair [lo, hi], got {value!r}")
+        raise InvalidInputError(f"domain must be a pair [lo, hi], got {_shown(value)}")
     lo, hi = value
     return -math.inf if lo is None else _number(lo), math.inf if hi is None else _number(hi)
 
@@ -97,21 +96,21 @@ def _fields(spec, what: str, tag: str | None, *required: str, **optional) -> lis
     """The values of ``spec``'s ``required`` keys, then its ``optional`` ones (default if absent);
     refused unless ``spec`` is an object with each required key and no key but these and ``tag``."""
     if not isinstance(spec, dict):
-        raise InvalidInputError(f"{what} spec must be an object, got {spec!r}")
+        raise InvalidInputError(f"{what} spec must be an object, got {_shown(spec)}")
     if unknown := [key for key in spec if key not in {tag, *required, *optional}]:
-        raise InvalidInputError(f"unknown key {unknown[0]!r} in {what} spec")
+        raise InvalidInputError(f"unknown key {_shown(unknown[0])} in {what} spec")
     if missing := [key for key in required if key not in spec]:
-        raise InvalidInputError(f"{what} spec needs the key {missing[0]!r}")
+        raise InvalidInputError(f"{what} spec needs the key {_shown(missing[0])}")
     return [spec[key] for key in required] + [spec.get(key, d) for key, d in optional.items()]
 
 
 def _form(spec, kind: str) -> str:
     """The form of a ``kind`` spec, one of ``_FORMS[kind]``."""
     if not isinstance(spec, dict):
-        raise InvalidInputError(f"{kind} spec must be an object, got {spec!r}")
+        raise InvalidInputError(f"{kind} spec must be an object, got {_shown(spec)}")
     form = spec.get("form")
     if form not in _FORMS[kind]:
-        raise InvalidInputError(f"unknown {kind} form {form!r}")
+        raise InvalidInputError(f"unknown {kind} form {_shown(form)}")
     return form
 
 
@@ -152,9 +151,9 @@ def rate_from_spec(spec) -> RateFunction:
             return RateFunction.constant(float(spec))
         except ValueError:  # no number: JSON text
             return rate_from_spec(_json(spec, "rate spec", (
-                f"rate spec is neither a number, an infinity word nor valid JSON: {spec!r}")))
+                f"rate spec is neither a number, an infinity word nor valid JSON: {_shown(spec)}")))
     if not isinstance(spec, dict):
-        raise InvalidInputError(f"cannot parse rate spec {spec!r}")
+        raise InvalidInputError(f"cannot parse rate spec {_shown(spec)}")
     form = _form(spec, "rate")
     if form == "constant":
         (value,) = _fields(spec, "constant rate", "form", "value")
@@ -175,12 +174,12 @@ def kernel_from_spec(spec) -> Kernel:
         except OSError as exc:  # a name too long, a directory, no permission
             raise InvalidInputError(f"cannot read kernel spec file: {exc.strerror}") from None
         spec = _json(text, "kernel spec", None if is_file else
-                     f"kernel spec is neither valid JSON nor an existing file: {text!r}")
+                     f"kernel spec is neither valid JSON nor an existing file: {_shown(text)}")
     if not isinstance(spec, dict):
         raise InvalidInputError(f"kernel spec must be an object, got {type(spec)}")
     kind = spec.get("type")
     if kind not in _TYPES:
-        raise InvalidInputError(f"unknown kernel type {kind!r}")
+        raise InvalidInputError(f"unknown kernel type {_shown(kind)}")
     what = f"{kind} kernel"
     if kind in ("fbm", "fbm_log"):
         (hurst,) = _fields(spec, what, "type", "hurst")
@@ -197,14 +196,14 @@ def kernel_from_spec(spec) -> Kernel:
 
         (atoms,) = _fields(spec, what, "type", "atoms")
         if not isinstance(atoms, (list, tuple)):
-            raise InvalidInputError(f"spectral atoms must be a list, got {atoms!r}")
+            raise InvalidInputError(f"spectral atoms must be a list, got {_shown(atoms)}")
         atoms = [_fields(atom, "spectral atom", None, "weight", "location") for atom in atoms]
         return spectral.kernel_from_spectral(spectral.SpectralMeasure(atoms=tuple(
             (_number(weight), _number(location)) for weight, location in atoms)))
     if kind == "noise_integral":
         (family,) = _fields(spec, what, "type", family="sqrt_exp")
         if family != "sqrt_exp":
-            raise InvalidInputError(f"unknown noise-integral family {family!r}")
+            raise InvalidInputError(f"unknown noise-integral family {_shown(family)}")
         # X_t = integral of sqrt(t) exp(-t u / 2) dB_u on (0, inf);
         # closed form K(s, t) = 2 sqrt(s t) / (s + t), unit variance.
         kern = kernels.noise_integral(lambda t, u: math.sqrt(t) * math.exp(-t * u / 2.0),
@@ -225,25 +224,25 @@ def parse_grid(text: str) -> np.ndarray:
     """Parse ``start:stop:count`` into a linspace grid over a finite interval."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise InvalidInputError(f"grid must be start:stop:count, got {text!r}")
+        raise InvalidInputError(f"grid must be start:stop:count, got {_shown(text)}")
     start, stop = _number(parts[0]), _number(parts[1])
     # stop - start is not finite when an endpoint is not, or when the span
     # overflows, which would make the inner points NaN.
     if not math.isfinite(stop - start):
-        raise InvalidInputError(f"grid endpoints and span must be finite, got {text!r}")
+        raise InvalidInputError(f"grid endpoints and span must be finite, got {_shown(text)}")
     try:  # int() refuses a non-literal, and one past Python's 4300 digits
         count = kernels._count(int(parts[2]), "grid point count", 1, most=MAX_GRID_POINTS)
     except ValueError as exc:
         raise InvalidInputError(f"grid point count: {exc}") from None
     if not start < stop:
-        raise InvalidInputError(f"bad grid {text!r}")
+        raise InvalidInputError(f"bad grid {_shown(text)}")
     return np.linspace(start, stop, count)
 
 
 def parse_float_list(text: str) -> list[float]:
     vals = [_number(x) for x in text.split(",") if x.strip()]
     if not vals:
-        raise InvalidInputError(f"empty list {text!r}")
+        raise InvalidInputError(f"empty list {_shown(text)}")
     return vals
 
 

@@ -23,6 +23,7 @@ from .kernels import (
     RateFunction,
     _as_strictly_increasing,
     _at_points,
+    _below_psd,
     _count,
     _require_at_most,
     _sorted_unique,
@@ -178,8 +179,8 @@ def _require_positive(points: np.ndarray, var: np.ndarray) -> None:
 
 def _require_psd_pairs(a: np.ndarray, b: np.ndarray, cross: np.ndarray, times) -> None:
     """Raises :class:`NotPsdError` at the first two-time covariance ``[[a, cross], [cross, b]]``
-    below the :class:`GaussianVector` PSD bound, naming the earlier time of its pair."""
-    bad = 0.5 * (a + b) - np.hypot(0.5 * (a - b), cross) < -kernels.TOL_PSD * np.maximum(a, b)
+    whose smallest eigenvalue is :func:`kernels._below_psd`, naming the earlier time of its pair."""
+    bad = _below_psd(0.5 * (a + b) - np.hypot(0.5 * (a - b), cross), np.maximum(a, b))
     if bad.any():
         raise NotPsdError(f"two-time covariance not PSD at t={times[bad.argmax()]}")
 

@@ -26,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussmarkov.cli import EXIT_BUDGET, main
+from gaussmarkov.serialize import kernel_from_spec, rate_from_spec
 
 #: One valid spec per kernel type, and per rate, scale and time-change form.
 VALID_SPECS = [
@@ -40,7 +41,8 @@ VALID_SPECS = [
     {"type": "exponential", "rate": {"form": "power", "coeff": 1, "exponent": 1}},
     {"type": "constant"},
     {"type": "white_noise"},
-    {"type": "spectral", "atoms": [{"weight": 0.5, "location": 1}, {"weight": 0.5, "location": 0}]},
+    {"type": "spectral",
+     "atoms": [{"weight": 0.25, "location": 1}, {"weight": 0.5, "location": 0}]},
     {"type": "noise_integral", "family": "sqrt_exp"},
     {"type": "matrix", "grid": [1, 2, 3], "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
     {"type": "transformed", "base": {"type": "fbm", "hurst": 0.5},
@@ -64,6 +66,14 @@ VALID_RATES = [
     {"form": "power", "coeff": 1, "exponent": 1},
     {"form": "infinite"},
 ]
+
+def test_every_seed_builds():
+    # an atom away from 0 counts twice: the spectral seed's masses are 2 * 0.25 + 0.5
+    for spec in VALID_SPECS:
+        kernel_from_spec(spec)
+    for rate in VALID_RATES:
+        rate_from_spec(rate)
+
 
 #: Kernels for the rate fuzz: one defined on the whole line, one on [0, inf).
 RATE_KERNELS = [{"type": "exponential"}, {"type": "fbm", "hurst": 0.25}]

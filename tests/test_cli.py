@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import math
+import runpy
+import sys
 import time
 
 import numpy as np
@@ -865,6 +867,34 @@ def test_out_in_a_config_file_must_be_a_name(tmp_path, capsys, out):
     argv = ["psd-check", "--kernel", '{"type": "constant"}', "--grid", "0:1:3"]
     assert main([*argv, "--config", str(config)]) == 2
     assert capsys.readouterr().err == f"usage error: --out: expected a directory name, got {out!r}\n"
+
+
+# A table that is not symmetric is no covariance: each command that reads a
+# kernel refuses it as a usage error before it writes anything.
+@pytest.mark.parametrize("command", [
+    ["psd-check"], ["transform", "--alpha", "1"],
+    ["converge", "--alpha", "1", "--mesh-sequence", "0.5"],
+    ["simulate", "--alpha", "1", "--paths", "4"],
+], ids=lambda command: command[0])
+def test_asymmetric_matrix_is_a_usage_error(tmp_path, capsys, command):
+    spec = {"type": "matrix", "grid": [1, 2, 3], "matrix": [[1, 0.9, 0], [-0.9, 1, 0], [0, 0, 1]]}
+    out = tmp_path / "out"
+    argv = [*command, "--kernel", json.dumps(spec), "--grid", "1:3:3", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "usage error: --kernel: matrix entries not symmetric (max deviation 1.8)\n")
+    assert not out.exists()
+
+
+def test_module_run_as_a_script_exits_with_the_code_of_main(monkeypatch, tmp_path, capsys):
+    """``python -m gaussmarkov.cli``, in this process: the ``__main__`` guard's ``sys.exit``."""
+    monkeypatch.delitem(sys.modules, "gaussmarkov.cli")  # run afresh, as a script
+    argv = ["psd-check", "--kernel", '{"type": "constant"}', "--grid", "0:1:3"]
+    monkeypatch.setattr(sys, "argv", ["gaussmarkov", *argv, "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("gaussmarkov.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"psd-check: pass -> {tmp_path / 'psd_report.json'}\n"
 
 
 def test_unexpected_exception_is_a_clean_failure(monkeypatch, tmp_path, capsys):

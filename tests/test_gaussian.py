@@ -145,7 +145,7 @@ class TestGaussianVector:
         # 0.5 * (cov + cov.T) would store inf where cov + cov.T overflows
         data = {"times": [0.0, 1.0], "mean": [0.0, 0.0], "cov": cov}
         with pytest.raises(InvalidInputError,
-                           match=f"^cov entries too large to symmetrize, up to {re.escape(top)}$"):
+                           match=f"^cov entries too large to check, up to {re.escape(top)}$"):
             if build == "init":
                 GaussianVector(**data)
             else:

@@ -933,14 +933,32 @@ COV_REFERENCES = {
 }
 
 
-def _asymmetric_matrix_kernel():
+def _table_kernel(grid, table, name: str) -> Kernel:
+    """A lookup of ``table`` on ``grid`` that, unlike ``matrix_kernel``, keeps any table."""
+    index = functools.partial(np.searchsorted, grid)
+    return Kernel(cov=lambda s, t: table[index(s), index(t)],
+                  domain=(float(grid[0]), float(grid[-1])), name=name)
+
+
+def _asymmetric_table(size: float):
+    """``_matrix_table`` with entries above the diagonal moved by up to ``size``."""
     grid, mat = _matrix_table()
-    upper = np.triu(np.random.default_rng(7).uniform(-1e-3, 1e-3, mat.shape), 1)
-    return kernels.matrix_kernel(grid, mat + upper, name="asymmetric")
+    return grid, mat + np.triu(np.random.default_rng(7).uniform(-size, size, mat.shape), 1)
 
 
-#: The Gram families plus a kernel whose Gram is not symmetric.
-PSD_FAMILIES = {**GRAM_FAMILIES, "matrix_asymmetric": (_asymmetric_matrix_kernel, 0.0, 3.0)}
+def _asymmetric_matrix_kernel():
+    return _table_kernel(*_asymmetric_table(1e-3), name="asymmetric")
+
+
+def _rounding_asymmetric_kernel():
+    """Asymmetric by at most 5e-13, within the rule of 1e-12 · max(1, max |K|)."""
+    return _table_kernel(*_asymmetric_table(5e-13), name="rounding")
+
+
+#: The Gram families plus two kernels whose Gram is not symmetric: beyond the
+#: symmetry rule, and within it.
+PSD_FAMILIES = {**GRAM_FAMILIES, "matrix_asymmetric": (_asymmetric_matrix_kernel, 0.0, 3.0),
+                "matrix_rounding": (_rounding_asymmetric_kernel, 0.0, 3.0)}
 
 
 def _draw_grid(data, family, lo, hi) -> np.ndarray:
@@ -971,6 +989,11 @@ def test_psd_check_is_the_always_symmetrized_check(family):
 
     def check(data):
         pts = _draw_grid(data, family, lo, hi)
+        mat = kernels.gram(kern, pts)
+        if float(np.abs(mat - mat.T).max()) > 1e-12 * max(1.0, float(np.abs(mat).max())):
+            with pytest.raises(InvalidInputError, match="has Gram entries not symmetric"):
+                psd_check(kern, pts)
+            return
         report, expected = psd_check(kern, pts), oracles.psd_check_symmetrized(kern, pts)
         assert report.min_eigenvalue.hex() == expected.min_eigenvalue.hex()
         assert report.passed == expected.passed
@@ -978,23 +1001,42 @@ def test_psd_check_is_the_always_symmetrized_check(family):
     _run_property(check, family, 25)
 
 
-def test_asymmetric_gram_is_symmetrized():
-    kern, grid = _asymmetric_matrix_kernel(), _matrix_table()[0]
+def test_asymmetric_gram_is_refused_beyond_rounding():
+    grid = _matrix_table()[0]
+    mat = kernels.gram(_asymmetric_matrix_kernel(), grid)
+    asym = re.escape(f"entries not symmetric (max deviation {float(np.abs(mat - mat.T).max())})")
+    with pytest.raises(InvalidInputError, match=f"^kernel 'asymmetric' has Gram {asym}$"):
+        psd_check(_asymmetric_matrix_kernel(), grid)
+    with pytest.raises(InvalidInputError, match=f"^matrix {asym}$"):
+        kernels.matrix_kernel(*_asymmetric_table(1e-3))
+    # within rounding: the check of the symmetric part, which matrix_kernel stores
+    kern = _rounding_asymmetric_kernel()
     mat = kernels.gram(kern, grid)
     assert not np.array_equal(mat, mat.T)
+    sym = 0.5 * (mat + mat.T)
     min_eig = psd_check(kern, grid).min_eigenvalue
-    assert min_eig == float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
+    assert min_eig == float(np.linalg.eigvalsh(sym)[0])
     assert min_eig != float(np.linalg.eigvalsh(mat)[0])
+    assert np.array_equal(kernels.gram(kernels.matrix_kernel(grid, mat), grid), sym)
 
 
-# A symmetric Gram is checkable up to half the largest double, where x + x
-# still is finite; an asymmetric one while every x_ij + x_ji is.
+# A Gram is checkable up to half the largest double, where x + x still is
+# finite; an asymmetric one, here by half its largest entry, is refused.
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("corner", [np.finfo(float).max / 2, -np.finfo(float).max / 2])
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_too_large_to_check_is_the_symmetrized_check(corner, symmetric):
     for entry in (corner, np.nextafter(corner, math.copysign(math.inf, corner))):
         mat = np.array([[1.0, entry], [entry if symmetric else 0.5 * entry, 1.0]])
+        if not symmetric:
+            kern = _table_kernel(np.array([0.0, 1.0]), mat, name="asymmetric")
+            refusal = ("entries not symmetric" if entry == corner else
+                       f"entries too large to check, up to {re.escape(str(abs(entry)))}$")
+            with pytest.raises(InvalidInputError, match=f"^kernel 'asymmetric' has Gram {refusal}"):
+                psd_check(kern, [0.0, 1.0])
+            with pytest.raises(InvalidInputError, match=f"^matrix {refusal}"):
+                kernels.matrix_kernel([0.0, 1.0], mat)
+            continue
         kern = kernels.matrix_kernel([0.0, 1.0], mat)
         try:
             expected = oracles.psd_check_symmetrized(kern, [0.0, 1.0])
@@ -1099,6 +1141,10 @@ def _zero_variance():
     pytest.param(lambda: uniform_convergence_diagnostic(
         kernels.constant(), RateFunction.constant(0.0), 0.0, 1.0, 0.1, math.inf),
         InvalidInputError, "grid_density must be at most 2048, got inf", id="diagnostic-inf"),
+    pytest.param(lambda: uniform_convergence_diagnostic(
+        kernels.constant(), RateFunction.constant(0.0), 0.0, 1.0, 0.1, [10**5000]),
+        InvalidInputError, "grid_density must be an integer, got a list holding an integer too "
+        "long to print", id="diagnostic-list-1e5000"),
     pytest.param(lambda: kernels.noise_integral(lambda t, u: 1.0, (1.0, 1.0)), InvalidInputError,
                  "empty integration interval (1.0, 1.0)", id="noise-integral-interval"),
     pytest.param(lambda: kernels.noise_integral(lambda t, u: 1.0, (0.0, math.inf)).eval(1.0, 1.0),
@@ -1130,6 +1176,13 @@ def _zero_variance():
                  "matrix shape does not match grid length", id="matrix-shape"),
     pytest.param(lambda: kernels.matrix_kernel([0.0, 1.0], np.eye(2)).eval(0.0, 0.5),
                  InvalidInputError, "time 0.5 not on the kernel grid", id="matrix-off-grid"),
+    pytest.param(lambda: kernels.matrix_kernel([1, 2, 3], [[1, 0.9, 0], [-0.9, 1, 0], [0, 0, 1]]),
+                 InvalidInputError, "matrix entries not symmetric (max deviation 1.8)",
+                 id="matrix-asymmetric"),
+    pytest.param(lambda: psd_check(Kernel.from_scalar(
+        lambda s, t: min(s, t) + 0.3 * (t - s), name="skew"), [1.0, 2.0, 3.0]), InvalidInputError,
+        "kernel 'skew' has Gram entries not symmetric (max deviation 1.2000000000000002)",
+        id="psd-check-asymmetric"),
 ])
 def test_bad_arguments_are_named(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

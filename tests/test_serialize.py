@@ -110,8 +110,23 @@ class TestKernelSpecs:
          "matrix is not a square table of numbers"),
         ({"type": "matrix", "grid": [0, 1], "matrix": json.loads("[" * 600 + "]" * 600)},
          "lists of numbers nest deeper than 64"),
+        ({"type": "exponential", "rate": [10**5000]},
+         "cannot parse rate spec a list holding an integer too long to print"),
+        ({"type": "fbm", "hurst": [10**5000]},
+         "expected a number, got a list holding an integer too long to print"),
+        ({"type": "transformed", "base": {"type": "constant"}, "scale": 10**5000,
+          "time_change": {"form": "affine"}},
+         "scale spec must be an object, got an integer of 16610 bits"),
+        ({"type": "exponential", "domain": [10**5000]},
+         "domain must be a pair [lo, hi], got a list holding an integer too long to print"),
+        ({"type": "spectral", "atoms": [10**5000]},
+         "spectral atom spec must be an object, got an integer of 16610 bits"),
+        ({"type": "matrix", "grid": [1, 2, 3], "matrix": [[1, 0.9, 0], [-0.9, 1, 0], [0, 0, 1]]},
+         "matrix entries not symmetric (max deviation 1.8)"),
     ], ids=["fbm-hurst", "matrix-matrix", "scale-value", "atom-weight", "atoms-not-a-list",
-            "hurst-list", "hurst-huge", "bound-object", "ragged-matrix", "matrix-600-deep"])
+            "hurst-list", "hurst-huge", "bound-object", "ragged-matrix", "matrix-600-deep",
+            "rate-list-1e5000", "hurst-list-1e5000", "scale-1e5000", "domain-list-1e5000",
+            "atom-1e5000", "matrix-asymmetric"])
     def test_malformed_spec_is_refused_by_name(self, spec, message):
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             kernel_from_spec(spec)
